@@ -14,7 +14,10 @@ the interpreter against itself and pass vacuously).
 When the extension is missing the gate first tries to build it in
 place (``REPRO_COMPILE=1 setup.py build_ext --inplace``); without a C
 toolchain it skips with a loud notice — the interpreted engine is the
-contract on such hosts, and there is nothing to compare.
+contract on such hosts, and there is nothing to compare.  An extension
+the gate built itself is deleted again on exit, so later runs in the
+checkout keep the backend they had before; one that was already there
+stays.
 
 Usage: PYTHONPATH=src python scripts/compiled_gate.py
 """
@@ -28,9 +31,11 @@ import os
 import shutil
 import subprocess
 import sys
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+EXTENSION_DIR = REPO_ROOT / "src" / "repro" / "sim"
 
 XS = (0.3, 0.7, 0.9)
 FM_XS = (1.3,)
@@ -40,29 +45,36 @@ POLICIES = ("none", "static", "ccEDF", "lpSTA", "lpSEH")
 FM_POLICIES = ("ccEDF", "lpSEH", "lpSTA")
 
 
+def extension_artifacts() -> set[Path]:
+    """The built ``_fastcore`` files this interpreter would import."""
+    candidates = (EXTENSION_DIR / f"_fastcore{suffix}"
+                  for suffix in EXTENSION_SUFFIXES)
+    return {path for path in candidates if path.exists()}
+
+
 def ensure_extension() -> str:
-    """Import-or-build the extension; returns 'ok', 'built' or 'no-toolchain'."""
-    try:
-        import repro.sim._fastcore  # noqa: F401
-        return "ok"
-    except ImportError:
-        pass
-    if shutil.which("gcc") is None and shutil.which("cc") is None:
-        return "no-toolchain"
-    env = dict(os.environ, REPRO_COMPILE="1")
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext", "--inplace"],
-        cwd=REPO_ROOT, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        print(proc.stdout[-2000:])
-        print(proc.stderr[-2000:])
-        return "no-toolchain"
-    importlib.invalidate_caches()
-    try:
-        import repro.sim._fastcore  # noqa: F401
-        return "built"
-    except ImportError:
-        return "no-toolchain"
+    """Find-or-build the extension; returns 'ok', 'built' or 'no-toolchain'.
+
+    Looks for the file rather than importing it: importing anything
+    under ``repro.sim`` before a build would pin ``repro.sim.fastcore``
+    to "no extension" for the rest of the process.
+    """
+    status = "ok"
+    if not extension_artifacts():
+        if shutil.which("gcc") is None and shutil.which("cc") is None:
+            return "no-toolchain"
+        env = dict(os.environ, REPRO_COMPILE="1")
+        proc = subprocess.run(
+            [sys.executable, "setup.py", "build_ext", "--inplace"],
+            cwd=REPO_ROOT, env=env, capture_output=True, text=True)
+        if proc.returncode != 0 or not extension_artifacts():
+            print(proc.stdout[-2000:])
+            print(proc.stderr[-2000:])
+            return "no-toolchain"
+        importlib.invalidate_caches()
+        status = "built"
+    from repro.sim import fastcore
+    return status if fastcore.compiled_available() else "no-toolchain"
 
 
 def fingerprint(cells) -> str:
@@ -73,6 +85,16 @@ def fingerprint(cells) -> str:
 
 
 def main() -> int:
+    present = extension_artifacts()
+    try:
+        return run_gate()
+    finally:
+        for path in extension_artifacts() - present:
+            path.unlink(missing_ok=True)
+            print(f"compiled gate: removed {path.relative_to(REPO_ROOT)}")
+
+
+def run_gate() -> int:
     status = ensure_extension()
     if status == "no-toolchain":
         print("=" * 64)

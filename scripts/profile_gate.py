@@ -95,8 +95,9 @@ def phase_counts(delta: dict) -> dict[str, int]:
     """Deterministic per-phase counts — timing-free fold substance."""
     return {name: stats["count"]
             for name, stats in sorted(delta.get("phases", {}).items())
-            if name in ("unit.workload", "policy.decide", "slack.exact",
-                        "slack.heuristic", "cache.lookup")}
+            if name.startswith("policy.decide.")
+            or name in ("unit.workload", "slack.exact", "slack.heuristic",
+                        "cache.lookup")}
 
 
 def main() -> int:

@@ -37,7 +37,7 @@ Two evaluators:
   linear tail guard beyond the cap.  Backs the ``lpSTA`` policy.
 * :func:`heuristic_slack` — O(n) per call: only active-job deadlines
   and next release points, with the closed-form linear demand bound.
-  Never exceeds the exact slack (safe).  Backs ``lpSEH``.
+  Never exceeds the true slack (safe).  Backs ``lpSEH``.
 
 Safety of the candidate sets (sketch): with the linear demand bound,
 ``g(x) = x - t - h_bar(t, x)`` is piecewise linear with slope
@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, itemgetter
 from typing import Mapping, Sequence
 
 from repro.analysis.demand import (
@@ -131,14 +132,19 @@ class ActiveJob:
 class SystemState:
     """A snapshot of the schedule at one scheduling point.
 
+    The active jobs are stored as two parallel columns — exactly the
+    arrays the slack walks consume — so a snapshot taken at every
+    scheduling point allocates two tuples, not one object per job.
+
     Attributes
     ----------
     time:
         Current time ``t``.
-    active:
-        All incomplete released jobs, *including* the one being
+    active_deadlines, active_budgets:
+        Deadline and remaining budget (reference time base, ``>= 0``)
+        of every incomplete released job, *including* the one being
         dispatched (which must have the earliest deadline; ties
-        allowed).  Budgets in the reference time base.
+        allowed).
     tasks:
         The full task set, with WCETs in the reference time base
         (future arrivals come from here).
@@ -147,7 +153,8 @@ class SystemState:
     """
 
     time: Time
-    active: tuple[ActiveJob, ...]
+    active_deadlines: tuple[Time, ...]
+    active_budgets: tuple[Work, ...]
     tasks: tuple[PeriodicTask, ...]
     next_release: Mapping[str, Time]
 
@@ -163,18 +170,27 @@ class SystemState:
                 raise ConfigurationError(
                     f"next_release[{task.name!r}]={next_release[task.name]} "
                     f"is in the past (t={time})")
-        return cls(time=time, active=tuple(active), tasks=tuple(tasks),
-                   next_release=dict(next_release))
+        active = tuple(active)
+        return cls(time=time,
+                   active_deadlines=tuple(job.deadline for job in active),
+                   active_budgets=tuple(job.remaining_wcet for job in active),
+                   tasks=tuple(tasks), next_release=dict(next_release))
+
+    @property
+    def active(self) -> tuple[ActiveJob, ...]:
+        """The active jobs as :class:`ActiveJob` records (a derived view)."""
+        return tuple(ActiveJob(deadline, budget) for deadline, budget
+                     in zip(self.active_deadlines, self.active_budgets))
 
     @property
     def earliest_deadline(self) -> Time:
-        if not self.active:
+        if not self.active_deadlines:
             raise ConfigurationError("no active jobs in state")
-        return min(job.deadline for job in self.active)
+        return min(self.active_deadlines)
 
     @property
     def pending_work(self) -> Work:
-        return sum(job.remaining_wcet for job in self.active)
+        return sum(self.active_budgets)
 
     def utilization(self) -> float:
         return sum(task.utilization for task in self.tasks)
@@ -196,8 +212,10 @@ def scale_tasks(tasks: Sequence[PeriodicTask],
 
 def demand(state: SystemState, d: Time) -> Work:
     """Exact time demand ``h(t, d)`` in the state's reference base."""
-    total = sum(job.remaining_wcet for job in state.active
-                if job.deadline <= d + 1e-12)
+    fence = d + 1e-12
+    total = sum(budget for deadline, budget
+                in zip(state.active_deadlines, state.active_budgets)
+                if deadline <= fence)
     for task in state.tasks:
         total += future_demand(task, state.next_release[task.name], d)
     return total
@@ -205,29 +223,14 @@ def demand(state: SystemState, d: Time) -> Work:
 
 def demand_linear_bound(state: SystemState, d: Time) -> Work:
     """Over-approximate demand ``h_bar(t, d)`` using the linear bound."""
-    total = sum(job.remaining_wcet for job in state.active
-                if job.deadline <= d + 1e-12)
+    fence = d + 1e-12
+    total = sum(budget for deadline, budget
+                in zip(state.active_deadlines, state.active_budgets)
+                if deadline <= fence)
     for task in state.tasks:
         total += future_demand_linear_bound(
             task, state.next_release[task.name], d)
     return total
-
-
-def _tail_guard(state: SystemState, window_end: Time) -> float:
-    """Safe lower bound on ``g(x)`` for every ``x >= window_end``.
-
-    Uses the continuous linear demand bound with every active budget
-    and every constrained-deadline correction charged unconditionally;
-    the resulting function has slope ``1 - U >= 0`` (for feasible
-    reference bases) so its minimum over the tail is at *window_end*.
-    """
-    total = sum(job.remaining_wcet for job in state.active)
-    for task in state.tasks:
-        release = state.next_release[task.name]
-        total += task.utilization * max(0.0, window_end - release)
-        if task.deadline < task.period:
-            total += task.wcet * (task.period - task.deadline) / task.period
-    return window_end - state.time - total
 
 
 def exact_slack(state: SystemState, *,
@@ -274,61 +277,22 @@ def exact_slack(state: SystemState, *,
 def _exact_slack(state: SystemState,
                  window_cap_periods: float | None,
                  earliest_candidate: Time | None) -> Time:
-    if not state.active:
+    active_d = state.active_deadlines
+    if not active_d:
         raise ConfigurationError("slack analysis requires an active job")
+    names, rdl, per, wcet, util, corr = _flat_tasks(state.tasks)
     t = state.time
     d_first = (earliest_candidate if earliest_candidate is not None
-               else state.earliest_deadline)
-    latest_active = max(job.deadline for job in state.active)
-    window_end = latest_active
+               else min(active_d))
+    window_end = max(active_d)
     if window_cap_periods is not None:
-        max_period = max(task.period for task in state.tasks)
-        window_end = max(latest_active,
-                         t + window_cap_periods * max_period)
-
-    kernels = _slack_kernels()
-    if kernels is not None:
-        names, rdl, per, wcet, util, corr = _flat_tasks(state.tasks)
-        next_release = state.next_release
-        return kernels.exact_slack_walk(
-            t, d_first, window_end,
-            tuple(job.deadline for job in state.active),
-            tuple(job.remaining_wcet for job in state.active),
-            tuple(next_release[name] for name in names),
-            rdl, per, wcet, util, corr)
-
-    # Demand events: (deadline, work step).  Every future job of a task
-    # contributes exactly one event at its own absolute deadline.
-    events: list[tuple[Time, Work]] = [
-        (job.deadline, job.remaining_wcet) for job in state.active]
+        window_end = max(window_end, t + window_cap_periods * max(per))
     next_release = state.next_release
-    fence = window_end + 1e-12
-    append = events.append
-    for task in state.tasks:
-        deadline = next_release[task.name] + task.deadline
-        period = task.period
-        wcet = task.wcet
-        while deadline <= fence:
-            append((deadline, wcet))
-            deadline += period
-    events.sort(key=lambda e: e[0])
-
-    best = math.inf
-    h = 0.0
-    i = 0
-    n = len(events)
-    while i < n:
-        d_k = events[i][0]
-        # Fold in every event at this deadline before evaluating.
-        while i < n and events[i][0] <= d_k + 1e-12:
-            h += events[i][1]
-            i += 1
-        if d_k >= d_first - 1e-12:
-            g = d_k - t - h
-            if g < best:
-                best = g
-    best = min(best, _tail_guard(state, window_end))
-    return max(0.0, best)
+    kernels = _slack_kernels()
+    walk = kernels.exact_slack_walk if kernels is not None else _exact_walk
+    return walk(t, d_first, window_end, active_d, state.active_budgets,
+                tuple([next_release[name] for name in names]),
+                rdl, per, wcet, util, corr)
 
 
 def heuristic_slack(state: SystemState) -> Time:
@@ -337,7 +301,10 @@ def heuristic_slack(state: SystemState) -> Time:
     Candidate points: the active jobs' deadlines and each task's next
     release time (where the constrained-deadline correction step
     lands), restricted to ``>= d_J``; demand uses the linear
-    over-approximation throughout.  Always ``<= exact_slack(state)``.
+    over-approximation throughout.  On implicit-deadline task sets it
+    never exceeds ``exact_slack(state)`` beyond rounding; with
+    constrained deadlines the exact walk's tail guard can be the
+    looser of the two (``tests/test_slack_walks.py``).
     """
     prof = _PROFILER
     if not prof.enabled:
@@ -350,56 +317,126 @@ def heuristic_slack(state: SystemState) -> Time:
 
 
 def _heuristic_slack(state: SystemState) -> Time:
-    if not state.active:
+    active_d = state.active_deadlines
+    if not active_d:
         raise ConfigurationError("slack analysis requires an active job")
-    t = state.time
-    d_first = state.earliest_deadline
-    kernels = _slack_kernels()
-    if kernels is not None:
-        names, _rdl, _per, _wcet, util, corr = _flat_tasks(state.tasks)
-        next_release = state.next_release
-        return kernels.heuristic_slack_walk(
-            t, d_first,
-            tuple(job.deadline for job in state.active),
-            tuple(job.remaining_wcet for job in state.active),
-            tuple(next_release[name] for name in names),
-            util, corr)
-    # Pre-extract the per-job and per-task terms once: the candidate
-    # loop below re-evaluates the linear demand bound at every
-    # candidate, and doing so through demand_linear_bound() would
-    # redo the attribute walks and the constrained-deadline correction
-    # per (candidate, task) pair.  The accumulation order is kept
-    # identical (active jobs in state order, then tasks in task
-    # order), so the result is bit-for-bit the same.
-    actives = [(job.deadline, job.remaining_wcet) for job in state.active]
+    names, _rdl, _per, _wcet, util, corr = _flat_tasks(state.tasks)
     next_release = state.next_release
-    task_terms = []
-    candidates = {deadline for deadline, _ in actives}
-    candidates.add(d_first)
-    for task in state.tasks:
-        release = next_release[task.name]
-        correction = (task.wcet * (task.period - task.deadline) / task.period
-                      if task.deadline < task.period else 0.0)
-        task_terms.append((release, task.utilization, correction))
-        if release >= d_first:
-            candidates.add(release)
+    kernels = _slack_kernels()
+    walk = (kernels.heuristic_slack_walk if kernels is not None
+            else _heuristic_walk)
+    return walk(state.time, min(active_d), active_d, state.active_budgets,
+                tuple([next_release[name] for name in names]), util, corr)
+
+
+# ----------------------------------------------------------------------
+# The walks.  Each takes exactly the flattened arguments of its compiled
+# twin in repro.sim._fastcore (``exact_slack_walk``,
+# ``heuristic_slack_walk``) and returns the bit-identical float: the
+# same events, the same deadline grouping and the same accumulation
+# order.  ``rel`` is each task's next release, and the task columns
+# come from :func:`_flat_tasks`, all in task order.
+# ----------------------------------------------------------------------
+
+_BY_DEADLINE = itemgetter(0)
+
+#: Appended after the sort so a sweep's single loop also closes the
+#: last deadline group: no real deadline is infinite, and it adds no
+#: work.
+_END_OF_EVENTS = (math.inf, 0.0)
+
+
+def _exact_walk(t, d_first, window_end, active_d, active_w,
+                rel, rdl, per, wcet, util, corr) -> Time:
+    """Slack over every deadline group from *d_first* to *window_end*,
+    and the linear tail guard beyond.
+
+    Demand events are ``(deadline, work)`` steps: active budgets at
+    their deadlines and one event per future job at its own absolute
+    deadline.  Events within 1e-12 of a group's first deadline fold
+    into that group before the group is evaluated.
+    """
+    events = list(zip(active_d, active_w))
+    append = events.append
+    fence = window_end + 1e-12
+    for deadline, period, work in zip(map(add, rel, rdl), per, wcet):
+        while deadline <= fence:
+            append((deadline, work))
+            deadline += period
+    events.sort(key=_BY_DEADLINE)
+    events.append(_END_OF_EVENTS)
+
+    d_lo = d_first - 1e-12
     best = math.inf
-    for d_k in candidates:
-        if d_k < d_first - 1e-12:
+    h = 0.0
+    d_k = group_end = -math.inf
+    for d, w in events:
+        if d > group_end:
+            # d opens a new group: evaluate the one it closes.
+            if d_k >= d_lo:
+                g = d_k - t - h
+                if g < best:
+                    if g <= 0.0:
+                        return 0.0  # the clamp below would give 0.0
+                    best = g
+            d_k = d
+            group_end = d + 1e-12
+        h += w
+
+    # Linear tail guard: a safe lower bound on g(x) for every
+    # x >= window_end.  Every active budget and every constrained-
+    # deadline correction is charged unconditionally, so the bound has
+    # slope 1 - U >= 0 (feasible reference bases) and its minimum over
+    # the tail is at window_end.
+    total = 0.0
+    for w in active_w:
+        total += w
+    for release, u, c, dl, p in zip(rel, util, corr, rdl, per):
+        head = window_end - release
+        total += u * (head if head > 0.0 else 0.0)
+        if dl < p:
+            total += c
+    tail = window_end - t - total
+    if tail < best:
+        best = tail
+    return best if best > 0.0 else 0.0
+
+
+def _heuristic_walk(t, d_first, active_d, active_w, rel, util,
+                    corr) -> Time:
+    """Linear-bound slack at the active deadlines and next releases.
+
+    Demand accumulates active budgets in state order, then tasks in
+    task order, at every candidate — the order the compiled kernel
+    uses.  The minimum does not depend on the candidate order, so
+    ``d_first`` goes first: a dispatch behind a missed deadline gets
+    a non-positive ``g`` there and needs no other candidate.
+    """
+    actives = tuple(zip(active_d, active_w))
+    terms = tuple(zip(rel, util, corr))
+    candidates = set(active_d)
+    candidates.update([release for release in rel if release >= d_first])
+    candidates.discard(d_first)
+    d_lo = d_first - 1e-12
+    best = math.inf
+    for d_k in (d_first, *candidates):
+        if d_k < d_lo:
             continue
         fence = d_k + 1e-12
         total = 0.0
-        for deadline, remaining in actives:
+        for deadline, budget in actives:
             if deadline <= fence:
-                total += remaining
-        for release, utilization, correction in task_terms:
+                total += budget
+        for release, u, c in terms:
             headroom = d_k - release
-            if headroom > 0:
-                total += utilization * headroom + correction
+            if headroom > 0.0:
+                total += u * headroom + c
         g = d_k - t - total
         if g < best:
+            if g <= 0.0:
+                return 0.0  # the clamp below would give 0.0
             best = g
-    return max(0.0, best)
+    return best if best > 0.0 else 0.0
 
 
 def stretch_speed(remaining_wcet: Work, slack: Time,

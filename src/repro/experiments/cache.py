@@ -21,8 +21,10 @@ The fingerprint (:func:`suite_fingerprint`) covers:
   ``overhead_aware``, ``allow_misses``;
 * the full fault plan for the unit (``dataclasses.asdict`` of the
   seeded :class:`~repro.faults.FaultPlan`, or ``None``);
-* a **code epoch** — ``repro.__version__`` by default — so a release
-  that changes simulation behaviour invalidates every entry at once.
+* a **code epoch** — by default :func:`default_code_epoch`, the package
+  version plus a SHA-256 over the sources that determine results — so
+  any edit to the simulator, a policy, the analysis, the processor or
+  task models, or the fault layer invalidates every entry at once.
 
 Entries are one JSON file each, sharded by the first two hex digits,
 written atomically (temp file + rename) so a killed run never leaves a
@@ -45,6 +47,7 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict, dataclass
+from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -58,6 +61,40 @@ if TYPE_CHECKING:
 #: Bumped whenever the entry layout or fingerprint payload changes;
 #: part of the fingerprint, so old caches read as misses, not errors.
 CACHE_SCHEMA = 1
+
+#: The ``repro`` package directory, whose result-determining
+#: subpackages the code epoch hashes.
+PACKAGE_ROOT = Path(__file__).resolve().parents[1]
+
+#: Subpackages whose sources decide a suite's result (the compiled
+#: core's C source lives in ``sim/``).
+EPOCH_PACKAGES = ("sim", "policies", "analysis", "cpu", "tasks", "faults")
+
+
+@cache
+def source_digest(root: Path) -> str:
+    """SHA-256 over the ``.py`` and ``.c`` sources of
+    :data:`EPOCH_PACKAGES` under *root*, paths included.
+
+    Memoized per root, so a process hashes its sources once, and only
+    when a cache is consulted: a few milliseconds.
+    """
+    digest = hashlib.sha256()
+    for package in EPOCH_PACKAGES:
+        paths = sorted(path for path in (root / package).rglob("*")
+                       if path.suffix in (".py", ".c") and path.is_file())
+        for path in paths:
+            digest.update(path.relative_to(root).as_posix().encode())
+            digest.update(b"\0")
+            digest.update(path.read_bytes())
+            digest.update(b"\0")
+    return digest.hexdigest()
+
+
+def default_code_epoch() -> str:
+    """``"<version>+<source digest prefix>"``, for the running sources."""
+    from repro import __version__
+    return f"{__version__}+{source_digest(PACKAGE_ROOT)[:16]}"
 
 
 @dataclass(frozen=True)
@@ -119,11 +156,10 @@ def suite_fingerprint(
     cache key, and the canonical payload it hashes (embedded in the
     entry for post-mortem inspection).
     """
-    if code_epoch is None:
-        from repro import __version__ as code_epoch
     payload = {
         "schema": CACHE_SCHEMA,
-        "code_epoch": str(code_epoch),
+        "code_epoch": str(code_epoch if code_epoch is not None
+                          else default_code_epoch()),
         "workload_id": str(workload_id),
         "x": float(x),
         "seed": int(seed),

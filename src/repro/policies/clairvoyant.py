@@ -24,7 +24,9 @@ so deadlines beyond the window are covered conservatively.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.policies.base import DvsPolicy
@@ -34,6 +36,41 @@ from repro.types import Speed, Time, Work
 
 if TYPE_CHECKING:
     from repro.sim.engine import SimContext
+
+_BY_DEADLINE = itemgetter(0)
+
+#: Closes the last deadline group of the sweep: no real deadline is
+#: infinite, and it adds no work.
+_END_OF_EVENTS = (math.inf, 0.0)
+
+
+def peak_intensity(t: Time, window_end: Time,
+                   events: list[tuple[Time, Work]]) -> Speed:
+    """``max(0, max_k h(t, d_k) / (d_k - t))`` over the deadline groups
+    of *events* (``(deadline, work)`` pairs, sorted here in place).
+
+    One pass: a group is every event within 1e-12 of its first
+    deadline, and it is evaluated once the next group's first event
+    arrives.  Groups past ``window_end + 1e-9`` or within 1e-12 of *t*
+    are not evaluated.
+    """
+    events.sort(key=_BY_DEADLINE)
+    events.append(_END_OF_EVENTS)
+    edge = window_end + 1e-9
+    best = 0.0
+    h = 0.0
+    d_k = group_end = -math.inf
+    for d, w in events:
+        if d > group_end:
+            span = d_k - t
+            if span > 1e-12 and d_k <= edge:
+                ratio = h / span
+                if ratio > best:
+                    best = ratio
+            d_k = d
+            group_end = d + 1e-12
+        h += w
+    return best
 
 
 class ClairvoyantPolicy(DvsPolicy):
@@ -124,21 +161,7 @@ class ClairvoyantPolicy(DvsPolicy):
             hi = bisect_right(deadlines, fence)
             if hi > k0:
                 extend(zip(deadlines[k0:hi], works[k0:hi]))
-        events.sort(key=lambda e: e[0])
-
-        best = 0.0
-        h = 0.0
-        i = 0
-        n = len(events)
-        while i < n:
-            d_k = events[i][0]
-            while i < n and events[i][0] <= d_k + 1e-12:
-                h += events[i][1]
-                i += 1
-            span = d_k - t
-            if span > 1e-12 and d_k <= window_end + 1e-9:
-                best = max(best, h / span)
-        return best
+        return peak_intensity(t, window_end, events)
 
     # -- policy ------------------------------------------------------------
 

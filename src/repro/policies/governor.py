@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.analysis.slack import (
-    ActiveJob,
     SystemState,
     exact_slack,
     stretch_speed,
@@ -64,6 +63,8 @@ class SafetyGovernor(DvsPolicy):
         self.name = f"gov({inner.name})"
         self._factors: dict[str, float] = {}
         self._inflated_tasks: tuple[PeriodicTask, ...] = ()
+        #: Margin-inflated WCET budget per task name.
+        self._budgets: dict[str, float] = {}
         self._interventions = 0
         self._dispatches = 0
         self._max_clamp = 0.0
@@ -79,6 +80,8 @@ class SafetyGovernor(DvsPolicy):
             t.name: min(self.margin, t.deadline / t.wcet) for t in taskset}
         self._inflated_tasks = tuple(
             t.scaled(self._factors[t.name]) for t in taskset)
+        self._budgets = {
+            t.name: self._factors[t.name] * t.wcet for t in taskset}
 
     def reset(self) -> None:
         self._interventions = 0
@@ -92,8 +95,8 @@ class SafetyGovernor(DvsPolicy):
         self.inner.on_completion(job, ctx)
 
     def _inflated_remaining(self, job: Job) -> float:
-        budget = self._factors[job.task.name] * job.task.wcet
-        return max(0.0, budget - job.executed)
+        remaining = self._budgets[job.task.name] - job.executed
+        return remaining if remaining > 0.0 else 0.0
 
     def feasibility_floor(self, job: Job, ctx: "SimContext") -> Speed:
         """Minimum safe dispatch speed under margin-inflated budgets."""
@@ -102,12 +105,17 @@ class SafetyGovernor(DvsPolicy):
             # The job outran even the provisioned margin; nothing the
             # analysis promises still holds, so do not constrain.
             return 0.0
-        active = tuple(
-            ActiveJob(deadline=j.deadline,
-                      remaining_wcet=self._inflated_remaining(j))
-            for j in ctx.active_jobs)
-        state = SystemState.build(
-            time=ctx.time, active=active, tasks=self._inflated_tasks,
+        jobs = ctx.active_jobs
+        budgets = self._budgets
+        # Direct construction, as in SimContext.slack_state: the engine
+        # keeps every task in the release map and no release in the past.
+        state = SystemState(
+            time=ctx.time,
+            active_deadlines=tuple([j.deadline for j in jobs]),
+            active_budgets=tuple([
+                w if (w := budgets[j.task.name] - j.executed) > 0.0 else 0.0
+                for j in jobs]),
+            tasks=self._inflated_tasks,
             next_release=ctx.next_release_map())
         slack = exact_slack(state,
                             window_cap_periods=self.window_cap_periods)

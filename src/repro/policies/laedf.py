@@ -26,8 +26,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.analysis.slack import heuristic_slack
+from repro.cpu.processor import Processor
 from repro.policies.base import DvsPolicy
 from repro.tasks.job import Job
+from repro.tasks.taskset import TaskSet
 from repro.types import Speed
 
 if TYPE_CHECKING:
@@ -44,6 +46,11 @@ class LaEdfPolicy(DvsPolicy):
         self.safe = safe
         if not safe:
             self.name = "laEDF-raw"
+        self._total_utilization = 0.0
+
+    def bind(self, taskset: TaskSet, processor: Processor) -> None:
+        super().bind(taskset, processor)
+        self._total_utilization = sum(task.utilization for task in taskset)
 
     # -- the published deferral computation ------------------------------
 
@@ -67,7 +74,7 @@ class LaEdfPolicy(DvsPolicy):
                    for j in active]
         # Visit from the latest deadline backwards (Pillai & Shin Fig. 4).
         entries.sort(key=lambda e: e[0], reverse=True)
-        u = sum(task.utilization for task in ctx.taskset)
+        u = self._total_utilization
         s = 0.0
         for deadline, c_left, task_util in entries:
             u -= task_util

@@ -12,4 +12,5 @@ from repro.profiling.core import (  # noqa: F401
     PROFILER,
     PhaseProfiler,
     StackSampler,
+    decide_label,
 )

@@ -68,6 +68,16 @@ TIMELINE_CAP = 200_000
 _SAMPLE_MAX_DEPTH = 64
 
 
+def decide_label(policy_name: str) -> str:
+    """The phase name of one policy's speed decisions.
+
+    Engines build it once per run, so profiling off costs nothing per
+    dispatch; the ``policy.`` prefix keeps every policy's decisions in
+    the budget's ``policy`` category.
+    """
+    return f"policy.decide.{policy_name}"
+
+
 class StackSampler:
     """Daemon thread sampling one thread's Python stack.
 

@@ -19,7 +19,7 @@ import math
 from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Mapping
 
-from repro.analysis.slack import ActiveJob, SystemState
+from repro.analysis.slack import SystemState
 from repro.cpu.processor import Processor
 from repro.errors import (
     ConfigurationError,
@@ -33,7 +33,7 @@ from repro.sim.results import DeadlineMiss, SimulationResult, TaskStats
 from repro.sim.scheduler import EDFScheduler, Scheduler
 from repro.sim.tracing import TraceRecorder
 from repro.telemetry import TELEMETRY as _TELEMETRY
-from repro.profiling import PROFILER as _PROFILER
+from repro.profiling import PROFILER as _PROFILER, decide_label
 from repro.tasks.arrivals import ArrivalModel, PeriodicArrival
 from repro.tasks.execution import ExecutionModel, WorstCaseExecution
 from repro.tasks.job import Job
@@ -194,20 +194,24 @@ class SimContext:
         rebuilding task objects at every scheduling point).
         """
         engine = self._engine
-        active = tuple(
-            ActiveJob(deadline=job.deadline,
-                      remaining_wcet=job.remaining_wcet / baseline_speed)
-            for job in engine._active)
-        tasks = (scaled_tasks if scaled_tasks is not None
-                 else engine.taskset.tasks)
+        jobs = engine._active
+        # Each budget is Job.remaining_wcet inlined: ``wcet - executed``
+        # clamped at zero (the same float in every case).  Dividing by
+        # a baseline of exactly 1.0 would not change it either.
+        budgets = [w if (w := job.task.wcet - job.executed) > 0.0 else 0.0
+                   for job in jobs]
+        if baseline_speed != 1.0:
+            budgets = [w / baseline_speed for w in budgets]
         # Direct construction: the engine maintains the invariants
         # SystemState.build() re-validates (every task present, no
         # release in the past), and the memoized release map is frozen
         # by contract, so the build-time copy is skipped too.
         return SystemState(
             time=engine._now,
-            active=active,
-            tasks=tasks,
+            active_deadlines=tuple([job.deadline for job in jobs]),
+            active_budgets=tuple(budgets),
+            tasks=(scaled_tasks if scaled_tasks is not None
+                   else engine.taskset.tasks),
             next_release=self.next_release_map(),
         )
 
@@ -373,6 +377,8 @@ class Simulator:
             horizon=self.horizon,
             task_stats={t.name: TaskStats() for t in self.taskset},
         )
+        #: Profiler region of this run's policy decisions.
+        self._decide_label = decide_label(self._result.policy)
 
     def _next_release_global(self) -> Time:
         top = self._release_top()
@@ -568,7 +574,7 @@ class Simulator:
             job.first_dispatch_time = self._now
         self._result.dispatches += 1
         if _PROFILER.enabled:
-            _PROFILER.push("policy.decide")
+            _PROFILER.push(self._decide_label)
             try:
                 desired = self.policy.select_speed(job, self._ctx)
             finally:
@@ -577,17 +583,21 @@ class Simulator:
             desired = self.policy.select_speed(job, self._ctx)
         if _TELEMETRY.enabled:
             self.policy.observe_decision(desired)
+        switched_at = self._now
         speed = self._apply_speed(desired)
-        if self._now >= self.horizon - TIME_EPS:
-            self._last_running = job
-            return
-        # A release may have occurred during a timed switch; if it
-        # changed the highest-priority job, re-dispatch.
-        self._process_releases()
-        current_best = self.scheduler.pick(self._active)
-        if current_best is not job:
-            self._last_running = job
-            return
+        if self._now != switched_at:
+            if self._now >= self.horizon - TIME_EPS:
+                self._last_running = job
+                return
+            # A release may have occurred during the timed switch; if
+            # it changed the highest-priority job, re-dispatch.  An
+            # instant switch leaves time, the ready set and thus the
+            # pick unchanged, so it skips both.
+            self._process_releases()
+            current_best = self.scheduler.pick(self._active)
+            if current_best is not job:
+                self._last_running = job
+                return
 
         remaining = job.remaining_work
         completion = self._now + remaining / speed
@@ -632,7 +642,13 @@ class Simulator:
 
     def _complete(self, job: Job) -> None:
         job.complete(self._now)
-        self._active.remove(job)
+        # By identity: list.remove() would run the dataclass __eq__
+        # against every job ahead of this one.
+        active = self._active
+        for i, other in enumerate(active):
+            if other is job:
+                del active[i]
+                break
         self._result.jobs_completed += 1
         stats = self._result.task_stats[job.task.name]
         stats.completed += 1

@@ -41,7 +41,7 @@ from repro.sim.results import DeadlineMiss
 from repro.sim.scheduler import EDFScheduler
 from repro.tasks.arrivals import PeriodicArrival
 from repro.tasks.job import Job
-from repro.profiling import PROFILER as _PROFILER
+from repro.profiling import PROFILER as _PROFILER, decide_label
 from repro.telemetry import TELEMETRY as _TELEMETRY
 
 if TYPE_CHECKING:
@@ -248,7 +248,8 @@ def _build_namespace(sim: "Simulator") -> SimpleNamespace:
         task_stats=tuple(sim._result.task_stats[name] for name in names),
         next_release=sim._next_release, next_index=sim._next_index,
         # policy / model callbacks
-        select_speed=_maybe_profiled(sim.policy.select_speed),
+        select_speed=_maybe_profiled(sim.policy.select_speed,
+                                     decide_label(sim._result.policy)),
         on_release=sim.policy.on_release,
         on_completion=sim.policy.on_completion,
         observe=sim.policy.observe_decision,
@@ -294,12 +295,12 @@ def _build_namespace(sim: "Simulator") -> SimpleNamespace:
     )
 
 
-def _maybe_profiled(select_speed):
-    """Wrap the policy-decide callback in a profiling region.
+def _maybe_profiled(select_speed, label: str):
+    """Wrap the policy-decide callback in the profiling region *label*.
 
     The compiled core never goes through ``Simulator._dispatch``, so
-    the interpreted loop's ``policy.decide`` seam would vanish under
-    it; wrapping the callback the core calls back into keeps the
+    the interpreted loop's ``policy.decide.<policy>`` seam would vanish
+    under it; wrapping the callback the core calls back into keeps the
     attribution identical on both engines.  With profiling off the
     original bound method is handed over untouched — zero cost.
     """
@@ -307,7 +308,7 @@ def _maybe_profiled(select_speed):
         return select_speed
 
     def profiled(job, ctx):
-        _PROFILER.push("policy.decide")
+        _PROFILER.push(label)
         try:
             return select_speed(job, ctx)
         finally:

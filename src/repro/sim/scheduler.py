@@ -10,6 +10,7 @@ re-picking at every scheduling point.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from operator import attrgetter
 from typing import Sequence
 
 from repro.tasks.job import Job
@@ -51,8 +52,11 @@ class EDFScheduler(Scheduler):
 
     name = "edf"
 
-    def sort_key(self, job: Job) -> tuple:
-        return (job.deadline, job.release, job.task.name, job.index)
+    #: ``(deadline, release, task name, index)``, built in C: ``pick``
+    #: runs at every scheduling point, and an ``attrgetter`` key saves
+    #: ``min`` one Python call per ready job.
+    sort_key = staticmethod(
+        attrgetter("deadline", "release", "task.name", "index"))
 
 
 class RMScheduler(Scheduler):

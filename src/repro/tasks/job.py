@@ -12,6 +12,7 @@ policy is the single sanctioned consumer of :attr:`Job.remaining_work`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import SimulationError
 from repro.tasks.task import PeriodicTask
@@ -63,9 +64,13 @@ class Job:
         """``True`` when the actual demand exceeds the WCET budget."""
         return self.work > self.task.wcet + TIME_EPS
 
-    @property
+    @cached_property
     def name(self) -> str:
-        """Human-readable job identifier, e.g. ``"T1#3"``."""
+        """Human-readable job identifier, e.g. ``"T1#3"``.
+
+        Cached: the engine's miss checks look it up for every job past
+        its deadline at every scheduling point.
+        """
         return f"{self.task.name}#{self.index}"
 
     @property

@@ -11,13 +11,16 @@ misses rather than errors.
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
 from repro.errors import ExperimentError
+import repro.experiments.cache as cache_module
 from repro.experiments.cache import (
     PolicySummary,
     SuiteCache,
+    default_code_epoch,
     suite_fingerprint,
 )
 from repro.experiments.parallel import fork_available
@@ -73,7 +76,9 @@ class TestFingerprint:
         _, payload = suite_fingerprint(
             workload_id=WORKLOAD_ID, x=0.7, seed=11,
             policies=POLICIES, horizon=HORIZON)
-        assert payload["code_epoch"] == __version__
+        assert payload["code_epoch"] == default_code_epoch()
+        version, digest = payload["code_epoch"].split("+")
+        assert version == __version__ and len(digest) == 16
 
 
 class TestSuiteCache:
@@ -165,6 +170,22 @@ class TestSweepIntegration:
         import repro
         monkeypatch.setattr(repro, "__version__", "999.0.0")
         self.run(tmp_path)
+        assert len(calls) == 4
+
+    def test_policy_source_edit_invalidates(self, tmp_path, monkeypatch):
+        sources = tmp_path / "repro"
+        shutil.copytree(cache_module.PACKAGE_ROOT, sources,
+                        ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+        monkeypatch.setattr(cache_module, "PACKAGE_ROOT", sources)
+        self.run(tmp_path / "cache")
+        calls = self.count_simulations(monkeypatch)
+        self.run(tmp_path / "cache")
+        assert calls == []  # same sources: every suite replays
+        policy = sources / "policies" / "ccedf.py"
+        policy.write_text(policy.read_text() + "# edited\n")
+        # The digest is memoized per process; a new process rehashes.
+        cache_module.source_digest.cache_clear()
+        self.run(tmp_path / "cache")
         assert len(calls) == 4
 
     @pytest.mark.skipif(not fork_available(),

@@ -27,7 +27,7 @@ import pytest
 
 from repro.experiments.parallel import fork_available, shutdown_pool
 from repro.experiments.runner import bcwc_model, standard_taskset, sweep
-from repro.profiling import PROFILER, PhaseProfiler
+from repro.profiling import PROFILER, PhaseProfiler, decide_label
 from repro.profiling.report import (
     category_of,
     chrome_profile_trace,
@@ -229,6 +229,10 @@ class TestBudgetInvariant:
             measured, rel=0.15, abs=0.05)
         assert block["budget"]["compute"] > 0
         assert block["phases"]["sweep.execute"]["count"] == 1
+        # Decisions are attributed per policy, never to a shared bucket.
+        decided = {name for name in block["phases"]
+                   if name.startswith("policy.decide")}
+        assert decided == {decide_label(name) for name in POLICIES}
 
     def test_profiled_cells_byte_identical(self):
         bare = fingerprint(run_sweep(1))
@@ -249,8 +253,9 @@ class TestBudgetInvariant:
         def counts(delta):
             return {name: rec["count"]
                     for name, rec in delta["phases"].items()
-                    if name in ("unit.workload", "policy.decide",
-                                "slack.exact", "slack.heuristic")}
+                    if name.startswith("policy.decide.")
+                    or name in ("unit.workload", "slack.exact",
+                                "slack.heuristic")}
 
         assert counts(serial) == counts(parallel)
         assert counts(serial)["unit.workload"] == len(XS) * N_TASKSETS
@@ -261,7 +266,8 @@ class TestReport:
         assert category_of("engine.run") == "compute"
         assert category_of("unit.workload") == "compute"
         assert category_of("slack.exact") == "slack"
-        assert category_of("policy.decide") == "policy"
+        assert category_of(decide_label("lpSTA")) == "policy"
+        assert category_of(decide_label("gov(ccEDF)")) == "policy"
         assert category_of("cache.lookup") == "cache"
         assert category_of("worker.chunk") == "ipc"
         assert category_of("pool.idle") == "idle"
