@@ -16,13 +16,6 @@ These benchmarks pin the layers of the performance stack (DESIGN.md §8):
   cache: the fixed cost a cache hit pays instead of the ``exp1_cell``
   simulation, so the hit-vs-simulate margin is tracked explicitly
   (a hit must stay orders of magnitude cheaper than the cell).
-* ``batch_step`` / ``batch_cell`` — the vectorized multi-seed engine
-  (DESIGN.md §12): one 16-seed batch-eligible suite under the cheap
-  kernels (``batch_step``) and the full four-kernel suite including
-  the vector slack analysis (``batch_cell``).  Per-seed cost here
-  against ``engine_step``/``exp1_cell`` is the scalar-vs-batch
-  speedup the acceptance criteria track (``bench_record.py`` records
-  it directly as ``batch_exp1`` at realistic seed counts).
 
 ``scripts/bench_record.py`` runs these under pytest-benchmark and
 folds the means into a ``BENCH_<date>.json`` so speedups (and
@@ -121,10 +114,10 @@ def test_engine_step_compiled(benchmark, workload):
 
 
 def test_faultmatrix_cell(benchmark, workload):
-    """One governed fault-matrix run: the instrumented path batch can
-    never take (faults + governor force the scalar engine), i.e. the
-    path the compiled core exists to accelerate.  Runs on whichever
-    backend is active by default, like the sweeps themselves."""
+    """One governed fault-matrix run: the instrumented path (faults +
+    governor), i.e. the path the compiled core exists to accelerate.
+    Runs on whichever backend is active by default, like the sweeps
+    themselves."""
     from repro.faults import FaultPlan
     from repro.faults.plan import OverrunFault, TransitionFault
 
@@ -169,48 +162,6 @@ def test_exp1_cell(benchmark, workload):
     assert set(suite.results) >= set(DEFAULT_POLICIES)
     for name in DEFAULT_POLICIES:
         assert suite.miss_count(name) == 0
-
-
-#: Seeds per batch-bench round: enough rows that the vector kernels
-#: dominate the python setup loop, small enough for tight rounds.
-BATCH_BENCH_SEEDS = 16
-
-
-@pytest.fixture(scope="module")
-def batch_workloads():
-    """Pre-built (taskset, model) pairs so rounds time only the engine."""
-    pairs = {seed: (standard_taskset(8, 0.7, seed), bcwc_model(0.5, seed))
-             for seed in range(BATCH_BENCH_SEEDS)}
-
-    def make_workload(x, seed):
-        return pairs[seed]
-
-    return make_workload
-
-
-def _run_batch(make_workload, policies):
-    from repro.sim.batch import run_batch_suites
-
-    rows = run_batch_suites(
-        0.7, list(range(BATCH_BENCH_SEEDS)), make_workload=make_workload,
-        policy_names=policies, processor=ideal_processor(),
-        horizon=BENCH_HORIZON)
-    assert rows is not None
-    return rows
-
-
-def test_batch_step(benchmark, batch_workloads):
-    """16 seeds x (none, static, ccEDF): the cheap vector kernels."""
-    rows = benchmark(_run_batch, batch_workloads,
-                     ("none", "static", "ccEDF"))
-    assert sum(row is not None for row in rows) == BATCH_BENCH_SEEDS
-
-
-def test_batch_cell(benchmark, batch_workloads):
-    """16 seeds x all four kernels, incl. the vector slack analysis."""
-    rows = benchmark(_run_batch, batch_workloads,
-                     ("none", "static", "ccEDF", "lpSTA"))
-    assert sum(row is not None for row in rows) == BATCH_BENCH_SEEDS
 
 
 def test_cache_roundtrip(benchmark, tmp_path):

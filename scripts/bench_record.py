@@ -34,12 +34,6 @@ pool and the persistent suite cache:
 * ``cache_cold_s`` / ``cache_warm_s`` / ``cache_speedup`` — the same
   warm-vs-cold contrast on the serial path, isolating the cache.
 
-The ``batch_exp1`` block times the vectorized multi-seed batch engine
-(:mod:`repro.sim.batch`, DESIGN.md §12) against the scalar engine on
-one batch-eligible EXP-F1 cell at realistic seed counts — the
-scalar-vs-batch speedup the acceptance criteria track — counting any
-seeds the batch engine handed back for scalar fallback.
-
 ``--check`` re-runs the microbenchmarks and exits non-zero when the
 ``engine_step`` mean degrades by more than ``--max-regression``
 (default 25%) against the given record; when that record also carries
@@ -58,13 +52,10 @@ measured 0.76x.  When the compiled engine core (DESIGN.md §13) was
 measured on this host, ``--check`` also enforces the
 ``engine_step / engine_step_compiled`` mean ratio against
 ``--min-compiled-speedup`` (default 2.0); hosts without the extension
-print a loud SKIP instead.  ``--check`` also runs the batch
-engine's differential guard — every ``PolicySummary`` of one
-batch-eligible cell computed by both engines must be bitwise equal —
-and replays the ``telemetry`` probe — one instrumented mini sweep that
-must produce a run manifest whose cache section matches the live
-counters.  ``scripts/ci_fast.sh`` runs all of these guards on every
-fast loop.
+print a loud SKIP instead.  ``--check`` also replays the ``telemetry``
+probe — one instrumented mini sweep that must produce a run manifest
+whose cache section matches the live counters.
+``scripts/ci_fast.sh`` runs all of these guards on every fast loop.
 
 The ``telemetry`` block embeds the instrumented sweep's headline
 counters (engine/cache/sweep namespaces) in the record, so the bench
@@ -133,17 +124,6 @@ SWEEP_UTILIZATIONS = (0.3, 0.5, 0.7, 0.9)
 SWEEP_TASKSETS = 3
 SWEEP_HORIZON = 1200.0
 SWEEP_WORKERS = 4
-
-#: Scalar-vs-batch engine timing (the ``batch_exp1`` block): one
-#: batch-eligible EXP-F1 cell at a realistic seed count.  The cheap
-#: kernels (no vector slack analysis) carry the headline speedup; the
-#: full four-kernel suite is recorded alongside at a smaller seed
-#: count so the lpSTA vector kernel's (smaller) win is tracked too.
-BATCH_X = 0.7
-BATCH_CHEAP_POLICIES = ("none", "static", "ccEDF")
-BATCH_CHEAP_SEEDS = 256
-BATCH_FULL_POLICIES = ("none", "static", "ccEDF", "lpSTA")
-BATCH_FULL_SEEDS = 64
 
 
 def _git_rev() -> str:
@@ -279,135 +259,6 @@ def run_sweep_timings(*, repeats: int = 2) -> dict[str, float]:
     return record
 
 
-def _batch_workload_pairs(n_seeds: int):
-    """Pre-built, memo-warmed (taskset, model) pairs for fair timing.
-
-    Both engines would otherwise race to populate the execution
-    model's per-job work memo; warming it up front makes the scalar
-    and batch phases time pure engine work in either run order.
-    """
-    from repro.experiments.runner import bcwc_model, standard_taskset
-
-    pairs = {}
-    for seed in range(n_seeds):
-        taskset, model = (standard_taskset(8, BATCH_X, seed),
-                          bcwc_model(0.5, seed))
-        for task in taskset:
-            index = 0
-            release = task.phase
-            while release < SWEEP_HORIZON:
-                model.work(task, index)
-                index += 1
-                release += task.period
-        pairs[seed] = (taskset, model)
-    return pairs
-
-
-def run_batch_timings() -> dict | None:
-    """Scalar-vs-batch wall clock on one batch-eligible EXP-F1 cell.
-
-    Times the engine phase only (workloads pre-generated, memos warm):
-    the batch engine steps all seeds in lockstep, the scalar reference
-    simulates the same (seed, policy) runs one at a time.  Rows the
-    batch engine hands back for scalar fallback are counted — a
-    speedup earned by falling back would be meaningless.
-    """
-    try:
-        from repro.sim.batch import batch_available, run_batch_suites
-    except ImportError:
-        return None  # batch engine not available in this revision
-    if not batch_available():
-        return None
-    from repro.cpu.profiles import ideal_processor
-    from repro.policies.registry import make_policy
-    from repro.sim.engine import simulate
-
-    def measure(policies: tuple[str, ...], n_seeds: int) -> dict:
-        pairs = _batch_workload_pairs(n_seeds)
-        seeds = list(range(n_seeds))
-        started = time.perf_counter()
-        rows = run_batch_suites(
-            BATCH_X, seeds, make_workload=lambda x, seed: pairs[seed],
-            policy_names=policies, processor=ideal_processor(),
-            horizon=SWEEP_HORIZON)
-        batch_s = time.perf_counter() - started
-        fallbacks = (n_seeds if rows is None
-                     else sum(row is None for row in rows))
-        started = time.perf_counter()
-        for seed in seeds:
-            taskset, model = pairs[seed]
-            processor = ideal_processor()
-            for name in policies:
-                simulate(taskset, processor, make_policy(name), model,
-                         horizon=SWEEP_HORIZON)
-        scalar_s = time.perf_counter() - started
-        return {"seeds": n_seeds, "policies": list(policies),
-                "scalar_s": scalar_s, "batch_s": batch_s,
-                "speedup": scalar_s / batch_s, "fallbacks": fallbacks}
-
-    return {
-        "x": BATCH_X,
-        "horizon": SWEEP_HORIZON,
-        "cheap": measure(BATCH_CHEAP_POLICIES, BATCH_CHEAP_SEEDS),
-        "full": measure(BATCH_FULL_POLICIES, BATCH_FULL_SEEDS),
-    }
-
-
-def run_batch_differential(n_seeds: int = 8) -> dict | None:
-    """The ``--check`` differential: batch summaries == scalar, bitwise.
-
-    One batch-eligible EXP-F1 cell, every seed's ``PolicySummary``
-    dict computed by both engines and compared for exact equality
-    (PolicySummary is a float/int tuple, so ``==`` is bitwise here).
-    """
-    try:
-        from repro.sim.batch import batch_available, run_batch_suites
-    except ImportError:
-        return None
-    if not batch_available():
-        return {"skipped": "numpy unavailable; scalar fallback is the "
-                           "contract"}
-    from repro.cpu.profiles import ideal_processor
-    from repro.experiments.cache import PolicySummary
-    from repro.policies.registry import make_policy
-    from repro.sim.engine import simulate
-
-    pairs = _batch_workload_pairs(n_seeds)
-    seeds = list(range(n_seeds))
-    rows = run_batch_suites(
-        BATCH_X, seeds, make_workload=lambda x, seed: pairs[seed],
-        policy_names=BATCH_FULL_POLICIES, processor=ideal_processor(),
-        horizon=SWEEP_HORIZON)
-    result = {"units": n_seeds, "fallbacks": 0, "mismatches": 0}
-    if rows is None:
-        result["fallbacks"] = n_seeds
-        return result
-    for seed, row in zip(seeds, rows):
-        if row is None:
-            result["fallbacks"] += 1
-            continue
-        taskset, model = pairs[seed]
-        processor = ideal_processor()
-        baseline = None
-        for name in BATCH_FULL_POLICIES:
-            scalar = simulate(taskset, processor, make_policy(name),
-                              model, horizon=SWEEP_HORIZON)
-            if baseline is None:
-                baseline = scalar
-            metrics = scalar.policy_metrics
-            reference = PolicySummary(
-                normalized=scalar.normalized_energy(baseline),
-                misses=len(scalar.deadline_misses),
-                switches=scalar.switch_count,
-                overruns=scalar.overrun_jobs,
-                released=scalar.jobs_released,
-                interventions=int(metrics.get("interventions", 0)),
-                dispatches=int(metrics.get("dispatches", 0)))
-            if row[name] != reference:
-                result["mismatches"] += 1
-    return result
-
-
 def run_telemetry_probe() -> dict | None:
     """One instrumented mini sweep: counters + manifest sanity.
 
@@ -459,9 +310,6 @@ def build_record(*, skip_sweep: bool = False) -> dict:
     }
     if not skip_sweep:
         record["sweep_exp1_mini"] = run_sweep_timings()
-        batch = run_batch_timings()
-        if batch is not None:
-            record["batch_exp1"] = batch
         record["telemetry"] = run_telemetry_probe()
     return record
 
@@ -619,21 +467,6 @@ def main(argv: list[str] | None = None) -> int:
                 else:
                     print(f"OK: sweep_exp1_mini.parallel_speedup_cold = "
                           f"{cold:.2f}x (>= {args.min_cold_speedup:.2f}x)")
-        diff = run_batch_differential()
-        if diff is not None:
-            if diff.get("skipped"):
-                print(f"SKIP: batch differential — {diff['skipped']}")
-            elif diff["mismatches"]:
-                fail(f"batch engine diverged from the scalar "
-                     f"engine on {diff['mismatches']} summaries "
-                     f"(of {diff['units']} units)")
-            elif diff["fallbacks"] >= diff["units"]:
-                fail("batch engine fell back to scalar on every "
-                     "unit of a batch-eligible cell")
-            else:
-                print(f"OK: batch differential — {diff['units']} units, "
-                      f"{diff['fallbacks']} scalar fallback(s), "
-                      f"summaries bitwise equal")
         probe = run_telemetry_probe()
         if probe is not None:
             probe_ok = True
@@ -683,15 +516,6 @@ def main(argv: list[str] | None = None) -> int:
                   f"  warm {sweep['cache_warm_s']:.3f}s "
                   f"({sweep['cache_speedup']:.1f}x)")
         warn_if_parallel_regressed(record)
-    if record.get("batch_exp1"):
-        for label, block in (("batch (3 kernels)",
-                              record["batch_exp1"]["cheap"]),
-                             ("batch (4 kernels)",
-                              record["batch_exp1"]["full"])):
-            print(f"  {label:<18} scalar {block['scalar_s']:.2f}s  "
-                  f"batch {block['batch_s']:.2f}s "
-                  f"({block['speedup']:.2f}x at {block['seeds']} seeds, "
-                  f"{block['fallbacks']} fallbacks)")
     if record.get("telemetry"):
         probe = record["telemetry"]
         state = ("manifest ok" if probe.get("manifest_consistent")

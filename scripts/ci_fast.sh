@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Fast CI loop: tier-1 tests minus the slow sweeps, the parallel
-# executor's determinism/cache contract, then the perf regression
-# guards against the newest checked-in BENCH_*.json.
+# Fast CI loop: tier-1 tests minus the slow sweeps, the end-to-end
+# benchmark's own self-tests, the parallel executor's determinism/cache
+# contract, the byte-identity gates, then the perf regression guards
+# against the newest checked-in BENCH_*.json.
 #
 #   scripts/ci_fast.sh            # tests + determinism + perf guards
 #
@@ -11,16 +12,20 @@
 # below 0.85 (a cold pool must never lose to a serial loop doing the
 # same work; parity is the ceiling on a one-CPU host, 0.85 leaves
 # noise room yet still catches the 0.76x refork regression), when the
-# batch engine's summaries diverge bitwise from the scalar engine's,
-# when the compiled engine core runs less than 2x faster than the
-# interpreted loop (hosts where it was built), or when the
-# instrumented mini sweep fails to produce a consistent run manifest
+# compiled engine core runs less than 2x faster than the interpreted
+# loop (hosts where it was built), or when the instrumented mini sweep
+# fails to produce a consistent run manifest
 # (scripts/bench_record.py --check).
 # The full tier-1 gate remains `PYTHONPATH=src python -m pytest -x -q`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 PYTHONPATH=src python -m pytest -x -q -m "not slow"
+
+# The end-to-end benchmark's self-tests: the workload digests it pins,
+# and a tracer that reads a target missing from this revision (such as
+# the deleted vectorized engine's entry point) as absent, not an error.
+PYTHONPATH=src python -m pytest -x -q benchmarks/e2e
 
 # The byte-identity contract of the chunked warm-pool executor and the
 # suite cache, explicitly — the guard the parallel layer lives under.
@@ -30,12 +35,6 @@ PYTHONPATH=src python -m pytest -x -q \
 # The telemetry layer's own contracts: disabled-path overhead guard,
 # serial-equals-parallel merge, manifest consistency.
 PYTHONPATH=src python -m pytest -x -q -m telemetry
-
-# The vectorized batch engine's differential guard: its unit subset,
-# then one EXP-F1 mini-cell run batch="on" and batch="off" (serial and
-# parallel) whose cell fingerprints must match bit for bit.
-PYTHONPATH=src python -m pytest -x -q -m batch
-PYTHONPATH=src python scripts/batch_gate.py
 
 # Compiled engine core (DESIGN.md §13): its unit subset, then one
 # EXP-F1 mini-cell and one fault-matrix cell run with the compiled

@@ -38,8 +38,7 @@ Commands
     ``timeline`` a sweep's telemetry events as a worker-lane trace.
 ``doctor``
     Report the execution backends this install will actually use:
-    numpy, the vectorized batch engine's eligible policies, the
-    compiled engine core (DESIGN.md §13), the parallel executor's
+    numpy, the compiled engine core (DESIGN.md §13), the parallel executor's
     default worker count, and the profiling layer's availability and
     measured per-region overhead.
 ``profile``
@@ -154,12 +153,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         set_execution_defaults(
             unit_timeout=args.unit_timeout,
             on_failure="quarantine" if args.quarantine else None)
-    if args.batch is not None:
-        # Same pattern as the resilience knobs: a process-wide default
-        # every sweep() consults, so --batch reaches the figure
-        # drivers without new parameters on every signature.
-        from repro.experiments.runner import set_batch_default
-        set_batch_default(args.batch)
     if args.no_compiled:
         from repro.sim import fastcore
         fastcore.set_compiled_default(False)
@@ -342,16 +335,10 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     """Report which execution backends this install will actually use."""
     from repro.experiments.parallel import default_workers, fork_available
     from repro.sim import fastcore
-    from repro.sim.batch import batch_eligible_policies
 
     print(f"python:         {sys.version.split()[0]} "
           f"({sys.platform})")
     print(f"numpy:          {np.__version__}")
-
-    eligible = batch_eligible_policies()
-    print(f"batch engine:   eligible policies: {', '.join(eligible)}")
-    print(f"                (other policies, faults, governors, traces "
-          f"and sporadic arrivals route to the scalar engine)")
 
     info = fastcore.core_info()
     if info["available"]:
@@ -832,14 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fan sweep cells out over N worker "
                             "processes (results are byte-identical to "
                             "a serial run; experiments that sweep)")
-    p_run.add_argument("--batch", default=None,
-                       choices=("auto", "on", "off"),
-                       help="vectorized multi-seed batch engine for "
-                            "batch-eligible sweeps (default auto: "
-                            "batch when the policy suite and run "
-                            "flags allow it and enough seeds miss the "
-                            "cache; results are byte-identical to the "
-                            "scalar engine either way)")
     p_run.add_argument("--no-compiled", action="store_true",
                        help="force the interpreted engine even when the "
                             "compiled core extension is built (results "
@@ -1131,9 +1110,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_doc = sub.add_parser("doctor",
                            help="report the execution backends this "
-                                "install will use (numpy, batch "
-                                "engine, compiled core, workers, "
-                                "profiling)")
+                                "install will use (numpy, compiled "
+                                "core, workers, profiling)")
     p_doc.set_defaults(func=_cmd_doctor)
     return parser
 

@@ -22,9 +22,11 @@ The fingerprint (:func:`suite_fingerprint`) covers:
 * the full fault plan for the unit (``dataclasses.asdict`` of the
   seeded :class:`~repro.faults.FaultPlan`, or ``None``);
 * a **code epoch** — by default :func:`default_code_epoch`, the package
-  version plus a SHA-256 over the sources that determine results — so
-  any edit to the simulator, a policy, the analysis, the processor or
-  task models, or the fault layer invalidates every entry at once.
+  version, a SHA-256 over the sources that determine results and the
+  numpy version — so any edit to the simulator, a policy, the analysis,
+  the processor or task models, the fault layer, the shared epsilons
+  or the experiment layer, or a numpy upgrade, invalidates every entry
+  at once.
 
 Entries are one JSON file each, sharded by the first two hex digits,
 written atomically (temp file + rename) so a killed run never leaves a
@@ -51,6 +53,8 @@ from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+import numpy as np
+
 from repro.experiments import chaos as _chaos
 from repro.profiling import PROFILER as _PROFILER
 from repro.telemetry import TELEMETRY as _TELEMETRY
@@ -63,26 +67,31 @@ if TYPE_CHECKING:
 CACHE_SCHEMA = 1
 
 #: The ``repro`` package directory, whose result-determining
-#: subpackages the code epoch hashes.
+#: sources the code epoch hashes.
 PACKAGE_ROOT = Path(__file__).resolve().parents[1]
 
-#: Subpackages whose sources decide a suite's result (the compiled
-#: core's C source lives in ``sim/``).
-EPOCH_PACKAGES = ("sim", "policies", "analysis", "cpu", "tasks", "faults")
+#: Modules and subpackages whose sources decide a suite's result: the
+#: engine's epsilons (``types.py``), the engine, policies and models
+#: (the compiled core's C source lives in ``sim/``), and the
+#: experiment layer that builds and normalizes each summary.
+EPOCH_SOURCES = ("types.py", "sim", "policies", "analysis", "cpu",
+                 "tasks", "faults", "experiments")
 
 
 @cache
 def source_digest(root: Path) -> str:
     """SHA-256 over the ``.py`` and ``.c`` sources of
-    :data:`EPOCH_PACKAGES` under *root*, paths included.
+    :data:`EPOCH_SOURCES` under *root*, paths included.
 
     Memoized per root, so a process hashes its sources once, and only
     when a cache is consulted: a few milliseconds.
     """
     digest = hashlib.sha256()
-    for package in EPOCH_PACKAGES:
-        paths = sorted(path for path in (root / package).rglob("*")
-                       if path.suffix in (".py", ".c") and path.is_file())
+    for entry in EPOCH_SOURCES:
+        top = root / entry
+        paths = [top] if top.is_file() else sorted(
+            path for path in top.rglob("*")
+            if path.suffix in (".py", ".c") and path.is_file())
         for path in paths:
             digest.update(path.relative_to(root).as_posix().encode())
             digest.update(b"\0")
@@ -92,9 +101,13 @@ def source_digest(root: Path) -> str:
 
 
 def default_code_epoch() -> str:
-    """``"<version>+<source digest prefix>"``, for the running sources."""
+    """``"<version>+<digest prefix>"``, the digest covering the running
+    sources and the numpy version, whose ``default_rng`` draws every
+    task set."""
     from repro import __version__
-    return f"{__version__}+{source_digest(PACKAGE_ROOT)[:16]}"
+    digest = hashlib.sha256(
+        f"{source_digest(PACKAGE_ROOT)}\0numpy {np.__version__}".encode())
+    return f"{__version__}+{digest.hexdigest()[:16]}"
 
 
 @dataclass(frozen=True)

@@ -291,51 +291,6 @@ def _suite_summaries(spec: dict[str, Any], x: float, seed: int,
             attempt += 1
 
 
-def _batch_prefetch(
-    spec: dict[str, Any],
-    chunk: list[tuple[int, int, float, int, int]],
-) -> dict[int, Any]:
-    """Vectorize a chunk's same-cell unit groups; ``{pos: summaries}``.
-
-    Only fires when the sweep spec decided the run is batch-eligible
-    (``spec["batch"]``), and only for groups of units sharing one
-    (cell, x) with at least ``spec["batch_min_seeds"]`` members — the
-    measured crossover below which numpy dispatch overhead beats the
-    vectorization win.  Returns only the seeds the batch engine
-    reproduced bitwise; everything else (including any error raised
-    inside the batch engine — an optimisation must never take a chunk
-    down) is left for the scalar per-unit path.
-    """
-    from repro.sim.batch import run_batch_suites
-
-    min_seeds = spec.get("batch_min_seeds", 2)
-    groups: dict[tuple[int, float], list[tuple[int, int]]] = {}
-    for pos, index, x, _seed_pos, seed in chunk:
-        groups.setdefault((index, x), []).append((pos, seed))
-    processor_factory = spec["processor_factory"]
-    prefetched: dict[int, Any] = {}
-    for (_index, x), members in groups.items():
-        if len(members) < min_seeds:
-            continue
-        try:
-            processor = (processor_factory(x) if processor_factory
-                         else ideal_processor())
-            rows = run_batch_suites(
-                x, [seed for _pos, seed in members],
-                make_workload=spec["make_workload"],
-                policy_names=spec["policy_names"],
-                processor=processor, horizon=spec["horizon"],
-                allow_misses=spec["allow_misses"])
-        except Exception:
-            continue
-        if rows is None:
-            continue
-        for (pos, _seed), row in zip(members, rows):
-            if row is not None:
-                prefetched[pos] = row
-    return prefetched
-
-
 def _run_chunk(
     chunk: list[tuple[int, int, float, int, int]],
 ) -> tuple[list[tuple[int, Any, Exception | None]], dict | None]:
@@ -363,10 +318,10 @@ def _run_chunk(
     if prof.enabled:
         # The chunk envelope is this worker's root frame: everything
         # the worker does nests inside it, and its *self* time (spec
-        # lookup, prefetch plumbing, outcome packing) is the chunk's
-        # IPC overhead.  For an inline chunk (run in the parent) the
-        # frame nests under the parent's ``sweep.execute`` instead and
-        # the delta below is skipped by ``merge_meta(inline=True)``.
+        # lookup, outcome packing) is the chunk's IPC overhead.  For
+        # an inline chunk (run in the parent) the frame nests under
+        # the parent's ``sweep.execute`` instead and the delta below
+        # is skipped by ``merge_meta(inline=True)``.
         prof_before = prof.snapshot()
         prof.push("worker.chunk")
     started = _time.perf_counter()
@@ -374,16 +329,12 @@ def _run_chunk(
     audit_every = spec.get("audit_every")
     n_seeds = spec.get("n_seeds", 0)
     quarantining = spec.get("on_failure") == "quarantine"
-    prefetched = _batch_prefetch(spec, chunk) if spec.get("batch") else {}
     outcomes: list[tuple[int, Any, Exception | None]] = []
     for pos, index, x, seed_pos, seed in chunk:
         # Same unit positions as the serial loop, so spot-audit
         # selection is identical in both paths.
         audit = (audit_every is not None
                  and (index * n_seeds + seed_pos) % audit_every == 0)
-        if pos in prefetched and not audit:
-            outcomes.append((pos, prefetched[pos], None))
-            continue
         try:
             summaries = _suite_summaries(spec, x, seed, audit=audit)
         except Exception as exc:

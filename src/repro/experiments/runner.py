@@ -61,11 +61,6 @@ from repro.experiments.config import EXPERIMENT_PERIOD_CHOICES
 from repro.faults import FaultPlan
 from repro.policies.base import DvsPolicy
 from repro.policies.registry import make_policy
-from repro.sim.batch import (
-    BATCH_MODES,
-    decide_batch,
-    run_batch_suites,
-)
 from repro.profiling import PROFILER
 from repro.sim.engine import simulate
 from repro.sim.results import SimulationResult
@@ -436,26 +431,6 @@ class SweepCheckpointer:
         TELEMETRY.emit("sweep.checkpoint", index=index, x=cell.x)
 
 
-#: Process-wide default batch mode, set by the CLI's ``--batch`` flag
-#: (the batch sibling of ``EXECUTION_DEFAULTS``).  ``sweep(batch=None)``
-#: resolves to this.
-_BATCH_DEFAULT = "auto"
-
-
-def set_batch_default(mode: str) -> None:
-    """Set the process-wide default batch mode ("auto", "on", "off")."""
-    if mode not in BATCH_MODES:
-        raise ExperimentError(
-            f"batch mode must be one of {BATCH_MODES}, got {mode!r}")
-    global _BATCH_DEFAULT
-    _BATCH_DEFAULT = mode
-
-
-def batch_default() -> str:
-    """The process-wide default batch mode."""
-    return _BATCH_DEFAULT
-
-
 def sweep(
     xs: Sequence[float],
     make_workload: Callable[[float, int], tuple[TaskSet, ExecutionModel]],
@@ -480,7 +455,6 @@ def sweep(
     audit_every: int | None = None,
     unit_timeout: float | None = None,
     on_failure: str | None = None,
-    batch: str | None = None,
     progress_dir: str | Path | None = None,
 ) -> list[SweepCell]:
     """The generic experiment sweep.
@@ -557,21 +531,6 @@ def sweep(
     is flushed, and :class:`~repro.errors.SweepInterrupted` reports
     the sweep resumable.
 
-    *batch* selects the execution strategy for each cell's uncached
-    seeds (default: the process-wide mode set by ``repro run
-    --batch``): ``"auto"`` runs batch-eligible cells on the vectorized
-    multi-seed engine (:mod:`repro.sim.batch`) when nothing in the
-    sweep needs per-run instrumentation — see
-    :func:`repro.sim.batch.decide_batch` — and enough seeds miss the
-    cache to clear the measured crossover; ``"on"`` forces batching
-    (raising with the blocking reasons when the sweep is ineligible);
-    ``"off"`` always uses the scalar engine.  Batching is purely an
-    execution strategy: summaries, cache payloads, checkpoints,
-    manifests and telemetry counters are byte-identical to a scalar
-    run (seeds the batch engine cannot reproduce bitwise fall back to
-    the scalar engine automatically, as does any error raised inside
-    the batch engine itself).
-
     *progress_dir* names where the live ``progress.jsonl`` event
     stream (DESIGN.md §14, :mod:`repro.telemetry.progress`) is
     written; when ``None`` it defaults to the telemetry manifest
@@ -605,18 +564,6 @@ def sweep(
         raise ExperimentError(
             f"on_failure must be 'raise' or 'quarantine', "
             f"got {on_failure!r}")
-    if batch is None:
-        batch = _BATCH_DEFAULT
-    batch_decision = decide_batch(
-        batch,
-        policy_names=policy_names,
-        overhead_aware=overhead_aware,
-        policy_factory=policy_factory,
-        faults_factory=faults_factory,
-        audit_every=audit_every,
-        unit_timeout=unit_timeout,
-        chaos=_chaos.current(),
-        telemetry_enabled=TELEMETRY.enabled)
     cache = None
     unit_key = None
     if cache_dir is not None:
@@ -740,35 +687,6 @@ def sweep(
                 _time.sleep(retry_backoff * (2.0 ** attempt))
                 attempt += 1
 
-    def batch_prefetch(x: float, seeds: list[int],
-                       cached: list) -> dict[int, dict[str, PolicySummary]]:
-        """Vectorize this cell's cache misses; ``{seed_pos: summaries}``.
-
-        Returns only the seeds the batch engine reproduced bitwise —
-        everything else (including any error raised inside the batch
-        engine, which is an optimisation and must never take a sweep
-        down) is left for the scalar per-unit path.
-        """
-        missing = [i for i, summaries in enumerate(cached)
-                   if summaries is None]
-        if len(missing) < batch_decision.min_seeds:
-            return {}
-        try:
-            processor = (processor_factory(x) if processor_factory
-                         else ideal_processor())
-            rows = run_batch_suites(
-                x, [seeds[i] for i in missing],
-                make_workload=make_workload,
-                policy_names=list(policy_names),
-                processor=processor, horizon=horizon,
-                allow_misses=allow_misses)
-        except Exception:
-            return {}
-        if rows is None:
-            return {}
-        return {i: row for i, row in zip(missing, rows)
-                if row is not None}
-
     def compute_cell(index: int, x: float) -> SweepCell:
         cell = SweepCell(x=float(x))
         seeds = list(taskset_seeds(master_seed, n_tasksets))
@@ -776,18 +694,9 @@ def sweep(
                 for seed in seeds]
         cached = [cache.get(key) if cache is not None else None
                   for key in keys]
-        prefetched = (batch_prefetch(float(x), seeds, cached)
-                      if batch_decision.use else {})
         for seed_pos, seed in enumerate(seeds):
             summaries = cached[seed_pos]
-            # The batch engine is an execution strategy, not a cache:
-            # prefetched units count as computed in the progress stream
-            # — the same status the parallel path reports them under.
             status = "cached" if summaries is not None else "computed"
-            if summaries is None and seed_pos in prefetched:
-                summaries = prefetched[seed_pos]
-                if cache is not None:
-                    cache.put(keys[seed_pos], summaries)
             if summaries is None:
                 try:
                     summaries = compute_unit(index, float(x),
@@ -862,8 +771,6 @@ def sweep(
                             "n_seeds": n_tasksets,
                             "unit_timeout": unit_timeout,
                             "on_failure": on_failure,
-                            "batch": batch_decision.use,
-                            "batch_min_seeds": batch_decision.min_seeds,
                             # Workers snapshot the installed chaos
                             # plan at fork time; a plan change must
                             # invalidate the warm pool like any other

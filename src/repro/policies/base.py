@@ -37,14 +37,6 @@ class DvsPolicy(ABC):
     #: Registry/reporting identifier; subclasses override.
     name: str = "abstract"
 
-    #: Array-eval hook: the name of the vectorized dispatch kernel in
-    #: :mod:`repro.sim.batch` that reproduces this policy's
-    #: ``select_speed`` bitwise over 2-D (seed, task) arrays, or ``None``
-    #: when the policy has no vector form and must run on the scalar
-    #: engine.  Instances configured away from registry defaults must
-    #: set this back to ``None`` (see LpStaPolicy).
-    batch_kernel: str | None = None
-
     def __init__(self) -> None:
         self.taskset: TaskSet | None = None
         self.processor: Processor | None = None

@@ -24,7 +24,6 @@ class CcEdfPolicy(DvsPolicy):
     """Cycle-conserving RT-DVS for EDF."""
 
     name = "ccEDF"
-    batch_kernel = "ccedf"
 
     def __init__(self) -> None:
         super().__init__()

@@ -23,7 +23,6 @@ class NoDvsPolicy(DvsPolicy):
     """
 
     name = "none"
-    batch_kernel = "full_speed"
 
     def select_speed(self, job: Job, ctx: "SimContext") -> Speed:
         return 1.0

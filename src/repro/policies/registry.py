@@ -46,16 +46,6 @@ ONLINE_POLICY_NAMES: tuple[str, ...] = (
 ALL_POLICY_NAMES: tuple[str, ...] = tuple(POLICY_FACTORIES)
 
 
-def batch_eligible_names() -> tuple[str, ...]:
-    """Registry names whose default-constructed policy carries a
-    ``batch_kernel`` (the array-eval hook on :class:`DvsPolicy`), i.e.
-    the policies :mod:`repro.sim.batch` can vectorize.  Wrapped or
-    non-default instances (governors, overhead-aware, custom factories)
-    never batch regardless of this list."""
-    return tuple(name for name, factory in POLICY_FACTORIES.items()
-                 if getattr(factory, "batch_kernel", None))
-
-
 def make_policy(name: str, *, overhead_aware: bool = False,
                 reserve_factor: float = 2.0,
                 hysteresis: float = 0.0,

@@ -49,7 +49,6 @@ class LpStaPolicy(DvsPolicy):
     """Exact slack-time-analysis DVS for EDF (the paper's algorithm)."""
 
     name = "lpSTA"
-    batch_kernel = "lpsta"
 
     def __init__(self, window_cap_periods: float | None = 2.0,
                  baseline: str = "static") -> None:
@@ -62,10 +61,6 @@ class LpStaPolicy(DvsPolicy):
                 f"baseline must be 'static' or 'full', got {baseline!r}")
         self.window_cap_periods = window_cap_periods
         self.baseline = baseline
-        if window_cap_periods != 2.0 or baseline != "static":
-            # The vector kernel replicates only the registry default
-            # configuration; non-default instances stay scalar.
-            self.batch_kernel = None
         if baseline == "full":
             self.name = "lpSTA-greedy"
         self._baseline_speed: Speed = 1.0

@@ -28,7 +28,6 @@ class StaticEdfPolicy(DvsPolicy):
     deadlines), computed once at bind time."""
 
     name = "static"
-    batch_kernel = "static"
 
     def __init__(self) -> None:
         super().__init__()

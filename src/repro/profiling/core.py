@@ -1,6 +1,6 @@
 """Phase profiler: where a sweep's wall time actually goes.
 
-The perf work (batch engine, compiled core, warm pool) is guarded by
+The perf work (compiled core, warm pool) is guarded by
 *ratios* — BENCH anchors say how fast, not *why*.  This module is the
 "why": a disabled-by-default phase profiler with the same single-check
 fast-path discipline as :mod:`repro.telemetry.core`.  Hot-path callers

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from repro.errors import ExperimentError
@@ -172,7 +173,8 @@ class TestSweepIntegration:
         self.run(tmp_path)
         assert len(calls) == 4
 
-    def test_policy_source_edit_invalidates(self, tmp_path, monkeypatch):
+    def assert_source_edit_invalidates(self, tmp_path, monkeypatch,
+                                       relative: str) -> None:
         sources = tmp_path / "repro"
         shutil.copytree(cache_module.PACKAGE_ROOT, sources,
                         ignore=shutil.ignore_patterns("__pycache__", "*.so"))
@@ -181,12 +183,27 @@ class TestSweepIntegration:
         calls = self.count_simulations(monkeypatch)
         self.run(tmp_path / "cache")
         assert calls == []  # same sources: every suite replays
-        policy = sources / "policies" / "ccedf.py"
-        policy.write_text(policy.read_text() + "# edited\n")
+        edited = sources / relative
+        edited.write_text(edited.read_text() + "# edited\n")
         # The digest is memoized per process; a new process rehashes.
         cache_module.source_digest.cache_clear()
         self.run(tmp_path / "cache")
         assert len(calls) == 4
+
+    def test_policy_source_edit_invalidates(self, tmp_path, monkeypatch):
+        self.assert_source_edit_invalidates(tmp_path, monkeypatch,
+                                            "policies/ccedf.py")
+
+    @pytest.mark.parametrize("relative",
+                             ("types.py", "experiments/energy_norm.py"))
+    def test_shared_source_edit_invalidates(self, tmp_path, monkeypatch,
+                                            relative):
+        self.assert_source_edit_invalidates(tmp_path, monkeypatch, relative)
+
+    def test_numpy_version_changes_the_epoch(self, monkeypatch):
+        before = default_code_epoch()
+        monkeypatch.setattr(np, "__version__", "0.0.0")
+        assert default_code_epoch() != before
 
     @pytest.mark.skipif(not fork_available(),
                         reason="parallel executor needs fork()")

@@ -220,7 +220,7 @@ def test_doctor_reports_backends(capsys):
     assert main(["doctor"]) == 0
     out = capsys.readouterr().out
     assert "numpy:" in out
-    assert "batch engine:" in out
+    assert "batch engine:" not in out
     assert "compiled core:" in out
     assert "default workers:" in out
     if fastcore.compiled_available():
