@@ -99,7 +99,7 @@ def test_engine_step_compiled(benchmark, workload):
     acceptance criteria track (>= 2x).
     """
     if not fastcore.compiled_available():
-        pytest.skip("compiled core not built (REPRO_COMPILE=1)")
+        pytest.skip("compiled core unavailable (see `repro doctor`)")
     taskset, model = workload
 
     def run():

@@ -22,6 +22,11 @@ cd "$(dirname "$0")/.."
 
 PYTHONPATH=src python -m pytest -x -q -m "not slow"
 
+# The same fast tests on the interpreted engine: the compiled core is
+# the default wherever a C compiler exists, so the contract it mirrors
+# needs its own run.  REPRO_COMPILED=0 skips both the build and the use.
+REPRO_COMPILED=0 PYTHONPATH=src python -m pytest -x -q -m "not slow"
+
 # The end-to-end benchmark's self-tests: the workload digests it pins,
 # and a tracer that reads a target missing from this revision (such as
 # the deleted vectorized engine's entry point) as absent, not an error.
@@ -37,11 +42,13 @@ PYTHONPATH=src python -m pytest -x -q \
 PYTHONPATH=src python -m pytest -x -q -m telemetry
 
 # Compiled engine core (DESIGN.md §13): its unit subset, then one
-# EXP-F1 mini-cell and one fault-matrix cell run with the compiled
-# core forced off and on (serial and parallel) whose cell fingerprints
-# must match bit for bit.  The gate builds the extension in place when
-# a C toolchain exists and skips loudly when none does — the
-# interpreted engine is the contract on such hosts.
+# EXP-F1 mini-cell and one fault-matrix cell, every default policy,
+# run with the compiled core forced off and on (serial and parallel)
+# whose cell fingerprints must match bit for bit.  The gate takes the
+# extension from the import-time loader (built once per source digest
+# into the user cache) and skips loudly, naming the loader's reason,
+# when there is none — the interpreted engine is the contract on such
+# hosts.
 PYTHONPATH=src python -m pytest -x -q -m compiled
 PYTHONPATH=src python scripts/compiled_gate.py
 

@@ -1,23 +1,23 @@
 #!/usr/bin/env python
 """CI gate: the compiled engine core is byte-identical to the interpreted one.
 
-Runs one EXP-F1 mini-cell (several utilizations x seeds, slack-analysis
-policies included) and one fault-matrix cell (WCET overruns + stuck
-speed transitions under a governed policy, misses allowed) through
-``sweep()`` with the compiled core forced off and forced on — serially
-and on the parallel executor — and fails unless every cell fingerprint
-matches bit for bit.  The compiled-on runs are instrumented through
-``fastcore.RUN_COUNTS`` to prove the C core actually executed (a gate
-that silently fell back to the interpreted loop twice would compare
-the interpreter against itself and pass vacuously).
+Runs one EXP-F1 mini-cell (several utilizations x seeds, every default
+policy) and one fault-matrix cell (WCET overruns + stuck speed
+transitions under every default policy, governed, misses allowed)
+through ``sweep()`` with the compiled core forced off and forced on —
+serially and on the parallel executor — and fails unless every cell
+fingerprint matches bit for bit.  The compiled-on runs are
+instrumented through ``fastcore.RUN_COUNTS`` to prove the C core
+actually executed (a gate that silently fell back to the interpreted
+loop twice would compare the interpreter against itself and pass
+vacuously).
 
-When the extension is missing the gate first tries to build it in
-place (``REPRO_COMPILE=1 setup.py build_ext --inplace``); without a C
-toolchain it skips with a loud notice — the interpreted engine is the
-contract on such hosts, and there is nothing to compare.  An extension
-the gate built itself is deleted again on exit, so later runs in the
-checkout keep the backend they had before; one that was already there
-stays.
+The extension comes from the same loader every run uses
+(``repro.sim.fastcore``: built once per source digest into the user
+cache).  When it is unavailable — no C toolchain, an untrusted cache —
+the gate skips with a loud notice naming the loader's reason: the
+interpreted engine is the contract on such hosts, and there is nothing
+to compare.
 
 Usage: PYTHONPATH=src python scripts/compiled_gate.py
 """
@@ -25,56 +25,14 @@ Usage: PYTHONPATH=src python scripts/compiled_gate.py
 from __future__ import annotations
 
 import hashlib
-import importlib
 import json
 import os
-import shutil
-import subprocess
 import sys
-from importlib.machinery import EXTENSION_SUFFIXES
-from pathlib import Path
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-EXTENSION_DIR = REPO_ROOT / "src" / "repro" / "sim"
 
 XS = (0.3, 0.7, 0.9)
 FM_XS = (1.3,)
 N_TASKSETS = 4
 HORIZON = 600.0
-POLICIES = ("none", "static", "ccEDF", "lpSTA", "lpSEH")
-FM_POLICIES = ("ccEDF", "lpSEH", "lpSTA")
-
-
-def extension_artifacts() -> set[Path]:
-    """The built ``_fastcore`` files this interpreter would import."""
-    candidates = (EXTENSION_DIR / f"_fastcore{suffix}"
-                  for suffix in EXTENSION_SUFFIXES)
-    return {path for path in candidates if path.exists()}
-
-
-def ensure_extension() -> str:
-    """Find-or-build the extension; returns 'ok', 'built' or 'no-toolchain'.
-
-    Looks for the file rather than importing it: importing anything
-    under ``repro.sim`` before a build would pin ``repro.sim.fastcore``
-    to "no extension" for the rest of the process.
-    """
-    status = "ok"
-    if not extension_artifacts():
-        if shutil.which("gcc") is None and shutil.which("cc") is None:
-            return "no-toolchain"
-        env = dict(os.environ, REPRO_COMPILE="1")
-        proc = subprocess.run(
-            [sys.executable, "setup.py", "build_ext", "--inplace"],
-            cwd=REPO_ROOT, env=env, capture_output=True, text=True)
-        if proc.returncode != 0 or not extension_artifacts():
-            print(proc.stdout[-2000:])
-            print(proc.stderr[-2000:])
-            return "no-toolchain"
-        importlib.invalidate_caches()
-        status = "built"
-    from repro.sim import fastcore
-    return status if fastcore.compiled_available() else "no-toolchain"
 
 
 def fingerprint(cells) -> str:
@@ -85,27 +43,23 @@ def fingerprint(cells) -> str:
 
 
 def main() -> int:
-    present = extension_artifacts()
-    try:
-        return run_gate()
-    finally:
-        for path in extension_artifacts() - present:
-            path.unlink(missing_ok=True)
-            print(f"compiled gate: removed {path.relative_to(REPO_ROOT)}")
-
-
-def run_gate() -> int:
-    status = ensure_extension()
-    if status == "no-toolchain":
+    # The gate sets REPRO_COMPILED per leg itself; an inherited opt-out
+    # would stop the loader from providing the extension at all.
+    os.environ.pop("REPRO_COMPILED", None)
+    from repro.sim import fastcore
+    if not fastcore.compiled_available():
         print("=" * 64)
-        print("compiled gate: SKIPPED — no C toolchain / extension "
-              "unavailable;")
+        print("compiled gate: SKIPPED — compiled core unavailable:")
+        print(f"  {fastcore.core_info()['reason']}")
         print("the interpreted engine is the contract on this host.")
         print("=" * 64)
         return 0
-    if status == "built":
-        print("compiled gate: built repro.sim._fastcore in place")
+    print(f"compiled gate: extension {fastcore.core_info()['origin']}")
+    return run_gate()
 
+
+def run_gate() -> int:
+    from repro.experiments.config import DEFAULT_POLICIES
     from repro.experiments.parallel import fork_available, shutdown_pool
     from repro.experiments.runner import bcwc_model, standard_taskset, sweep
     from repro.faults import FaultPlan
@@ -133,7 +87,7 @@ def run_gate() -> int:
         kwargs = {"n_tasksets": N_TASKSETS, "horizon": HORIZON}
         if workers:
             kwargs["workers"] = workers
-        return sweep(XS, workload, POLICIES, **kwargs)
+        return sweep(XS, workload, DEFAULT_POLICIES, **kwargs)
 
     def faultmatrix(workers: int | None = None):
         kwargs = {"n_tasksets": N_TASKSETS, "horizon": HORIZON,
@@ -141,7 +95,7 @@ def run_gate() -> int:
                   "policy_factory": fm_policy_factory}
         if workers:
             kwargs["workers"] = workers
-        return sweep(FM_XS, fm_workload, FM_POLICIES, **kwargs)
+        return sweep(FM_XS, fm_workload, DEFAULT_POLICIES, **kwargs)
 
     def run_mode(compiled: bool, leg, workers: int | None = None) -> tuple:
         """One sweep leg under a forced backend; returns (fp, runs)."""

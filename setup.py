@@ -1,25 +1,9 @@
 """Setuptools shim for environments without the `wheel` package.
 
-`pip install -e .` uses pyproject.toml; this file additionally wires
-the *optional* compiled engine core (DESIGN.md §13): set
-``REPRO_COMPILE=1`` to build ``repro.sim._fastcore`` from C during
-install (``REPRO_COMPILE=1 pip install -e .`` or
-``REPRO_COMPILE=1 python setup.py build_ext --inplace``).  Plain
-installs skip the extension entirely and run interpreted — the
-extension is declared ``optional`` so even a broken toolchain degrades
-to the interpreted engine instead of failing the install.
+`pip install -e .` uses pyproject.toml.  The compiled engine core is not
+built here: ``repro.sim.fastcore`` compiles ``_fastcore.c`` on first
+import into a per-user cache keyed by the source digest (DESIGN.md §13).
 """
-import os
+from setuptools import setup
 
-from setuptools import Extension, setup
-
-ext_modules = []
-if os.environ.get("REPRO_COMPILE", "").strip().lower() in {"1", "on",
-                                                           "true", "yes"}:
-    ext_modules.append(Extension(
-        "repro.sim._fastcore",
-        sources=["src/repro/sim/_fastcore.c"],
-        optional=True,
-    ))
-
-setup(ext_modules=ext_modules)
+setup()

@@ -345,13 +345,15 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
         state = "enabled" if info["enabled"] else \
             "present but disabled (REPRO_COMPILED=0 / --no-compiled)"
         print(f"compiled core:  {info['backend']} — {state}")
+        print(f"                loaded from {info['origin']}")
         print(f"                runs this process: "
               f"{info['runs']['compiled']} compiled, "
               f"{info['runs']['interpreted']} interpreted")
     else:
         print("compiled core:  not built — interpreted engine only")
-        print("                (build with: REPRO_COMPILE=1 pip "
-              "install -e .)")
+        print(f"                ({info['reason']})")
+    for refused in info["refused"]:
+        print(f"                {refused}")
 
     workers = default_workers()
     fork = "fork available" if fork_available() else \

@@ -30,8 +30,8 @@ from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.policies.base import DvsPolicy
+from repro.sim import fastcore as _fastcore
 from repro.tasks.job import Job
-from repro.tasks.task import PeriodicTask
 from repro.types import Speed, Time, Work
 
 if TYPE_CHECKING:
@@ -73,6 +73,28 @@ def peak_intensity(t: Time, window_end: Time,
     return best
 
 
+def intensity_sweep(t: Time, window_end: Time, active_d, active_w,
+                    streams, k0s) -> Speed:
+    """:func:`peak_intensity` over the demand events in the window.
+
+    Active jobs step in with their actual remaining work at their
+    deadlines, future jobs with their actual demand at theirs: task
+    ``i``'s jobs ``k0s[i]`` onwards whose deadline in ``streams[i]``
+    (a ``(deadlines, works)`` list pair, deadlines ascending) lies
+    within 1e-12 of ``window_end``.  The compiled twin
+    ``repro.sim._fastcore.intensity_sweep`` takes the same arguments
+    and returns the bit-identical float.
+    """
+    fence = window_end + 1e-12
+    events: list[tuple[Time, Work]] = list(zip(active_d, active_w))
+    extend = events.extend
+    for (deadlines, works), k0 in zip(streams, k0s):
+        hi = bisect_right(deadlines, fence)
+        if hi > k0:
+            extend(zip(deadlines[k0:hi], works[k0:hi]))
+    return peak_intensity(t, window_end, events)
+
+
 class ClairvoyantPolicy(DvsPolicy):
     """YDS-intensity oracle with perfect workload knowledge."""
 
@@ -81,14 +103,16 @@ class ClairvoyantPolicy(DvsPolicy):
     def __init__(self, window_cap_periods: float = 4.0) -> None:
         super().__init__()
         self.window_cap_periods = window_cap_periods
-        self._work_cache: dict[tuple[str, int], float] = {}
-        # Per task, the (absolute deadline, actual work) of its future
-        # jobs by index, grown lazily.  Deadlines are monotone in the
-        # job index (arrivals are monotone, the relative deadline is a
-        # constant offset), so each intensity() call takes the events
-        # inside its window by binary search instead of re-querying the
-        # arrival oracle job by job.
-        self._event_cache: dict[str, tuple[list[Time], list[Work]]] = {}
+        # Per task (taskset order), the (absolute deadline, actual
+        # work) of its future jobs by index, grown lazily.  Deadlines
+        # are monotone in the job index (arrivals are monotone, the
+        # relative deadline is a constant offset), so each intensity()
+        # call takes the events inside its window by binary search
+        # instead of re-querying the oracles job by job.
+        self._streams: list[tuple[list[Time], list[Work]]] | None = None
+        # The smallest last deadline over the streams: no stream needs
+        # growing while the window's fence stays below it.
+        self._covered: Time = -math.inf
         self._max_period: Time = 0.0
 
     def bind(self, taskset, processor) -> None:
@@ -96,72 +120,60 @@ class ClairvoyantPolicy(DvsPolicy):
         self._max_period = max(task.period for task in taskset)
 
     def reset(self) -> None:
-        self._work_cache = {}
-        self._event_cache = {}
+        self._streams = None
+        self._covered = -math.inf
 
     # -- oracle workload knowledge ---------------------------------------
 
-    def _work(self, ctx: "SimContext", task: PeriodicTask,
-              index: int) -> float:
-        """Memoised actual demand (execution models hash per query)."""
-        key = (task.name, index)
-        cached = self._work_cache.get(key)
-        if cached is None:
-            cached = ctx.execution_model.work(task, index)
-            self._work_cache[key] = cached
-        return cached
-
-    def _task_events(self, ctx: "SimContext", task: PeriodicTask,
-                     window_end: Time) -> tuple[list[Time], list[Work]]:
-        """Cached (deadline, work) streams of *task*, grown past the window."""
-        cached = self._event_cache.get(task.name)
-        if cached is None:
-            cached = ([], [])
-            self._event_cache[task.name] = cached
-        deadlines, works = cached
-        arrivals = ctx.arrival_model
-        fence = window_end + 1e-12
-        while not deadlines or deadlines[-1] <= fence:
-            k = len(deadlines)
-            deadlines.append(arrivals.arrival_time(task, k) + task.deadline)
-            works.append(self._work(ctx, task, k))
-        return cached
+    def _grow_streams(self, ctx: "SimContext",
+                      fence: Time) -> list[tuple[list[Time], list[Work]]]:
+        """Extend every task's stream past *fence*, task by task."""
+        tasks = ctx.taskset.tasks
+        streams = self._streams
+        if streams is None:
+            streams = self._streams = [([], []) for _ in tasks]
+        arrival_time = ctx.arrival_model.arrival_time
+        work = ctx.execution_model.work
+        for task, (deadlines, works) in zip(tasks, streams):
+            while not deadlines or deadlines[-1] <= fence:
+                k = len(deadlines)
+                deadlines.append(arrival_time(task, k) + task.deadline)
+                works.append(work(task, k))
+        self._covered = min(deadlines[-1] for deadlines, _ in streams)
+        return streams
 
     # -- the YDS intensity -------------------------------------------------
 
     def intensity(self, ctx: "SimContext") -> Speed:
         """``max_k h_act(t, d_k) / (d_k - t)`` over the analysis window."""
         t = ctx.time
-        active = list(ctx.active_jobs)
+        active = ctx.active_jobs
         if not active:
             return 0.0
         tasks = ctx.taskset.tasks
         max_period = self._max_period
         if max_period <= 0.0:
             max_period = max(task.period for task in tasks)
-        latest_active = max(j.deadline for j in active)
+        active_d = [j.deadline for j in active]
         # Obligations end at the simulation horizon, so the analysis
         # window never needs to extend beyond it.
         window_end = min(
             ctx.horizon,
-            max(latest_active, t + self.window_cap_periods * max_period))
+            max(max(active_d), t + self.window_cap_periods * max_period))
 
-        # Demand events at each deadline in the window: active jobs step
-        # in with their actual remaining work, future jobs with their
-        # actual demand, one event per job at its own deadline.  The
-        # oracle is allowed to read both workload oracles: actual
+        # The oracle is allowed to read both workload oracles: actual
         # execution demands and actual (possibly sporadic) arrivals.
         fence = window_end + 1e-12
-        events: list[tuple[Time, Work]] = [
-            (j.deadline, j.remaining_work) for j in active]
-        extend = events.extend
-        for task in tasks:
-            k0 = ctx.next_job_index(task.name)
-            deadlines, works = self._task_events(ctx, task, window_end)
-            hi = bisect_right(deadlines, fence)
-            if hi > k0:
-                extend(zip(deadlines[k0:hi], works[k0:hi]))
-        return peak_intensity(t, window_end, events)
+        streams = self._streams
+        if streams is None or self._covered <= fence:
+            streams = self._grow_streams(ctx, fence)
+        next_job_index = ctx.next_job_index
+        k0s = [next_job_index(task.name) for task in tasks]
+        kernels = _fastcore.slack_kernels()
+        sweep = (kernels.intensity_sweep if kernels is not None
+                 else intensity_sweep)
+        return sweep(t, window_end, active_d,
+                     [j.remaining_work for j in active], streams, k0s)
 
     # -- policy ------------------------------------------------------------
 

@@ -14,14 +14,23 @@
  *
  * CoreEngine exposes the same private attribute surface SimContext
  * reads from Simulator (_now, _active, _next_release, ...), so the
- * existing SimContext class wraps it unchanged and policies observe
- * identical state.
+ * SimContext classes wrap it and policies observe identical state;
+ * slack_columns() additionally serves the slack snapshot straight
+ * from the job slots.
+ *
+ * The loader (repro.sim.fastcore) passes the SHA-256 of this file as
+ * REPRO_FASTCORE_SHA256 and refuses any module whose SOURCE_SHA256
+ * differs, so a build of older source is never imported.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
 #include <string.h>
+
+#ifndef REPRO_FASTCORE_SHA256
+#define REPRO_FASTCORE_SHA256 ""   /* unverified build: always refused */
+#endif
 
 #define K_TIME_EPS 1e-9
 #define K_SPEED_EPS 1e-12
@@ -1389,6 +1398,63 @@ CoreEngine_next_release_global_py(CoreEngine *self,
     return PyFloat_FromDouble(ce_next_release_global(self));
 }
 
+/* slack_columns(baseline_speed) -> (active_deadlines, active_budgets),
+ * the columns SimContext.slack_state builds from the Job objects: each
+ * budget is wcet - executed clamped at zero, divided by the baseline
+ * only when it is not exactly 1.0. */
+static PyObject *
+CoreEngine_slack_columns(CoreEngine *self, PyObject *arg)
+{
+    double baseline = PyFloat_AsDouble(arg);
+    if (baseline == -1.0 && PyErr_Occurred())
+        return NULL;
+    if (baseline == 0.0) {
+        PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
+        return NULL;
+    }
+    Py_ssize_t n = self->n_active;
+    PyObject *deadlines = PyTuple_New(n);
+    PyObject *budgets = PyTuple_New(n);
+    if (deadlines == NULL || budgets == NULL)
+        goto fail;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        const JobSlot *s = &self->active[i];
+        double w = self->t_wcet[s->task] - s->executed;
+        if (!(w > 0.0))
+            w = 0.0;
+        if (baseline != 1.0)
+            w = w / baseline;
+        PyObject *d = PyFloat_FromDouble(s->deadline);
+        PyObject *b = PyFloat_FromDouble(w);
+        if (d == NULL || b == NULL) {
+            Py_XDECREF(d);
+            Py_XDECREF(b);
+            goto fail;
+        }
+        PyTuple_SET_ITEM(deadlines, i, d);
+        PyTuple_SET_ITEM(budgets, i, b);
+    }
+    return Py_BuildValue("(NN)", deadlines, budgets);
+fail:
+    Py_XDECREF(deadlines);
+    Py_XDECREF(budgets);
+    return NULL;
+}
+
+/* active_jobs() -> tuple of the active Job objects, slot order. */
+static PyObject *
+CoreEngine_active_jobs(CoreEngine *self, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *tup = PyTuple_New(self->n_active);
+    if (tup == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < self->n_active; i++) {
+        Py_INCREF(self->active[i].job);
+        PyTuple_SET_ITEM(tup, i, self->active[i].job);
+    }
+    return tup;
+}
+
 static PyObject *
 CoreEngine_get_active(CoreEngine *self, void *Py_UNUSED(closure))
 {
@@ -1474,6 +1540,10 @@ static PyMethodDef CoreEngine_methods[] = {
      NULL},
     {"_next_release_global",
      (PyCFunction)CoreEngine_next_release_global_py, METH_NOARGS, NULL},
+    {"slack_columns", (PyCFunction)CoreEngine_slack_columns, METH_O,
+     "(active_deadlines, active_budgets) of the slack snapshot."},
+    {"active_jobs", (PyCFunction)CoreEngine_active_jobs, METH_NOARGS,
+     "The active jobs as a tuple, slot order."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1680,6 +1750,198 @@ cleanup:
     return out;
 }
 
+/* bisect_right over a list of numbers: first index whose value > x */
+static int
+bisect_right_list(PyObject *lst, double x, Py_ssize_t *out)
+{
+    Py_ssize_t lo = 0, hi = PyList_GET_SIZE(lst);
+    while (lo < hi) {
+        Py_ssize_t mid = lo + (hi - lo) / 2;
+        double v = PyFloat_AsDouble(PyList_GET_ITEM(lst, mid));
+        if (v == -1.0 && PyErr_Occurred())
+            return -1;
+        if (x < v)
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    *out = lo;
+    return 0;
+}
+
+/* Stable order of events[0, n) by deadline, written to out[0, n).
+ * Source s spans events[bounds[s], bounds[s + 1]): source 0 is the
+ * active jobs, source i + 1 is stream i.  Each stream slice is already
+ * in deadline order (deadlines are monotone in the job index), so a
+ * k-way merge replaces the sort and the few actives get a stable
+ * insertion sort.  Ties go to the earlier source, then the earlier
+ * position: the (deadline, construction index) order of a stable
+ * sort, which a slice out of order falls back to. */
+static void
+stable_deadline_order(SlackEvent *events, const Py_ssize_t *bounds,
+                      Py_ssize_t n_sources, Py_ssize_t *cursor,
+                      SlackEvent *out)
+{
+    Py_ssize_t n = bounds[n_sources];
+    for (Py_ssize_t s = 1; s < n_sources; s++) {
+        for (Py_ssize_t j = bounds[s] + 1; j < bounds[s + 1]; j++) {
+            if (events[j].d < events[j - 1].d) {
+                for (Py_ssize_t i = 0; i < n; i++) {
+                    out[i] = events[i];
+                    out[i].idx = i;
+                }
+                qsort(out, (size_t)n, sizeof(SlackEvent), event_cmp);
+                return;
+            }
+        }
+    }
+    for (Py_ssize_t j = 1; j < bounds[1]; j++) {
+        SlackEvent key = events[j];
+        Py_ssize_t k = j;
+        while (k > 0 && events[k - 1].d > key.d) {
+            events[k] = events[k - 1];
+            k--;
+        }
+        events[k] = key;
+    }
+    for (Py_ssize_t s = 0; s < n_sources; s++)
+        cursor[s] = bounds[s];
+    for (Py_ssize_t m = 0; m < n; m++) {
+        Py_ssize_t best = -1;
+        for (Py_ssize_t s = 0; s < n_sources; s++) {
+            if (cursor[s] < bounds[s + 1] &&
+                (best < 0 || events[cursor[s]].d < events[cursor[best]].d))
+                best = s;
+        }
+        out[m] = events[cursor[best]++];
+    }
+}
+
+/* intensity_sweep(t, window_end, active_d, active_w, streams, k0s)
+ * -> float: the clairvoyant policy's demand-event gather plus
+ * peak_intensity.  streams[i] is task i's cached (deadlines, works)
+ * list pair and k0s[i] its next job index; the events of each stream
+ * are [k0, bisect_right(deadlines, window_end + 1e-12)).  Events are
+ * visited in stable deadline order, so h accumulates in the
+ * interpreted order. */
+static PyObject *
+fastcore_intensity_sweep(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    double t, window_end;
+    PyObject *o_ad, *o_aw, *o_streams, *o_k0;
+    if (!PyArg_ParseTuple(args, "ddOOOO", &t, &window_end, &o_ad, &o_aw,
+                          &o_streams, &o_k0))
+        return NULL;
+    Py_ssize_t n_active, nx, n_tasks;
+    double *ad = NULL, *aw = NULL;
+    long *k0 = NULL;
+    Py_ssize_t *lo = NULL, *hi = NULL, *bounds = NULL;
+    SlackEvent *events = NULL;
+    PyObject *streams = NULL, *out = NULL;
+    if ((ad = seq_as_doubles(o_ad, &n_active)) == NULL ||
+        (aw = seq_as_doubles(o_aw, &nx)) == NULL ||
+        (k0 = seq_as_longs(o_k0, &nx)) == NULL)
+        goto cleanup;
+    streams = PySequence_Fast(o_streams, "streams must be a sequence");
+    if (streams == NULL)
+        goto cleanup;
+    n_tasks = PySequence_Fast_GET_SIZE(streams);
+    if (nx != n_tasks) {
+        PyErr_SetString(PyExc_ValueError, "one k0 per stream expected");
+        goto cleanup;
+    }
+    /* lo/hi: each stream's slice, then the merge's cursors (lo);
+     * bounds: where each source starts in the event array */
+    lo = PyMem_Malloc((size_t)(n_tasks + 1) * sizeof(Py_ssize_t));
+    hi = PyMem_Malloc((size_t)(n_tasks + 1) * sizeof(Py_ssize_t));
+    bounds = PyMem_Malloc((size_t)(n_tasks + 2) * sizeof(Py_ssize_t));
+    if (lo == NULL || hi == NULL || bounds == NULL) {
+        PyErr_NoMemory();
+        goto cleanup;
+    }
+    double fence = window_end + 1e-12;
+    Py_ssize_t n = n_active;
+    for (Py_ssize_t i = 0; i < n_tasks; i++) {
+        PyObject *pair = PySequence_Fast_GET_ITEM(streams, i);
+        if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2 ||
+            !PyList_Check(PyTuple_GET_ITEM(pair, 0)) ||
+            !PyList_Check(PyTuple_GET_ITEM(pair, 1))) {
+            PyErr_SetString(PyExc_TypeError,
+                            "each stream must be a (list, list) tuple");
+            goto cleanup;
+        }
+        if (bisect_right_list(PyTuple_GET_ITEM(pair, 0), fence,
+                              &hi[i]) < 0)
+            goto cleanup;
+        Py_ssize_t n_works = PyList_GET_SIZE(PyTuple_GET_ITEM(pair, 1));
+        if (hi[i] > n_works)
+            hi[i] = n_works;    /* zip stops at the shorter list */
+        lo[i] = (k0[i] > 0) ? (Py_ssize_t)k0[i] : 0;
+        if (hi[i] > lo[i])
+            n += hi[i] - lo[i];
+    }
+    events = PyMem_Malloc((size_t)(2 * n + 1) * sizeof(SlackEvent));
+    if (events == NULL) {
+        PyErr_NoMemory();
+        goto cleanup;
+    }
+    n = 0;
+    bounds[0] = 0;
+    for (Py_ssize_t i = 0; i < n_active; i++) {
+        events[n].d = ad[i];
+        events[n].w = aw[i];
+        n++;
+    }
+    for (Py_ssize_t i = 0; i < n_tasks; i++) {
+        PyObject *pair = PySequence_Fast_GET_ITEM(streams, i);
+        PyObject *dl = PyTuple_GET_ITEM(pair, 0);
+        PyObject *wl = PyTuple_GET_ITEM(pair, 1);
+        bounds[i + 1] = n;
+        for (Py_ssize_t k = lo[i]; k < hi[i]; k++) {
+            double d = PyFloat_AsDouble(PyList_GET_ITEM(dl, k));
+            double w = PyFloat_AsDouble(PyList_GET_ITEM(wl, k));
+            if ((d == -1.0 || w == -1.0) && PyErr_Occurred())
+                goto cleanup;
+            events[n].d = d;
+            events[n].w = w;
+            n++;
+        }
+    }
+    bounds[n_tasks + 1] = n;
+    SlackEvent *ordered = events + n;
+    stable_deadline_order(events, bounds, n_tasks + 1, lo, ordered);
+
+    /* peak_intensity: a group is every event within 1e-12 of its first
+     * deadline, evaluated when the next group opens (the final group
+     * is closed by an infinite sentinel deadline). */
+    double edge = window_end + 1e-9;
+    double best = 0.0;
+    double h = 0.0;
+    double d_k = -INFINITY, group_end = -INFINITY;
+    for (Py_ssize_t i = 0; i <= n; i++) {
+        double d = (i < n) ? ordered[i].d : INFINITY;
+        if (d > group_end) {
+            double span = d_k - t;
+            if (span > 1e-12 && d_k <= edge) {
+                double ratio = h / span;
+                if (ratio > best)
+                    best = ratio;
+            }
+            d_k = d;
+            group_end = d + 1e-12;
+        }
+        if (i < n)
+            h += ordered[i].w;
+    }
+    out = PyFloat_FromDouble(best);
+cleanup:
+    PyMem_Free(ad); PyMem_Free(aw); PyMem_Free(k0);
+    PyMem_Free(lo); PyMem_Free(hi); PyMem_Free(bounds);
+    PyMem_Free(events);
+    Py_XDECREF(streams);
+    return out;
+}
+
 /* ------------------------------------------------------------------ */
 /* module                                                              */
 /* ------------------------------------------------------------------ */
@@ -1689,13 +1951,15 @@ static PyMethodDef fastcore_methods[] = {
      "Compiled exact slack event walk (flattened state)."},
     {"heuristic_slack_walk", fastcore_heuristic_slack_walk, METH_VARARGS,
      "Compiled heuristic slack walk (flattened state)."},
+    {"intensity_sweep", fastcore_intensity_sweep, METH_VARARGS,
+     "Compiled clairvoyant intensity sweep (flattened state)."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef fastcore_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro.sim._fastcore",
-    .m_doc = "Compiled scalar engine core (optional build artifact).",
+    .m_doc = "Compiled scalar engine core (built by repro.sim.fastcore).",
     .m_size = -1,
     .m_methods = fastcore_methods,
 };
@@ -1712,7 +1976,9 @@ PyInit__fastcore(void)
         PyModule_AddObjectRef(m, "CoreEngine",
                               (PyObject *)&CoreEngineType) < 0 ||
         PyModule_AddIntConstant(m, "COMPILED", 1) < 0 ||
-        PyModule_AddStringConstant(m, "BACKEND", "c-extension") < 0) {
+        PyModule_AddStringConstant(m, "BACKEND", "c-extension") < 0 ||
+        PyModule_AddStringConstant(m, "SOURCE_SHA256",
+                                   REPRO_FASTCORE_SHA256) < 0) {
         Py_DECREF(m);
         return NULL;
     }

@@ -216,6 +216,34 @@ class SimContext:
         )
 
 
+class CoreContext(SimContext):
+    """The policy view over the compiled core (DESIGN.md §13).
+
+    The same surface as :class:`SimContext`, but the active-job tuple
+    and the slack snapshot's columns come straight from the core's job
+    slots instead of a walk over the ``Job`` objects.  The core keeps
+    each slot's ``executed`` in lockstep with its job, so the columns
+    are the floats :meth:`SimContext.slack_state` would compute.
+    """
+
+    @property
+    def active_jobs(self) -> tuple[Job, ...]:
+        return self._engine.active_jobs()
+
+    def slack_state(self, *, baseline_speed: float = 1.0,
+                    scaled_tasks: tuple | None = None) -> SystemState:
+        engine = self._engine
+        deadlines, budgets = engine.slack_columns(baseline_speed)
+        return SystemState(
+            time=engine._now,
+            active_deadlines=deadlines,
+            active_budgets=budgets,
+            tasks=(scaled_tasks if scaled_tasks is not None
+                   else engine.taskset.tasks),
+            next_release=self.next_release_map(),
+        )
+
+
 class Simulator:
     """One simulation run binding a workload, a processor and a policy."""
 

@@ -5,8 +5,10 @@ intensity sweep fold their deadline groups in one ``for`` loop over
 columnar snapshots.  Every experiment payload is float-accumulation-
 order sensitive, so these tests hold them to ``==`` (never approx)
 against reference copies of the indexed ``while``-loop sweeps they
-replaced, and, where the extension is built, against the compiled
-kernels of ``repro.sim._fastcore`` on the same arguments.
+replaced, and, where the extension is loaded, against the compiled
+kernels of ``repro.sim._fastcore`` on the same arguments — as well as
+the compiled core's slack snapshot columns against the ones the
+interpreted context builds from the ``Job`` objects.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from repro.analysis.slack import (
 from repro.cpu.profiles import ideal_processor
 from repro.faults import FaultPlan, OverrunFault
 from repro.policies.base import DvsPolicy
-from repro.policies.clairvoyant import peak_intensity
+from repro.policies.clairvoyant import intensity_sweep, peak_intensity
 from repro.sim import fastcore
-from repro.sim.engine import simulate
+from repro.sim.engine import CoreContext, SimContext, simulate
 from repro.tasks.execution import WorstCaseExecution
 from repro.tasks.task import PeriodicTask
 from repro.tasks.taskset import TaskSet
@@ -40,7 +42,7 @@ except ImportError:  # the interpreted engine is the contract
     _fastcore = None
 
 needs_compiled = pytest.mark.skipif(
-    _fastcore is None, reason="compiled core not built")
+    _fastcore is None, reason="compiled core unavailable")
 
 WALK_SETTINGS = settings(max_examples=300, deadline=None,
                          suppress_health_check=[HealthCheck.too_slow])
@@ -330,6 +332,67 @@ def test_heuristic_walk_equals_compiled_kernel(state):
         _fastcore.heuristic_slack_walk(*args)
 
 
+@st.composite
+def intensity_inputs(draw) -> tuple:
+    """Flat ``intensity_sweep`` arguments: deadlines tied within (and
+    just outside) 1e-12 across actives and streams, empty and
+    exhausted future streams, windows that cap some of them, and now
+    and then a stream out of deadline order (the compiled kernel
+    merges sorted streams and must fall back to a stable sort)."""
+    t = draw(st.sampled_from((0.0, 3.0)) | st.floats(0.0, 100.0))
+    pool: list[float] = []
+
+    def deadline() -> float:
+        if pool and draw(st.booleans()):
+            base = draw(st.sampled_from(pool))
+        else:
+            base = t + draw(st.sampled_from((0.0, 1e-12, 1.0, 4.0))
+                            | st.floats(0.0, 50.0))
+        pool.append(base + draw(st.sampled_from(NEAR)))
+        return pool[-1]
+
+    works = st.sampled_from((0.0, 0.5)) | st.floats(0.0, 5.0)
+    active_d = [deadline() for _ in range(draw(st.integers(0, 6)))]
+    active_w = [draw(works) for _ in active_d]
+    streams, k0s = [], []
+    for _ in range(draw(st.integers(0, 5))):
+        deadlines = sorted(deadline() for _ in range(draw(st.integers(0, 8))))
+        if draw(st.integers(0, 9)) == 0:
+            deadlines = draw(st.permutations(deadlines))
+        streams.append((deadlines, [draw(works) for _ in deadlines]))
+        k0s.append(draw(st.integers(0, len(deadlines) + 1)))
+    window_end = t + draw(st.sampled_from((0.0, 1.0, 4.0))
+                          | st.floats(0.0, 60.0))
+    return t, window_end, active_d, active_w, streams, k0s
+
+
+@needs_compiled
+@WALK_SETTINGS
+@given(args=intensity_inputs())
+def test_intensity_sweep_equals_compiled_kernel(args):
+    assert intensity_sweep(*args) == _fastcore.intensity_sweep(*args)
+
+
+@needs_compiled
+def test_intensity_sweep_edge_cases():
+    """No events at all, only empty streams, a window that ends before
+    every future deadline, and one deadline shared by an active job
+    and two streams, whose works sum to different floats in different
+    orders: 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1."""
+    cases = [
+        (0.0, 4.0, [], [], [], []),
+        (1.0, 4.0, [3.0], [1.0], [([], []), ([], [])], [0, 0]),
+        (0.0, 2.0, [2.0, 2.0 + 1e-13], [1.0, 0.5],
+         [([5.0, 9.0], [1.0, 1.0])], [0]),
+        (0.0, 8.0, [5.0], [0.1], [([5.0], [0.2]), ([5.0], [0.3])], [0, 0]),
+    ]
+    for args in cases:
+        assert intensity_sweep(*args) == _fastcore.intensity_sweep(*args)
+    assert intensity_sweep(*cases[2]) == 0.75
+    assert intensity_sweep(*cases[3]) == (0.1 + 0.2 + 0.3) / 5.0 \
+        != (0.3 + 0.2 + 0.1) / 5.0
+
+
 # ----------------------------------------------------------------------
 # Properties of the analysis itself
 # ----------------------------------------------------------------------
@@ -428,4 +491,43 @@ def test_engine_snapshot_budgets_equal_job_budgets():
              horizon=60.0, allow_misses=True,
              faults=FaultPlan(seed=3, overrun=OverrunFault(
                  factor=1.4, probability=1.0)))
+    assert probe.checked > 10 and probe.overdrawn > 0
+
+
+class _ColumnsProbe(DvsPolicy):
+    """Compares the compiled core's slack snapshot with the one the
+    interpreted context builds from the same engine's ``Job`` objects."""
+
+    name = "columns-probe"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.checked = 0
+        self.overdrawn = 0
+
+    def select_speed(self, job, ctx):
+        assert type(ctx) is CoreContext
+        reference = SimContext(ctx._engine)
+        assert ctx.active_jobs == reference.active_jobs
+        for baseline in (1.0, 0.7, 1.0 / 3.0):
+            got = ctx.slack_state(baseline_speed=baseline)
+            want = reference.slack_state(baseline_speed=baseline)
+            assert got == want
+        self.checked += 1
+        self.overdrawn += any(j.executed > j.task.wcet
+                              for j in ctx.active_jobs)
+        return 0.8
+
+
+@needs_compiled
+def test_slack_columns_equal_interpreted_snapshot():
+    taskset = TaskSet([PeriodicTask("A", wcet=1.0, period=4.0),
+                       PeriodicTask("B", wcet=2.0, period=6.0, deadline=5.0),
+                       PeriodicTask("C", wcet=0.7, period=3.0)])
+    probe = _ColumnsProbe()
+    with fastcore.forced(True):
+        simulate(taskset, ideal_processor(), probe, WorstCaseExecution(),
+                 horizon=60.0, allow_misses=True,
+                 faults=FaultPlan(seed=3, overrun=OverrunFault(
+                     factor=1.4, probability=0.5)))
     assert probe.checked > 10 and probe.overdrawn > 0
