@@ -25,7 +25,8 @@ Invariants audited, in one merge-walk over the segment stream:
 * **energy** — the per-job :class:`~repro.trace.ledger.EnergyLedger`
   reconciles bucket-by-bucket with the result's energy totals;
 * **governor-floor** — every governor intervention note is honoured by
-  the dispatch it clamped (the run executes at or above the floor).
+  the dispatch it clamped (the run executes at or above the floor),
+  unless an injected transition fault held the switch at the old speed.
 """
 
 from __future__ import annotations
@@ -291,10 +292,17 @@ def _audit_governor_floor(result: SimulationResult,
     """Every governor clamp note must be honoured by its dispatch."""
     violations: list[Violation] = []
     segments = result.trace.segments
+    # A stuck switch keeps the old speed: the floor was asked for, and
+    # the injected fault, not the policy, kept the dispatch below it.
+    stuck_at = [note.time
+                for note in result.notes_of_kind("transition-fault")
+                if note.detail.startswith("stuck at")]
     for note in result.notes_of_kind("governor"):
         job, _, rest = note.detail.partition(":")
         match = re.search(r"->\s*([0-9.]+)", rest)
         if not job or match is None:
+            continue
+        if any(abs(t - note.time) <= time_eps for t in stuck_at):
             continue
         floor = float(match.group(1))
         # The clamped dispatch runs right after the note (modulo a

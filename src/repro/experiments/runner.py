@@ -903,7 +903,7 @@ def sweep(
         _progress.attach(prev_stream)
     # Close before the manifest is cut, so the manifest's ``progress``
     # block repeats exactly the terminal ``sweep.done`` summary — the
-    # equality scripts/progress_gate.py enforces.
+    # equality scripts/identity_gate.py enforces.
     finish_stream()
     write_manifest()
     return cells

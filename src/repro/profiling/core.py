@@ -45,7 +45,7 @@ from contextlib import contextmanager
 from time import perf_counter_ns
 from typing import Iterator
 
-#: Declared overhead contract, enforced by ``scripts/profile_gate.py``:
+#: Declared overhead contract, enforced by ``scripts/identity_gate.py``:
 #: with phase timers *on*, the engine anchor workload may take at most
 #: this multiple of its timers-off time (min-of-N, plus a small
 #: absolute noise floor the gate adds).  Timers *off* must be free —

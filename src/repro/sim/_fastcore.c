@@ -226,9 +226,14 @@ typedef struct {
     long switch_count, sleep_episodes, idle_episodes, dispatches,
         jobs_released, jobs_completed, overruns, transition_faults;
 
-    /* speed_time: chronological first-occurrence accumulation */
+    /* speed_time: one entry per exact speed, in first-seen order.
+     * spd_slot[i] is the first entry whose round(speed, 12) key equals
+     * entry i's; durations accumulate there in time order, exactly like
+     * the interpreted engine's dict updates.  spd_keys maps each key to
+     * its slot, in key-first-seen order. */
     double *spd_exact, *spd_dur;
-    PyObject **spd_key;     /* strong refs: round(speed, 12) floats */
+    Py_ssize_t *spd_slot;
+    PyObject *spd_keys;
     Py_ssize_t n_spd, cap_spd;
 } CoreEngine;
 
@@ -257,8 +262,7 @@ CoreEngine_dealloc(CoreEngine *self)
     Py_XDECREF(self->ctx); Py_XDECREF(self->last_running);
     for (Py_ssize_t i = 0; i < self->n_active; i++)
         Py_XDECREF(self->active[i].job);
-    for (Py_ssize_t i = 0; i < self->n_spd; i++)
-        Py_XDECREF(self->spd_key[i]);
+    Py_XDECREF(self->spd_keys);
     PyMem_Free(self->active);
     PyMem_Free(self->t_period); PyMem_Free(self->t_rel_deadline);
     PyMem_Free(self->t_wcet); PyMem_Free(self->t_rank);
@@ -268,7 +272,7 @@ CoreEngine_dealloc(CoreEngine *self)
     PyMem_Free(self->st_preempt); PyMem_Free(self->st_exec);
     PyMem_Free(self->st_resp); PyMem_Free(self->st_maxresp);
     PyMem_Free(self->spd_exact); PyMem_Free(self->spd_dur);
-    PyMem_Free(self->spd_key);
+    PyMem_Free(self->spd_slot);
     PyMem_Free((void *)self->q_levels);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
@@ -409,9 +413,11 @@ CoreEngine_init(CoreEngine *self, PyObject *args, PyObject *kwds)
     self->cap_spd = 8;
     self->spd_exact = PyMem_Malloc((size_t)self->cap_spd * sizeof(double));
     self->spd_dur = PyMem_Malloc((size_t)self->cap_spd * sizeof(double));
-    self->spd_key = PyMem_Malloc((size_t)self->cap_spd * sizeof(PyObject *));
+    self->spd_slot = PyMem_Malloc((size_t)self->cap_spd * sizeof(Py_ssize_t));
+    self->spd_keys = PyDict_New();
     if (self->active == NULL || self->spd_exact == NULL ||
-        self->spd_dur == NULL || self->spd_key == NULL) {
+        self->spd_dur == NULL || self->spd_slot == NULL ||
+        self->spd_keys == NULL) {
         PyErr_NoMemory();
         return -1;
     }
@@ -835,9 +841,24 @@ ce_speed_time_add(CoreEngine *e, double speed, double duration)
 {
     for (Py_ssize_t i = 0; i < e->n_spd; i++) {
         if (e->spd_exact[i] == speed) {
-            e->spd_dur[i] += duration;
+            e->spd_dur[e->spd_slot[i]] += duration;
             return 0;
         }
+    }
+    if (e->n_spd == e->cap_spd) {
+        Py_ssize_t cap = e->cap_spd * 2;
+        /* Each grown array is kept as soon as it exists, so a failure
+         * part-way leaves every pointer valid (merely over-sized). */
+#define GROW(field, type) do { \
+            type *p_ = PyMem_Realloc(e->field, (size_t)cap * sizeof(type)); \
+            if (p_ == NULL) { \
+                PyErr_NoMemory(); return -1; } \
+            e->field = p_; } while (0)
+        GROW(spd_exact, double);
+        GROW(spd_dur, double);
+        GROW(spd_slot, Py_ssize_t);
+#undef GROW
+        e->cap_spd = cap;
     }
     PyObject *s = PyFloat_FromDouble(speed);
     if (s == NULL)
@@ -846,31 +867,26 @@ ce_speed_time_add(CoreEngine *e, double speed, double duration)
     Py_DECREF(s);
     if (key == NULL)
         return -1;
-    if (e->n_spd == e->cap_spd) {
-        Py_ssize_t cap = e->cap_spd * 2;
-        double *ex = PyMem_Realloc(e->spd_exact,
-                                   (size_t)cap * sizeof(double));
-        double *du = PyMem_Realloc(ex ? e->spd_dur : NULL,
-                                   (size_t)cap * sizeof(double));
-        PyObject **ke = PyMem_Realloc(du ? e->spd_key : NULL,
-                                      (size_t)cap * sizeof(PyObject *));
-        if (ex != NULL)
-            e->spd_exact = ex;
-        if (du != NULL)
-            e->spd_dur = du;
-        if (ke != NULL)
-            e->spd_key = ke;
-        if (ex == NULL || du == NULL || ke == NULL) {
+    Py_ssize_t n = e->n_spd, slot = n;
+    PyObject *known = PyDict_GetItemWithError(e->spd_keys, key);
+    if (known != NULL) {
+        slot = PyLong_AsSsize_t(known);
+    } else {
+        PyObject *index = PyErr_Occurred() ? NULL : PyLong_FromSsize_t(n);
+        if (index == NULL
+                || PyDict_SetItem(e->spd_keys, key, index) < 0) {
+            Py_XDECREF(index);
             Py_DECREF(key);
-            PyErr_NoMemory();
             return -1;
         }
-        e->cap_spd = cap;
+        Py_DECREF(index);
     }
-    e->spd_exact[e->n_spd] = speed;
-    e->spd_dur[e->n_spd] = duration;
-    e->spd_key[e->n_spd] = key;    /* steal */
+    Py_DECREF(key);
+    e->spd_exact[n] = speed;
+    e->spd_dur[n] = 0.0;
+    e->spd_slot[n] = slot;
     e->n_spd++;
+    e->spd_dur[slot] += duration;
     return 0;
 }
 
@@ -1266,22 +1282,16 @@ ce_flush(CoreEngine *e)
     SETI("transition_faults", e->transition_faults);
 #undef SETF
 #undef SETI
-    /* speed_time: a fresh dict in chronological key-first-seen order;
-     * exact speeds that round to the same key accumulate in place. */
+    /* speed_time: a fresh dict in key-first-seen order, each key's
+     * total read from its slot. */
     PyObject *st = PyDict_New();
     if (st == NULL)
         return -1;
-    for (Py_ssize_t i = 0; i < e->n_spd; i++) {
-        PyObject *key = e->spd_key[i];
-        PyObject *prev = PyDict_GetItemWithError(st, key);
-        if (prev == NULL && PyErr_Occurred()) {
-            Py_DECREF(st);
-            return -1;
-        }
-        double total = e->spd_dur[i];
-        if (prev != NULL)
-            total += PyFloat_AsDouble(prev);
-        PyObject *val = PyFloat_FromDouble(total);
+    Py_ssize_t pos = 0;
+    PyObject *key, *index;
+    while (PyDict_Next(e->spd_keys, &pos, &key, &index)) {
+        PyObject *val = PyFloat_FromDouble(
+            e->spd_dur[PyLong_AsSsize_t(index)]);
         if (val == NULL || PyDict_SetItem(st, key, val) < 0) {
             Py_XDECREF(val);
             Py_DECREF(st);

@@ -21,7 +21,7 @@ This module is the seam between the two worlds:
   the stock ``Simulator``/``EDFScheduler``/``Processor`` triple).  When
   it declines, the engine falls through to the interpreted loop — the
   two produce byte-identical :class:`SimulationResult`s by contract
-  (enforced by ``scripts/compiled_gate.py``).
+  (enforced by ``scripts/identity_gate.py``).
 * **Rare-event helpers** — deadline misses, overrun/transition notes,
   and engine errors happen at most a handful of times per run, so the
   C core delegates them here.  Keeping the f-strings and exception
@@ -567,6 +567,10 @@ def run_compiled(sim: "Simulator") -> bool:
     core = _EXT.CoreEngine(_build_namespace(sim))
     ctx = CoreContext(core)
     RUN_COUNTS["compiled"] += 1
+    if _TELEMETRY.enabled:
+        # Unlike RUN_COUNTS this folds back across fork with the chunk
+        # delta, so a parallel sweep can prove its workers ran C.
+        _TELEMETRY.inc("engine.compiled_runs")
     try:
         core.run(ctx)
     finally:

@@ -78,7 +78,7 @@ DEFAULT_HEARTBEAT_INTERVAL = 2.0
 DEFAULT_STALL_AFTER = 10.0
 
 #: Every kind a schema-1 stream may contain; the CI gate
-#: (``scripts/progress_gate.py``) fails on anything else.
+#: (``scripts/identity_gate.py``) fails on anything else.
 EVENT_KINDS = frozenset({
     "sweep.start", "sweep.done",
     "unit.start", "unit.done", "unit.retry",

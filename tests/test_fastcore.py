@@ -8,7 +8,7 @@ and traces; anything the core cannot reproduce exactly (subclassed
 simulators, non-EDF schedulers) falls through to the interpreted loop;
 and a host without a compiler (or ``REPRO_COMPILED=0`` /
 ``--no-compiled``) runs exactly as before with zero new dependencies.
-``scripts/compiled_gate.py`` enforces the same contract on whole sweep
+``scripts/identity_gate.py`` enforces the same contract on whole sweep
 fingerprints in CI.  The loader tests build a stub extension into
 temporary cache roots: the cache key, the digest check, the trust
 rules and the ``REPRO_COMPILED=0`` short cut.
@@ -23,7 +23,10 @@ import sys
 import sysconfig
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cpu.profiles import ideal_processor, xscale_processor
 from repro.experiments.config import DEFAULT_POLICIES
@@ -34,6 +37,13 @@ from repro.policies.registry import make_policy
 from repro.sim import fastcore
 from repro.sim.engine import Simulator, simulate
 from repro.sim.scheduler import EDFScheduler
+from repro.tasks.arrivals import (
+    BurstyArrival,
+    ExponentialGapArrival,
+    PeriodicArrival,
+    UniformJitterArrival,
+)
+from repro.tasks.generators import generate_taskset
 
 pytestmark = pytest.mark.compiled
 
@@ -223,6 +233,47 @@ def test_slack_kernels_identical():
         heur_c = heuristic_slack(state)
     assert exact_i == exact_c  # bitwise, not approx
     assert heur_i == heur_c
+
+
+ARRIVALS = {
+    "periodic": lambda seed: PeriodicArrival(),
+    "jitter": lambda seed: UniformJitterArrival(jitter=0.5, seed=seed),
+    "exponential": lambda seed: ExponentialGapArrival(mean_extra=0.5,
+                                                      seed=seed),
+    "bursty": lambda seed: BurstyArrival(seed=seed),
+}
+
+
+@needs_compiled
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(min_value=2, max_value=6),
+       u=st.floats(min_value=0.2, max_value=0.95),
+       seed=st.integers(min_value=0, max_value=2**31 - 1),
+       bcwc=st.sampled_from((0.1, 0.5, 0.9)),
+       constrained=st.booleans(),
+       arrival=st.sampled_from(sorted(ARRIVALS)))
+# Two exact speeds sharing one round(speed, 12) key, interleaved in
+# time: speed_time must sum them in time order, as the dict update does.
+@example(n=5, u=0.4, seed=6, bcwc=0.5, constrained=False,
+         arrival="periodic")
+def test_engines_identical_randomized(n, u, seed, bcwc, constrained,
+                                      arrival):
+    """Random task sets, implicit or constrained deadlines, periodic or
+    sporadic arrivals: every default policy gives the same result on
+    both engines."""
+    taskset = generate_taskset(
+        n, u, np.random.default_rng(seed),
+        deadline_range=(0.5, 1.0) if constrained else None)
+    for policy in DEFAULT_POLICIES:
+        results = []
+        for backend in (False, True):
+            with fastcore.forced(backend):
+                results.append(simulate(
+                    taskset, ideal_processor(), make_policy(policy),
+                    bcwc_model(bcwc, seed), horizon=300.0,
+                    arrival_model=ARRIVALS[arrival](seed),
+                    allow_misses=True))
+        assert_results_identical(*results)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ The contracts under test (DESIGN.md §14):
   streams — identical {unit.done, cell.done, cell.resumed} event sets
   and identical terminal summaries — and both validate structurally;
 * the manifest's ``progress`` block equals the stream's terminal
-  snapshot (the equality ``scripts/progress_gate.py`` enforces in CI);
+  snapshot (the equality ``scripts/identity_gate.py`` enforces in CI);
 * resumed sweeps narrate ``cell.resumed`` and count those units;
 * corrupt or truncated lines are skipped and counted — in the
   snapshot and in the ``progress.corrupt`` telemetry counter — never

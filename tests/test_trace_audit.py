@@ -44,6 +44,20 @@ def traced_sim(policy="lpSTA", taskset=None, horizon=40.0, faults=None,
                      allow_misses=True, faults=faults)
 
 
+def governed_laedf_sim(stuck=0.0):
+    """laEDF under the governor, with overruns and optional stuck
+    speed switches: the governor raises floors at most dispatches."""
+    plan = FaultPlan(
+        seed=1, overrun=OverrunFault(factor=1.3, probability=0.4),
+        transition=(TransitionFault(stuck_probability=stuck)
+                    if stuck else None))
+    return Simulator(standard_taskset(4, 0.5, seed=1), ideal_processor(),
+                     make_policy("laEDF", governed=True,
+                                 governor_margin=1.3),
+                     bcwc_model(0.5, seed=1), horizon=120.0,
+                     record_trace=True, allow_misses=True, faults=plan)
+
+
 class TestCleanRuns:
     @pytest.mark.parametrize("policy", ALL_POLICY_NAMES)
     def test_every_policy_audits_clean(self, policy):
@@ -65,6 +79,17 @@ class TestCleanRuns:
         _, violations = run_and_audit(
             traced_sim("lpSTA", faults=plan, governed=True,
                        governor_margin=1.4))
+        assert violations == [], render_violations(violations)
+
+    def test_stuck_switch_below_governor_floor_audits_clean(self):
+        """A stuck switch holds the old speed under a governor floor:
+        the injected fault, not the policy, kept the dispatch below it."""
+        result, violations = run_and_audit(governed_laedf_sim(stuck=0.3))
+        stuck = {note.time
+                 for note in result.notes_of_kind("transition-fault")
+                 if note.detail.startswith("stuck at")}
+        assert stuck & {note.time
+                        for note in result.notes_of_kind("governor")}
         assert violations == [], render_violations(violations)
 
     def test_requires_trace(self):
@@ -132,6 +157,20 @@ class TestMutationDetection:
             segs[i] = dataclasses.replace(segs[i],
                                           energy=segs[i].energy + 1.0)
         assert "energy" in _audit_mutated(mutate)
+
+    def test_governor_floor_breach_detected(self):
+        sim = governed_laedf_sim()
+        result = sim.run()
+        note = result.notes_of_kind("governor")[0]
+        job = note.detail.partition(":")[0]
+        segs = result.trace._segments
+        i = next(j for j, s in enumerate(segs)
+                 if s.kind == SegmentKind.RUN and s.job == job
+                 and s.end > note.time)
+        segs[i] = dataclasses.replace(segs[i], speed=segs[i].speed * 0.5)
+        violations = audit_trace(result, sim.taskset, sim.processor,
+                                 sim.execution_model, sim.arrival_model)
+        assert "governor-floor" in {v.kind for v in violations}
 
     def test_render_names_the_violations(self):
         violations = [Violation(kind="coverage", time=1.0,
