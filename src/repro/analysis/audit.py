@@ -25,8 +25,8 @@ Invariants audited, in one merge-walk over the segment stream:
 * **energy** — the per-job :class:`~repro.trace.ledger.EnergyLedger`
   reconciles bucket-by-bucket with the result's energy totals;
 * **governor-floor** — every governor intervention note is honoured by
-  the dispatch it clamped (the run executes at or above the floor),
-  unless an injected transition fault held the switch at the old speed.
+  the dispatch it clamped (the run executes at or above the floor, or
+  at the old speed when an injected transition fault held that switch).
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ from repro.types import DEADLINE_EPS, TIME_EPS
 
 #: Governor note floors are rendered with 4 decimals; allow that much.
 _FLOOR_TOL = 1e-4
+#: The engine's note for a switch a transition fault held at the old speed.
+_STUCK = re.compile(r"stuck at ([0-9.e+-]+) ")
 
 
 @dataclass(frozen=True)
@@ -292,19 +294,20 @@ def _audit_governor_floor(result: SimulationResult,
     """Every governor clamp note must be honoured by its dispatch."""
     violations: list[Violation] = []
     segments = result.trace.segments
-    # A stuck switch keeps the old speed: the floor was asked for, and
-    # the injected fault, not the policy, kept the dispatch below it.
-    stuck_at = [note.time
-                for note in result.notes_of_kind("transition-fault")
-                if note.detail.startswith("stuck at")]
-    for note in result.notes_of_kind("governor"):
+    notes = result.notes
+    for index, note in enumerate(notes):
+        if note.kind != "governor":
+            continue
         job, _, rest = note.detail.partition(":")
         match = re.search(r"->\s*([0-9.]+)", rest)
         if not job or match is None:
             continue
-        if any(abs(t - note.time) <= time_eps for t in stuck_at):
-            continue
         floor = float(match.group(1))
+        held = _held_speed(notes, index, time_eps)
+        # A stuck switch keeps the old speed, so the fault, not the
+        # policy, bounds this dispatch: it must still run at or above
+        # the speed the switch held.
+        required = floor if held is None else min(floor, held)
         # The clamped dispatch runs right after the note (modulo a
         # timed switch).  If a release during the switch re-dispatched
         # another job, the floor no longer binds — skip.
@@ -314,14 +317,33 @@ def _audit_governor_floor(result: SimulationResult,
             if seg.kind == SegmentKind.SWITCH:
                 continue
             if seg.kind == SegmentKind.RUN and seg.job == job:
-                if seg.speed < floor - _FLOOR_TOL:
+                if seg.speed < required - _FLOOR_TOL:
+                    held_text = ("" if held is None else
+                                 f" (a stuck switch held {held:g})")
                     violations.append(Violation(
                         kind="governor-floor", time=seg.start, job=job,
                         message=f"governor raised the floor to "
-                                f"{floor:g} but the dispatch ran at "
-                                f"{seg.speed:g}"))
+                                f"{floor:g}{held_text} but the dispatch "
+                                f"ran at {seg.speed:g}"))
             break
     return violations
+
+
+def _held_speed(notes, index: int, time_eps: float) -> float | None:
+    """The speed a stuck switch held for the clamp note at *index*.
+
+    The engine applies the clamped speed right after the governor
+    notes it, so that switch's ``stuck at`` note is a later note at the
+    same instant, before the next clamp.
+    """
+    when = notes[index].time
+    for note in notes[index + 1:]:
+        if note.time > when + time_eps or note.kind == "governor":
+            return None
+        match = _STUCK.match(note.detail)
+        if note.kind == "transition-fault" and match is not None:
+            return float(match.group(1))
+    return None
 
 
 def run_and_audit(simulator) -> tuple[SimulationResult, list[Violation]]:

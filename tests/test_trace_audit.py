@@ -24,7 +24,7 @@ from repro.faults.plan import TransitionFault
 from repro.policies.registry import ALL_POLICY_NAMES, make_policy
 from repro.sim.engine import Simulator
 from repro.sim.results import DeadlineMiss
-from repro.sim.tracing import SegmentKind
+from repro.sim.tracing import SegmentKind, TraceNote
 from repro.tasks.task import PeriodicTask
 from repro.tasks.taskset import TaskSet
 
@@ -158,19 +158,56 @@ class TestMutationDetection:
                                           energy=segs[i].energy + 1.0)
         assert "energy" in _audit_mutated(mutate)
 
-    def test_governor_floor_breach_detected(self):
-        sim = governed_laedf_sim()
-        result = sim.run()
-        note = result.notes_of_kind("governor")[0]
+    @staticmethod
+    def _halve_clamped_dispatch(result, note):
+        """Halve the speed of the run the governor *note* clamped."""
         job = note.detail.partition(":")[0]
         segs = result.trace._segments
         i = next(j for j, s in enumerate(segs)
                  if s.kind == SegmentKind.RUN and s.job == job
                  and s.end > note.time)
         segs[i] = dataclasses.replace(segs[i], speed=segs[i].speed * 0.5)
-        violations = audit_trace(result, sim.taskset, sim.processor,
-                                 sim.execution_model, sim.arrival_model)
-        assert "governor-floor" in {v.kind for v in violations}
+
+    @staticmethod
+    def _floor_kinds(sim, result):
+        return {v.kind for v in audit_trace(
+            result, sim.taskset, sim.processor, sim.execution_model,
+            sim.arrival_model)}
+
+    def test_governor_floor_breach_detected(self):
+        sim = governed_laedf_sim()
+        result = sim.run()
+        self._halve_clamped_dispatch(result,
+                                     result.notes_of_kind("governor")[0])
+        assert "governor-floor" in self._floor_kinds(sim, result)
+
+    def test_breach_below_a_stuck_switch_detected(self):
+        """A stuck switch lowers the floor to the speed it held, no
+        further: a dispatch below the held speed is still a breach."""
+        sim = governed_laedf_sim(stuck=0.3)
+        result = sim.run()
+        notes = result.notes
+        held = next(
+            note for note, after in zip(notes, notes[1:])
+            if note.kind == "governor" and after.time == note.time
+            and after.detail.startswith("stuck at"))
+        assert self._floor_kinds(sim, result) == set()
+        self._halve_clamped_dispatch(result, held)
+        assert "governor-floor" in self._floor_kinds(sim, result)
+
+    def test_stuck_switch_of_an_earlier_dispatch_ignored(self):
+        """Only the switch that follows a clamp can hold its dispatch:
+        a stuck note earlier at the same instant belongs to another."""
+        sim = governed_laedf_sim()
+        result = sim.run()
+        note = result.notes_of_kind("governor")[0]
+        at = result.notes.index(note)
+        result.notes = (result.notes[:at]
+                        + (TraceNote(note.time, "transition-fault",
+                                     "stuck at 0.01 (wanted 1)"),)
+                        + result.notes[at:])
+        self._halve_clamped_dispatch(result, note)
+        assert "governor-floor" in self._floor_kinds(sim, result)
 
     def test_render_names_the_violations(self):
         violations = [Violation(kind="coverage", time=1.0,
