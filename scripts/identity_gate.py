@@ -97,13 +97,15 @@ SPEC = st.fixed_dictionaries({
 #: pairing runs.  The first derandomized example is the strategy's
 #: minimum, so it goes to a shape whose task count is capped.
 DRAWN_SHAPES = ((True, False), (False, False), (True, True))
-#: EXP-F6's constrained family: 8 tasks at most (six policies bind via
-#: a pure-Python demand-test search, ~0.5 s a unit at 15 tasks).
+#: EXP-F6's constrained family, at most EXP-F3's largest task count.
 CONSTRAINED_RANGE = (0.6, 0.95)
-CONSTRAINED_MAX_N = 8
+CONSTRAINED_MAX_N = 16
 N_SPECS = len(FIXED_SPECS) + len(DRAWN_SHAPES)
 UNITS = N_SPECS * N_SEEDS
 RUNS = UNITS * len(ALL_POLICY_NAMES)  # each unit runs every policy
+#: The policies whose speed the compiled core decides itself on every
+#: compiled run, except under the safety governor (faulted specs).
+C_DECIDED = ("lpSTA", "lpSEH", "laEDF", "feedback", "DRA")
 
 CHAOS_PROBABILITY = 0.1
 #: Chaos legs' unit deadline: several times the slowest honest unit
@@ -289,19 +291,34 @@ def check_progress(tag: str, leg: dict, directory: Path) -> list[tuple]:
         if e["kind"] in ("unit.done", "cell.done", "cell.resumed"))
 
 
-def check_engines(tag: str, leg: dict, parent_runs: int) -> None:
-    """Interpreted legs run no C; compiled legs run every suite in C."""
+def check_engines(tag: str, leg: dict, parent_runs: int,
+                  parent_decides: dict[str, int], decided_units: int) -> None:
+    """Interpreted legs run no C; compiled legs run every suite in C,
+    and every unguarded run of the :data:`C_DECIDED` policies also
+    decides its speeds in C (the engagement probe)."""
     counted = TELEMETRY.counter("engine.compiled_runs")
+    decides = TELEMETRY.counter("engine.compiled_decides")
     if not leg["compiled"]:
-        check(f"{tag} stayed interpreted", parent_runs == counted == 0,
+        check(f"{tag} stayed interpreted",
+              parent_runs == counted == decides == 0
+              and not parent_decides,
               f"compiled runs: {parent_runs} parent, {counted} counted")
         return
+    expected = {name: decided_units for name in C_DECIDED}
     if leg["workers"] == 1:
         check(f"{tag} compiled core ran every suite", parent_runs == RUNS,
               f"{parent_runs} of {RUNS} runs compiled")
+        check(f"{tag} every unguarded run of {'/'.join(C_DECIDED)} "
+              f"decided in C", parent_decides == expected,
+              f"decided {parent_decides}, expected {expected}")
     if leg["telemetry"]:
         check(f"{tag} compiled core ran every suite, workers included",
               counted == RUNS, f"engine.compiled_runs={counted} of {RUNS}")
+        check(f"{tag} every unguarded run of {'/'.join(C_DECIDED)} "
+              f"decided in C, workers included",
+              decides == len(C_DECIDED) * decided_units,
+              f"engine.compiled_decides={decides} of "
+              f"{len(C_DECIDED) * decided_units}")
 
 
 def check_profile(tag: str, leg: dict, delta: dict, measured: float) -> None:
@@ -342,7 +359,7 @@ def check_chaos(tag: str, leg: dict, kwargs: dict, cells: list,
 
 
 def run_leg(tag: str, leg: dict, kwargs: dict, reference: list[str],
-            tmp: Path, folds: dict) -> None:
+            tmp: Path, folds: dict, decided_units: int) -> None:
     """Run one leg, compare it with the reference, check its toggles."""
     kwargs = dict(kwargs, workers=leg["workers"])
     stream_dir = tmp / "progress"
@@ -358,6 +375,7 @@ def run_leg(tag: str, leg: dict, kwargs: dict, reference: list[str],
             manifest_dir=stream_dir if leg["progress"] else None)
     PROFILER.configure(enabled=leg["profile"])
     parent_before = fastcore.RUN_COUNTS["compiled"]
+    decided_before = dict(fastcore.RUN_COUNTS["decided"])
     t0 = time.perf_counter()
     try:
         with fastcore.forced(leg["compiled"]):
@@ -373,8 +391,12 @@ def run_leg(tag: str, leg: dict, kwargs: dict, reference: list[str],
                   fps == reference, "spec(s) "
                   f"{[i for i, fp in enumerate(fps) if fp != reference[i]]}"
                   " diverge")
+            decided = {
+                name: count - decided_before.get(name, 0)
+                for name, count in fastcore.RUN_COUNTS["decided"].items()
+                if count != decided_before.get(name, 0)}
             check_engines(tag, leg, fastcore.RUN_COUNTS["compiled"]
-                          - parent_before)
+                          - parent_before, decided, decided_units)
             if leg["telemetry"] and leg["audit"]:
                 check(f"{tag} every run audited",
                       TELEMETRY.counter("audit.runs") == RUNS,
@@ -456,6 +478,7 @@ def main() -> int:
         skip.append("workers")
 
     kwargs = sweep_kwargs(specs)
+    decided_units = N_SEEDS * sum(spec["faults"] is None for spec in specs)
     folds: dict = {"phases": {}, "events": {}}
     with tempfile.TemporaryDirectory(prefix="identity-gate-") as root:
         root = Path(root)
@@ -483,7 +506,7 @@ def main() -> int:
                 continue
             (root / f"leg{number}").mkdir()
             run_leg(tag, leg, kwargs, reference, root / f"leg{number}",
-                    folds)
+                    folds, decided_units)
 
     check_folds_agree("profile phase counts", folds["phases"])
     check_folds_agree("progress unit/cell events", folds["events"])

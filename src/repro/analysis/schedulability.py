@@ -8,7 +8,10 @@ is schedulable at maximum speed in the first place.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.analysis.demand import dbf
 from repro.errors import ConfigurationError
@@ -112,25 +115,32 @@ def rm_response_time_analysis(taskset: TaskSet,
     return ResponseTimeResult(schedulable=schedulable, response_times=response)
 
 
+#: minimum_constant_speed per task set: six policies bind with it, once
+#: per run, and every policy of a suite shares the task set.
+_MIN_SPEED: "weakref.WeakKeyDictionary[TaskSet, float]" = \
+    weakref.WeakKeyDictionary()
+
+
 def minimum_constant_speed(taskset: TaskSet) -> float:
     """Lowest constant speed at which EDF meets all deadlines.
 
     For implicit deadlines this is exactly the utilization; for
     constrained deadlines a binary search over the processor-demand
-    test is performed.
+    test is performed.  Computed once per task set.
     """
+    speed = _MIN_SPEED.get(taskset)
+    if speed is None:
+        speed = _MIN_SPEED[taskset] = _minimum_constant_speed(taskset)
+    return speed
+
+
+def _minimum_constant_speed(taskset: TaskSet) -> float:
     if taskset.implicit_deadlines:
         return min(1.0, taskset.utilization)
     low, high = taskset.utilization, 1.0
     if low >= 1.0:
         return 1.0
-
-    def feasible(speed: float) -> bool:
-        if any(t.wcet / speed > t.deadline for t in taskset):
-            return False
-        scaled = TaskSet([t.scaled(1.0 / speed) for t in taskset])
-        return processor_demand_test(scaled)
-
+    feasible = _ScaledDemandTest(taskset)
     for _ in range(64):
         mid = 0.5 * (low + high)
         if feasible(mid):
@@ -140,3 +150,74 @@ def minimum_constant_speed(taskset: TaskSet) -> float:
         if high - low < 1e-9:
             break
     return high
+
+
+def _feasible_at(taskset: TaskSet, speed: float) -> bool:
+    """The processor-demand test of *taskset* run at constant *speed*."""
+    if any(t.wcet / speed > t.deadline for t in taskset):
+        return False
+    scaled = TaskSet([t.scaled(1.0 / speed) for t in taskset])
+    return processor_demand_test(scaled)
+
+
+class _ScaledDemandTest:
+    """:func:`_feasible_at` for many speeds of one task set.
+
+    The scaled set's check points are a prefix of the same per-task
+    deadline streams at every speed, so they are enumerated once (up to
+    the hyperperiod, the largest bound) and each call evaluates the
+    demand bound at all of them with numpy, task by task in task order:
+    the same float operations in the same order as
+    :func:`processor_demand_test`, so the verdict is the same.  Sets
+    whose hyperperiod is unknown or too long keep the scalar test.
+    """
+
+    def __init__(self, taskset: TaskSet, max_points: int = 1_000_000) -> None:
+        self.taskset = taskset
+        tasks = taskset.tasks
+        self.columns = [(t.wcet, t.deadline, t.period) for t in tasks]
+        self.max_gap = max(t.period - t.deadline for t in tasks)
+        self.max_deadline = max(t.deadline for t in tasks)
+        self.points = None
+        try:
+            self.hyperperiod = taskset.hyperperiod()
+        except ConfigurationError:
+            return
+        if sum(self.hyperperiod / t.period + 1 for t in tasks) > max_points:
+            return
+        points: set[Time] = set()
+        for task in tasks:
+            deadline = task.deadline
+            while deadline <= self.hyperperiod + 1e-9:
+                points.add(deadline)
+                deadline += task.period
+        self.points = np.array(sorted(points))
+
+    def __call__(self, speed: float) -> bool:
+        if self.points is None:
+            return _feasible_at(self.taskset, speed)
+        if any(wcet / speed > deadline
+               for wcet, deadline, _period in self.columns):
+            return False
+        factor = 1.0 / speed
+        scaled = [(wcet * factor, deadline, period)
+                  for wcet, deadline, period in self.columns]
+        if any(wcet > deadline for wcet, deadline, _period in scaled):
+            # Building the scaled tasks raises; let the scalar path.
+            return _feasible_at(self.taskset, speed)
+        u = sum(wcet / period for wcet, _deadline, period in scaled)
+        if u > 1.0 + 1e-9:
+            return False
+        if u < 1.0 - 1e-9:
+            bound = max(self.max_gap * u / (1.0 - u), self.max_deadline)
+        else:
+            bound = math.inf
+        bound = min(bound, self.hyperperiod)
+        points = self.points[:np.searchsorted(self.points, bound + 1e-9,
+                                              side="right")]
+        total = None
+        for wcet, deadline, period in scaled:
+            jobs = np.floor((points - deadline) / period) + 1.0
+            term = np.maximum(jobs, 0.0) * wcet
+            total = term if total is None else total + term
+        return not bool(np.any(total > points + 1e-9))

@@ -38,9 +38,10 @@ Commands
     ``timeline`` a sweep's telemetry events as a worker-lane trace.
 ``doctor``
     Report the execution backends this install will actually use:
-    numpy, the compiled engine core (DESIGN.md §13), the parallel executor's
-    default worker count, and the profiling layer's availability and
-    measured per-region overhead.
+    numpy, the compiled engine core (DESIGN.md §13) and, from one short
+    probe run each, which policies decide their speeds in C, the
+    parallel executor's default worker count, and the profiling layer's
+    availability and measured per-region overhead.
 ``profile``
     The phase profiler (DESIGN.md §15): ``run`` an instrumented EXP-F1
     mini sweep and print its time budget (writing the manifest with a
@@ -331,6 +332,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _decide_probe(policy_names) -> None:
+    """One short compiled run per policy, so ``doctor`` can show which
+    of them decide their speeds in C on this install."""
+    from repro.cpu.profiles import ideal_processor
+    from repro.experiments.runner import bcwc_model, standard_taskset
+    from repro.policies.registry import make_policy
+    from repro.sim.engine import simulate
+
+    taskset = standard_taskset(4, 0.6, 2002)
+    for name in policy_names:
+        simulate(taskset, ideal_processor(), make_policy(name),
+                 bcwc_model(0.5, 2002), horizon=200.0)
+
+
 def _cmd_doctor(args: argparse.Namespace) -> int:
     """Report which execution backends this install will actually use."""
     from repro.experiments.parallel import default_workers, fork_available
@@ -346,9 +361,16 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
             "present but disabled (REPRO_COMPILED=0 / --no-compiled)"
         print(f"compiled core:  {info['backend']} — {state}")
         print(f"                loaded from {info['origin']}")
+        if info["enabled"]:
+            _decide_probe(fastcore.DECIDED_POLICIES)
+            info = fastcore.core_info()
         print(f"                runs this process: "
               f"{info['runs']['compiled']} compiled, "
               f"{info['runs']['interpreted']} interpreted")
+        decided = info["runs"]["decided"]
+        print("                decided in C: " + ", ".join(
+            f"{name} {decided.get(name, 0)}"
+            for name in fastcore.DECIDED_POLICIES))
     else:
         print("compiled core:  not built — interpreted engine only")
         print(f"                ({info['reason']})")

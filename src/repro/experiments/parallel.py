@@ -83,6 +83,7 @@ from repro.errors import UnitTimeoutError, WorkerCrashError
 from repro.experiments import chaos as _chaos
 from repro.experiments.resilience import (
     QuarantinedCell,
+    classify,
     retry_budget,
     unit_deadline,
 )
@@ -236,7 +237,7 @@ atexit.register(shutdown_pool)
 
 
 def _suite_summaries(spec: dict[str, Any], x: float, seed: int,
-                     audit: bool = False) -> "dict[str, PolicySummary]":
+                     audit: bool = False) -> tuple:
     """One (cell, seed) suite under *spec*, with in-worker retries.
 
     The worker-side twin of the runner's ``compute_unit``: the chaos
@@ -245,6 +246,12 @@ def _suite_summaries(spec: dict[str, Any], x: float, seed: int,
     workers run tasks on their main thread, so the alarm is armable —
     and retries are *classified*: deterministic failures get a zero
     budget and fail fast.
+
+    Returns ``(summaries, None)``, or ``(None, failure)`` once the
+    retries are spent: ``failure`` is ``(error, classification,
+    attempts)``, classified here because the error's cause chain (a
+    ``SuiteExecutionError`` wrapping a ``UnitTimeoutError``) does not
+    survive pickling back to the parent.
     """
     from repro.experiments.runner import run_suite
 
@@ -278,12 +285,12 @@ def _suite_summaries(spec: dict[str, Any], x: float, seed: int,
                                 if faults_factory else None),
                         workload_seed=seed,
                         audit=audit)
-            return suite.policy_summaries()
+            return suite.policy_summaries(), None
         except Exception as exc:
             if isinstance(exc, UnitTimeoutError):
                 _TELEMETRY.inc("resilience.unit_timeouts")
             if attempt >= retry_budget(exc, spec["max_retries"]):
-                raise
+                return None, (exc, classify(exc), attempt + 1)
             _TELEMETRY.inc("sweep.retries")
             _TELEMETRY.emit("sweep.retry", x=x, seed=seed,
                             attempt=attempt)
@@ -293,11 +300,13 @@ def _suite_summaries(spec: dict[str, Any], x: float, seed: int,
 
 def _run_chunk(
     chunk: list[tuple[int, int, float, int, int]],
-) -> tuple[list[tuple[int, Any, Exception | None]], dict | None]:
+) -> tuple[list[tuple], dict | None]:
     """Run one chunk of ``(pos, index, x, seed_pos, seed)`` units.
 
     Executed inside a forked worker.  Returns ``(outcomes, meta)``:
-    ``(pos, summaries, error)`` outcomes in unit order — a unit that
+    ``(pos, summaries, error, failure)`` outcomes in unit order, where
+    ``failure`` is a failed unit's ``(classification, attempts)`` as
+    the worker saw them — a unit that
     still fails after its in-worker retries is reported as a *value*
     (so the parent can pick the lowest-ordered failure across all
     chunks) and ends the chunk, as a serial sweep would not have run
@@ -329,22 +338,22 @@ def _run_chunk(
     audit_every = spec.get("audit_every")
     n_seeds = spec.get("n_seeds", 0)
     quarantining = spec.get("on_failure") == "quarantine"
-    outcomes: list[tuple[int, Any, Exception | None]] = []
+    outcomes: list[tuple] = []
     for pos, index, x, seed_pos, seed in chunk:
         # Same unit positions as the serial loop, so spot-audit
         # selection is identical in both paths.
         audit = (audit_every is not None
                  and (index * n_seeds + seed_pos) % audit_every == 0)
-        try:
-            summaries = _suite_summaries(spec, x, seed, audit=audit)
-        except Exception as exc:
-            outcomes.append((pos, None, exc))
+        summaries, failure = _suite_summaries(spec, x, seed, audit=audit)
+        if failure is not None:
+            error, classification, attempts = failure
+            outcomes.append((pos, None, error, (classification, attempts)))
             if quarantining:
                 # The parent will quarantine this unit and keep the
                 # sweep going, so the chunk keeps going too.
                 continue
             break
-        outcomes.append((pos, summaries, None))
+        outcomes.append((pos, summaries, None, None))
     if prof.enabled:
         prof.pop()
     meta = None
@@ -586,8 +595,14 @@ def run_cells(
         return (max_units * ((1 + max_retries) * unit_timeout + backoff)
                 + 5.0)
 
-    def resolve(pos: int, summaries: Any, err: BaseException | None) -> None:
-        """Settle one unit outcome: fold, quarantine, or note failure."""
+    def resolve(pos: int, summaries: Any, err: BaseException | None,
+                failure: tuple[str, int] | None = None) -> None:
+        """Settle one unit outcome: fold, quarantine, or note failure.
+
+        *failure* is the worker's ``(classification, attempts)`` for
+        *err*; without it (a crash the parent saw) both are derived
+        from *err* here.
+        """
         nonlocal best_err
         if pos not in remaining:
             return  # stale duplicate from a superseded generation
@@ -600,11 +615,12 @@ def run_cells(
                     best_err = (pos, err)
                 return
             remaining.discard(pos)
+            classification, attempts = failure or (
+                None, 1 + retry_budget(err, max_retries))
             record = QuarantinedCell.from_failure(
                 err, index=index, x=float(x), seed=seed,
-                seed_pos=seed_pos,
-                attempts=1 + retry_budget(err, max_retries),
-                fingerprint=keys[pos])
+                seed_pos=seed_pos, attempts=attempts,
+                classification=classification, fingerprint=keys[pos])
             if quarantine_store is not None:
                 quarantine_store.record(record)
             _TELEMETRY.inc("resilience.quarantined")
@@ -710,8 +726,8 @@ def run_cells(
                         continue
                     if meta is not None:
                         merge_meta(meta)
-                    for pos, summaries, err in outcomes:
-                        resolve(pos, summaries, err)
+                    for outcome in outcomes:
+                        resolve(*outcome)
             if shutdown is not None and shutdown.requested:
                 # Draining: drop whatever has not started (their units
                 # stay unresolved, for the resumed run) but finish
@@ -869,8 +885,8 @@ def run_cells(
             outcomes, meta = _run_chunk([units[p] for p in positions])
             if meta is not None:
                 merge_meta(meta, inline=True)
-            for pos, summaries, err in outcomes:
-                resolve(pos, summaries, err)
+            for outcome in outcomes:
+                resolve(*outcome)
         max_units = max((len(todo[start:stop]) for start, stop in plans),
                         default=1)
         broke = consume(pool, chunk_futures, stall_budget(max_units)) or broke

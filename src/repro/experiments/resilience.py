@@ -172,11 +172,16 @@ class QuarantinedCell:
     @classmethod
     def from_failure(cls, exc: BaseException, *, index: int, x: float,
                      seed: int, seed_pos: int, attempts: int,
+                     classification: str | None = None,
                      fingerprint: str | None = None) -> "QuarantinedCell":
+        """The record of *exc*; *classification* defaults to
+        :func:`classify` of *exc* (pass the one made where the cause
+        chain was still intact)."""
         return cls(
             index=index, x=float(x), seed=int(seed), seed_pos=seed_pos,
             attempts=attempts, error_type=type(exc).__name__,
-            error_message=str(exc), classification=classify(exc),
+            error_message=str(exc),
+            classification=classification or classify(exc),
             policy=getattr(exc, "policy", None),
             fingerprint=fingerprint)
 

@@ -14,8 +14,9 @@ policy instance can serve many runs.
 
 from __future__ import annotations
 
+import sys
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from repro.cpu.processor import Processor
 from repro.tasks.job import Job
@@ -30,16 +31,88 @@ SPEED_BOUNDS: tuple[float, ...] = (
 if TYPE_CHECKING:
     from repro.sim.engine import SimContext
 
+#: What a compiled decide stands in for: the policy's methods, and the
+#: analysis helpers its module imported.  Replacing any of them after
+#: the class was defined (a monkeypatch, a tracer) keeps the Python path.
+_DECIDE_HOOKS = ("bind", "reset", "select_speed", "on_release",
+                 "on_completion", "observe_slack", "observe_decision",
+                 "deferral_speed", "_advance_canonical", "_gc")
+_DECIDE_HELPERS = ("exact_slack", "heuristic_slack", "allotted_speed",
+                   "stretch_speed")
+
+
+def _hook_snapshot(cls: type) -> tuple:
+    module = vars(sys.modules.get(cls.__module__, sys))
+    return (tuple(getattr(cls, name, None) for name in _DECIDE_HOOKS)
+            + tuple(module.get(name) for name in _DECIDE_HELPERS))
+
+
+class DecideSpec(NamedTuple):
+    """What the compiled core needs to run a policy's speed decision.
+
+    Set by :meth:`DvsPolicy.bind` of the policies the compiled core can
+    decide for (DESIGN.md §13.4).  *owner* is the class whose hooks the
+    decide mirrors: a subclass inherits the spec but not the decide.
+    """
+
+    owner: type
+    #: ``"lpSTA"``, ``"lpSEH"``, ``"laEDF"``, ``"feedback"`` or ``"DRA"``.
+    kind: str
+    #: Reference speed of the analysis (DRA: the canonical speed).
+    baseline: float = 1.0
+    #: The tasks in the reference time base (``None``: the task set's).
+    tasks: tuple | None = None
+    #: lpSTA's window cap in max periods (``None``: no cap).
+    window_cap: float | None = None
+    #: lpSTA: the greedy full-speed baseline; laEDF: the safety floor.
+    option: bool = False
+    #: feedback's PID gains ``(kp, ki, kd)``.
+    gains: tuple[float, float, float] = (0.0, 0.0, 0.0)
+
+
+class DecideState(NamedTuple):
+    """The policy state a compiled decide leaves behind after a run."""
+
+    analysis_calls: int
+    #: One ``(prediction, integral, last_error)`` per task, task order.
+    pid: tuple
+    canonical_now: float
+    #: One ``(task index, job index, deadline, release, budget, done)``
+    #: per alpha-queue entry, in queue order.
+    alpha: tuple
+
 
 class DvsPolicy(ABC):
     """Base class for dynamic voltage scaling policies."""
 
     #: Registry/reporting identifier; subclasses override.
     name: str = "abstract"
+    #: Set by ``bind`` when the compiled core can decide for the policy.
+    decide_spec: DecideSpec | None = None
 
     def __init__(self) -> None:
         self.taskset: TaskSet | None = None
         self.processor: Processor | None = None
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._reference_hooks = _hook_snapshot(cls)
+
+    def decides_unpatched(self) -> bool:
+        """Whether the spec's owner and this instance still run the
+        hooks the compiled decide mirrors."""
+        spec = self.decide_spec
+        if spec is None or type(self) is not spec.owner:
+            return False
+        current = _hook_snapshot(spec.owner)
+        return (all(a is b for a, b in zip(current,
+                                           spec.owner._reference_hooks))
+                and not any(name in vars(self) for name in _DECIDE_HOOKS))
+
+    def absorb_decide_state(self, state: DecideState) -> None:
+        """Take back the state a compiled decide ran on (see
+        :class:`DecideState`); the policy then reads as if its own
+        hooks had run."""
 
     def bind(self, taskset: TaskSet, processor: Processor) -> None:
         """Attach to a run; resets all per-run state."""

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.schedulability import minimum_constant_speed
 from repro.cpu.processor import Processor
-from repro.policies.base import DvsPolicy
+from repro.policies.base import DecideSpec, DecideState, DvsPolicy
 from repro.tasks.job import Job
 from repro.tasks.taskset import TaskSet
 from repro.types import Speed, Time
@@ -68,10 +68,24 @@ class DraPolicy(DvsPolicy):
         super().bind(taskset, processor)
         self._static_speed = max(minimum_constant_speed(taskset),
                                  processor.min_speed, 1e-9)
+        self.decide_spec = DecideSpec(DraPolicy, "DRA", self._static_speed)
 
     def reset(self) -> None:
         self._entries = {}
         self._canonical_now = 0.0
+
+    def absorb_decide_state(self, state: DecideState) -> None:
+        assert self.taskset is not None
+        tasks = self.taskset.tasks
+        self._canonical_now = state.canonical_now
+        self._entries = {}
+        for task_index, index, deadline, release, budget, done \
+                in state.alpha:
+            name = tasks[task_index].name
+            self._entries[f"{name}#{index}"] = _AlphaEntry(
+                job_name=f"{name}#{index}", deadline=deadline,
+                release=release, task_name=name, index=index,
+                budget=budget, actual_done=done)
 
     # -- canonical-schedule bookkeeping --------------------------------
 

@@ -26,7 +26,7 @@ from repro.analysis.schedulability import minimum_constant_speed
 from repro.analysis.slack import heuristic_slack, scale_tasks
 from repro.cpu.processor import Processor
 from repro.errors import ConfigurationError
-from repro.policies.base import DvsPolicy
+from repro.policies.base import DecideSpec, DecideState, DvsPolicy
 from repro.tasks.job import Job
 from repro.tasks.task import PeriodicTask
 from repro.tasks.taskset import TaskSet
@@ -70,12 +70,22 @@ class FeedbackDvsPolicy(DvsPolicy):
                                    processor.min_speed, 1e-9)
         self._scaled_tasks = scale_tasks(taskset.tasks,
                                          self._baseline_speed)
+        self.decide_spec = DecideSpec(
+            FeedbackDvsPolicy, "feedback", self._baseline_speed,
+            self._scaled_tasks, gains=(self.kp, self.ki, self.kd))
 
     def reset(self) -> None:
         assert self.taskset is not None
         # Cold-start at the worst case: safe and quickly corrected.
         self._pid = {t.name: _PidState(prediction=t.wcet)
                      for t in self.taskset}
+
+    def absorb_decide_state(self, state: DecideState) -> None:
+        assert self.taskset is not None
+        for task, (prediction, integral, last_error) in zip(self.taskset,
+                                                            state.pid):
+            self._pid[task.name] = _PidState(prediction, integral,
+                                             last_error)
 
     def prediction(self, task_name: str) -> Work:
         """Current execution-time prediction for one task."""

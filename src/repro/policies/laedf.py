@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.slack import heuristic_slack
 from repro.cpu.processor import Processor
-from repro.policies.base import DvsPolicy
+from repro.policies.base import DecideSpec, DvsPolicy
 from repro.tasks.job import Job
 from repro.tasks.taskset import TaskSet
 from repro.types import Speed
@@ -51,6 +51,8 @@ class LaEdfPolicy(DvsPolicy):
     def bind(self, taskset: TaskSet, processor: Processor) -> None:
         super().bind(taskset, processor)
         self._total_utilization = sum(task.utilization for task in taskset)
+        self.decide_spec = DecideSpec(LaEdfPolicy, "laEDF",
+                                      option=self.safe)
 
     # -- the published deferral computation ------------------------------
 

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 from repro.analysis.schedulability import minimum_constant_speed
 from repro.analysis.slack import allotted_speed, heuristic_slack, scale_tasks
 from repro.cpu.processor import Processor
-from repro.policies.base import DvsPolicy
+from repro.policies.base import DecideSpec, DecideState, DvsPolicy
 from repro.tasks.job import Job
 from repro.tasks.task import PeriodicTask
 from repro.tasks.taskset import TaskSet
@@ -43,9 +43,15 @@ class LpSehPolicy(DvsPolicy):
         self._baseline_speed = max(minimum_constant_speed(taskset),
                                    processor.min_speed, 1e-9)
         self._scaled_tasks = scale_tasks(taskset.tasks, self._baseline_speed)
+        self.decide_spec = DecideSpec(LpSehPolicy, "lpSEH",
+                                      self._baseline_speed,
+                                      self._scaled_tasks)
 
     def reset(self) -> None:
         self._analysis_calls = 0
+
+    def absorb_decide_state(self, state: DecideState) -> None:
+        self._analysis_calls = state.analysis_calls
 
     @property
     def analysis_calls(self) -> int:

@@ -35,7 +35,7 @@ from repro.analysis.slack import (
 )
 from repro.cpu.processor import Processor
 from repro.errors import ConfigurationError
-from repro.policies.base import DvsPolicy
+from repro.policies.base import DecideSpec, DecideState, DvsPolicy
 from repro.tasks.job import Job
 from repro.tasks.task import PeriodicTask
 from repro.tasks.taskset import TaskSet
@@ -75,9 +75,16 @@ class LpStaPolicy(DvsPolicy):
         else:
             self._baseline_speed = 1.0
         self._scaled_tasks = scale_tasks(taskset.tasks, self._baseline_speed)
+        self.decide_spec = DecideSpec(
+            LpStaPolicy, "lpSTA", self._baseline_speed, self._scaled_tasks,
+            window_cap=self.window_cap_periods,
+            option=self.baseline == "full")
 
     def reset(self) -> None:
         self._analysis_calls = 0
+
+    def absorb_decide_state(self, state: DecideState) -> None:
+        self._analysis_calls = state.analysis_calls
 
     @property
     def analysis_calls(self) -> int:

@@ -12,6 +12,11 @@
  * to repro.sim.fastcore helpers so string formatting and exception
  * types never fork from the Python implementation.
  *
+ * Two exceptions keep Python out of the common path: the speed
+ * decision of lpSTA, lpSEH, laEDF, feedback and DRA runs here from
+ * the decide spec their bind() sets (section 13.4), and a job lives in
+ * its slot; its Python Job is built only when Python code asks for it.
+ *
  * CoreEngine exposes the same private attribute surface SimContext
  * reads from Simulator (_now, _active, _next_release, ...), so the
  * SimContext classes wrap it and policies observe identical state;
@@ -26,6 +31,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+#include <stdint.h>
 #include <string.h>
 
 #ifndef REPRO_FASTCORE_SHA256
@@ -50,27 +56,28 @@ snap_nonneg(double v)
 /* interned attribute/method names (module-lifetime, never freed)      */
 /* ------------------------------------------------------------------ */
 
-static PyObject *s_complete, *s_executed, *s_first_dispatch_time,
-    *s_preemption_count, *s_enabled, *s_sleep, *s_wake_time,
-    *s_achieved, *s_extra_time, *s_faulted, *s_deadline, *s_work;
+static PyObject *s_executed, *s_first_dispatch_time, *s_preemption_count,
+    *s_completion_time, *s_sleep, *s_wake_time, *s_achieved,
+    *s_extra_time, *s_faulted, *s_work, *s_slack_exact,
+    *s_slack_heuristic;
 
 static int
 intern_names(void)
 {
 #define MK(var, text) \
     if ((var = PyUnicode_InternFromString(text)) == NULL) return -1;
-    MK(s_complete, "complete")
     MK(s_executed, "executed")
     MK(s_first_dispatch_time, "first_dispatch_time")
     MK(s_preemption_count, "preemption_count")
-    MK(s_enabled, "enabled")
+    MK(s_completion_time, "completion_time")
     MK(s_sleep, "sleep")
     MK(s_wake_time, "wake_time")
     MK(s_achieved, "achieved")
     MK(s_extra_time, "extra_time")
     MK(s_faulted, "faulted")
-    MK(s_deadline, "deadline")
     MK(s_work, "work")
+    MK(s_slack_exact, "slack.exact")
+    MK(s_slack_heuristic, "slack.heuristic")
 #undef MK
     return 0;
 }
@@ -149,25 +156,381 @@ seq_as_longs(PyObject *seq, Py_ssize_t *out_n)
 /* CoreEngine                                                          */
 /* ------------------------------------------------------------------ */
 
+/* One active job.  The slot is the job's state; the Python ``Job`` is
+ * built from it only when Python code needs the object (a policy hook,
+ * ctx.active_jobs(), a note, a traced segment, the end-of-run _active)
+ * and is kept in step with the slot from then on. */
 typedef struct {
-    PyObject *job;      /* strong ref */
+    PyObject *job;      /* strong ref, or NULL until materialized */
+    PyObject *draw;     /* the execution model's work value (strong) */
     double deadline;
     double release;
     double work;
     double executed;
+    double first_dispatch;
     Py_ssize_t task;    /* index into the task arrays */
     long index;
     long preempt;
+    long uid;           /* release serial: identifies the job */
     int missed;
     int dispatched;
 } JobSlot;
+
+/* One DRA alpha-queue entry (repro.policies.dra._AlphaEntry), kept in
+ * insertion order like the policy's dict. */
+typedef struct {
+    double deadline;
+    double release;
+    double budget;
+    Py_ssize_t task;
+    long index;
+    long uid;
+    int done;
+} AlphaEntry;
+
+/* An open-addressing map from a double (by value: 0.0 == -0.0) to an
+ * index. */
+typedef struct {
+    double *keys;
+    Py_ssize_t *vals;   /* -1: empty */
+    size_t mask, used;
+} DoubleMap;
+
+static size_t
+dmap_hash(double x)
+{
+    uint64_t bits;
+    if (x == 0.0)
+        x = 0.0;
+    memcpy(&bits, &x, sizeof bits);
+    bits ^= bits >> 33;
+    bits *= 0xff51afd7ed558ccdULL;
+    bits ^= bits >> 33;
+    return (size_t)bits;
+}
+
+static int
+dmap_init(DoubleMap *m, size_t size)
+{
+    m->keys = PyMem_Malloc(size * sizeof(double));
+    m->vals = PyMem_Malloc(size * sizeof(Py_ssize_t));
+    if (m->keys == NULL || m->vals == NULL)
+        return -1;
+    for (size_t i = 0; i < size; i++)
+        m->vals[i] = -1;
+    m->mask = size - 1;
+    m->used = 0;
+    return 0;
+}
+
+static void
+dmap_free(DoubleMap *m)
+{
+    PyMem_Free(m->keys);
+    PyMem_Free(m->vals);
+    m->keys = NULL;
+    m->vals = NULL;
+}
+
+static Py_ssize_t
+dmap_get(const DoubleMap *m, double x)
+{
+    size_t i = dmap_hash(x) & m->mask;
+    while (m->vals[i] >= 0) {
+        if (m->keys[i] == x)
+            return m->vals[i];
+        i = (i + 1) & m->mask;
+    }
+    return -1;
+}
+
+/* Add x -> v (x must be absent); doubles the table at half load. */
+static int
+dmap_put(DoubleMap *m, double x, Py_ssize_t v)
+{
+    if (2 * (m->used + 1) > m->mask + 1) {
+        DoubleMap grown;
+        if (dmap_init(&grown, 2 * (m->mask + 1)) < 0) {
+            dmap_free(&grown);
+            PyErr_NoMemory();
+            return -1;
+        }
+        for (size_t i = 0; i <= m->mask; i++)
+            if (m->vals[i] >= 0)
+                (void)dmap_put(&grown, m->keys[i], m->vals[i]);
+        dmap_free(m);
+        *m = grown;
+    }
+    size_t i = dmap_hash(x) & m->mask;
+    while (m->vals[i] >= 0)
+        i = (i + 1) & m->mask;
+    m->keys[i] = x;
+    m->vals[i] = v;
+    m->used++;
+    return 0;
+}
+
+/* round(x, 12) as float.__round__ computes it: the correctly rounded
+ * 12-decimal string, read back correctly rounded. */
+static int
+round12(double x, double *out)
+{
+    char *text = PyOS_double_to_string(x, 'f', 12, 0, NULL);
+    if (text == NULL)
+        return -1;
+    *out = PyOS_string_to_double(text, NULL, NULL);
+    PyMem_Free(text);
+    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* Buffers of the exact walk's merge: actives by (deadline, position),
+ * and a heap of event sources keyed by each source's next deadline. */
+typedef struct {
+    Py_ssize_t *order;
+    Py_ssize_t *heap;
+    double *head;
+    Py_ssize_t cap_active, cap_sources;
+} WalkBuffers;
+
+static void
+walk_buffers_free(WalkBuffers *ws)
+{
+    PyMem_Free(ws->order);
+    PyMem_Free(ws->heap);
+    PyMem_Free(ws->head);
+    ws->order = ws->heap = NULL;
+    ws->head = NULL;
+    ws->cap_active = ws->cap_sources = 0;
+}
+
+static int
+walk_buffers_reserve(WalkBuffers *ws, Py_ssize_t n_active,
+                     Py_ssize_t n_tasks)
+{
+    if (n_active > ws->cap_active) {
+        Py_ssize_t cap = n_active * 2;
+        Py_ssize_t *p = PyMem_Realloc(ws->order,
+                                      (size_t)cap * sizeof(Py_ssize_t));
+        if (p == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        ws->order = p;
+        ws->cap_active = cap;
+    }
+    if (n_tasks + 1 > ws->cap_sources) {
+        Py_ssize_t cap = n_tasks + 1;
+        Py_ssize_t *hp = PyMem_Realloc(ws->heap,
+                                       (size_t)cap * sizeof(Py_ssize_t));
+        if (hp == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        ws->heap = hp;
+        double *dp = PyMem_Realloc(ws->head, (size_t)cap * sizeof(double));
+        if (dp == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        ws->head = dp;
+        ws->cap_sources = cap;
+    }
+    return 0;
+}
+
+/* Source a comes before source b: earlier next deadline, then the
+ * lower source id (actives are source 0, task i is source i + 1). */
+#define SRC_BEFORE(head, a, b) \
+    ((head)[a] < (head)[b] || ((head)[a] == (head)[b] && (a) < (b)))
+
+static void
+src_sift_down(Py_ssize_t *heap, Py_ssize_t n, const double *head,
+              Py_ssize_t pos)
+{
+    Py_ssize_t item = heap[pos];
+    for (;;) {
+        Py_ssize_t child = 2 * pos + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && SRC_BEFORE(head, heap[child + 1], heap[child]))
+            child++;
+        if (!SRC_BEFORE(head, heap[child], item))
+            break;
+        heap[pos] = heap[child];
+        pos = child;
+    }
+    heap[pos] = item;
+}
+
+/* The exact walk (analysis.slack._exact_walk): every demand event --
+ * active budgets at their deadlines, then each task's future jobs at
+ * rel + rdl, rel + rdl + per, ... up to window_end -- in stable
+ * (deadline, construction index) order.  The events are not stored and
+ * sorted: the actives are sorted once and merged with the per-task
+ * arithmetic streams, which come out in deadline order already, so h
+ * accumulates in the interpreted order and gives the same bits. */
+static double
+exact_walk_core(double t, double d_first, double window_end,
+                Py_ssize_t n_active, const double *ad, const double *aw,
+                Py_ssize_t n_tasks, const double *rel, const double *rdl,
+                const double *per, const double *wcet, const double *util,
+                const double *corr, WalkBuffers *ws)
+{
+    double fence = window_end + 1e-12;
+    Py_ssize_t *order = ws->order, *heap = ws->heap;
+    double *head = ws->head;
+    for (Py_ssize_t j = 0; j < n_active; j++) {
+        Py_ssize_t k = j;
+        while (k > 0 && ad[order[k - 1]] > ad[j]) {
+            order[k] = order[k - 1];
+            k--;
+        }
+        order[k] = j;
+    }
+    Py_ssize_t n_heap = 0, next_active = 0;
+    if (n_active > 0) {
+        head[0] = ad[order[0]];
+        heap[n_heap++] = 0;
+    }
+    for (Py_ssize_t i = 0; i < n_tasks; i++) {
+        double deadline = rel[i] + rdl[i];
+        if (deadline <= fence) {
+            head[i + 1] = deadline;
+            heap[n_heap++] = i + 1;
+        }
+    }
+    for (Py_ssize_t pos = n_heap / 2 - 1; pos >= 0; pos--)
+        src_sift_down(heap, n_heap, head, pos);
+
+    double d_lo = d_first - 1e-12;
+    double best = INFINITY;
+    double h = 0.0;
+    double d_k = -INFINITY, group_end = -INFINITY;
+    while (n_heap > 0) {
+        Py_ssize_t src = heap[0];
+        double d = head[src], w;
+        int exhausted;
+        if (src == 0) {
+            w = aw[order[next_active++]];
+            exhausted = next_active >= n_active;
+            if (!exhausted)
+                head[0] = ad[order[next_active]];
+        }
+        else {
+            w = wcet[src - 1];
+            double next = d + per[src - 1];
+            exhausted = !(next <= fence);
+            head[src] = next;
+        }
+        if (exhausted)
+            heap[0] = heap[--n_heap];
+        if (n_heap > 0)
+            src_sift_down(heap, n_heap, head, 0);
+        if (d > group_end) {
+            /* d opens a new group: evaluate the one it closes */
+            if (d_k >= d_lo) {
+                double g = d_k - t - h;
+                if (g < best) {
+                    if (g <= 0.0)
+                        return 0.0;   /* the clamp would give 0.0 */
+                    best = g;
+                }
+            }
+            d_k = d;
+            group_end = d + 1e-12;
+        }
+        h += w;
+    }
+    if (d_k >= d_lo) {
+        double g = d_k - t - h;
+        if (g < best) {
+            if (g <= 0.0)
+                return 0.0;
+            best = g;
+        }
+    }
+    /* _tail_guard: active budgets + linear future demand at the edge */
+    double total = 0.0;
+    for (Py_ssize_t j = 0; j < n_active; j++)
+        total += aw[j];
+    for (Py_ssize_t j = 0; j < n_tasks; j++) {
+        double span = window_end - rel[j];
+        total += util[j] * ((span > 0.0) ? span : 0.0);
+        if (rdl[j] < per[j])
+            total += corr[j];
+    }
+    double tail = window_end - t - total;
+    if (tail < best)
+        best = tail;
+    return (best > 0.0) ? best : 0.0;
+}
+
+/* The heuristic walk (analysis.slack._heuristic_walk).  Candidates:
+ * active deadlines, d_first, releases >= d_first (duplicates harmless:
+ * identical g).  Demand accumulation order is actives in state order,
+ * then tasks in task order -- the interpreted loop's, bit for bit. */
+static double
+heuristic_walk_core(double t, double d_first, Py_ssize_t n_active,
+                    const double *ad, const double *aw, Py_ssize_t n_tasks,
+                    const double *rel, const double *util,
+                    const double *corr)
+{
+    double best = INFINITY;
+    Py_ssize_t n_cand = n_active + 1 + n_tasks;
+    for (Py_ssize_t c = 0; c < n_cand; c++) {
+        double d_k;
+        if (c < n_active)
+            d_k = ad[c];
+        else if (c == n_active)
+            d_k = d_first;
+        else {
+            d_k = rel[c - n_active - 1];
+            if (!(d_k >= d_first))
+                continue;   /* release candidates require >= d_first */
+        }
+        if (d_k < d_first - 1e-12)
+            continue;
+        double cfence = d_k + 1e-12;
+        double total = 0.0;
+        for (Py_ssize_t j = 0; j < n_active; j++) {
+            if (ad[j] <= cfence)
+                total += aw[j];
+        }
+        for (Py_ssize_t j = 0; j < n_tasks; j++) {
+            double headroom = d_k - rel[j];
+            if (headroom > 0.0)
+                total += util[j] * headroom + corr[j];
+        }
+        double g = d_k - t - total;
+        if (g < best) {
+            if (g <= 0.0)
+                return 0.0;   /* the clamp would give 0.0 */
+            best = g;
+        }
+    }
+    return (best > 0.0) ? best : 0.0;
+}
+
+/* Python's two-argument min/max: the first argument unless the second
+ * is strictly smaller/larger. */
+static inline double
+py_min(double a, double b)
+{
+    return (b < a) ? b : a;
+}
+
+static inline double
+py_max(double a, double b)
+{
+    return (b > a) ? b : a;
+}
 
 typedef struct {
     PyObject_HEAD
 
     /* configuration objects (strong refs; surfaced to SimContext) */
     PyObject *taskset, *processor, *scheduler, *execution_model,
-        *arrival_model, *trace, *result, *telemetry;
+        *arrival_model, *trace, *result;
     PyObject *next_release_dict, *next_index_dict;  /* live dicts */
     PyObject *tasks;        /* tuple of PeriodicTask */
     PyObject *names;        /* tuple of str */
@@ -181,7 +544,7 @@ typedef struct {
     /* fastcore rare-event helpers */
     PyObject *h_mk_job, *h_miss, *h_overrun_note, *h_stuck_note,
         *h_requant_note, *h_bad_speed, *h_bad_quant, *h_no_progress,
-        *h_overexec, *h_neg_exec, *h_round_key, *h_trace_run;
+        *h_overexec, *h_neg_exec, *h_trace_run;
 
     PyObject *ctx;          /* set for the duration of run() only */
 
@@ -206,7 +569,28 @@ typedef struct {
     /* run state */
     double now, current_speed, horizon;
     long release_version, switch_attempts;
-    PyObject *last_running;  /* strong ref or NULL */
+    long last_running;      /* uid of the last dispatched job, or -1 */
+    int tele;               /* telemetry.enabled, read once per run */
+
+    /* the compiled decide (DESIGN.md section 13.4); DK_PYTHON calls the
+     * policy's select_speed */
+    int dk, dk_option;
+    double dk_baseline, dk_min_speed, dk_cap, dk_max_period;
+    double dk_kp, dk_ki, dk_kd, dk_total_util;
+    double *sc_wcet, *sc_util, *sc_corr;  /* reference-base columns */
+    double *fu_util, *fu_corr;            /* full-speed columns */
+    long analysis_calls;
+    double *pid_pred, *pid_int, *pid_last;  /* feedback, per task */
+    AlphaEntry *alpha;                      /* DRA, insertion order */
+    Py_ssize_t n_alpha, cap_alpha;
+    Py_ssize_t *alpha_order;
+    double canonical_now;
+    PyObject *m_observe_slack, *m_prof_push, *m_prof_pop, *decide_label;
+    /* per-dispatch buffers: active columns, releases, walk merge */
+    double *w_ad, *w_aw, *w_rel;
+    Py_ssize_t *w_idx;
+    Py_ssize_t w_cap;
+    WalkBuffers ws;
 
     /* flags */
     int allow_misses, record_trace, faults_transitions, allow_overrun,
@@ -226,15 +610,13 @@ typedef struct {
     long switch_count, sleep_episodes, idle_episodes, dispatches,
         jobs_released, jobs_completed, overruns, transition_faults;
 
-    /* speed_time: one entry per exact speed, in first-seen order.
-     * spd_slot[i] is the first entry whose round(speed, 12) key equals
-     * entry i's; durations accumulate there in time order, exactly like
-     * the interpreted engine's dict updates.  spd_keys maps each key to
-     * its slot, in key-first-seen order. */
-    double *spd_exact, *spd_dur;
-    Py_ssize_t *spd_slot;
-    PyObject *spd_keys;
+    /* speed_time: one accumulator per round(speed, 12) key, in
+     * key-first-seen order; durations add up in time order, exactly
+     * like the interpreted engine's dict updates.  spd_exact maps each
+     * speed seen to its key's index, spd_keyed each key. */
+    double *spd_key, *spd_dur;
     Py_ssize_t n_spd, cap_spd;
+    DoubleMap spd_exact, spd_keyed;
 } CoreEngine;
 
 static void
@@ -243,7 +625,7 @@ CoreEngine_dealloc(CoreEngine *self)
     Py_XDECREF(self->taskset); Py_XDECREF(self->processor);
     Py_XDECREF(self->scheduler); Py_XDECREF(self->execution_model);
     Py_XDECREF(self->arrival_model); Py_XDECREF(self->trace);
-    Py_XDECREF(self->result); Py_XDECREF(self->telemetry);
+    Py_XDECREF(self->result);
     Py_XDECREF(self->next_release_dict); Py_XDECREF(self->next_index_dict);
     Py_XDECREF(self->tasks); Py_XDECREF(self->names);
     Py_XDECREF(self->name2idx); Py_XDECREF(self->task_stats);
@@ -258,11 +640,25 @@ CoreEngine_dealloc(CoreEngine *self)
     Py_XDECREF(self->h_requant_note); Py_XDECREF(self->h_bad_speed);
     Py_XDECREF(self->h_bad_quant); Py_XDECREF(self->h_no_progress);
     Py_XDECREF(self->h_overexec); Py_XDECREF(self->h_neg_exec);
-    Py_XDECREF(self->h_round_key); Py_XDECREF(self->h_trace_run);
-    Py_XDECREF(self->ctx); Py_XDECREF(self->last_running);
-    for (Py_ssize_t i = 0; i < self->n_active; i++)
+    Py_XDECREF(self->h_trace_run);
+    Py_XDECREF(self->ctx);
+    Py_XDECREF(self->m_observe_slack); Py_XDECREF(self->m_prof_push);
+    Py_XDECREF(self->m_prof_pop); Py_XDECREF(self->decide_label);
+    for (Py_ssize_t i = 0; i < self->n_active; i++) {
         Py_XDECREF(self->active[i].job);
-    Py_XDECREF(self->spd_keys);
+        Py_XDECREF(self->active[i].draw);
+    }
+    PyMem_Free(self->sc_wcet); PyMem_Free(self->sc_util);
+    PyMem_Free(self->sc_corr); PyMem_Free(self->fu_util);
+    PyMem_Free(self->fu_corr);
+    PyMem_Free(self->pid_pred); PyMem_Free(self->pid_int);
+    PyMem_Free(self->pid_last);
+    PyMem_Free(self->alpha); PyMem_Free(self->alpha_order);
+    PyMem_Free(self->w_ad); PyMem_Free(self->w_aw); PyMem_Free(self->w_rel);
+    PyMem_Free(self->w_idx);
+    walk_buffers_free(&self->ws);
+    dmap_free(&self->spd_exact);
+    dmap_free(&self->spd_keyed);
     PyMem_Free(self->active);
     PyMem_Free(self->t_period); PyMem_Free(self->t_rel_deadline);
     PyMem_Free(self->t_wcet); PyMem_Free(self->t_rank);
@@ -271,8 +667,7 @@ CoreEngine_dealloc(CoreEngine *self)
     PyMem_Free(self->st_released); PyMem_Free(self->st_completed);
     PyMem_Free(self->st_preempt); PyMem_Free(self->st_exec);
     PyMem_Free(self->st_resp); PyMem_Free(self->st_maxresp);
-    PyMem_Free(self->spd_exact); PyMem_Free(self->spd_dur);
-    PyMem_Free(self->spd_slot);
+    PyMem_Free(self->spd_key); PyMem_Free(self->spd_dur);
     PyMem_Free((void *)self->q_levels);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
@@ -313,6 +708,75 @@ ns_get_int(PyObject *ns, const char *name, int *out)
     return 0;
 }
 
+/* The decide spec (fastcore._decide_namespace): kind, parameters and
+ * the per-task columns of the reference-base and full-speed tasks. */
+static int
+ce_init_decide(CoreEngine *self, PyObject *ns)
+{
+    if (ns_get_int(ns, "decide_kind", &self->dk) < 0 ||
+        ns_get_int(ns, "decide_option", &self->dk_option) < 0 ||
+        ns_get_double(ns, "decide_baseline", &self->dk_baseline) < 0 ||
+        ns_get_double(ns, "decide_min_speed", &self->dk_min_speed) < 0 ||
+        ns_get_double(ns, "decide_cap", &self->dk_cap) < 0 ||
+        ns_get_double(ns, "decide_kp", &self->dk_kp) < 0 ||
+        ns_get_double(ns, "decide_ki", &self->dk_ki) < 0 ||
+        ns_get_double(ns, "decide_kd", &self->dk_kd) < 0 ||
+        ns_get(ns, "observe_slack", &self->m_observe_slack) < 0 ||
+        ns_get(ns, "prof_push", &self->m_prof_push) < 0 ||
+        ns_get(ns, "prof_pop", &self->m_prof_pop) < 0 ||
+        ns_get(ns, "decide_label", &self->decide_label) < 0)
+        return -1;
+    Py_ssize_t n = self->n_tasks, got;
+    PyObject *seq;
+#define GETCOL(attr, field) \
+    seq = PyObject_GetAttrString(ns, attr); \
+    if (seq == NULL) return -1; \
+    self->field = seq_as_doubles(seq, &got); \
+    Py_DECREF(seq); \
+    if (self->field == NULL) return -1; \
+    if (self->dk != 0 && got != n) { \
+        PyErr_SetString(PyExc_ValueError, attr ": one value per task"); \
+        return -1; }
+    GETCOL("sc_wcet", sc_wcet) GETCOL("sc_util", sc_util)
+    GETCOL("sc_corr", sc_corr) GETCOL("fu_util", fu_util)
+    GETCOL("fu_corr", fu_corr)
+#undef GETCOL
+    size_t nn = (size_t)(n > 0 ? n : 1);
+    self->pid_pred = PyMem_Malloc(nn * sizeof(double));
+    self->pid_int = PyMem_Calloc(nn, sizeof(double));
+    self->pid_last = PyMem_Calloc(nn, sizeof(double));
+    self->w_rel = PyMem_Malloc(nn * sizeof(double));
+    self->w_cap = 16;
+    self->w_ad = PyMem_Malloc((size_t)self->w_cap * sizeof(double));
+    self->w_aw = PyMem_Malloc((size_t)self->w_cap * sizeof(double));
+    self->w_idx = PyMem_Malloc((size_t)self->w_cap * sizeof(Py_ssize_t));
+    self->cap_alpha = 16;
+    self->alpha = PyMem_Malloc((size_t)self->cap_alpha * sizeof(AlphaEntry));
+    self->alpha_order = PyMem_Malloc((size_t)self->cap_alpha
+                                     * sizeof(Py_ssize_t));
+    if (self->pid_pred == NULL || self->pid_int == NULL ||
+        self->pid_last == NULL || self->w_rel == NULL ||
+        self->w_ad == NULL || self->w_aw == NULL || self->w_idx == NULL ||
+        self->alpha == NULL || self->alpha_order == NULL ||
+        walk_buffers_reserve(&self->ws, self->w_cap, n) < 0) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    /* Python sums from int 0: 0 + u0 == u0 exactly, then in order */
+    self->dk_total_util = 0.0;
+    self->dk_max_period = n > 0 ? self->t_period[0] : 0.0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        self->pid_pred[i] = self->t_wcet[i];   /* cold start at the WCET */
+        if (self->dk != 0)
+            self->dk_total_util += self->fu_util[i];
+        self->dk_max_period = py_max(self->dk_max_period, self->t_period[i]);
+    }
+    self->n_alpha = 0;
+    self->canonical_now = 0.0;
+    self->analysis_calls = 0;
+    return 0;
+}
+
 static int
 CoreEngine_init(CoreEngine *self, PyObject *args, PyObject *kwds)
 {
@@ -326,7 +790,7 @@ CoreEngine_init(CoreEngine *self, PyObject *args, PyObject *kwds)
 
 #define GET(field) if (ns_get(ns, #field, &self->field) < 0) return -1;
     GET(taskset) GET(processor) GET(scheduler) GET(execution_model)
-    GET(arrival_model) GET(trace) GET(result) GET(telemetry)
+    GET(arrival_model) GET(trace) GET(result)
     GET(tasks) GET(names) GET(name2idx) GET(task_stats)
 #undef GET
     if (ns_get(ns, "next_release", &self->next_release_dict) < 0 ||
@@ -340,7 +804,7 @@ CoreEngine_init(CoreEngine *self, PyObject *args, PyObject *kwds)
     GETM(h_mk_job) GETM(h_miss) GETM(h_overrun_note) GETM(h_stuck_note)
     GETM(h_requant_note) GETM(h_bad_speed) GETM(h_bad_quant)
     GETM(h_no_progress) GETM(h_overexec) GETM(h_neg_exec)
-    GETM(h_round_key) GETM(h_trace_run)
+    GETM(h_trace_run)
 #undef GETM
 
     if (ns_get_double(ns, "horizon", &self->horizon) < 0 ||
@@ -411,13 +875,11 @@ CoreEngine_init(CoreEngine *self, PyObject *args, PyObject *kwds)
     self->cap_active = 16;
     self->active = PyMem_Malloc((size_t)self->cap_active * sizeof(JobSlot));
     self->cap_spd = 8;
-    self->spd_exact = PyMem_Malloc((size_t)self->cap_spd * sizeof(double));
+    self->spd_key = PyMem_Malloc((size_t)self->cap_spd * sizeof(double));
     self->spd_dur = PyMem_Malloc((size_t)self->cap_spd * sizeof(double));
-    self->spd_slot = PyMem_Malloc((size_t)self->cap_spd * sizeof(Py_ssize_t));
-    self->spd_keys = PyDict_New();
-    if (self->active == NULL || self->spd_exact == NULL ||
-        self->spd_dur == NULL || self->spd_slot == NULL ||
-        self->spd_keys == NULL) {
+    if (self->active == NULL || self->spd_key == NULL ||
+        self->spd_dur == NULL || dmap_init(&self->spd_exact, 16) < 0 ||
+        dmap_init(&self->spd_keyed, 16) < 0) {
         PyErr_NoMemory();
         return -1;
     }
@@ -427,9 +889,11 @@ CoreEngine_init(CoreEngine *self, PyObject *args, PyObject *kwds)
     self->current_speed = 1.0;
     self->release_version = 0;
     self->switch_attempts = 0;
-    self->last_running = NULL;
+    self->last_running = -1;
     self->ctx = NULL;
-    return 0;
+    if (ns_get_int(ns, "telemetry_on", &self->tele) < 0)
+        return -1;
+    return ce_init_decide(self, ns);
 }
 
 /* ------------------------------------------------------------------ */
@@ -456,20 +920,69 @@ ce_next_release_global(CoreEngine *e)
 }
 
 static Py_ssize_t
-ce_find_slot(CoreEngine *e, PyObject *job)
+ce_find_slot(CoreEngine *e, long uid)
 {
     for (Py_ssize_t i = 0; i < e->n_active; i++)
-        if (e->active[i].job == job)
+        if (e->active[i].uid == uid)
             return i;
     return -1;
 }
 
-static void
-ce_set_last_running(CoreEngine *e, PyObject *job)
+/* Set one attribute of a materialized job. */
+static int
+job_set(PyObject *job, PyObject *name, PyObject *value)
 {
-    Py_XINCREF(job);
-    Py_XDECREF(e->last_running);
-    e->last_running = job;
+    if (value == NULL)
+        return -1;
+    int rc = PyObject_SetAttr(job, name, value);
+    Py_DECREF(value);
+    return rc;
+}
+
+/* The slot's Job, built on first use through fastcore._mk_job (so
+ * Job.from_task stays the one constructor) and brought up to the
+ * slot's state.  Returns a borrowed reference. */
+static PyObject *
+ce_job(CoreEngine *e, Py_ssize_t idx)
+{
+    JobSlot *s = &e->active[idx];
+    if (s->job != NULL)
+        return s->job;
+    PyObject *task = PyTuple_GET_ITEM(e->tasks, s->task);
+    PyObject *iobj = PyLong_FromLong(s->index);
+    PyObject *rel = PyFloat_FromDouble(s->release);
+    PyObject *job = (iobj == NULL || rel == NULL) ? NULL :
+        PyObject_CallFunctionObjArgs(
+            e->h_mk_job, task, iobj, s->draw, rel,
+            e->allow_overrun ? Py_True : Py_False, NULL);
+    Py_XDECREF(iobj);
+    Py_XDECREF(rel);
+    if (job == NULL)
+        return NULL;
+    if ((s->executed != 0.0 &&
+         job_set(job, s_executed, PyFloat_FromDouble(s->executed)) < 0) ||
+        (s->dispatched &&
+         job_set(job, s_first_dispatch_time,
+                 PyFloat_FromDouble(s->first_dispatch)) < 0) ||
+        (s->preempt != 0 &&
+         job_set(job, s_preemption_count, PyLong_FromLong(s->preempt)) < 0)) {
+        Py_DECREF(job);
+        return NULL;
+    }
+    s->job = job;
+    return job;
+}
+
+/* Slot state the engine updates: mirrored onto a materialized job. */
+static int
+ce_sync(CoreEngine *e, Py_ssize_t idx, PyObject *name, PyObject *value)
+{
+    PyObject *job = e->active[idx].job;
+    if (job == NULL) {
+        Py_XDECREF(value);
+        return value == NULL ? -1 : 0;
+    }
+    return job_set(job, name, value);
 }
 
 /* EDF pick: min over (deadline, release, task-name rank, index). */
@@ -509,11 +1022,14 @@ static int
 ce_register_miss(CoreEngine *e, Py_ssize_t idx, double detected_at)
 {
     e->active[idx].missed = 1;
+    PyObject *job = ce_job(e, idx);
+    if (job == NULL)
+        return -1;
     PyObject *t = PyFloat_FromDouble(detected_at);
     if (t == NULL)
         return -1;
     PyObject *r = PyObject_CallFunctionObjArgs(
-        e->h_miss, e->result, e->trace, e->active[idx].job, t,
+        e->h_miss, e->result, e->trace, job, t,
         e->allow_misses ? Py_True : Py_False, NULL);
     Py_DECREF(t);
     if (r == NULL)
@@ -553,6 +1069,476 @@ ce_active_append(CoreEngine *e, JobSlot slot)
     return 0;
 }
 
+/* ------------------------------------------------------------------ */
+/* the compiled decide (DESIGN.md section 13.4)                        */
+/* ------------------------------------------------------------------ */
+
+/* Each kind mirrors one policy's select_speed (and, for feedback and
+ * DRA, its release/completion hooks) operation for operation; the
+ * Python bodies stay the reference (tests/test_decide.py). */
+enum { DK_PYTHON = 0, DK_LPSTA, DK_LPSEH, DK_LAEDF, DK_FEEDBACK, DK_DRA };
+
+/* Job.remaining_wcet: wcet - executed, clamped at zero. */
+static inline double
+slot_budget(const CoreEngine *e, const JobSlot *s)
+{
+    double w = e->t_wcet[s->task] - s->executed;
+    return (w > 0.0) ? w : 0.0;
+}
+
+/* SimContext.next_release_of: the earliest release an online policy
+ * may assume (the sampled one for periodic arrivals). */
+static double
+ce_release_view(const CoreEngine *e, Py_ssize_t i)
+{
+    if (e->is_periodic)
+        return e->next_release[i];
+    double v = isnan(e->last_arrival[i]) ? e->next_release[i]
+                                          : e->last_arrival[i] + e->t_period[i];
+    return py_max(e->now, v);
+}
+
+static int
+ce_reserve_buffers(CoreEngine *e)
+{
+    if (e->n_active > e->w_cap) {
+        Py_ssize_t cap = e->n_active * 2;
+        double *ad = PyMem_Realloc(e->w_ad, (size_t)cap * sizeof(double));
+        if (ad != NULL)
+            e->w_ad = ad;
+        double *aw = ad == NULL ? NULL :
+            PyMem_Realloc(e->w_aw, (size_t)cap * sizeof(double));
+        if (aw != NULL)
+            e->w_aw = aw;
+        Py_ssize_t *ix = aw == NULL ? NULL :
+            PyMem_Realloc(e->w_idx, (size_t)cap * sizeof(Py_ssize_t));
+        if (ix == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        e->w_idx = ix;
+        e->w_cap = cap;
+    }
+    return walk_buffers_reserve(&e->ws, e->n_active, e->n_tasks);
+}
+
+/* SimContext.slack_state as columns: active deadlines and budgets
+ * (divided by the baseline unless it is exactly 1.0) and each task's
+ * next release; also min() and max() of the active deadlines. */
+static void
+ce_fill_state(CoreEngine *e, double baseline, double *d_min, double *d_max)
+{
+    double lo = e->active[0].deadline, hi = lo;
+    for (Py_ssize_t j = 0; j < e->n_active; j++) {
+        const JobSlot *s = &e->active[j];
+        double w = slot_budget(e, s);
+        if (baseline != 1.0)
+            w = w / baseline;
+        e->w_ad[j] = s->deadline;
+        e->w_aw[j] = w;
+        lo = py_min(lo, s->deadline);
+        hi = py_max(hi, s->deadline);
+    }
+    for (Py_ssize_t i = 0; i < e->n_tasks; i++)
+        e->w_rel[i] = ce_release_view(e, i);
+    *d_min = lo;
+    *d_max = hi;
+}
+
+static int
+ce_call_void(PyObject *fn, PyObject *arg)
+{
+    PyObject *r = arg == NULL ? PyObject_CallNoArgs(fn)
+                              : PyObject_CallOneArg(fn, arg);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* One slack walk over the filled state, inside the profiler region
+ * exact_slack / heuristic_slack open when profiling is on. */
+static int
+ce_slack(CoreEngine *e, int exact, double d_first, double window_end,
+         const double *wcet, const double *util, const double *corr,
+         double *out)
+{
+    int prof = e->m_prof_push != Py_None;
+    if (prof && ce_call_void(e->m_prof_push, exact ? s_slack_exact
+                                                   : s_slack_heuristic) < 0)
+        return -1;
+    if (exact)
+        *out = exact_walk_core(e->now, d_first, window_end, e->n_active,
+                               e->w_ad, e->w_aw, e->n_tasks, e->w_rel,
+                               e->t_rel_deadline, e->t_period, wcet, util,
+                               corr, &e->ws);
+    else
+        *out = heuristic_walk_core(e->now, d_first, e->n_active, e->w_ad,
+                                   e->w_aw, e->n_tasks, e->w_rel, util,
+                                   corr);
+    return prof ? ce_call_void(e->m_prof_pop, NULL) : 0;
+}
+
+/* DvsPolicy.observe_slack, called only when telemetry is on. */
+static int
+ce_observe_slack(CoreEngine *e, double slack)
+{
+    if (!e->tele)
+        return 0;
+    PyObject *v = PyFloat_FromDouble(slack);
+    if (v == NULL)
+        return -1;
+    int rc = ce_call_void(e->m_observe_slack, v);
+    Py_DECREF(v);
+    return rc;
+}
+
+/* LpStaPolicy / LpSehPolicy.select_speed */
+static int
+decide_slack(CoreEngine *e, const JobSlot *s, double *out)
+{
+    double remaining = slot_budget(e, s);
+    if (remaining <= 1e-12) {
+        *out = e->current_speed;   /* budget exhausted */
+        return 0;
+    }
+    double d_min, d_max, slack;
+    ce_fill_state(e, e->dk_baseline, &d_min, &d_max);
+    e->analysis_calls++;
+    if (e->dk == DK_LPSTA) {
+        double window_end = d_max;
+        if (!isnan(e->dk_cap))
+            window_end = py_max(window_end,
+                                e->now + e->dk_cap * e->dk_max_period);
+        if (ce_slack(e, 1, d_min, window_end, e->sc_wcet, e->sc_util,
+                     e->sc_corr, &slack) < 0)
+            return -1;
+    }
+    else if (ce_slack(e, 0, d_min, 0.0, NULL, e->sc_util, e->sc_corr,
+                      &slack) < 0)
+        return -1;
+    if (ce_observe_slack(e, slack) < 0)
+        return -1;
+    double speed;
+    if (e->dk_option)   /* lpSTA-greedy: stretch_speed */
+        speed = py_max(e->dk_min_speed, remaining / (remaining + slack));
+    else                /* allotted_speed */
+        speed = py_max(e->dk_min_speed,
+                       remaining / (remaining / e->dk_baseline + slack));
+    *out = py_min(1.0, speed);
+    return 0;
+}
+
+/* LaEdfPolicy.select_speed (deferral_speed, then the safety floor) */
+static int
+decide_laedf(CoreEngine *e, const JobSlot *s, double *out)
+{
+    Py_ssize_t n = e->n_active;
+    double d_n = e->active[0].deadline;
+    for (Py_ssize_t j = 1; j < n; j++)
+        d_n = py_min(d_n, e->active[j].deadline);
+    double horizon = d_n - e->now, speed;
+    if (horizon <= 1e-12) {
+        speed = 1.0;
+    }
+    else {
+        /* stable sort, latest deadline first */
+        Py_ssize_t *ord = e->w_idx;
+        for (Py_ssize_t j = 0; j < n; j++) {
+            Py_ssize_t k = j;
+            while (k > 0 && e->active[ord[k - 1]].deadline
+                                < e->active[j].deadline) {
+                ord[k] = ord[k - 1];
+                k--;
+            }
+            ord[k] = j;
+        }
+        double u = e->dk_total_util, total = 0.0;
+        for (Py_ssize_t m = 0; m < n; m++) {
+            const JobSlot *a = &e->active[ord[m]];
+            double c_left = slot_budget(e, a), x;
+            u -= e->fu_util[a->task];
+            double span = a->deadline - d_n;
+            if (span > 1e-12) {
+                x = py_max(0.0, c_left - (1.0 - u) * span);
+                u += (c_left - x) / span;
+            }
+            else {
+                x = c_left;
+            }
+            total += x;
+        }
+        speed = total / horizon;
+    }
+    if (e->dk_option) {   /* safe: floor by the slack envelope */
+        double remaining = slot_budget(e, s);
+        if (remaining > 1e-12) {
+            double d_min, d_max, slack;
+            ce_fill_state(e, 1.0, &d_min, &d_max);
+            if (ce_slack(e, 0, d_min, 0.0, NULL, e->fu_util, e->fu_corr,
+                         &slack) < 0)
+                return -1;
+            speed = py_max(speed, remaining / (remaining + slack));
+        }
+    }
+    *out = py_max(e->dk_min_speed, py_min(1.0, speed));
+    return 0;
+}
+
+/* FeedbackDvsPolicy.select_speed */
+static int
+decide_feedback(CoreEngine *e, const JobSlot *s, double *out)
+{
+    double remaining = slot_budget(e, s);
+    if (remaining <= 1e-12) {
+        *out = e->current_speed;
+        return 0;
+    }
+    double w_hat = py_min(remaining, py_max(1e-9, e->pid_pred[s->task]
+                                                  - s->executed));
+    double d_min, d_max, slack_scaled, slack_full;
+    ce_fill_state(e, e->dk_baseline, &d_min, &d_max);
+    if (ce_slack(e, 0, d_min, 0.0, NULL, e->sc_util, e->sc_corr,
+                 &slack_scaled) < 0)
+        return -1;
+    double optimistic = w_hat / (w_hat / e->dk_baseline + slack_scaled);
+    ce_fill_state(e, 1.0, &d_min, &d_max);
+    if (ce_slack(e, 0, d_min, 0.0, NULL, e->fu_util, e->fu_corr,
+                 &slack_full) < 0)
+        return -1;
+    double required = remaining / (remaining + slack_full);
+    /* max(optimistic, required, min_speed) */
+    double speed = py_max(py_max(optimistic, required), e->dk_min_speed);
+    *out = py_min(1.0, speed);
+    return 0;
+}
+
+/* FeedbackDvsPolicy.on_completion: the PID update of the task's
+ * prediction (a completed job's executed work is its work). */
+static void
+feedback_complete(CoreEngine *e, const JobSlot *s)
+{
+    Py_ssize_t i = s->task;
+    double error = s->work - e->pid_pred[i];
+    e->pid_int[i] += error;
+    double derivative = error - e->pid_last[i];
+    e->pid_last[i] = error;
+    e->pid_pred[i] += (e->dk_kp * error + e->dk_ki * e->pid_int[i]
+                       + e->dk_kd * derivative);
+    double wcet = e->t_wcet[i];
+    e->pid_pred[i] = py_min(wcet, py_max(1e-3 * wcet, e->pid_pred[i]));
+}
+
+/* _AlphaEntry.sort_key order: (deadline, release, task name, index);
+ * task names compare through their sorted rank. */
+static int
+alpha_key_less(const CoreEngine *e, double d1, double r1, Py_ssize_t t1,
+               long i1, double d2, double r2, Py_ssize_t t2, long i2)
+{
+    if (d1 != d2)
+        return d1 < d2;
+    if (r1 != r2)
+        return r1 < r2;
+    if (e->t_rank[t1] != e->t_rank[t2])
+        return e->t_rank[t1] < e->t_rank[t2];
+    return i1 < i2;
+}
+
+static int
+alpha_before(const CoreEngine *e, const AlphaEntry *a, const AlphaEntry *b)
+{
+    return alpha_key_less(e, a->deadline, a->release, a->task, a->index,
+                          b->deadline, b->release, b->task, b->index);
+}
+
+static Py_ssize_t
+dra_find(const CoreEngine *e, long uid)
+{
+    for (Py_ssize_t k = 0; k < e->n_alpha; k++)
+        if (e->alpha[k].uid == uid)
+            return k;
+    return -1;
+}
+
+/* DraPolicy._gc: drop spent entries of finished jobs, keeping order. */
+static void
+dra_gc(CoreEngine *e)
+{
+    Py_ssize_t kept = 0;
+    for (Py_ssize_t k = 0; k < e->n_alpha; k++) {
+        const AlphaEntry *a = &e->alpha[k];
+        if (a->budget <= 1e-12 && a->done)
+            continue;
+        e->alpha[kept++] = *a;
+    }
+    e->n_alpha = kept;
+}
+
+/* DraPolicy._advance_canonical: drain budgets in canonical EDF order. */
+static void
+dra_advance(CoreEngine *e, double t)
+{
+    double elapsed = t - e->canonical_now;
+    if (elapsed <= 0)
+        return;
+    e->canonical_now = t;
+    Py_ssize_t *ord = e->alpha_order;
+    for (Py_ssize_t k = 0; k < e->n_alpha; k++) {
+        Py_ssize_t m = k;
+        while (m > 0 && alpha_before(e, &e->alpha[k], &e->alpha[ord[m - 1]])) {
+            ord[m] = ord[m - 1];
+            m--;
+        }
+        ord[m] = k;
+    }
+    for (Py_ssize_t k = 0; k < e->n_alpha; k++) {
+        if (elapsed <= 0)
+            break;
+        AlphaEntry *a = &e->alpha[ord[k]];
+        double consumed = py_min(a->budget, elapsed);
+        a->budget -= consumed;
+        elapsed -= consumed;
+    }
+    dra_gc(e);
+}
+
+/* DraPolicy.on_release */
+static int
+dra_release(CoreEngine *e, const JobSlot *s)
+{
+    dra_advance(e, e->now);
+    if (e->n_alpha == e->cap_alpha) {
+        Py_ssize_t cap = e->cap_alpha * 2;
+        AlphaEntry *grown = PyMem_Realloc(e->alpha,
+                                          (size_t)cap * sizeof(AlphaEntry));
+        if (grown == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        e->alpha = grown;
+        Py_ssize_t *ord = PyMem_Realloc(e->alpha_order,
+                                        (size_t)cap * sizeof(Py_ssize_t));
+        if (ord == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        e->alpha_order = ord;
+        e->cap_alpha = cap;
+    }
+    AlphaEntry a = {s->deadline, s->release,
+                    e->t_wcet[s->task] / e->dk_baseline, s->task, s->index,
+                    s->uid, 0};
+    e->alpha[e->n_alpha++] = a;
+    return 0;
+}
+
+/* DraPolicy.on_completion */
+static void
+dra_complete(CoreEngine *e, long uid)
+{
+    dra_advance(e, e->now);
+    Py_ssize_t k = dra_find(e, uid);
+    if (k < 0)
+        return;
+    e->alpha[k].done = 1;
+    if (e->alpha[k].budget <= 1e-12) {
+        memmove(&e->alpha[k], &e->alpha[k + 1],
+                (size_t)(e->n_alpha - k - 1) * sizeof(AlphaEntry));
+        e->n_alpha--;
+    }
+}
+
+/* Whether entry a donates its budget to the dispatched job's key. */
+static int
+dra_donor(const CoreEngine *e, const AlphaEntry *a, const JobSlot *s)
+{
+    return a->done && a->budget > 1e-12 &&
+        alpha_key_less(e, a->deadline, a->release, a->task, a->index,
+                       s->deadline, s->release, s->task, s->index);
+}
+
+/* DraPolicy.select_speed */
+static int
+decide_dra(CoreEngine *e, const JobSlot *s, double *out)
+{
+    dra_advance(e, e->now);
+    Py_ssize_t own = dra_find(e, s->uid);
+    double own_budget = own >= 0 ? e->alpha[own].budget : 0.0;
+    double earliness = 0.0;
+    int donors = 0;
+    for (Py_ssize_t k = 0; k < e->n_alpha; k++) {
+        if (dra_donor(e, &e->alpha[k], s)) {
+            earliness += e->alpha[k].budget;
+            donors = 1;
+        }
+    }
+    double allotted = own_budget + earliness;
+    double remaining = slot_budget(e, s);
+    if (allotted <= 1e-12 || remaining <= 1e-12) {
+        *out = remaining > 1e-12 ? 1.0 : e->dk_min_speed;
+        return 0;
+    }
+    double speed = remaining / allotted;
+    if (speed >= 1.0) {
+        *out = 1.0;
+        return 0;
+    }
+    if (donors && own >= 0) {
+        /* reclaim: the donors are the same entries the sum visited */
+        for (Py_ssize_t k = 0; k < e->n_alpha; k++) {
+            AlphaEntry *a = &e->alpha[k];
+            if (dra_donor(e, a, s)) {
+                e->alpha[own].budget += a->budget;
+                a->budget = 0.0;
+            }
+        }
+        dra_gc(e);
+    }
+    *out = py_max(e->dk_min_speed, speed);
+    return 0;
+}
+
+/* The policy's speed for dispatching slot idx, inside the profiler
+ * region the interpreted dispatch opens when profiling is on. */
+static int
+ce_decide(CoreEngine *e, Py_ssize_t idx, double *out)
+{
+    if (ce_reserve_buffers(e) < 0)
+        return -1;
+    int prof = e->m_prof_push != Py_None;
+    if (prof && ce_call_void(e->m_prof_push, e->decide_label) < 0)
+        return -1;
+    const JobSlot *s = &e->active[idx];
+    int rc;
+    switch (e->dk) {
+    case DK_LPSTA:
+    case DK_LPSEH:
+        rc = decide_slack(e, s, out);
+        break;
+    case DK_LAEDF:
+        rc = decide_laedf(e, s, out);
+        break;
+    case DK_FEEDBACK:
+        rc = decide_feedback(e, s, out);
+        break;
+    default:
+        rc = decide_dra(e, s, out);
+        break;
+    }
+    if (prof && rc < 0) {
+        /* close the region as a finally would, keeping the error */
+        PyObject *etype, *eval, *etb;
+        PyErr_Fetch(&etype, &eval, &etb);
+        if (ce_call_void(e->m_prof_pop, NULL) < 0)
+            PyErr_Clear();
+        PyErr_Restore(etype, eval, etb);
+    }
+    else if (prof && ce_call_void(e->m_prof_pop, NULL) < 0) {
+        rc = -1;
+    }
+    return rc;
+}
+
 static int
 ce_process_releases(CoreEngine *e)
 {
@@ -569,63 +1555,61 @@ ce_process_releases(CoreEngine *e)
             PyObject *idx_obj = PyLong_FromLong(index);
             if (idx_obj == NULL)
                 return -1;
-            PyObject *work_obj = PyObject_CallFunctionObjArgs(
+            PyObject *draw = PyObject_CallFunctionObjArgs(
                 e->m_work, task, idx_obj, NULL);
             Py_DECREF(idx_obj);
-            if (work_obj == NULL)
+            if (draw == NULL)
                 return -1;
-            double work_in = PyFloat_AsDouble(work_obj);
-            if (work_in == -1.0 && PyErr_Occurred()) {
-                Py_DECREF(work_obj);
-                return -1;
-            }
-            PyObject *rel_obj = PyFloat_FromDouble(release);
-            PyObject *iobj = PyLong_FromLong(index);
-            if (rel_obj == NULL || iobj == NULL) {
-                Py_XDECREF(rel_obj); Py_XDECREF(iobj);
-                Py_DECREF(work_obj);
+            double work = PyFloat_AsDouble(draw);
+            if (work == -1.0 && PyErr_Occurred()) {
+                Py_DECREF(draw);
                 return -1;
             }
-            PyObject *job = PyObject_CallFunctionObjArgs(
-                e->h_mk_job, task, iobj, work_obj, rel_obj,
-                e->allow_overrun ? Py_True : Py_False, NULL);
-            Py_DECREF(rel_obj);
-            Py_DECREF(iobj);
-            if (job == NULL) {
-                Py_DECREF(work_obj);
-                return -1;
-            }
-            double jdl, jwork;
-            if (attr_as_double(job, s_deadline, &jdl) < 0 ||
-                attr_as_double(job, s_work, &jwork) < 0) {
-                Py_DECREF(work_obj);
-                Py_DECREF(job);
-                return -1;
-            }
-            /* job.overrun: work > task.wcet + TIME_EPS */
-            if (jwork > e->t_wcet[i] + K_TIME_EPS) {
-                e->overruns++;
-                PyObject *now_obj = PyFloat_FromDouble(e->now);
-                PyObject *r = now_obj == NULL ? NULL :
+            double wcet = e->t_wcet[i];
+            PyObject *job = NULL;
+            if (work <= 0 || (!e->allow_overrun && work > wcet + K_TIME_EPS)) {
+                /* outside Job.from_task's range: let it raise */
+                PyObject *iobj = PyLong_FromLong(index);
+                PyObject *rel = PyFloat_FromDouble(release);
+                job = (iobj == NULL || rel == NULL) ? NULL :
                     PyObject_CallFunctionObjArgs(
-                        e->h_overrun_note, e->trace, now_obj, job,
-                        work_obj, NULL);
-                Py_XDECREF(now_obj);
-                if (r == NULL) {
-                    Py_DECREF(work_obj);
-                    Py_DECREF(job);
+                        e->h_mk_job, task, iobj, draw, rel,
+                        e->allow_overrun ? Py_True : Py_False, NULL);
+                Py_XDECREF(iobj);
+                Py_XDECREF(rel);
+                if (job == NULL) {
+                    Py_DECREF(draw);
                     return -1;
                 }
-                Py_DECREF(r);
             }
-            Py_DECREF(work_obj);
-            JobSlot slot = {job, jdl, release, jwork, 0.0, i, index,
-                            0, 0, 0};
+            /* Job.from_task: work clamped to the WCET unless overruns
+             * are allowed; deadline = release + task.deadline */
+            double jwork = e->allow_overrun ? work : py_min(work, wcet);
+            JobSlot slot = {job, draw, release + e->t_rel_deadline[i],
+                            release, jwork, 0.0, 0.0, i, index, 0,
+                            e->jobs_released, 0, 0};
             if (ce_active_append(e, slot) < 0) {
-                Py_DECREF(job);
+                Py_XDECREF(job);
+                Py_DECREF(draw);
                 return -1;
             }
-            /* the slot owns the job reference from here on */
+            /* the slot owns both references from here on */
+            Py_ssize_t at = e->n_active - 1;
+            /* job.overrun: work > task.wcet + TIME_EPS */
+            if (jwork > wcet + K_TIME_EPS) {
+                e->overruns++;
+                PyObject *jobj = ce_job(e, at);
+                PyObject *now_obj = jobj == NULL ? NULL :
+                    PyFloat_FromDouble(e->now);
+                PyObject *r = now_obj == NULL ? NULL :
+                    PyObject_CallFunctionObjArgs(
+                        e->h_overrun_note, e->trace, now_obj, jobj,
+                        draw, NULL);
+                Py_XDECREF(now_obj);
+                if (r == NULL)
+                    return -1;
+                Py_DECREF(r);
+            }
             e->jobs_released++;
             e->st_released[i]++;
             e->last_arrival[i] = release;
@@ -665,11 +1649,19 @@ ce_process_releases(CoreEngine *e)
             }
             Py_DECREF(nrobj);
             e->release_version++;
-            PyObject *r = PyObject_CallFunctionObjArgs(
-                e->m_on_release, job, e->ctx, NULL);
-            if (r == NULL)
-                return -1;
-            Py_DECREF(r);
+            if (e->dk == DK_DRA) {
+                if (dra_release(e, &e->active[at]) < 0)
+                    return -1;
+            }
+            else if (e->m_on_release != Py_None) {
+                PyObject *jobj = ce_job(e, at);
+                PyObject *r = jobj == NULL ? NULL :
+                    PyObject_CallFunctionObjArgs(e->m_on_release, jobj,
+                                                 e->ctx, NULL);
+                if (r == NULL)
+                    return -1;
+                Py_DECREF(r);
+            }
         }
     }
     return ce_check_misses(e);
@@ -772,7 +1764,7 @@ ce_idle_until(CoreEngine *e, double until)
     if (e->record_trace &&
         ce_trace_segment(e, "idle", e->now, until, energy) < 0)
         return -1;
-    ce_set_last_running(e, NULL);
+    e->last_running = -1;
     e->now = until;
     return ce_check_misses(e);
 }
@@ -788,7 +1780,7 @@ ce_sleep_until(CoreEngine *e, double until)
     if (e->record_trace &&
         ce_trace_segment(e, "sleep", e->now, until, energy) < 0)
         return -1;
-    ce_set_last_running(e, NULL);
+    e->last_running = -1;
     e->now = until;
     return ce_check_misses(e);
 }
@@ -839,74 +1831,49 @@ ce_handle_empty(CoreEngine *e)
 static int
 ce_speed_time_add(CoreEngine *e, double speed, double duration)
 {
-    for (Py_ssize_t i = 0; i < e->n_spd; i++) {
-        if (e->spd_exact[i] == speed) {
-            e->spd_dur[e->spd_slot[i]] += duration;
-            return 0;
-        }
-    }
-    if (e->n_spd == e->cap_spd) {
-        Py_ssize_t cap = e->cap_spd * 2;
-        /* Each grown array is kept as soon as it exists, so a failure
-         * part-way leaves every pointer valid (merely over-sized). */
-#define GROW(field, type) do { \
-            type *p_ = PyMem_Realloc(e->field, (size_t)cap * sizeof(type)); \
-            if (p_ == NULL) { \
-                PyErr_NoMemory(); return -1; } \
-            e->field = p_; } while (0)
-        GROW(spd_exact, double);
-        GROW(spd_dur, double);
-        GROW(spd_slot, Py_ssize_t);
-#undef GROW
-        e->cap_spd = cap;
-    }
-    PyObject *s = PyFloat_FromDouble(speed);
-    if (s == NULL)
-        return -1;
-    PyObject *key = PyObject_CallFunctionObjArgs(e->h_round_key, s, NULL);
-    Py_DECREF(s);
-    if (key == NULL)
-        return -1;
-    Py_ssize_t n = e->n_spd, slot = n;
-    PyObject *known = PyDict_GetItemWithError(e->spd_keys, key);
-    if (known != NULL) {
-        slot = PyLong_AsSsize_t(known);
-    } else {
-        PyObject *index = PyErr_Occurred() ? NULL : PyLong_FromSsize_t(n);
-        if (index == NULL
-                || PyDict_SetItem(e->spd_keys, key, index) < 0) {
-            Py_XDECREF(index);
-            Py_DECREF(key);
+    Py_ssize_t k = dmap_get(&e->spd_exact, speed);
+    if (k < 0) {
+        double key;
+        if (round12(speed, &key) < 0)
             return -1;
+        k = dmap_get(&e->spd_keyed, key);
+        if (k < 0) {
+            if (e->n_spd == e->cap_spd) {
+                Py_ssize_t cap = e->cap_spd * 2;
+                double *pk = PyMem_Realloc(e->spd_key,
+                                           (size_t)cap * sizeof(double));
+                if (pk == NULL) {
+                    PyErr_NoMemory();
+                    return -1;
+                }
+                e->spd_key = pk;
+                double *pd = PyMem_Realloc(e->spd_dur,
+                                           (size_t)cap * sizeof(double));
+                if (pd == NULL) {
+                    PyErr_NoMemory();
+                    return -1;
+                }
+                e->spd_dur = pd;
+                e->cap_spd = cap;
+            }
+            k = e->n_spd;
+            if (dmap_put(&e->spd_keyed, key, k) < 0)
+                return -1;
+            e->spd_key[k] = key;
+            e->spd_dur[k] = 0.0;
+            e->n_spd++;
         }
-        Py_DECREF(index);
+        if (dmap_put(&e->spd_exact, speed, k) < 0)
+            return -1;
     }
-    Py_DECREF(key);
-    e->spd_exact[n] = speed;
-    e->spd_dur[n] = 0.0;
-    e->spd_slot[n] = slot;
-    e->n_spd++;
-    e->spd_dur[slot] += duration;
+    e->spd_dur[k] += duration;
     return 0;
 }
 
+/* Simulator._apply_speed for a desired speed d that is not NaN. */
 static int
-ce_apply_speed(CoreEngine *e, PyObject *desired, double *out)
+ce_apply_speed(CoreEngine *e, double d, double *out)
 {
-    double d = 0.0;
-    int invalid = (desired == Py_None);
-    if (!invalid) {
-        d = PyFloat_AsDouble(desired);
-        if (d == -1.0 && PyErr_Occurred())
-            return -1;
-        invalid = isnan(d);
-    }
-    if (invalid) {
-        PyObject *r = PyObject_CallFunctionObjArgs(
-            e->h_bad_speed, e->result, desired, NULL);
-        Py_XDECREF(r);
-        return -1;
-    }
     double speed;
     if (ce_quantize(e, d, &speed) < 0)
         return -1;
@@ -1034,16 +2001,21 @@ ce_apply_speed(CoreEngine *e, PyObject *desired, double *out)
 static int
 ce_complete(CoreEngine *e, Py_ssize_t idx)
 {
-    JobSlot slot = e->active[idx];   /* takes over the job reference */
-    PyObject *now_obj = PyFloat_FromDouble(e->now);
-    if (now_obj == NULL)
+    JobSlot *s = &e->active[idx];
+    /* met_deadline(eps=DEADLINE_EPS) on the completion time set now */
+    int late = !(e->now <= s->deadline + K_DEADLINE_EPS) && !s->missed;
+    int hook = e->dk == DK_PYTHON && e->m_on_completion != Py_None;
+    if ((late || hook) && ce_job(e, idx) == NULL)
         return -1;
-    PyObject *r = PyObject_CallMethodObjArgs(slot.job, s_complete,
-                                             now_obj, NULL);
-    Py_DECREF(now_obj);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
+    if (s->job != NULL) {
+        /* Job.complete(now): its checks hold by construction here */
+        PyObject *work = PyObject_GetAttr(s->job, s_work);
+        if (job_set(s->job, s_executed, work) < 0 ||
+            job_set(s->job, s_completion_time,
+                    PyFloat_FromDouble(e->now)) < 0)
+            return -1;
+    }
+    JobSlot slot = *s;   /* takes over the references */
     memmove(&e->active[idx], &e->active[idx + 1],
             (size_t)(e->n_active - idx - 1) * sizeof(JobSlot));
     e->n_active--;
@@ -1056,8 +2028,7 @@ ce_complete(CoreEngine *e, Py_ssize_t idx)
     if (response > e->st_maxresp[slot.task])
         e->st_maxresp[slot.task] = response;
     int status = 0;
-    /* met_deadline(eps=DEADLINE_EPS) on the just-set completion time */
-    if (!(e->now <= slot.deadline + K_DEADLINE_EPS) && !slot.missed) {
+    if (late) {
         PyObject *t = PyFloat_FromDouble(e->now);
         PyObject *m = t == NULL ? NULL : PyObject_CallFunctionObjArgs(
             e->h_miss, e->result, e->trace, slot.job, t,
@@ -1069,95 +2040,125 @@ ce_complete(CoreEngine *e, Py_ssize_t idx)
             Py_DECREF(m);
     }
     if (status == 0) {
-        ce_set_last_running(e, NULL);
-        PyObject *h = PyObject_CallFunctionObjArgs(e->m_on_completion,
-                                                   slot.job, e->ctx, NULL);
-        if (h == NULL)
-            status = -1;
-        else
-            Py_DECREF(h);
+        e->last_running = -1;
+        if (e->dk == DK_FEEDBACK) {
+            feedback_complete(e, &slot);
+        }
+        else if (e->dk == DK_DRA) {
+            dra_complete(e, slot.uid);
+        }
+        else if (hook) {
+            PyObject *h = PyObject_CallFunctionObjArgs(
+                e->m_on_completion, slot.job, e->ctx, NULL);
+            if (h == NULL)
+                status = -1;
+            else
+                Py_DECREF(h);
+        }
     }
-    Py_DECREF(slot.job);
+    Py_XDECREF(slot.job);
+    Py_DECREF(slot.draw);
     return status;
+}
+
+/* The policy's desired speed from its Python select_speed, validated
+ * as Simulator._apply_speed does (None or NaN raise PolicyError). */
+static int
+ce_select_speed(CoreEngine *e, Py_ssize_t idx, double *out)
+{
+    PyObject *job = ce_job(e, idx);
+    if (job == NULL)
+        return -1;
+    PyObject *desired = PyObject_CallFunctionObjArgs(e->m_select_speed,
+                                                     job, e->ctx, NULL);
+    if (desired == NULL)
+        return -1;
+    int rc = 0;
+    if (e->tele) {
+        rc = ce_call_void(e->m_observe, desired);
+    }
+    double d = 0.0;
+    if (rc == 0 && desired != Py_None) {
+        d = PyFloat_AsDouble(desired);
+        if (d == -1.0 && PyErr_Occurred())
+            rc = -1;
+    }
+    if (rc == 0 && (desired == Py_None || isnan(d))) {
+        PyObject *r = PyObject_CallFunctionObjArgs(
+            e->h_bad_speed, e->result, desired, NULL);
+        Py_XDECREF(r);
+        rc = -1;
+    }
+    Py_DECREF(desired);
+    *out = d;
+    return rc;
+}
+
+/* The compiled decide's desired speed, observed and validated like a
+ * returned one. */
+static int
+ce_decide_speed(CoreEngine *e, Py_ssize_t idx, double *out)
+{
+    if (ce_decide(e, idx, out) < 0)
+        return -1;
+    if (!e->tele && !isnan(*out))
+        return 0;
+    PyObject *desired = PyFloat_FromDouble(*out);
+    if (desired == NULL)
+        return -1;
+    int rc = e->tele ? ce_call_void(e->m_observe, desired) : 0;
+    if (rc == 0 && isnan(*out)) {
+        PyObject *r = PyObject_CallFunctionObjArgs(
+            e->h_bad_speed, e->result, desired, NULL);
+        Py_XDECREF(r);
+        rc = -1;
+    }
+    Py_DECREF(desired);
+    return rc;
 }
 
 static int
 ce_dispatch(CoreEngine *e, Py_ssize_t idx)
 {
-    PyObject *job = e->active[idx].job;
-    Py_INCREF(job);
-    int status = -1;
-
-    if (e->last_running != NULL && e->last_running != job) {
+    long uid = e->active[idx].uid;
+    if (e->last_running >= 0 && e->last_running != uid) {
         /* the engine invariant guarantees last_running is incomplete */
         Py_ssize_t li = ce_find_slot(e, e->last_running);
         if (li >= 0) {
             JobSlot *ls = &e->active[li];
             ls->preempt++;
-            PyObject *pc = PyLong_FromLong(ls->preempt);
-            if (pc == NULL ||
-                PyObject_SetAttr(ls->job, s_preemption_count, pc) < 0) {
-                Py_XDECREF(pc);
-                goto done;
-            }
-            Py_DECREF(pc);
             e->st_preempt[ls->task]++;
+            if (ce_sync(e, li, s_preemption_count,
+                        PyLong_FromLong(ls->preempt)) < 0)
+                return -1;
         }
     }
     if (!e->active[idx].dispatched) {
         e->active[idx].dispatched = 1;
-        PyObject *t = PyFloat_FromDouble(e->now);
-        if (t == NULL ||
-            PyObject_SetAttr(job, s_first_dispatch_time, t) < 0) {
-            Py_XDECREF(t);
-            goto done;
-        }
-        Py_DECREF(t);
+        e->active[idx].first_dispatch = e->now;
+        if (ce_sync(e, idx, s_first_dispatch_time,
+                    PyFloat_FromDouble(e->now)) < 0)
+            return -1;
     }
     e->dispatches++;
-    PyObject *desired = PyObject_CallFunctionObjArgs(e->m_select_speed,
-                                                     job, e->ctx, NULL);
-    if (desired == NULL)
-        goto done;
-    PyObject *enabled = PyObject_GetAttr(e->telemetry, s_enabled);
-    if (enabled == NULL) {
-        Py_DECREF(desired);
-        goto done;
-    }
-    int tele = PyObject_IsTrue(enabled);
-    Py_DECREF(enabled);
-    if (tele < 0) {
-        Py_DECREF(desired);
-        goto done;
-    }
-    if (tele) {
-        PyObject *r = PyObject_CallFunctionObjArgs(e->m_observe, desired,
-                                                   NULL);
-        if (r == NULL) {
-            Py_DECREF(desired);
-            goto done;
-        }
-        Py_DECREF(r);
-    }
-    double speed;
-    int rc = ce_apply_speed(e, desired, &speed);
-    Py_DECREF(desired);
-    if (rc < 0)
-        goto done;
+    double desired, speed;
+    if ((e->dk == DK_PYTHON ? ce_select_speed(e, idx, &desired)
+                            : ce_decide_speed(e, idx, &desired)) < 0)
+        return -1;
+    if (ce_apply_speed(e, desired, &speed) < 0)
+        return -1;
 
     if (e->now >= e->horizon - K_TIME_EPS) {
-        ce_set_last_running(e, job);
-        status = 0;
-        goto done;
+        e->last_running = uid;
+        return 0;
     }
     /* a release during a timed switch may change the best job */
     if (ce_process_releases(e) < 0)
-        goto done;
+        return -1;
     Py_ssize_t best = ce_pick(e);
-    if (best < 0 || e->active[best].job != job) {
-        ce_set_last_running(e, job);
-        status = 0;
-        goto done;
+    if (best < 0 || e->active[best].uid != uid) {
+        e->last_running = uid;
+        return 0;
     }
     JobSlot *s = &e->active[idx];
     double remaining = snap_nonneg(s->work - s->executed);
@@ -1180,58 +2181,52 @@ ce_dispatch(CoreEngine *e, Py_ssize_t idx)
         PyObject *r = PyObject_CallFunction(e->h_no_progress, "dd",
                                             e->now, next_point);
         Py_XDECREF(r);
-        goto done;
+        return -1;
     }
-    /* job.execute(retired), with slot state kept in lockstep */
+    /* job.execute(retired), with a materialized job kept in step */
     if (retired < -K_TIME_EPS) {
-        PyObject *r = PyObject_CallFunction(e->h_neg_exec, "Od", job,
-                                            retired);
+        PyObject *job = ce_job(e, idx);
+        PyObject *r = job == NULL ? NULL : PyObject_CallFunction(
+            e->h_neg_exec, "Od", job, retired);
         Py_XDECREF(r);
-        goto done;
+        return -1;
     }
     double inc = (retired > 0.0) ? retired : 0.0;
     double new_total = s->executed + inc;
     if (new_total > s->work + 1e-6) {
-        PyObject *r = PyObject_CallFunction(e->h_overexec, "Od", job,
-                                            new_total);
+        PyObject *job = ce_job(e, idx);
+        PyObject *r = job == NULL ? NULL : PyObject_CallFunction(
+            e->h_overexec, "Od", job, new_total);
         Py_XDECREF(r);
-        goto done;
+        return -1;
     }
     s->executed = (new_total < s->work) ? new_total : s->work;
-    PyObject *ex = PyFloat_FromDouble(s->executed);
-    if (ex == NULL || PyObject_SetAttr(job, s_executed, ex) < 0) {
-        Py_XDECREF(ex);
-        goto done;
-    }
-    Py_DECREF(ex);
+    if (ce_sync(e, idx, s_executed, PyFloat_FromDouble(s->executed)) < 0)
+        return -1;
     double energy;
     if (ce_active_energy(e, speed, duration, &energy) < 0)
-        goto done;
+        return -1;
     e->busy_energy += energy;
     e->busy_time += duration;
     if (ce_speed_time_add(e, speed, duration) < 0)
-        goto done;
+        return -1;
     e->st_exec[s->task] += retired;
     if (e->record_trace) {
-        PyObject *r = PyObject_CallFunction(
+        PyObject *job = ce_job(e, idx);
+        PyObject *r = job == NULL ? NULL : PyObject_CallFunction(
             e->h_trace_run, "OddOdd", e->trace, e->now, next_point, job,
             speed, energy);
         if (r == NULL)
-            goto done;
+            return -1;
         Py_DECREF(r);
     }
     e->now = next_point;
-    ce_set_last_running(e, job);
+    e->last_running = uid;
     if (snap_nonneg(s->work - s->executed) <= K_WORK_EPS) {
         if (ce_complete(e, idx) < 0)
-            goto done;
+            return -1;
     }
-    if (ce_process_releases(e) < 0)
-        goto done;
-    status = 0;
-done:
-    Py_DECREF(job);
-    return status;
+    return ce_process_releases(e);
 }
 
 static int
@@ -1282,21 +2277,20 @@ ce_flush(CoreEngine *e)
     SETI("transition_faults", e->transition_faults);
 #undef SETF
 #undef SETI
-    /* speed_time: a fresh dict in key-first-seen order, each key's
-     * total read from its slot. */
+    /* speed_time: a fresh dict in key-first-seen order */
     PyObject *st = PyDict_New();
     if (st == NULL)
         return -1;
-    Py_ssize_t pos = 0;
-    PyObject *key, *index;
-    while (PyDict_Next(e->spd_keys, &pos, &key, &index)) {
-        PyObject *val = PyFloat_FromDouble(
-            e->spd_dur[PyLong_AsSsize_t(index)]);
+    for (Py_ssize_t k = 0; k < e->n_spd; k++) {
+        PyObject *key = PyFloat_FromDouble(e->spd_key[k]);
+        PyObject *val = key == NULL ? NULL : PyFloat_FromDouble(e->spd_dur[k]);
         if (val == NULL || PyDict_SetItem(st, key, val) < 0) {
+            Py_XDECREF(key);
             Py_XDECREF(val);
             Py_DECREF(st);
             return -1;
         }
+        Py_DECREF(key);
         Py_DECREF(val);
     }
     if (PyObject_SetAttrString(res, "speed_time", st) < 0) {
@@ -1390,15 +2384,7 @@ CoreEngine_pessimistic_next_release(CoreEngine *self, PyObject *args)
     Py_ssize_t i = PyLong_AsSsize_t(idx_obj);
     if (i == -1 && PyErr_Occurred())
         return NULL;
-    if (self->is_periodic)
-        return PyFloat_FromDouble(self->next_release[i]);
-    double v;
-    if (isnan(self->last_arrival[i]))
-        v = self->next_release[i];
-    else
-        v = self->last_arrival[i] + self->t_period[i];
-    /* max(now, v) */
-    return PyFloat_FromDouble((v > self->now) ? v : self->now);
+    return PyFloat_FromDouble(ce_release_view(self, i));
 }
 
 static PyObject *
@@ -1451,31 +2437,77 @@ fail:
     return NULL;
 }
 
+/* The active jobs in slot order, each materialized once. */
+static PyObject *
+ce_jobs(CoreEngine *self, int as_list)
+{
+    Py_ssize_t n = self->n_active;
+    PyObject *out = as_list ? PyList_New(n) : PyTuple_New(n);
+    if (out == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *job = ce_job(self, i);
+        if (job == NULL) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        Py_INCREF(job);
+        if (as_list)
+            PyList_SET_ITEM(out, i, job);
+        else
+            PyTuple_SET_ITEM(out, i, job);
+    }
+    return out;
+}
+
 /* active_jobs() -> tuple of the active Job objects, slot order. */
 static PyObject *
 CoreEngine_active_jobs(CoreEngine *self, PyObject *Py_UNUSED(ignored))
 {
-    PyObject *tup = PyTuple_New(self->n_active);
-    if (tup == NULL)
-        return NULL;
-    for (Py_ssize_t i = 0; i < self->n_active; i++) {
-        Py_INCREF(self->active[i].job);
-        PyTuple_SET_ITEM(tup, i, self->active[i].job);
-    }
-    return tup;
+    return ce_jobs(self, 0);
 }
 
 static PyObject *
 CoreEngine_get_active(CoreEngine *self, void *Py_UNUSED(closure))
 {
-    PyObject *lst = PyList_New(self->n_active);
-    if (lst == NULL)
+    return ce_jobs(self, 1);
+}
+
+/* decide_state() -> (analysis_calls, pid, canonical_now, alpha): what
+ * the compiled decide leaves behind, for the policy to take back.  pid
+ * is one (prediction, integral, last_error) per task; alpha one
+ * (task, index, deadline, release, budget, done) per entry, in order. */
+static PyObject *
+CoreEngine_decide_state(CoreEngine *self, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *pid = PyTuple_New(self->n_tasks);
+    PyObject *alpha = pid == NULL ? NULL : PyTuple_New(self->n_alpha);
+    if (alpha == NULL) {
+        Py_XDECREF(pid);
         return NULL;
-    for (Py_ssize_t i = 0; i < self->n_active; i++) {
-        Py_INCREF(self->active[i].job);
-        PyList_SET_ITEM(lst, i, self->active[i].job);
     }
-    return lst;
+    for (Py_ssize_t i = 0; i < self->n_tasks; i++) {
+        PyObject *row = Py_BuildValue("(ddd)", self->pid_pred[i],
+                                      self->pid_int[i], self->pid_last[i]);
+        if (row == NULL)
+            goto fail;
+        PyTuple_SET_ITEM(pid, i, row);
+    }
+    for (Py_ssize_t k = 0; k < self->n_alpha; k++) {
+        const AlphaEntry *a = &self->alpha[k];
+        PyObject *row = Py_BuildValue("(nldddO)", a->task, a->index,
+                                      a->deadline, a->release, a->budget,
+                                      a->done ? Py_True : Py_False);
+        if (row == NULL)
+            goto fail;
+        PyTuple_SET_ITEM(alpha, k, row);
+    }
+    return Py_BuildValue("(lNdN)", self->analysis_calls, pid,
+                         self->canonical_now, alpha);
+fail:
+    Py_DECREF(pid);
+    Py_DECREF(alpha);
+    return NULL;
 }
 
 static PyObject *
@@ -1554,6 +2586,8 @@ static PyMethodDef CoreEngine_methods[] = {
      "(active_deadlines, active_budgets) of the slack snapshot."},
     {"active_jobs", (PyCFunction)CoreEngine_active_jobs, METH_NOARGS,
      "The active jobs as a tuple, slot order."},
+    {"decide_state", (PyCFunction)CoreEngine_decide_state, METH_NOARGS,
+     "The compiled decide's policy state after the run."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1592,171 +2626,69 @@ event_cmp(const void *pa, const void *pb)
     return (a->idx < b->idx) ? -1 : (a->idx > b->idx) ? 1 : 0;
 }
 
+/* Parse sequences of floats into fresh arrays; each count goes to the
+ * matching slot of n (NULL entries skip).  On failure frees what it
+ * built and returns -1. */
+static int
+parse_columns(Py_ssize_t count, PyObject **seqs, double **arrs,
+              Py_ssize_t *n)
+{
+    for (Py_ssize_t k = 0; k < count; k++) {
+        arrs[k] = seq_as_doubles(seqs[k], &n[k]);
+        if (arrs[k] == NULL) {
+            for (Py_ssize_t j = 0; j < k; j++)
+                PyMem_Free(arrs[j]);
+            return -1;
+        }
+    }
+    return 0;
+}
+
 /* exact_slack_walk(t, d_first, window_end, active_d, active_w,
  *                  rel, rdl, per, wcet, util, corr) -> float */
 static PyObject *
 fastcore_exact_slack_walk(PyObject *Py_UNUSED(module), PyObject *args)
 {
     double t, d_first, window_end;
-    PyObject *o_ad, *o_aw, *o_rel, *o_rdl, *o_per, *o_wcet, *o_util,
-        *o_corr;
+    PyObject *seqs[8];
     if (!PyArg_ParseTuple(args, "dddOOOOOOOO", &t, &d_first, &window_end,
-                          &o_ad, &o_aw, &o_rel, &o_rdl, &o_per, &o_wcet,
-                          &o_util, &o_corr))
+                          &seqs[0], &seqs[1], &seqs[2], &seqs[3], &seqs[4],
+                          &seqs[5], &seqs[6], &seqs[7]))
         return NULL;
-    Py_ssize_t n_active, n_tasks, nx;
-    double *ad = NULL, *aw = NULL, *rel = NULL, *rdl = NULL, *per = NULL,
-        *wcet = NULL, *util = NULL, *corr = NULL;
-    SlackEvent *events = NULL;
+    double *c[8];
+    Py_ssize_t n[8];
+    if (parse_columns(8, seqs, c, n) < 0)
+        return NULL;
     PyObject *out = NULL;
-    if ((ad = seq_as_doubles(o_ad, &n_active)) == NULL ||
-        (aw = seq_as_doubles(o_aw, &nx)) == NULL ||
-        (rel = seq_as_doubles(o_rel, &n_tasks)) == NULL ||
-        (rdl = seq_as_doubles(o_rdl, &nx)) == NULL ||
-        (per = seq_as_doubles(o_per, &nx)) == NULL ||
-        (wcet = seq_as_doubles(o_wcet, &nx)) == NULL ||
-        (util = seq_as_doubles(o_util, &nx)) == NULL ||
-        (corr = seq_as_doubles(o_corr, &nx)) == NULL)
-        goto cleanup;
-
-    double fence = window_end + 1e-12;
-    /* count events to size the array */
-    Py_ssize_t cap = n_active;
-    for (Py_ssize_t i = 0; i < n_tasks; i++) {
-        double deadline = rel[i] + rdl[i];
-        if (deadline <= fence && per[i] > 0.0)
-            cap += (Py_ssize_t)floor((fence - deadline) / per[i]) + 2;
-    }
-    events = PyMem_Malloc((size_t)(cap > 0 ? cap : 1)
-                          * sizeof(SlackEvent));
-    if (events == NULL) {
-        PyErr_NoMemory();
-        goto cleanup;
-    }
-    Py_ssize_t n = 0;
-    for (Py_ssize_t i = 0; i < n_active; i++) {
-        events[n].d = ad[i];
-        events[n].w = aw[i];
-        events[n].idx = n;
-        n++;
-    }
-    for (Py_ssize_t i = 0; i < n_tasks; i++) {
-        double deadline = rel[i] + rdl[i];
-        while (deadline <= fence) {
-            if (n >= cap) {   /* defensive; the count above is exact */
-                Py_ssize_t grown = cap * 2 + 8;
-                SlackEvent *ge = PyMem_Realloc(
-                    events, (size_t)grown * sizeof(SlackEvent));
-                if (ge == NULL) {
-                    PyErr_NoMemory();
-                    goto cleanup;
-                }
-                events = ge;
-                cap = grown;
-            }
-            events[n].d = deadline;
-            events[n].w = wcet[i];
-            events[n].idx = n;
-            n++;
-            deadline += per[i];
-        }
-    }
-    qsort(events, (size_t)n, sizeof(SlackEvent), event_cmp);
-
-    double best = INFINITY;
-    double h = 0.0;
-    Py_ssize_t i = 0;
-    while (i < n) {
-        double d_k = events[i].d;
-        while (i < n && events[i].d <= d_k + 1e-12) {
-            h += events[i].w;
-            i++;
-        }
-        if (d_k >= d_first - 1e-12) {
-            double g = d_k - t - h;
-            if (g < best)
-                best = g;
-        }
-    }
-    /* _tail_guard: active budgets + linear future demand at the edge */
-    double total = 0.0;
-    for (Py_ssize_t j = 0; j < n_active; j++)
-        total += aw[j];
-    for (Py_ssize_t j = 0; j < n_tasks; j++) {
-        double head = window_end - rel[j];
-        total += util[j] * ((head > 0.0) ? head : 0.0);
-        if (rdl[j] < per[j])
-            total += corr[j];
-    }
-    double tail = window_end - t - total;
-    if (tail < best)
-        best = tail;
-    out = PyFloat_FromDouble((best > 0.0) ? best : 0.0);
-cleanup:
-    PyMem_Free(ad); PyMem_Free(aw); PyMem_Free(rel); PyMem_Free(rdl);
-    PyMem_Free(per); PyMem_Free(wcet); PyMem_Free(util);
-    PyMem_Free(corr); PyMem_Free(events);
+    WalkBuffers ws = {0};
+    if (walk_buffers_reserve(&ws, n[0], n[2]) == 0)
+        out = PyFloat_FromDouble(exact_walk_core(
+            t, d_first, window_end, n[0], c[0], c[1], n[2], c[2], c[3],
+            c[4], c[5], c[6], c[7], &ws));
+    walk_buffers_free(&ws);
+    for (int k = 0; k < 8; k++)
+        PyMem_Free(c[k]);
     return out;
 }
 
 /* heuristic_slack_walk(t, d_first, active_d, active_w, rel, util, corr)
- * -> float.  Candidates: active deadlines, d_first, releases >= d_first
- * (duplicates harmless: identical g).  Demand accumulation order is
- * actives in state order, then tasks in task order — matching the
- * interpreted loop bit for bit. */
+ * -> float */
 static PyObject *
 fastcore_heuristic_slack_walk(PyObject *Py_UNUSED(module), PyObject *args)
 {
     double t, d_first;
-    PyObject *o_ad, *o_aw, *o_rel, *o_util, *o_corr;
-    if (!PyArg_ParseTuple(args, "ddOOOOO", &t, &d_first, &o_ad, &o_aw,
-                          &o_rel, &o_util, &o_corr))
+    PyObject *seqs[5];
+    if (!PyArg_ParseTuple(args, "ddOOOOO", &t, &d_first, &seqs[0],
+                          &seqs[1], &seqs[2], &seqs[3], &seqs[4]))
         return NULL;
-    Py_ssize_t n_active, n_tasks, nx;
-    double *ad = NULL, *aw = NULL, *rel = NULL, *util = NULL,
-        *corr = NULL;
-    PyObject *out = NULL;
-    if ((ad = seq_as_doubles(o_ad, &n_active)) == NULL ||
-        (aw = seq_as_doubles(o_aw, &nx)) == NULL ||
-        (rel = seq_as_doubles(o_rel, &n_tasks)) == NULL ||
-        (util = seq_as_doubles(o_util, &nx)) == NULL ||
-        (corr = seq_as_doubles(o_corr, &nx)) == NULL)
-        goto cleanup;
-
-    double best = INFINITY;
-    Py_ssize_t n_cand = n_active + 1 + n_tasks;
-    for (Py_ssize_t c = 0; c < n_cand; c++) {
-        double d_k;
-        if (c < n_active)
-            d_k = ad[c];
-        else if (c == n_active)
-            d_k = d_first;
-        else {
-            d_k = rel[c - n_active - 1];
-            if (!(d_k >= d_first))
-                continue;   /* release candidates require >= d_first */
-        }
-        if (d_k < d_first - 1e-12)
-            continue;
-        double cfence = d_k + 1e-12;
-        double total = 0.0;
-        for (Py_ssize_t j = 0; j < n_active; j++) {
-            if (ad[j] <= cfence)
-                total += aw[j];
-        }
-        for (Py_ssize_t j = 0; j < n_tasks; j++) {
-            double headroom = d_k - rel[j];
-            if (headroom > 0.0)
-                total += util[j] * headroom + corr[j];
-        }
-        double g = d_k - t - total;
-        if (g < best)
-            best = g;
-    }
-    out = PyFloat_FromDouble((best > 0.0) ? best : 0.0);
-cleanup:
-    PyMem_Free(ad); PyMem_Free(aw); PyMem_Free(rel); PyMem_Free(util);
-    PyMem_Free(corr);
+    double *c[5];
+    Py_ssize_t n[5];
+    if (parse_columns(5, seqs, c, n) < 0)
+        return NULL;
+    PyObject *out = PyFloat_FromDouble(heuristic_walk_core(
+        t, d_first, n[0], c[0], c[1], n[2], c[2], c[3], c[4]));
+    for (int k = 0; k < 5; k++)
+        PyMem_Free(c[k]);
     return out;
 }
 

@@ -221,9 +221,10 @@ class CoreContext(SimContext):
 
     The same surface as :class:`SimContext`, but the active-job tuple
     and the slack snapshot's columns come straight from the core's job
-    slots instead of a walk over the ``Job`` objects.  The core keeps
-    each slot's ``executed`` in lockstep with its job, so the columns
-    are the floats :meth:`SimContext.slack_state` would compute.
+    slots instead of a walk over the ``Job`` objects.  A slot holds its
+    job's state; the ``Job`` is built from it on first request and kept
+    in step after, so the columns are the floats
+    :meth:`SimContext.slack_state` would compute.
     """
 
     @property

@@ -30,12 +30,17 @@ This module is the seam between the two worlds:
 * **Kernels** — :func:`slack_kernels` hands ``repro.analysis.slack``
   and the clairvoyant policy the compiled kernels under the same
   enable switch, resolved once per run.
+* **Decide** — :func:`_decide_fields` hands the core a policy's
+  :class:`~repro.policies.base.DecideSpec` when the core can make the
+  policy's speed decisions itself (DESIGN.md §13.4); after the run the
+  policy takes its state back.
 """
 
 from __future__ import annotations
 
 import hashlib
 import importlib.util
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -268,9 +273,10 @@ _EXT, _LOAD_REPORT = _resolve()
 sys.modules[_MODULE] = _EXT
 _default_override: bool | None = None
 
-#: Runs taken by each backend since process start (the gate's
+#: Runs taken by each backend since process start, and the compiled
+#: runs whose policy decided in C, per policy name (the gate's
 #: engagement probe and ``repro doctor``'s evidence).
-RUN_COUNTS = {"compiled": 0, "interpreted": 0}
+RUN_COUNTS: dict = {"compiled": 0, "interpreted": 0, "decided": {}}
 
 
 def compiled_available() -> bool:
@@ -336,7 +342,7 @@ def core_info() -> dict:
         "refused": [*_LOAD_REPORT["refused"],
                     *(f"ignored {path}: left-over next to the source, "
                       f"never imported" for path in in_tree_leftovers())],
-        "runs": dict(RUN_COUNTS),
+        "runs": {**RUN_COUNTS, "decided": dict(RUN_COUNTS["decided"])},
     }
 
 
@@ -422,10 +428,6 @@ def _neg_exec(job, amount):
         f"job {job.name}: negative execution amount {amount}")
 
 
-def _round_key(speed):
-    return round(speed, 12)
-
-
 def _trace_run(trace, start, end, job, speed, energy):
     trace.run(start, end, job.name, job.task.name, speed, energy)
 
@@ -448,6 +450,65 @@ def _ineligible_reason(sim: "Simulator") -> str | None:
     if type(sim.processor) is not Processor:
         return f"processor {type(sim.processor).__name__}"
     return None
+
+
+#: DecideSpec.kind -> the C core's decide kind (DK_* in _fastcore.c).
+_DECIDE_KINDS = {"lpSTA": 1, "lpSEH": 2, "laEDF": 3, "feedback": 4,
+                 "DRA": 5}
+#: The registry policies the compiled core decides for.
+DECIDED_POLICIES = tuple(_DECIDE_KINDS)
+
+
+def _decide_fields(sim: "Simulator") -> dict:
+    """The decide part of the C init contract (DESIGN.md §13.4).
+
+    Kind 0 keeps the policy's own ``select_speed`` (and its release and
+    completion hooks, skipped when they are the base class's no-ops).
+    The compiled decide is taken only for the exact class that set the
+    policy's :class:`~repro.policies.base.DecideSpec`, with every hook
+    it mirrors unpatched.  Telemetry and profiling do not change the
+    path: the core makes the same observations and opens the same
+    profiler regions as the hooks would.
+    """
+    from repro.analysis.slack import _flat_tasks
+    from repro.policies.base import DvsPolicy
+
+    policy = sim.policy
+    spec = policy.decide_spec
+    kind = (_DECIDE_KINDS[spec.kind]
+            if spec is not None and policy.decides_unpatched() else 0)
+    fields = dict(
+        decide_kind=kind, decide_option=0, decide_baseline=1.0,
+        decide_min_speed=1.0, decide_cap=math.nan, decide_kp=0.0,
+        decide_ki=0.0, decide_kd=0.0, sc_wcet=(), sc_util=(),
+        sc_corr=(), fu_util=(), fu_corr=(),
+        observe_slack=policy.observe_slack,
+        prof_push=_PROFILER.push if _PROFILER.enabled else None,
+        prof_pop=_PROFILER.pop if _PROFILER.enabled else None,
+        decide_label=decide_label(sim._result.policy),
+        on_release=(None if type(policy).on_release is DvsPolicy.on_release
+                    and "on_release" not in vars(policy)
+                    else policy.on_release),
+        on_completion=(None if type(policy).on_completion
+                       is DvsPolicy.on_completion
+                       and "on_completion" not in vars(policy)
+                       else policy.on_completion),
+    )
+    if not kind:
+        return fields
+    full = _flat_tasks(sim.taskset.tasks)
+    scaled = _flat_tasks(spec.tasks) if spec.tasks is not None else full
+    kp, ki, kd = spec.gains
+    fields.update(
+        decide_option=int(spec.option), decide_baseline=spec.baseline,
+        decide_min_speed=float(policy.min_speed),
+        decide_cap=(math.nan if spec.window_cap is None
+                    else float(spec.window_cap)),
+        decide_kp=kp, decide_ki=ki, decide_kd=kd,
+        sc_wcet=scaled[3], sc_util=scaled[4], sc_corr=scaled[5],
+        fu_util=full[4], fu_corr=full[5], on_release=None,
+        on_completion=None)
+    return fields
 
 
 def _build_namespace(sim: "Simulator") -> SimpleNamespace:
@@ -476,7 +537,7 @@ def _build_namespace(sim: "Simulator") -> SimpleNamespace:
         taskset=sim.taskset, processor=proc, scheduler=sim.scheduler,
         execution_model=sim.execution_model,
         arrival_model=sim.arrival_model,
-        trace=sim._trace, result=sim._result, telemetry=_TELEMETRY,
+        trace=sim._trace, result=sim._result,
         tasks=tasks, names=names,
         name2idx={name: i for i, name in enumerate(names)},
         task_stats=tuple(sim._result.task_stats[name] for name in names),
@@ -484,8 +545,6 @@ def _build_namespace(sim: "Simulator") -> SimpleNamespace:
         # policy / model callbacks
         select_speed=_maybe_profiled(sim.policy.select_speed,
                                      decide_label(sim._result.policy)),
-        on_release=sim.policy.on_release,
-        on_completion=sim.policy.on_completion,
         observe=sim.policy.observe_decision,
         plan_idle=(sim.idle_policy.plan_idle
                    if sim.idle_policy is not None else _never),
@@ -501,7 +560,7 @@ def _build_namespace(sim: "Simulator") -> SimpleNamespace:
         stuck_note=_stuck_note, requant_note=_requant_note,
         bad_speed=_bad_speed, bad_quant=_bad_quant,
         no_progress=_no_progress, overexec=_overexec,
-        neg_exec=_neg_exec, round_key=_round_key, trace_run=_trace_run,
+        neg_exec=_neg_exec, trace_run=_trace_run,
         # scalars
         horizon=float(sim.horizon),
         q_min=float(q_min), p_alpha=float(p_alpha),
@@ -510,6 +569,7 @@ def _build_namespace(sim: "Simulator") -> SimpleNamespace:
         sleep_power=float(proc.sleep_power),
         wakeup_energy=float(proc.wakeup_energy),
         # flags
+        telemetry_on=int(_TELEMETRY.enabled),
         allow_misses=int(sim.allow_misses),
         record_trace=int(sim.record_trace),
         faults_transitions=int(faults_transitions),
@@ -526,6 +586,7 @@ def _build_namespace(sim: "Simulator") -> SimpleNamespace:
         name_rank=tuple(rank[name] for name in names),
         release0=tuple(sim._next_release[name] for name in names),
         q_levels=tuple(float(level) for level in q_levels),
+        **_decide_fields(sim),
     )
 
 
@@ -564,16 +625,25 @@ def run_compiled(sim: "Simulator") -> bool:
         RUN_COUNTS["interpreted"] += 1
         return False
     from repro.sim.engine import CoreContext
-    core = _EXT.CoreEngine(_build_namespace(sim))
+    namespace = _build_namespace(sim)
+    core = _EXT.CoreEngine(namespace)
     ctx = CoreContext(core)
     RUN_COUNTS["compiled"] += 1
+    if namespace.decide_kind:
+        decided = RUN_COUNTS["decided"]
+        decided[sim._result.policy] = decided.get(sim._result.policy, 0) + 1
     if _TELEMETRY.enabled:
-        # Unlike RUN_COUNTS this folds back across fork with the chunk
+        # Unlike RUN_COUNTS these fold back across fork with the chunk
         # delta, so a parallel sweep can prove its workers ran C.
         _TELEMETRY.inc("engine.compiled_runs")
+        if namespace.decide_kind:
+            _TELEMETRY.inc("engine.compiled_decides")
     try:
         core.run(ctx)
     finally:
+        if namespace.decide_kind:
+            from repro.policies.base import DecideState
+            sim.policy.absorb_decide_state(DecideState(*core.decide_state()))
         # Mirror the engine attributes downstream introspection reads;
         # _next_release/_next_index are shared dicts, updated in place.
         sim._now = core._now

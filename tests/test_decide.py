@@ -1,0 +1,390 @@
+"""The compiled decide and lazy jobs (DESIGN.md §13.4).
+
+lpSTA, lpSEH, laEDF, feedback and DRA choose their speed inside the
+compiled core; their Python hooks stay the reference.  The twin tests
+draw workloads and hold the C decide to the Python ``select_speed``
+decision by decision: with telemetry on, every dispatch reports its
+desired (pre-quantization) speed through ``observe_decision``, on
+either path, so the two sequences must be equal element for element —
+and the results, the policies' after-run state and lpSTA/lpSEH's
+``analysis_calls`` too.  The fallback tests pin which runs keep the
+Python path; the lazy-job tests hold the slot-backed ``Job`` objects to
+the interpreted engine's.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cpu.profiles import ideal_processor, xscale_processor
+from repro.errors import DeadlineMissError, SimulationError
+from repro.experiments.probes import SlackProbePolicy
+from repro.faults import FaultPlan
+from repro.faults.plan import OverrunFault
+from repro.policies import (
+    DraPolicy,
+    FeedbackDvsPolicy,
+    LaEdfPolicy,
+    LpSehPolicy,
+    LpStaPolicy,
+)
+from repro.policies.base import DvsPolicy
+from repro.policies.governor import SafetyGovernor
+from repro.profiling import PROFILER
+from repro.sim import fastcore
+from repro.sim.engine import simulate
+from repro.tasks.arrivals import PeriodicArrival, UniformJitterArrival
+from repro.tasks.execution import (
+    ExecutionModel,
+    UniformExecution,
+    WorstCaseExecution,
+)
+from repro.tasks.generators import generate_taskset
+from repro.tasks.task import PeriodicTask
+from repro.tasks.taskset import TaskSet
+from repro.telemetry import TELEMETRY
+
+pytestmark = [
+    pytest.mark.compiled,
+    pytest.mark.skipif(not fastcore.compiled_available(),
+                       reason="compiled core unavailable "
+                              "(see `repro doctor`)"),
+]
+
+TWIN = settings(max_examples=30, deadline=None, derandomize=True,
+                database=None)
+HORIZON = 300.0
+
+#: Few, harmonic periods: releases and deadlines of different tasks
+#: coincide often (the tie-breaking paths of every kernel).
+PERIODS = (10.0, 20.0, 40.0, 80.0)
+
+
+@st.composite
+def workloads(draw, *, overruns: bool = True) -> dict:
+    n = draw(st.integers(min_value=2, max_value=7))
+    constrained = draw(st.booleans())
+    taskset = generate_taskset(
+        n, draw(st.floats(min_value=0.2, max_value=0.95)),
+        np.random.default_rng(draw(st.integers(0, 2**31 - 1))),
+        period_choices=PERIODS,
+        deadline_range=(0.6, 0.95) if constrained else None)
+    seed = draw(st.integers(0, 2**16))
+    faults = None
+    if overruns and draw(st.booleans()):
+        # Overrunning jobs exhaust their budgets before they finish.
+        faults = FaultPlan(seed=seed, overrun=OverrunFault(
+            factor=draw(st.floats(min_value=1.05, max_value=1.5)),
+            probability=draw(st.floats(min_value=0.1, max_value=1.0))))
+    # Sporadic arrivals: the policies see pessimistic next releases.
+    arrival = (UniformJitterArrival(jitter=0.5, seed=seed)
+               if draw(st.booleans()) else PeriodicArrival())
+    return dict(taskset=taskset, faults=faults, arrival=arrival,
+                model=UniformExecution(
+                    low=draw(st.floats(min_value=0.05, max_value=1.0)),
+                    high=1.0, seed=seed),
+                processor=draw(st.sampled_from(("ideal", "xscale"))))
+
+
+def run(make_policy, workload: dict, *, python: bool, compiled=True,
+        **kwargs) -> tuple[list[float], object, DvsPolicy]:
+    """One run; returns its desired speeds, result and policy.
+
+    ``python=True`` shadows ``select_speed`` on the instance, which
+    keeps the Python path (an instance hook is never assumed to be the
+    class's own); ``compiled=False`` runs the interpreted engine.
+    """
+    policy = make_policy()
+    if python:
+        policy.select_speed = policy.select_speed
+    desired: list[float] = []
+    observe = TELEMETRY.observe
+
+    def record(name, value, bounds=None):
+        if name.endswith(".speed"):
+            desired.append(value)
+
+    processor = (ideal_processor() if workload["processor"] == "ideal"
+                 else xscale_processor())
+    before = dict(fastcore.RUN_COUNTS["decided"])
+    TELEMETRY.configure(enabled=True)
+    TELEMETRY.observe = record
+    try:
+        with fastcore.forced(compiled):
+            result = simulate(workload["taskset"], processor, policy,
+                              workload["model"], horizon=HORIZON,
+                              faults=workload["faults"],
+                              arrival_model=workload.get("arrival"),
+                              allow_misses=True, **kwargs)
+    finally:
+        del TELEMETRY.observe
+        TELEMETRY.configure(enabled=False)
+        TELEMETRY.reset()
+    assert TELEMETRY.observe == observe
+    decided = (fastcore.RUN_COUNTS["decided"].get(result.policy, 0)
+               - before.get(result.policy, 0))
+    assert decided == (0 if python or not compiled else 1)
+    return desired, result, policy
+
+
+def assert_twins(make_policy, workload: dict) -> tuple:
+    """The C decide against select_speed on the compiled engine, and
+    against the interpreted engine (whose walks are Python too)."""
+    c_speeds, c_result, c_policy = run(make_policy, workload, python=False)
+    py_speeds, py_result, py_policy = run(make_policy, workload,
+                                          python=True)
+    assert c_speeds == py_speeds
+    assert len(c_speeds) == c_result.dispatches > 0
+    assert c_result == py_result
+    interpreted = run(make_policy, workload, python=False, compiled=False)
+    assert interpreted[:2] == (c_speeds, c_result)
+    return c_policy, py_policy
+
+
+@TWIN
+@given(workload=workloads(), greedy=st.booleans(),
+       cap=st.sampled_from((None, 2.0, 0.5)))
+def test_lpsta_decide_equals_select_speed(workload, greedy, cap):
+    c_policy, py_policy = assert_twins(
+        lambda: LpStaPolicy(window_cap_periods=cap,
+                            baseline="full" if greedy else "static"),
+        workload)
+    assert c_policy.analysis_calls == py_policy.analysis_calls > 0
+
+
+@TWIN
+@given(workload=workloads())
+def test_lpseh_decide_equals_select_speed(workload):
+    c_policy, py_policy = assert_twins(LpSehPolicy, workload)
+    assert c_policy.analysis_calls == py_policy.analysis_calls > 0
+
+
+@TWIN
+@given(workload=workloads(), safe=st.booleans())
+def test_laedf_decide_equals_select_speed(workload, safe):
+    assert_twins(lambda: LaEdfPolicy(safe=safe), workload)
+
+
+@TWIN
+@given(workload=workloads(),
+       gains=st.tuples(st.floats(min_value=0.0, max_value=3.0),
+                       st.floats(min_value=0.0, max_value=1.0),
+                       st.floats(min_value=0.0, max_value=2.0)))
+def test_feedback_decide_equals_select_speed(workload, gains):
+    c_policy, py_policy = assert_twins(
+        lambda: FeedbackDvsPolicy(*gains), workload)
+    # The PID histories the C core kept are the hooks' own.
+    assert c_policy._pid == py_policy._pid
+
+
+@TWIN
+@given(workload=workloads())
+def test_dra_decide_equals_select_speed(workload):
+    c_policy, py_policy = assert_twins(DraPolicy, workload)
+    # The alpha queue (order, budgets, donor transfers) and the
+    # canonical clock end where the hooks leave them.
+    assert list(c_policy._entries.items()) == list(
+        py_policy._entries.items())
+    assert c_policy._canonical_now == py_policy._canonical_now
+
+
+def test_dra_reclaims_across_deadline_ties():
+    # Equal periods release jobs with tied deadlines; early finishers
+    # donate their canonical time to the tied job behind them.
+    taskset = TaskSet([PeriodicTask(f"T{i}", 1.0 + i, 10.0)
+                       for i in range(4)])
+    workload = dict(taskset=taskset, faults=None, processor="ideal",
+                    model=UniformExecution(low=0.1, high=0.6, seed=3))
+    assert_twins(DraPolicy, workload)
+
+
+# ----------------------------------------------------------------------
+# Which runs keep the Python path
+# ----------------------------------------------------------------------
+
+def _workload(n=5, u=0.7, seed=11):
+    return generate_taskset(n, u, np.random.default_rng(seed),
+                            period_choices=PERIODS), \
+        UniformExecution(low=0.2, high=1.0, seed=seed)
+
+
+def _simulate(policy, *, compiled=True, **kwargs):
+    taskset, model = _workload()
+    with fastcore.forced(compiled):
+        return simulate(taskset, ideal_processor(), policy, model,
+                        horizon=HORIZON, **kwargs)
+
+
+def _decided() -> int:
+    return sum(fastcore.RUN_COUNTS["decided"].values())
+
+
+def test_subclass_keeps_the_python_path():
+    before = _decided()
+    probed = _simulate(SlackProbePolicy())
+    assert _decided() == before
+    assert probed == _simulate(SlackProbePolicy(), compiled=False)
+    assert dataclasses.replace(probed, policy="lpSTA") \
+        == _simulate(LpStaPolicy())
+    assert _decided() == before + 1
+
+
+def test_wrapper_keeps_the_python_path():
+    before = _decided()
+    governed = _simulate(SafetyGovernor(LpSehPolicy()))
+    assert _decided() == before
+    assert governed == _simulate(SafetyGovernor(LpSehPolicy()),
+                                 compiled=False)
+
+
+def test_patched_hook_keeps_the_python_path(monkeypatch):
+    reference = _simulate(LaEdfPolicy())
+    original = LaEdfPolicy.select_speed
+    calls = []
+
+    def counted(self, job, ctx):
+        calls.append(job.name)
+        return original(self, job, ctx)
+
+    monkeypatch.setattr(LaEdfPolicy, "select_speed", counted)
+    before = _decided()
+    patched = _simulate(LaEdfPolicy())
+    assert _decided() == before
+    assert len(calls) == patched.dispatches
+    assert patched == reference
+
+
+def test_opt_out_keeps_the_interpreted_engine(monkeypatch):
+    reference = _simulate(FeedbackDvsPolicy())
+    monkeypatch.setenv("REPRO_COMPILED", "0")
+    before = dict(fastcore.RUN_COUNTS, decided=_decided())
+    opted_out = _simulate(FeedbackDvsPolicy(), compiled=None)
+    assert fastcore.RUN_COUNTS["interpreted"] == before["interpreted"] + 1
+    assert _decided() == before["decided"]
+    assert opted_out == reference
+
+
+def test_telemetry_keeps_the_c_decide_and_its_observations():
+    snapshots = []
+    for python in (False, True):
+        policy = LpStaPolicy()
+        if python:
+            policy.select_speed = policy.select_speed
+        TELEMETRY.configure(enabled=True)
+        try:
+            result = _simulate(policy)
+            snapshots.append((result, TELEMETRY.snapshot()))
+        finally:
+            TELEMETRY.configure(enabled=False)
+            TELEMETRY.reset()
+    (c_result, c_tele), (py_result, py_tele) = snapshots
+    assert c_result == py_result
+    assert c_tele["histograms"] == py_tele["histograms"]
+    counters = {**py_tele["counters"], "engine.compiled_decides": 1}
+    assert c_tele["counters"] == counters
+
+
+def test_profiling_keeps_the_c_decide_and_its_regions():
+    counts = []
+    for python in (False, True):
+        policy = FeedbackDvsPolicy()
+        if python:
+            policy.select_speed = policy.select_speed
+        before = _decided()
+        PROFILER.configure(enabled=True)
+        try:
+            result = _simulate(policy)
+            phases = PROFILER.snapshot()["phases"]
+        finally:
+            PROFILER.configure(enabled=False)
+            PROFILER.reset()
+        assert _decided() == before + (0 if python else 1)
+        counts.append((result, {name: rec["count"]
+                                for name, rec in phases.items()}))
+    (c_result, c_counts), (py_result, py_counts) = counts
+    assert c_result == py_result
+    assert c_counts == py_counts
+    assert c_counts["slack.heuristic"] == 2 * c_counts[
+        "policy.decide.feedback"]
+
+
+# ----------------------------------------------------------------------
+# Lazy jobs
+# ----------------------------------------------------------------------
+
+class _Watching(DvsPolicy):
+    """Full speed; records the active jobs' state at every dispatch."""
+
+    name = "watching"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.seen: list[tuple] = []
+
+    def select_speed(self, job, ctx):
+        first = ctx.active_jobs
+        again = ctx.active_jobs
+        assert all(a is b for a, b in zip(first, again, strict=True))
+        self.seen.append(tuple(
+            (j.name, j.executed, j.first_dispatch_time, j.preemption_count)
+            for j in first))
+        return 0.5 if job.task.name == "T0" else 1.0
+
+
+def test_active_jobs_are_stable_and_match_the_interpreter():
+    taskset = TaskSet([PeriodicTask("T0", 3.0, 20.0),
+                       PeriodicTask("T1", 1.0, 5.0),
+                       PeriodicTask("T2", 2.0, 8.0)])
+    watched = []
+    for compiled in (True, False):
+        policy = _Watching()
+        with fastcore.forced(compiled):
+            simulate(taskset, ideal_processor(), policy,
+                     WorstCaseExecution(), horizon=200.0)
+        watched.append(policy.seen)
+    assert watched[0] == watched[1]
+    assert any(count for seen in watched[0] for *_, count in seen)
+
+
+def _failure(make_error, **kwargs) -> list[str]:
+    messages = []
+    for compiled in (True, False):
+        with fastcore.forced(compiled), pytest.raises(make_error) as exc:
+            simulate(horizon=200.0, **kwargs)
+        messages.append(str(exc.value))
+    return messages
+
+
+def test_miss_in_a_c_decided_run_raises_the_same_error():
+    overloaded = TaskSet([PeriodicTask("A", 6.0, 10.0),
+                          PeriodicTask("B", 6.0, 10.0)])
+    compiled, interpreted = _failure(
+        DeadlineMissError, taskset=overloaded,
+        processor=ideal_processor(), policy=LpSehPolicy(),
+        execution_model=WorstCaseExecution(), check_feasibility=False)
+    assert compiled == interpreted
+    assert "missed its deadline" in compiled
+
+
+class _TooLong(ExecutionModel):
+    """Draws more work than the WCET for the third job of every task."""
+
+    def ratio(self, task, index):
+        return 0.5
+
+    def work(self, task, index):
+        return task.wcet * (2.0 if index == 2 else 0.5)
+
+
+def test_invalid_work_draw_raises_the_same_error():
+    taskset, _model = _workload()
+    compiled, interpreted = _failure(
+        SimulationError, taskset=taskset, processor=ideal_processor(),
+        policy=DraPolicy(), execution_model=_TooLong())
+    assert compiled == interpreted
+    assert "actual work" in compiled

@@ -168,7 +168,9 @@ def test_core_info_shape():
     info = fastcore.core_info()
     assert set(info) == {"available", "enabled", "backend", "origin",
                          "reason", "refused", "runs"}
-    assert set(info["runs"]) == {"compiled", "interpreted"}
+    assert set(info["runs"]) == {"compiled", "interpreted", "decided"}
+    assert all(isinstance(count, int)
+               for count in info["runs"]["decided"].values())
     if info["available"]:
         assert info["backend"] == "c-extension"
         assert info["origin"] and info["reason"] is None
@@ -282,6 +284,7 @@ def test_engines_identical_randomized(n, u, seed, bcwc, constrained,
 
 def test_doctor_reports_backends(capsys):
     from repro.cli import main
+    before = dict(fastcore.RUN_COUNTS["decided"])
     assert main(["doctor"]) == 0
     out = capsys.readouterr().out
     assert "numpy:" in out
@@ -292,6 +295,11 @@ def test_doctor_reports_backends(capsys):
         assert "c-extension" in out
     else:
         assert "not built" in out
+    if fastcore.compiled_enabled():
+        # One probe run per policy, each decided in C.
+        assert "decided in C: " + ", ".join(
+            f"{name} {before.get(name, 0) + 1}"
+            for name in fastcore.DECIDED_POLICIES) in out
 
 
 @needs_compiled

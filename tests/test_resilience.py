@@ -254,6 +254,33 @@ class TestQuarantine:
         assert shape(para[1]) == shape(serial[1])
         assert (serial[1].normalized == para[1].normalized)
 
+    @needs_fork
+    def test_worker_timeout_record_keeps_its_classification(self):
+        # The deadline fires inside a policy run, so the worker sees a
+        # SuiteExecutionError wrapping the UnitTimeoutError and retries
+        # it as transient; the record must say so, with the real
+        # attempt count, although the cause chain does not survive the
+        # trip back to the parent.
+        from repro.policies.registry import make_policy
+
+        class Stalling(type(make_policy("static"))):
+            def select_speed(self, job, ctx):
+                time.sleep(30.0)
+                return 1.0
+
+        def policies(_x):
+            return lambda name: (Stalling() if name == "static"
+                                 else make_policy(name))
+
+        cells = sweep((0.5,), workload, POLICIES, n_tasksets=1,
+                      horizon=HORIZON, workers=2, unit_timeout=0.3,
+                      max_retries=1, retry_backoff=0.01,
+                      policy_factory=policies, on_failure="quarantine")
+        [record] = cells[0].quarantined
+        assert record["error_type"] == "SuiteExecutionError"
+        assert record["classification"] == "transient"
+        assert record["attempts"] == 2
+
     def test_quarantined_cell_round_trip(self):
         record = QuarantinedCell(
             index=3, x=0.7, seed=123, seed_pos=1, attempts=2,

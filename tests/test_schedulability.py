@@ -1,5 +1,8 @@
 """Tests for repro.analysis.schedulability."""
 
+import time
+
+import numpy as np
 import pytest
 
 from repro.analysis.schedulability import (
@@ -9,7 +12,11 @@ from repro.analysis.schedulability import (
     processor_demand_test,
     rm_response_time_analysis,
 )
+from repro.cpu.profiles import ideal_processor
 from repro.errors import ConfigurationError
+from repro.experiments.config import EXPERIMENT_PERIOD_CHOICES
+from repro.policies.registry import ALL_POLICY_NAMES, make_policy
+from repro.tasks.generators import generate_taskset
 from repro.tasks.task import PeriodicTask
 from repro.tasks.taskset import TaskSet
 
@@ -126,3 +133,36 @@ class TestMinimumConstantSpeed:
         speed = minimum_constant_speed(ts)
         scaled = TaskSet([t.scaled(1.0 / speed) for t in ts])
         assert processor_demand_test(scaled)
+
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    def test_equals_the_scalar_bisection(self, n):
+        # The numpy demand test must reach the speed the scalar
+        # processor-demand test reaches, step for step.
+        from repro.analysis.schedulability import _feasible_at
+        for seed in range(4):
+            ts = generate_taskset(
+                n, 0.45 + 0.15 * seed, np.random.default_rng(seed),
+                period_choices=EXPERIMENT_PERIOD_CHOICES,
+                deadline_range=(0.6, 0.95))
+            low, high = ts.utilization, 1.0
+            for _ in range(64):
+                mid = 0.5 * (low + high)
+                if _feasible_at(ts, mid):
+                    high = mid
+                else:
+                    low = mid
+                if high - low < 1e-9:
+                    break
+            assert minimum_constant_speed(ts) == high
+
+    def test_constrained_16_task_unit_binds_fast(self):
+        # Six policies of a suite bind with it; the task set pays once.
+        ts = generate_taskset(16, 0.85, np.random.default_rng(3),
+                              period_choices=EXPERIMENT_PERIOD_CHOICES,
+                              deadline_range=(0.6, 0.95))
+        started = time.perf_counter()
+        policies = [make_policy(name) for name in ALL_POLICY_NAMES]
+        for policy in policies:
+            policy.bind(ts, ideal_processor())
+        assert time.perf_counter() - started < 0.1
+        assert minimum_constant_speed(ts) is minimum_constant_speed(ts)

@@ -218,6 +218,30 @@ def states(draw, max_utilization: float = 2.0) -> SystemState:
                              next_release=next_release)
 
 
+@st.composite
+def tied_states(draw) -> SystemState:
+    """Exact cross-task deadline ties: every task's future deadlines,
+    and the active deadlines, lie on one grid of binary fractions, so
+    different tasks' jobs fall due at bit-identical times; WCETs and
+    budgets are arbitrary floats, so the order a tied group's work is
+    added in shows in the bits."""
+    t = draw(st.sampled_from((0.0, 7.5, 10.0)))
+    grid = draw(st.sampled_from((1.0, 2.0, 2.5)))
+    tasks, next_release = [], {}
+    for i in range(draw(st.integers(min_value=2, max_value=6))):
+        period = grid * draw(st.sampled_from((1, 2, 4)))
+        deadline = grid * draw(st.integers(1, int(period / grid)))
+        wcet = deadline * draw(st.floats(min_value=0.01, max_value=0.3))
+        tasks.append(PeriodicTask(f"T{i}", wcet=wcet, period=period,
+                                  deadline=deadline))
+        next_release[f"T{i}"] = t + grid * draw(st.integers(0, 3))
+    active = [ActiveJob(deadline=t + grid * draw(st.integers(1, 8)),
+                        remaining_wcet=draw(st.floats(0.0, 3.0)))
+              for _ in range(draw(st.integers(min_value=1, max_value=5)))]
+    return SystemState.build(time=t, active=active, tasks=tasks,
+                             next_release=next_release)
+
+
 window_caps = st.sampled_from((None, 0.5, 1.0, 2.0, 4.0))
 
 
@@ -317,7 +341,7 @@ def test_walks_on_empty_future_streams():
 
 @needs_compiled
 @WALK_SETTINGS
-@given(data=st.data(), state=states(), cap=window_caps)
+@given(data=st.data(), state=states() | tied_states(), cap=window_caps)
 def test_exact_walk_equals_compiled_kernel(data, state, cap):
     args = exact_walk_args(state, cap, data.draw(earliest_candidates(state)))
     assert slack_mod._exact_walk(*args) == _fastcore.exact_slack_walk(*args)
