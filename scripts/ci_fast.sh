@@ -6,7 +6,7 @@
 #
 #   scripts/ci_fast.sh            # tests + identity gate + perf guard
 #
-# The marked subsets (telemetry, compiled, watch, profile, chaos, ...)
+# The marked subsets (telemetry, compiled, watch, chaos, faults, trace)
 # and the parallel-executor/cache contract tests are all non-slow, so
 # the two "not slow" runs below already cover them.
 #

@@ -43,12 +43,11 @@ from repro.experiments.runner import (
 from repro.faults import FaultPlan
 from repro.faults.plan import OverrunFault, TransitionFault
 from repro.policies.registry import ALL_POLICY_NAMES, make_policy
-from repro.profiling import OVERHEAD_BUDGET, PROFILER
 from repro.profiling.report import profile_block
 from repro.sim import fastcore
 from repro.sim.engine import simulate
 from repro.tasks.generators import generate_taskset
-from repro.telemetry import TELEMETRY, progress
+from repro.telemetry import OVERHEAD_BUDGET, TELEMETRY, progress
 from repro.telemetry.manifest import RunManifest
 
 TOGGLES = ("compiled", "workers", "telemetry", "profile", "progress",
@@ -373,7 +372,7 @@ def run_leg(tag: str, leg: dict, kwargs: dict, reference: list[str],
         TELEMETRY.configure(
             enabled=True,
             manifest_dir=stream_dir if leg["progress"] else None)
-    PROFILER.configure(enabled=leg["profile"])
+    TELEMETRY.configure_timers(enabled=leg["profile"])
     parent_before = fastcore.RUN_COUNTS["compiled"]
     decided_before = dict(fastcore.RUN_COUNTS["decided"])
     t0 = time.perf_counter()
@@ -402,7 +401,7 @@ def run_leg(tag: str, leg: dict, kwargs: dict, reference: list[str],
                       TELEMETRY.counter("audit.runs") == RUNS,
                       f"audit.runs={TELEMETRY.counter('audit.runs')}")
             if leg["profile"]:
-                delta = PROFILER.delta_since({})
+                delta = TELEMETRY.delta_since(None)
                 check_profile(tag, leg, delta, measured)
                 folds["phases"][tag] = phase_counts(delta)
             if leg["progress"]:
@@ -414,9 +413,8 @@ def run_leg(tag: str, leg: dict, kwargs: dict, reference: list[str],
     finally:
         shutdown_pool()
         TELEMETRY.configure(enabled=False)
+        TELEMETRY.configure_timers(enabled=False)
         TELEMETRY.reset()
-        PROFILER.configure(enabled=False)
-        PROFILER.reset()
     print(f"     {tag} took {time.perf_counter() - t0:.2f}s")
 
 
@@ -434,12 +432,12 @@ def anchor_once() -> float:
 def check_profile_overhead() -> None:
     anchor_once()  # warm imports and allocator before timing
     off = min(anchor_once() for _ in range(ANCHOR_ROUNDS))
-    PROFILER.configure(enabled=True)
+    TELEMETRY.configure_timers(enabled=True)
     try:
         on = min(anchor_once() for _ in range(ANCHOR_ROUNDS))
     finally:
-        PROFILER.configure(enabled=False)
-        PROFILER.reset()
+        TELEMETRY.configure_timers(enabled=False)
+        TELEMETRY.reset()
     check("anchor: profiling off adds no measurable overhead",
           off <= on * 1.10 + NOISE_SLOP_S,
           f"off={off * 1e3:.2f}ms on={on * 1e3:.2f}ms")

@@ -61,8 +61,8 @@ from repro.analysis.demand import (
     future_demand_linear_bound,
 )
 from repro.errors import ConfigurationError
-from repro.profiling import PROFILER as _PROFILER
 from repro.tasks.task import PeriodicTask
+from repro.telemetry import TELEMETRY as _TELEMETRY
 from repro.types import Time, Work
 
 # The compiled slack kernels (repro.sim._fastcore, DESIGN.md §13) are
@@ -264,14 +264,14 @@ def exact_slack(state: SystemState, *,
     everything, so it must pass ``earliest_candidate=state.time`` to
     constrain against every future deadline.
     """
-    prof = _PROFILER
-    if not prof.enabled:
+    tele = _TELEMETRY
+    if not tele.timers:
         return _exact_slack(state, window_cap_periods, earliest_candidate)
-    prof.push("slack.exact")
+    tele.push("slack.exact")
     try:
         return _exact_slack(state, window_cap_periods, earliest_candidate)
     finally:
-        prof.pop()
+        tele.pop()
 
 
 def _exact_slack(state: SystemState,
@@ -306,14 +306,14 @@ def heuristic_slack(state: SystemState) -> Time:
     constrained deadlines the exact walk's tail guard can be the
     looser of the two (``tests/test_slack_walks.py``).
     """
-    prof = _PROFILER
-    if not prof.enabled:
+    tele = _TELEMETRY
+    if not tele.timers:
         return _heuristic_slack(state)
-    prof.push("slack.heuristic")
+    tele.push("slack.heuristic")
     try:
         return _heuristic_slack(state)
     finally:
-        prof.pop()
+        tele.pop()
 
 
 def _heuristic_slack(state: SystemState) -> Time:

@@ -43,7 +43,7 @@ Commands
     parallel executor's default worker count, and the profiling layer's
     availability and measured per-region overhead.
 ``profile``
-    The phase profiler (DESIGN.md §15): ``run`` an instrumented EXP-F1
+    The phase timers (DESIGN.md §9): ``run`` an instrumented EXP-F1
     mini sweep and print its time budget (writing the manifest with a
     ``profile`` block, a collapsed-stack flamegraph input, and a
     Perfetto-loadable phase trace), ``report`` a manifest's budget,
@@ -138,6 +138,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint_dir:
         print("--resume requires --checkpoint-dir", file=sys.stderr)
         return 2
+    if args.profile and not args.telemetry_dir:
+        print("--profile requires --telemetry-dir (the time budget is "
+              "written into the run manifests there)", file=sys.stderr)
+        return 2
     try:
         args.policies = _parse_policy_list(args.policy)
     except ConfigurationError as exc:
@@ -169,8 +173,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.telemetry.registry import set_registry_dir
         set_registry_dir(args.registry_dir)
     if args.profile:
-        from repro.profiling import PROFILER
-        PROFILER.configure(enabled=True)
+        from repro.telemetry import TELEMETRY
+        TELEMETRY.configure_timers(enabled=True)
     for name in names:
         started = time.time()
         if name in TABLES:
@@ -382,15 +386,15 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
         "no fork: sweeps run inline"
     print(f"parallel:       default workers: {workers} ({fork})")
 
-    from repro.profiling import OVERHEAD_BUDGET, PROFILER, PhaseProfiler
-    probe = PhaseProfiler()
-    probe.enabled = True
+    from repro.telemetry import OVERHEAD_BUDGET, TELEMETRY, Telemetry
+    probe = Telemetry()
+    probe.configure_timers(enabled=True)
     t0 = time.perf_counter_ns()
     for _ in range(10_000):
         probe.push("doctor.probe")
         probe.pop()
     per_region_ns = (time.perf_counter_ns() - t0) / 10_000
-    state = "enabled" if PROFILER.enabled else "off by default"
+    state = "enabled" if TELEMETRY.timers else "off by default"
     print(f"profiling:      phase timers available ({state}; "
           f"~{per_region_ns:.0f}ns per region when on, "
           f"budget {OVERHEAD_BUDGET:g}x)")
@@ -459,7 +463,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.experiments.parallel import shutdown_pool
     from repro.experiments.runner import (bcwc_model, standard_taskset,
                                           sweep)
-    from repro.profiling import PROFILER
     from repro.telemetry import TELEMETRY
 
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
@@ -484,10 +487,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 bcwc_model(args.bcwc, seed))
 
     TELEMETRY.configure(enabled=True, manifest_dir=out)
-    PROFILER.configure(enabled=True, timeline=True,
-                       sample=not args.no_sample,
-                       sample_interval_s=args.sample_interval)
-    before = PROFILER.snapshot()
+    TELEMETRY.configure_timers(enabled=True, timeline=True,
+                               sample=not args.no_sample,
+                               sample_interval_s=args.sample_interval)
+    before = TELEMETRY.snapshot()
     started = time.perf_counter()
     try:
         cells = sweep(xs, workload, policies, n_tasksets=args.seeds,
@@ -497,17 +500,17 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         if args.workers > 1:
             shutdown_pool()
     wall = time.perf_counter() - started
-    delta = PROFILER.delta_since(before)
+    delta = TELEMETRY.delta_since(before)
     block = prep.profile_block(
-        delta, timeline_dropped=PROFILER.timeline_dropped)
+        delta, timeline_dropped=TELEMETRY.timeline_dropped)
     trace = prep.export_chrome_profile(
-        PROFILER.timeline_events(), out / "profile_trace.json",
-        origin_ns=PROFILER.origin_ns)
+        TELEMETRY.timeline_events(), out / "profile_trace.json",
+        origin_ns=TELEMETRY.origin_ns)
     folded = None
     if delta["samples"]:
         folded = prep.write_collapsed(delta["samples"],
                                       out / "profile.folded")
-    PROFILER.configure(enabled=False)
+    TELEMETRY.configure_timers(enabled=False)
 
     print(prep.render_budget(block, measured_wall_s=wall))
     print(f"cells: {len(cells)}  "
@@ -876,10 +879,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "queryable with 'repro runs' (default: "
                             "$REPRO_REGISTRY_DIR)")
     p_run.add_argument("--profile", action="store_true",
-                       help="enable the phase profiler: every run "
-                            "manifest this run writes carries a "
-                            "'profile' time-budget block (results "
-                            "stay byte-identical; DESIGN.md §15)")
+                       help="enable the phase timers: every run "
+                            "manifest written to --telemetry-dir "
+                            "(required) carries a 'profile' time-budget "
+                            "block (results stay byte-identical; "
+                            "DESIGN.md §9)")
     p_run.set_defaults(func=_cmd_run)
 
     p_sim = sub.add_parser("simulate", help="one ad-hoc simulation")

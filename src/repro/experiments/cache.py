@@ -56,7 +56,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from repro.experiments import chaos as _chaos
-from repro.profiling import PROFILER as _PROFILER
 from repro.telemetry import TELEMETRY as _TELEMETRY
 
 if TYPE_CHECKING:
@@ -216,14 +215,14 @@ class SuiteCache:
 
     def get(self, digest: str) -> dict[str, PolicySummary] | None:
         """The cached suite summaries for *digest*, or ``None``."""
-        prof = _PROFILER
-        if not prof.enabled:
+        tele = _TELEMETRY
+        if not tele.timers:
             return self._get(digest)
-        prof.push("cache.lookup")
+        tele.push("cache.lookup")
         try:
             return self._get(digest)
         finally:
-            prof.pop()
+            tele.pop()
 
     def _get(self, digest: str) -> dict[str, PolicySummary] | None:
         path = self._path(digest)
@@ -278,14 +277,14 @@ class SuiteCache:
         count — instead of killing the sweep: a cache is an
         accelerator, never a correctness dependency.
         """
-        prof = _PROFILER
-        if not prof.enabled:
+        tele = _TELEMETRY
+        if not tele.timers:
             return self._put(digest, summaries, key_payload)
-        prof.push("cache.write")
+        tele.push("cache.write")
         try:
             return self._put(digest, summaries, key_payload)
         finally:
-            prof.pop()
+            tele.pop()
 
     def _put(self, digest: str,
              summaries: Mapping[str, PolicySummary],

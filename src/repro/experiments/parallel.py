@@ -87,7 +87,6 @@ from repro.experiments.resilience import (
     retry_budget,
     unit_deadline,
 )
-from repro.profiling import PROFILER as _PROFILER
 from repro.telemetry import TELEMETRY as _TELEMETRY
 from repro.telemetry import progress as _progress
 
@@ -266,14 +265,11 @@ def _suite_summaries(spec: dict[str, Any], x: float, seed: int,
                 # Inside the deadline, so an injected hang is
                 # interruptible exactly like a real one.
                 _chaos.on_unit_start(float(x), seed)
-                if _PROFILER.enabled:
-                    with _PROFILER.phase("unit.workload"):
-                        taskset, model = spec["make_workload"](x, seed)
-                else:
+                with _TELEMETRY.phase("unit.workload"):
                     taskset, model = spec["make_workload"](x, seed)
                 processor = (processor_factory(x) if processor_factory
                              else ideal_processor())
-                with _PROFILER.sample_unit():
+                with _TELEMETRY.sample_unit():
                     suite = run_suite(
                         taskset, spec["policy_names"], processor, model,
                         horizon=spec["horizon"],
@@ -311,28 +307,25 @@ def _run_chunk(
     (so the parent can pick the lowest-ordered failure across all
     chunks) and ends the chunk, as a serial sweep would not have run
     anything after its first failure either — plus, when telemetry or
-    profiling is enabled (workers inherit the parent's registry state
-    at fork time), a meta dict carrying the worker pid, the chunk's
-    wall time, and the worker's telemetry/profile *deltas* for this
-    chunk, which the parent merges in its fold loop so parallel
-    counts and phase attributions equal serial ones.
+    the timers are on (workers inherit the parent's registry state at
+    fork time), a meta dict carrying the worker pid, the chunk's wall
+    time, and the worker's registry *delta* for this chunk, which the
+    parent merges in its fold loop so parallel counts and phase
+    attributions equal serial ones.
     """
     spec = _SPEC
     if spec is None:  # pragma: no cover - guards misuse, not a code path
         raise RuntimeError("worker forked before the sweep spec was set")
     tele = _TELEMETRY
-    before = tele.snapshot() if tele.enabled else None
-    prof = _PROFILER
-    prof_before = None
-    if prof.enabled:
+    before = tele.snapshot() if tele.enabled or tele.timers else None
+    if tele.timers:
         # The chunk envelope is this worker's root frame: everything
         # the worker does nests inside it, and its *self* time (spec
         # lookup, outcome packing) is the chunk's IPC overhead.  For
         # an inline chunk (run in the parent) the frame nests under
-        # the parent's ``sweep.execute`` instead and the delta below
+        # the parent's ``sweep.compute`` instead and the delta below
         # is skipped by ``merge_meta(inline=True)``.
-        prof_before = prof.snapshot()
-        prof.push("worker.chunk")
+        tele.push("worker.chunk")
     started = _time.perf_counter()
     t0 = _time.time()
     audit_every = spec.get("audit_every")
@@ -354,22 +347,18 @@ def _run_chunk(
                 continue
             break
         outcomes.append((pos, summaries, None, None))
-    if prof.enabled:
-        prof.pop()
-    meta = None
-    if tele.enabled or prof.enabled:
-        meta = {
-            "pid": os.getpid(),
-            "units": len(outcomes),
-            "wall_s": _time.perf_counter() - started,
-            "t0": t0,
-            "t1": _time.time(),
-        }
-        if tele.enabled:
-            meta["telemetry"] = tele.delta_since(before)
-        if prof.enabled:
-            meta["profile"] = prof.delta_since(prof_before)
-    return outcomes, meta
+    if tele.timers:
+        tele.pop()
+    if before is None:
+        return outcomes, None
+    return outcomes, {
+        "pid": os.getpid(),
+        "units": len(outcomes),
+        "wall_s": _time.perf_counter() - started,
+        "t0": t0,
+        "t1": _time.time(),
+        "delta": tele.delta_since(before),
+    }
 
 
 #: Thunk table for :func:`map_forked`, inherited by forked workers.
@@ -648,17 +637,14 @@ def run_cells(
             fold(index)
 
     def merge_meta(meta: dict, *, inline: bool = False) -> None:
-        # Fold the worker's chunk deltas into the parent registries the
+        # Fold the worker's chunk delta into the parent registry the
         # moment the chunk lands — the telemetry sibling of the
         # in-seed-order cell folding.  An *inline* chunk ran in the
         # parent process, so its counters and phase frames already
-        # landed in the parent registries directly; merging its deltas
+        # landed in the parent registry directly; merging its delta
         # again would double count — only the chunk bookkeeping folds.
         if not inline:
-            if _PROFILER.enabled and "profile" in meta:
-                _PROFILER.merge_snapshot(meta["profile"])
-            if _TELEMETRY.enabled and "telemetry" in meta:
-                _TELEMETRY.merge_snapshot(meta["telemetry"])
+            _TELEMETRY.merge_snapshot(meta["delta"])
         if not _TELEMETRY.enabled:
             return
         _TELEMETRY.record_worker(meta["pid"], chunks=1,
@@ -681,17 +667,17 @@ def run_cells(
         broke = False
         not_done = set(chunk_futures)
         while not_done:
-            if _PROFILER.enabled:
+            if _TELEMETRY.timers:
                 # Parent-side blocking on worker results is the
                 # sweep's idle budget — kept distinct from the fold
                 # work below so "waiting on the pool" never masquerades
                 # as orchestration cost.
-                _PROFILER.push("pool.idle")
+                _TELEMETRY.push("pool.idle")
                 try:
                     done, not_done = wait(not_done, timeout=budget,
                                           return_when=FIRST_COMPLETED)
                 finally:
-                    _PROFILER.pop()
+                    _TELEMETRY.pop()
             else:
                 done, not_done = wait(not_done, timeout=budget,
                                       return_when=FIRST_COMPLETED)
@@ -710,7 +696,7 @@ def run_cells(
                                 killed=killed, budget=budget,
                                 mode=mode)
                 continue
-            with _PROFILER.phase("ipc.fold"):
+            with _TELEMETRY.phase("ipc.fold"):
                 for future in done:
                     try:
                         outcomes, meta = future.result()
@@ -778,10 +764,10 @@ def run_cells(
                     break
                 pool = WorkerPool.acquire(workers, spec)
                 try:
-                    with _PROFILER.phase("ipc.dispatch"):
+                    with _TELEMETRY.phase("ipc.dispatch"):
                         future = pool.executor.submit(_run_chunk,
                                                       [units[pos]])
-                    with _PROFILER.phase("pool.idle"):
+                    with _TELEMETRY.phase("pool.idle"):
                         outcomes, meta = future.result(timeout=budget)
                 except _FuturesTimeout:
                     killed = _kill_pool_workers(pool)
@@ -851,7 +837,7 @@ def run_cells(
         pool.fresh = False
         chunk_futures: dict[Any, int] = {}
         try:
-            with _PROFILER.phase("ipc.dispatch"):
+            with _TELEMETRY.phase("ipc.dispatch"):
                 for start, stop in plans:
                     positions = todo[start:stop]
                     chunk_futures[pool.executor.submit(

@@ -61,7 +61,6 @@ from repro.experiments.config import EXPERIMENT_PERIOD_CHOICES
 from repro.faults import FaultPlan
 from repro.policies.base import DvsPolicy
 from repro.policies.registry import make_policy
-from repro.profiling import PROFILER
 from repro.sim.engine import simulate
 from repro.sim.results import SimulationResult
 from repro.telemetry import TELEMETRY
@@ -386,14 +385,8 @@ class SweepCheckpointer:
         return SweepCell.from_payload(payload["cell"])
 
     def store(self, index: int, cell: SweepCell) -> None:
-        prof = PROFILER
-        if not prof.enabled:
-            return self._store(index, cell)
-        prof.push("supervision.checkpoint")
-        try:
-            return self._store(index, cell)
-        finally:
-            prof.pop()
+        with TELEMETRY.phase("supervision.checkpoint"):
+            self._store(index, cell)
 
     def _store(self, index: int, cell: SweepCell) -> None:
         if self.degraded:
@@ -645,16 +638,12 @@ def sweep(
                     # Inside the deadline, so an injected hang is
                     # interruptible exactly like a real one.
                     _chaos.on_unit_start(float(x), seed)
-                    if PROFILER.enabled:
-                        with PROFILER.phase("unit.workload"):
-                            taskset, model = make_workload(float(x),
-                                                           seed)
-                    else:
+                    with TELEMETRY.phase("unit.workload"):
                         taskset, model = make_workload(float(x), seed)
                     processor = (processor_factory(float(x))
                                  if processor_factory
                                  else ideal_processor())
-                    with PROFILER.sample_unit():
+                    with TELEMETRY.sample_unit():
                         suite = run_suite(
                             taskset, policy_names, processor, model,
                             horizon=horizon,
@@ -820,42 +809,14 @@ def sweep(
                             signal=shutdown.signal_number)
             stream.close(status=status, error=error)
 
-    # Profiling root: every phase frame this sweep opens — engine
-    # runs, slack walks, cache I/O, dispatch, idle — nests under
-    # ``sweep.execute``, whose self time is the orchestration
-    # residual.  Cut as a delta so co-resident sweeps stay separate,
-    # exactly like the telemetry registry below.
-    profile_before = PROFILER.snapshot() if PROFILER.enabled else None
-
-    def run_profiled() -> list[SweepCell]:
-        if not PROFILER.enabled:
-            return execute()
-        PROFILER.push("sweep.execute")
-        try:
-            return execute()
-        finally:
-            PROFILER.pop()
-
-    if not TELEMETRY.enabled:
-        try:
-            with shutdown:
-                cells = run_profiled()
-        except SweepInterrupted as exc:
-            finish_stream("interrupted", exc)
-            raise
-        except BaseException as exc:
-            finish_stream("failed", exc)
-            raise
-        finally:
-            _progress.attach(prev_stream)
-        finish_stream()
-        return cells
-
-    # Telemetry is on: cut this sweep's metrics as a delta against the
-    # registry (other sweeps in the same process keep their counts),
-    # time the compute phase, and drop a run manifest next to the
-    # checkpoints (or into the configured manifest directory).
-    before = TELEMETRY.snapshot()
+    # With telemetry on, cut this sweep's metrics as a delta against
+    # the registry (other sweeps in the same process keep their
+    # counts) and drop a run manifest next to the checkpoints (or into
+    # the configured manifest directory).  ``sweep.compute`` is the
+    # root frame: every timer region this sweep opens — engine runs,
+    # slack walks, cache I/O, dispatch, idle — nests under it, and its
+    # self time is the orchestration residual.
+    before = TELEMETRY.snapshot() if TELEMETRY.enabled else None
     TELEMETRY.inc("sweep.runs")
     TELEMETRY.inc("sweep.cells", len(xs))
     TELEMETRY.emit("sweep.start",
@@ -863,6 +824,8 @@ def sweep(
                    seeds=n_tasksets, workers=workers)
 
     def write_manifest() -> None:
+        if before is None:
+            return
         _write_sweep_manifest(
             before=before,
             fingerprint={
@@ -883,12 +846,11 @@ def sweep(
             workload_id=workload_id,
             unit_timeout=unit_timeout,
             on_failure=on_failure,
-            progress=(stream.summary() if stream is not None else None),
-            profile_before=profile_before)
+            progress=(stream.summary() if stream is not None else None))
 
     try:
         with shutdown, TELEMETRY.span("sweep.compute"):
-            cells = run_profiled()
+            cells = execute()
     except SweepInterrupted as exc:
         # The drain already checkpointed everything complete; close
         # the stream and flush the manifest too, so the interrupted
@@ -921,15 +883,15 @@ def _write_sweep_manifest(
     unit_timeout: float | None = None,
     on_failure: str = "raise",
     progress: dict | None = None,
-    profile_before: dict | None = None,
 ) -> Path | None:
     """Write one run manifest for a completed sweep (telemetry on).
 
     The manifest lands in ``TELEMETRY.manifest_dir`` when configured
     (``repro run --telemetry-dir``), else next to the sweep's
     checkpoints; with neither destination it is skipped.  Its numbers
-    are the sweep's *delta* — counters, phase spans, per-worker chunk
-    accounting — so concurrent-in-process sweeps never bleed into each
+    are the sweep's *delta* — counters, the ``sweep.*`` spans, per-
+    worker chunk accounting, and with timers on the ``profile`` time
+    budget — so concurrent-in-process sweeps never bleed into each
     other's manifests.
     """
     directory = TELEMETRY.manifest_dir or (
@@ -940,15 +902,18 @@ def _write_sweep_manifest(
     counters = delta["counters"]
     label = workload_id or "sweep"
     profile = None
-    if profile_before is not None and PROFILER.enabled:
+    if TELEMETRY.timers:
         from repro.profiling import report as _profile_report
         profile = _profile_report.profile_block(
-            PROFILER.delta_since(profile_before),
-            timeline_dropped=PROFILER.timeline_dropped)
+            delta, timeline_dropped=TELEMETRY.timeline_dropped)
     manifest = RunManifest(
         label=label,
         fingerprint=fingerprint,
-        phases=delta["spans"],
+        phases={name: {"count": rec["count"],
+                       "wall_s": rec["total_ns"] / 1e9,
+                       "cpu_s": rec["cpu_ns"] / 1e9}
+                for name, rec in delta["phases"].items()
+                if name.startswith("sweep.")},
         counters=counters,
         histograms=delta["histograms"],
         cache={

@@ -1,16 +1,22 @@
-"""Sweep time-budget profiling (DESIGN.md §15).
+"""Sweep time-budget reports (DESIGN.md §9).
 
-``PROFILER`` is the process-global phase profiler; hot-path callers
-guard every region with ``if PROFILER.enabled`` so the layer costs one
-attribute load when off.  :mod:`repro.profiling.report` turns deltas
-into time-budget blocks, flamegraphs, and Chrome traces.
+The phase timers live in the telemetry registry
+(:data:`repro.telemetry.TELEMETRY`, switched by ``configure_timers``);
+:mod:`repro.profiling.report` turns its deltas into time-budget
+blocks, flamegraphs and Chrome traces.
 """
 
-from repro.profiling.core import (  # noqa: F401
-    DEFAULT_SAMPLE_INTERVAL_S,
-    OVERHEAD_BUDGET,
-    PROFILER,
-    PhaseProfiler,
-    StackSampler,
-    decide_label,
-)
+from repro.telemetry import TELEMETRY
+
+
+class _Timers:
+    """``PROFILER.enabled`` is true exactly when the timers are on."""
+
+    __slots__ = ()
+
+    @property
+    def enabled(self) -> bool:
+        return TELEMETRY.timers
+
+
+PROFILER = _Timers()

@@ -1,13 +1,13 @@
 """Time-budget reports, flamegraph export, and the profile trace.
 
-Turns a :class:`~repro.profiling.core.PhaseProfiler` delta into the
-artifacts the profiling layer promises:
+Turns a :class:`~repro.telemetry.core.Telemetry` delta (its phase
+timers and samples) into the artifacts the profiling layer promises:
 
 * :func:`profile_block` — the schema-bumped ``profile`` block attached
   to run manifests: a structural budget (compute / slack / policy /
   cache / ipc / idle / supervision) that **sums to attributed wall
   time by construction**, because each category is built from exact
-  phase *self* times and self times telescope (core module docstring).
+  phase *self* times and self times telescope (registry docstring).
 * :func:`render_budget` / :func:`render_budget_diff` — ASCII
   renderings for ``repro profile report`` / ``repro profile diff``
   and for ``repro stats``.
@@ -37,7 +37,7 @@ CATEGORY_ORDER = ("compute", "slack", "policy", "cache", "ipc",
 #: ``worker.chunk`` *self* time is chunk envelope work (spec lookup,
 #: outcome packing, meta serialisation) — IPC, not compute; the
 #: engine/slack work inside the chunk carries its own phases.
-#: ``sweep.execute`` self time is orchestration residual (planning,
+#: ``sweep.compute`` self time is orchestration residual (planning,
 #: checkpoint loads, result folding glue) and lands in supervision.
 _PREFIX_CATEGORIES = (
     ("engine.", "compute"),
@@ -61,11 +61,11 @@ def category_of(name: str) -> str:
 
 
 def profile_block(delta: Mapping, *, timeline_dropped: int = 0) -> dict:
-    """Build the manifest ``profile`` block from a profiler delta.
+    """Build the manifest ``profile`` block from a registry delta.
 
     ``wall_s`` is the total attributed time — the sum of every
     phase's self time, which equals the sum of root-frame totals
-    across all participating processes (the parent's ``sweep.execute``
+    across all participating processes (the parent's ``sweep.compute``
     plus each worker's ``worker.chunk``).  For a serial sweep that is
     one process and one root, so ``wall_s`` tracks the measured wall
     clock of the sweep to within instrumentation epsilon; in parallel
@@ -77,7 +77,7 @@ def profile_block(delta: Mapping, *, timeline_dropped: int = 0) -> dict:
     for name, rec in phases.items():
         budget[category_of(name)] += rec.get("self_ns", 0) / 1e9
     wall_s = sum(budget.values())
-    parent = phases.get("sweep.execute") or {}
+    parent = phases.get("sweep.compute") or {}
     samples = delta.get("samples", {})
     block = {
         "wall_s": wall_s,

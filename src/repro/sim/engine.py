@@ -32,8 +32,7 @@ from repro.sim import fastcore as _fastcore
 from repro.sim.results import DeadlineMiss, SimulationResult, TaskStats
 from repro.sim.scheduler import EDFScheduler, Scheduler
 from repro.sim.tracing import TraceRecorder
-from repro.telemetry import TELEMETRY as _TELEMETRY
-from repro.profiling import PROFILER as _PROFILER, decide_label
+from repro.telemetry import TELEMETRY as _TELEMETRY, decide_label
 from repro.tasks.arrivals import ArrivalModel, PeriodicArrival
 from repro.tasks.execution import ExecutionModel, WorstCaseExecution
 from repro.tasks.job import Job
@@ -308,14 +307,14 @@ class Simulator:
 
     def run(self) -> SimulationResult:
         """Execute the full simulation and return its result."""
-        prof = _PROFILER
-        if not prof.enabled:
+        tele = _TELEMETRY
+        if not tele.timers:
             return self._run()
-        prof.push("engine.run")
+        tele.push("engine.run")
         try:
             return self._run()
         finally:
-            prof.pop()
+            tele.pop()
 
     def _run(self) -> SimulationResult:
         self._reset()
@@ -406,7 +405,7 @@ class Simulator:
             horizon=self.horizon,
             task_stats={t.name: TaskStats() for t in self.taskset},
         )
-        #: Profiler region of this run's policy decisions.
+        #: Timer region of this run's policy decisions.
         self._decide_label = decide_label(self._result.policy)
 
     def _next_release_global(self) -> Time:
@@ -602,12 +601,12 @@ class Simulator:
         if job.first_dispatch_time is None:
             job.first_dispatch_time = self._now
         self._result.dispatches += 1
-        if _PROFILER.enabled:
-            _PROFILER.push(self._decide_label)
+        if _TELEMETRY.timers:
+            _TELEMETRY.push(self._decide_label)
             try:
                 desired = self.policy.select_speed(job, self._ctx)
             finally:
-                _PROFILER.pop()
+                _TELEMETRY.pop()
         else:
             desired = self.policy.select_speed(job, self._ctx)
         if _TELEMETRY.enabled:

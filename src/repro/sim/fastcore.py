@@ -58,8 +58,7 @@ from repro.sim.results import DeadlineMiss
 from repro.sim.scheduler import EDFScheduler
 from repro.tasks.arrivals import PeriodicArrival
 from repro.tasks.job import Job
-from repro.profiling import PROFILER as _PROFILER, decide_label
-from repro.telemetry import TELEMETRY as _TELEMETRY
+from repro.telemetry import TELEMETRY as _TELEMETRY, decide_label
 
 if TYPE_CHECKING:
     from repro.sim.engine import Simulator
@@ -466,9 +465,9 @@ def _decide_fields(sim: "Simulator") -> dict:
     completion hooks, skipped when they are the base class's no-ops).
     The compiled decide is taken only for the exact class that set the
     policy's :class:`~repro.policies.base.DecideSpec`, with every hook
-    it mirrors unpatched.  Telemetry and profiling do not change the
+    it mirrors unpatched.  Telemetry and the timers do not change the
     path: the core makes the same observations and opens the same
-    profiler regions as the hooks would.
+    timer regions as the hooks would.
     """
     from repro.analysis.slack import _flat_tasks
     from repro.policies.base import DvsPolicy
@@ -483,8 +482,8 @@ def _decide_fields(sim: "Simulator") -> dict:
         decide_ki=0.0, decide_kd=0.0, sc_wcet=(), sc_util=(),
         sc_corr=(), fu_util=(), fu_corr=(),
         observe_slack=policy.observe_slack,
-        prof_push=_PROFILER.push if _PROFILER.enabled else None,
-        prof_pop=_PROFILER.pop if _PROFILER.enabled else None,
+        prof_push=_TELEMETRY.push if _TELEMETRY.timers else None,
+        prof_pop=_TELEMETRY.pop if _TELEMETRY.timers else None,
         decide_label=decide_label(sim._result.policy),
         on_release=(None if type(policy).on_release is DvsPolicy.on_release
                     and "on_release" not in vars(policy)
@@ -591,23 +590,23 @@ def _build_namespace(sim: "Simulator") -> SimpleNamespace:
 
 
 def _maybe_profiled(select_speed, label: str):
-    """Wrap the policy-decide callback in the profiling region *label*.
+    """Wrap the policy-decide callback in the timer region *label*.
 
     The compiled core never goes through ``Simulator._dispatch``, so
     the interpreted loop's ``policy.decide.<policy>`` seam would vanish
     under it; wrapping the callback the core calls back into keeps the
-    attribution identical on both engines.  With profiling off the
+    attribution identical on both engines.  With the timers off the
     original bound method is handed over untouched — zero cost.
     """
-    if not _PROFILER.enabled:
+    if not _TELEMETRY.timers:
         return select_speed
 
     def profiled(job, ctx):
-        _PROFILER.push(label)
+        _TELEMETRY.push(label)
         try:
             return select_speed(job, ctx)
         finally:
-            _PROFILER.pop()
+            _TELEMETRY.pop()
 
     return profiled
 

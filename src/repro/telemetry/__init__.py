@@ -1,19 +1,21 @@
 """repro.telemetry — zero-dependency observability for the simulator.
 
-See :mod:`repro.telemetry.core` for the span/counter/histogram
-registry (:data:`TELEMETRY`, process-local, disabled by default) and
-:mod:`repro.telemetry.manifest` for per-sweep run manifests.  DESIGN.md
-§9 documents the span model, the metric naming scheme and the manifest
-schema.
+See :mod:`repro.telemetry.core` for the instrumentation registry
+(:data:`TELEMETRY`, process-local, disabled by default: counters,
+histograms, the span stack with its phase timers, the stack sampler)
+and :mod:`repro.telemetry.manifest` for per-sweep run manifests.
+DESIGN.md §9 documents the span model, the metric naming scheme and
+the manifest schema.
 """
 
 from repro.telemetry.core import (
     DEFAULT_BOUNDS,
-    Counter,
+    OVERHEAD_BUDGET,
     Histogram,
     JsonlSink,
     TELEMETRY,
     Telemetry,
+    decide_label,
 )
 from repro.telemetry.manifest import (
     MANIFEST_SCHEMA,
@@ -32,11 +34,12 @@ from repro.telemetry.progress import (
 
 __all__ = [
     "DEFAULT_BOUNDS",
-    "Counter",
+    "OVERHEAD_BUDGET",
     "Histogram",
     "JsonlSink",
     "TELEMETRY",
     "Telemetry",
+    "decide_label",
     "MANIFEST_SCHEMA",
     "RunManifest",
     "git_revision",

@@ -41,11 +41,11 @@ from repro.errors import ExperimentError
 #:    cells, DESIGN.md §14), equal by construction to the stream's
 #:    ``sweep.done`` event; completed manifests are also offered to
 #:    the cross-run registry (:mod:`repro.telemetry.registry`).
-#: 5: added the ``profile`` block — the phase profiler's time budget
+#: 5: added the ``profile`` block — the phase timers' time budget
 #:    (compute/slack/policy/cache/ipc/idle/supervision attribution
 #:    summing to attributed wall time, per-phase self/total times,
-#:    sampling summary; DESIGN.md §15), present when the sweep ran
-#:    with ``repro.profiling`` enabled, ``null`` otherwise.
+#:    sampling summary; DESIGN.md §9), present when the sweep ran
+#:    with the timers on, ``null`` otherwise.
 MANIFEST_SCHEMA = 5
 
 

@@ -209,6 +209,36 @@ class TestRunPolicyAndTelemetry:
         assert "run manifest: EXP-F1" in out
         assert "engine.releases" in out
 
+    def test_profile_requires_telemetry_dir(self, capsys, tmp_path,
+                                            monkeypatch):
+        # Without --telemetry-dir no manifest is written, so the time
+        # budget would be recorded and thrown away.
+        monkeypatch.chdir(tmp_path)
+        for extra in ([], ["--checkpoint-dir", "ck"]):
+            assert main(["run", "fig1", "--quick", "--profile",
+                         *extra]) == 2
+            captured = capsys.readouterr()
+            assert "--telemetry-dir" in captured.err
+            assert captured.out == ""  # nothing ran
+        assert list(tmp_path.iterdir()) == []
+
+    def test_profile_writes_budget_into_manifest(self, capsys, tmp_path):
+        from repro.telemetry import TELEMETRY
+        from repro.telemetry.manifest import RunManifest
+        tele = tmp_path / "tele"
+        try:
+            assert main(["run", "fig1", "--quick", "--policy", "lpSTA",
+                         "--telemetry-dir", str(tele), "--profile"]) == 0
+        finally:
+            TELEMETRY.configure_timers(enabled=False)
+        capsys.readouterr()
+        manifest = RunManifest.load(next(tele.glob("manifest_*.json")))
+        assert manifest.profile["budget"]["compute"] > 0
+        assert "sweep.compute" in manifest.profile["phases"]
+        assert manifest.phases["sweep.compute"]["wall_s"] > 0
+        assert main(["profile", "report", str(tele)]) == 0
+        assert "time budget" in capsys.readouterr().out
+
     def test_stats_on_empty_directory_fails(self, capsys, tmp_path):
         assert main(["stats", str(tmp_path)]) == 2
         assert "no manifest" in capsys.readouterr().err

@@ -35,7 +35,6 @@ from repro.policies import (
 )
 from repro.policies.base import DvsPolicy
 from repro.policies.governor import SafetyGovernor
-from repro.profiling import PROFILER
 from repro.sim import fastcore
 from repro.sim.engine import simulate
 from repro.tasks.arrivals import PeriodicArrival, UniformJitterArrival
@@ -296,13 +295,13 @@ def test_profiling_keeps_the_c_decide_and_its_regions():
         if python:
             policy.select_speed = policy.select_speed
         before = _decided()
-        PROFILER.configure(enabled=True)
+        TELEMETRY.configure_timers(enabled=True)
         try:
             result = _simulate(policy)
-            phases = PROFILER.snapshot()["phases"]
+            phases = TELEMETRY.snapshot()["phases"]
         finally:
-            PROFILER.configure(enabled=False)
-            PROFILER.reset()
+            TELEMETRY.configure_timers(enabled=False)
+            TELEMETRY.reset()
         assert _decided() == before + (0 if python else 1)
         counts.append((result, {name: rec["count"]
                                 for name, rec in phases.items()}))

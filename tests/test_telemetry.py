@@ -2,12 +2,13 @@
 
 The contracts under test (DESIGN.md §9):
 
-* the registry is disabled by default and a disabled run records
-  nothing and costs nothing measurable on the engine loop;
+* the registry is disabled by default (both switches) and a disabled
+  run records nothing and costs nothing measurable on the engine loop;
 * enabled engine counters agree with the hand-analysable two-task
   schedule and with ``SimulationResult``'s own totals;
-* a parallel sweep merges worker deltas into exactly the counts the
-  serial sweep records (no double counting across the fork);
+* a parallel sweep merges worker deltas into exactly the counts and
+  phase counts the serial sweep records (no double counting across the
+  fork, nor for a chunk run inline in the parent);
 * run manifests round-trip through JSON, detect fingerprint drift,
   and their cache section matches the actual suite-cache behaviour.
 """
@@ -21,6 +22,7 @@ import pytest
 
 from repro.cpu.profiles import ideal_processor
 from repro.errors import ExperimentError
+from repro.experiments import parallel
 from repro.experiments.parallel import fork_available, shutdown_pool
 from repro.experiments.runner import bcwc_model, standard_taskset, sweep
 from repro.policies.registry import make_policy
@@ -42,13 +44,19 @@ HORIZON = 300.0
 POLICIES = ("static", "lpSTA")
 
 
+EMPTY = {"counters": {}, "histograms": {}, "phases": {}, "samples": {},
+         "workers": {}}
+
+
 @pytest.fixture(autouse=True)
 def clean_registry():
     """Every test starts and ends with a pristine, disabled registry."""
     TELEMETRY.configure(enabled=False)
+    TELEMETRY.configure_timers(enabled=False)
     TELEMETRY.reset()
     yield
     TELEMETRY.configure(enabled=False)
+    TELEMETRY.configure_timers(enabled=False)
     TELEMETRY.reset()
 
 
@@ -65,14 +73,17 @@ def run_two_task(two_task_set, policy_name="none"):
 class TestCore:
     def test_disabled_registry_records_nothing(self):
         tele = Telemetry()
+        assert tele.enabled is False and tele.timers is False
         tele.inc("x")
         tele.observe("y", 0.5)
         with tele.span("z"):
             pass
+        with tele.phase("engine.run"):
+            pass
+        with tele.sample_unit():
+            pass
         tele.record_worker(123, chunks=1, units=1, busy_s=0.1)
-        snap = tele.snapshot()
-        assert snap == {"counters": {}, "histograms": {},
-                        "spans": {}, "workers": {}}
+        assert tele.snapshot() == EMPTY
 
     def test_counter_and_histogram(self):
         tele = Telemetry()
@@ -116,33 +127,42 @@ class TestCore:
         for _ in range(3):
             with tele.span("phase"):
                 time.sleep(0.001)
-        span = tele.snapshot()["spans"]["phase"]
+        span = tele.snapshot()["phases"]["phase"]
         assert span["count"] == 3
-        assert span["wall_s"] >= 0.003
+        assert span["total_ns"] >= 3_000_000
 
     def test_delta_then_merge_is_identity(self):
         tele = Telemetry()
         tele.configure(enabled=True)
+        tele.configure_timers(enabled=True)
         tele.inc("a", 2)
         tele.observe("h", 0.5)
+        with tele.phase("engine.run"):
+            pass
         before = tele.snapshot()
         tele.inc("a", 3)
         tele.inc("b")
         tele.observe("h", 0.7)
+        with tele.phase("engine.run"):
+            with tele.phase("slack.exact"):
+                pass
         delta = tele.delta_since(before)
         assert delta["counters"] == {"a": 3, "b": 1}
         assert delta["histograms"]["h"]["count"] == 1
+        assert delta["phases"]["engine.run"]["count"] == 1
+        assert delta["phases"]["slack.exact"]["count"] == 1
         # Folding the delta into a registry holding `before` must
         # reconstruct the full state — the cross-process contract.
         other = Telemetry()
         other.configure(enabled=True)
-        other.inc("a", 2)
-        other.observe("h", 0.5)
+        other.configure_timers(enabled=True)
+        other.merge_snapshot(before)
         other.merge_snapshot(delta)
-        after = other.snapshot()
-        assert after["counters"] == tele.snapshot()["counters"]
+        after, want = other.snapshot(), tele.snapshot()
+        assert after["counters"] == want["counters"]
         assert (after["histograms"]["h"]["buckets"]
-                == tele.snapshot()["histograms"]["h"]["buckets"])
+                == want["histograms"]["h"]["buckets"])
+        assert after["phases"] == want["phases"]
 
     def test_snapshot_is_json_safe(self):
         tele = Telemetry()
@@ -150,6 +170,9 @@ class TestCore:
         tele.inc("a")
         tele.observe("h", 2.0)
         with tele.span("p"):
+            pass
+        tele.configure_timers(enabled=True)
+        with tele.phase("engine.run"):
             pass
         tele.record_worker(42, chunks=1, units=3, busy_s=0.5)
         json.dumps(tele.snapshot())  # must not raise
@@ -182,8 +205,7 @@ class TestEngineCounters:
 
     def test_disabled_run_records_nothing(self, two_task_set):
         run_two_task(two_task_set)
-        assert TELEMETRY.snapshot() == {
-            "counters": {}, "histograms": {}, "spans": {}, "workers": {}}
+        assert TELEMETRY.snapshot() == EMPTY
 
     def test_slack_policies_observe_slack(self, two_task_set):
         TELEMETRY.configure(enabled=True)
@@ -218,34 +240,56 @@ class TestEngineCounters:
 @pytest.mark.skipif(not fork_available(),
                     reason="parallel executor needs fork()")
 class TestParallelMerge:
-    def test_parallel_counts_equal_serial(self):
-        xs = (0.4, 0.7)
-        kwargs = dict(n_tasksets=2, horizon=HORIZON)
+    XS = (0.4, 0.7)
+    N_TASKSETS = 2
+    UNITS = len(XS) * N_TASKSETS
 
-        def engine_counts() -> dict[str, int]:
-            counters = TELEMETRY.snapshot()["counters"]
-            return {name: value for name, value in counters.items()
-                    if name.split(".")[0] in ("engine", "policy")}
-
+    @pytest.fixture(autouse=True)
+    def both_switches_on(self):
         TELEMETRY.configure(enabled=True)
-        sweep(xs, workload, POLICIES, **kwargs)
-        serial = engine_counts()
+        TELEMETRY.configure_timers(enabled=True)
+
+    def sweep_counts(self, workers: int = 1) -> tuple[dict, dict]:
+        """Engine/policy counters and timing-free phase counts of one
+        fresh sweep."""
         TELEMETRY.reset()
+        sweep(self.XS, workload, POLICIES, n_tasksets=self.N_TASKSETS,
+              horizon=HORIZON, workers=workers)
+        snap = TELEMETRY.snapshot()
+        counters = {name: value for name, value in snap["counters"].items()
+                    if name.split(".")[0] in ("engine", "policy")}
+        phases = {name: rec["count"]
+                  for name, rec in snap["phases"].items()
+                  if name.startswith("policy.decide.")
+                  or name in ("engine.run", "unit.workload", "slack.exact",
+                              "slack.heuristic")}
+        assert counters and phases["unit.workload"] == self.UNITS
+        return counters, phases
+
+    def test_parallel_counts_equal_serial(self):
+        serial = self.sweep_counts()
         # The pool must fork *after* enabling, so workers inherit an
-        # enabled registry; their fork-time snapshot subtracts any
+        # enabled registry; their pre-chunk snapshot subtracts any
         # inherited counts, so nothing is double-counted.
         shutdown_pool()
         try:
-            sweep(xs, workload, POLICIES, workers=3, **kwargs)
-            merged = engine_counts()
+            merged = self.sweep_counts(workers=3)
             workers_seen = TELEMETRY.snapshot()["workers"]
         finally:
             shutdown_pool()
-        assert serial  # the comparison must not be vacuous
         assert merged == serial
         assert workers_seen  # worker accounting actually arrived
         assert (sum(w["units"] for w in workers_seen.values())
-                == len(xs) * kwargs["n_tasksets"])
+                == self.UNITS)
+
+    def test_inline_chunk_counted_once(self, monkeypatch):
+        # With one schedulable CPU every chunk runs inline in the
+        # parent: its counters and phases land there directly, and
+        # merging its delta as well would count them twice.
+        monkeypatch.setattr(parallel, "default_workers", lambda: 1)
+        serial = self.sweep_counts()
+        assert self.sweep_counts(workers=2) == serial
+        assert TELEMETRY.counter("parallel.units_computed") == self.UNITS
 
 
 class TestManifest:
