@@ -26,7 +26,7 @@ on every evaluation — the shape quarantine tests want.
 Injection points (all no-ops while no plan is installed — one module
 attribute check):
 
-* :func:`on_unit_start` — in the worker (or the serial loop), before
+* :func:`on_unit_start` — in the unit runner (worker or parent), before
   a unit's suite runs: may ``os._exit`` the process (crash) or sleep
   (hang; optionally with SIGALRM blocked, to exercise the parent-side
   watchdog rather than the in-worker deadline).

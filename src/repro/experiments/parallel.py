@@ -1,19 +1,27 @@
-"""Process-parallel sweep execution: chunked dispatch on a warm pool.
+"""Sweep execution: one unit runner, one cell fold, two drivers.
 
-:func:`repro.experiments.runner.sweep` delegates here when asked for
-``workers > 1``.  The unit of work is one **(cell, seed) suite** — the
-same granularity the serial loop iterates — but units are dispatched in
-**chunks** (contiguous runs of units, auto-sized so each worker sees a
-few chunks; ``chunk_size=`` overrides) so one pool submit amortises the
+:func:`repro.experiments.runner.sweep` plans a sweep and hands its
+pending cells to a driver here.  Both drivers run every **(cell,
+seed) unit** through one unit runner, :func:`_run_unit` (deadline,
+chaos hook, sampler, spot-audit pick, classified retry ladder), and
+settle every outcome through one fold, :class:`_CellFold` (cache
+lookup and put, quarantine record, progress narration, seed-order
+aggregation, checkpoint store) — so serial and parallel cells,
+checkpoints, quarantine records and events agree.
+
+:func:`run_serial` (``workers=1``, or no ``fork``) goes cell by cell
+in this process and never touches the worker pool.
+:func:`run_cells` (``workers > 1``) dispatches units in **chunks**
+(contiguous runs of units, auto-sized so each worker sees a few
+chunks; ``chunk_size=`` overrides) so one pool submit amortises the
 pickle/IPC and scheduling cost over many ~70 ms suites instead of
 paying it per suite.  Workers return compact
 :class:`~repro.experiments.cache.PolicySummary` maps rather than full
 simulation results, keeping the return pickle small.  The parent
-consumes chunks **out of order** (``as_completed`` semantics) and folds
-each cell the moment its last seed lands — always in seed order
-*within* the cell — so cells, and any checkpoints written, stay
-**byte-identical** to a serial run while a slow unit no longer
-head-of-line-blocks folding and checkpointing of everything behind it.
+consumes chunks **out of order** (``as_completed`` semantics) and
+folds each cell the moment its last seed lands — always in seed order
+*within* the cell — so a slow unit no longer head-of-line-blocks
+folding and checkpointing of everything behind it.
 
 Why ``fork`` and a module global instead of pickling the workload:
 experiment drivers pass *closures* (``make_workload``,
@@ -22,8 +30,8 @@ capture figure parameters and cannot be pickled.  Forked children
 inherit the parent's address space, so the parent publishes the sweep
 spec in :data:`_SPEC` before the pool forks and the workers read it
 for free.  On platforms without ``fork`` (Windows, macOS spawn
-default) :func:`fork_available` returns ``False`` and the caller falls
-back to the serial path — results are identical either way.
+default) :func:`fork_available` returns ``False`` and the sweep runs
+serially — results are identical either way.
 
 The pool itself is **warm**: a process-wide :class:`WorkerPool`
 created on first use and reused across the multiple ``sweep()`` calls
@@ -34,21 +42,20 @@ acquire` compares a value token of the requested spec against the one
 the pool was forked with and explicitly invalidates (shuts down and
 re-forks) on any mismatch.
 
-Failure semantics match the serial loop even under out-of-order
-consumption: workers report per-unit failures as values (stopping
-their chunk at the first one), the parent keeps draining chunks that
-could still contain a **lower-ordered** failure, cancels the rest, and
+Failure semantics are the serial driver's even under out-of-order
+consumption: the unit runner reports a failure as a value (a chunk
+stops at its first one), the parent keeps draining chunks that could
+still contain a **lower-ordered** failure, cancels the rest, and
 finally shuts the pool down (``cancel_futures=True``) and re-raises
-the failure of the lowest-ordered failing unit — the exact unit a
-serial sweep would have died on, wrapped by
+the failure of the lowest-ordered failing unit — the exact unit the
+serial driver raises at once, wrapped by
 :func:`~repro.experiments.runner.run_suite` in a
 :class:`~repro.errors.SuiteExecutionError` that names the policy,
 workload seed and horizon and survives the process boundary.  Cells
-fully folded before the failure is surfaced are already checkpointed —
-at least the state a killed serial sweep leaves behind.  Retries run
-*inside* the worker at (cell, seed) granularity with the same
-exponential backoff as the serial per-unit retry — classified, so
-deterministic failures skip the ladder.
+fully folded before the failure is surfaced are already checkpointed.
+Retries run where the unit runs; the unit runner returns them with
+the outcome and the parent narrates them as it settles the unit,
+because a worker cannot write to the parent's pid-pinned sinks.
 
 On top of that sits **supervision** (DESIGN.md §11): a worker *death*
 (not a reported failure — an OOM kill, segfault or injected chaos
@@ -235,33 +242,44 @@ def shutdown_pool() -> None:
 atexit.register(shutdown_pool)
 
 
-def _suite_summaries(spec: dict[str, Any], x: float, seed: int,
-                     audit: bool = False) -> tuple:
-    """One (cell, seed) suite under *spec*, with in-worker retries.
+def _run_unit(spec: dict[str, Any],
+              unit: tuple[int, int, float, int, int]) -> tuple:
+    """Run one ``(pos, index, x, seed_pos, seed)`` unit under *spec*.
 
-    The worker-side twin of the runner's ``compute_unit``: the chaos
-    hook fires before the suite, the per-unit SIGALRM deadline (when
-    ``unit_timeout`` is in the spec) bounds its wall clock — pool
-    workers run tasks on their main thread, so the alarm is armable —
-    and retries are *classified*: deterministic failures get a zero
-    budget and fail fast.
+    The one unit runner: :func:`run_serial` calls it directly and
+    :func:`_run_chunk` calls it for every unit of a chunk.  It picks
+    the spot-audited units (every ``audit_every``-th in index-major
+    seed order, so both drivers audit the same units), narrates
+    ``unit.start`` (a no-op in a forked worker: the stream it inherited
+    is pinned to the parent's pid), fires the chaos hook inside the
+    per-unit SIGALRM deadline (when ``unit_timeout`` is set; pool
+    workers run tasks on their main thread, so the alarm is armable)
+    and retries *classified* failures: deterministic failures get a
+    zero budget and fail fast.
 
-    Returns ``(summaries, None)``, or ``(None, failure)`` once the
-    retries are spent: ``failure`` is ``(error, classification,
-    attempts)``, classified here because the error's cause chain (a
-    ``SuiteExecutionError`` wrapping a ``UnitTimeoutError``) does not
-    survive pickling back to the parent.
+    Returns the outcome ``(pos, summaries, error, failure, retries)``
+    that :meth:`_CellFold.resolve` settles.  ``failure`` is a failed
+    unit's ``(classification, attempts)``, classified here because the
+    error's cause chain (a ``SuiteExecutionError`` wrapping a
+    ``UnitTimeoutError``) does not survive pickling back to the
+    parent; ``retries`` lists ``(attempt, error_type)`` per retried
+    attempt, for the parent to narrate.
     """
     from repro.experiments.runner import run_suite
 
+    pos, index, x, seed_pos, seed = unit
+    audit_every = spec["audit_every"]
+    audit = (audit_every is not None
+             and (index * spec["n_seeds"] + seed_pos) % audit_every == 0)
+    _progress.emit("unit.start", index=index, x=float(x),
+                   seed_pos=seed_pos, seed=seed)
     processor_factory = spec["processor_factory"]
     policy_factory = spec["policy_factory"]
     faults_factory = spec["faults_factory"]
-    timeout = spec.get("unit_timeout")
-    attempt = 0
+    retries: list[tuple[int, str]] = []
     while True:
         try:
-            with unit_deadline(timeout, x=float(x), seed=seed):
+            with unit_deadline(spec["unit_timeout"], x=float(x), seed=seed):
                 # Inside the deadline, so an injected hang is
                 # interruptible exactly like a real one.
                 _chaos.on_unit_start(float(x), seed)
@@ -281,17 +299,16 @@ def _suite_summaries(spec: dict[str, Any], x: float, seed: int,
                                 if faults_factory else None),
                         workload_seed=seed,
                         audit=audit)
-            return suite.policy_summaries(), None
+            return pos, suite.policy_summaries(), None, None, retries
         except Exception as exc:
             if isinstance(exc, UnitTimeoutError):
                 _TELEMETRY.inc("resilience.unit_timeouts")
+            attempt = len(retries)
             if attempt >= retry_budget(exc, spec["max_retries"]):
-                return None, (exc, classify(exc), attempt + 1)
-            _TELEMETRY.inc("sweep.retries")
-            _TELEMETRY.emit("sweep.retry", x=x, seed=seed,
-                            attempt=attempt)
+                return (pos, None, exc, (classify(exc), attempt + 1),
+                        retries)
+            retries.append((attempt, type(exc).__name__))
             _time.sleep(spec["retry_backoff"] * (2.0 ** attempt))
-            attempt += 1
 
 
 def _run_chunk(
@@ -299,19 +316,17 @@ def _run_chunk(
 ) -> tuple[list[tuple], dict | None]:
     """Run one chunk of ``(pos, index, x, seed_pos, seed)`` units.
 
-    Executed inside a forked worker.  Returns ``(outcomes, meta)``:
-    ``(pos, summaries, error, failure)`` outcomes in unit order, where
-    ``failure`` is a failed unit's ``(classification, attempts)`` as
-    the worker saw them — a unit that
-    still fails after its in-worker retries is reported as a *value*
-    (so the parent can pick the lowest-ordered failure across all
-    chunks) and ends the chunk, as a serial sweep would not have run
-    anything after its first failure either — plus, when telemetry or
-    the timers are on (workers inherit the parent's registry state at
-    fork time), a meta dict carrying the worker pid, the chunk's wall
-    time, and the worker's registry *delta* for this chunk, which the
-    parent merges in its fold loop so parallel counts and phase
-    attributions equal serial ones.
+    Executed inside a forked worker (or inline in the parent while a
+    fresh pool warms).  Returns ``(outcomes, meta)``: the
+    :func:`_run_unit` outcomes in unit order — a unit that still fails
+    after its retries ends the chunk, as the serial driver would not
+    have run anything after its first failure either (unless the sweep
+    quarantines) — plus, when telemetry or the timers are on (workers
+    inherit the parent's registry state at fork time), a meta dict
+    carrying the worker pid, the chunk's wall time, and the worker's
+    registry *delta* for this chunk, which the parent merges in its
+    fold loop so parallel counts and phase attributions equal serial
+    ones.
     """
     spec = _SPEC
     if spec is None:  # pragma: no cover - guards misuse, not a code path
@@ -328,25 +343,13 @@ def _run_chunk(
         tele.push("worker.chunk")
     started = _time.perf_counter()
     t0 = _time.time()
-    audit_every = spec.get("audit_every")
-    n_seeds = spec.get("n_seeds", 0)
-    quarantining = spec.get("on_failure") == "quarantine"
+    quarantining = spec["on_failure"] == "quarantine"
     outcomes: list[tuple] = []
-    for pos, index, x, seed_pos, seed in chunk:
-        # Same unit positions as the serial loop, so spot-audit
-        # selection is identical in both paths.
-        audit = (audit_every is not None
-                 and (index * n_seeds + seed_pos) % audit_every == 0)
-        summaries, failure = _suite_summaries(spec, x, seed, audit=audit)
-        if failure is not None:
-            error, classification, attempts = failure
-            outcomes.append((pos, None, error, (classification, attempts)))
-            if quarantining:
-                # The parent will quarantine this unit and keep the
-                # sweep going, so the chunk keeps going too.
-                continue
+    for unit in chunk:
+        outcome = _run_unit(spec, unit)
+        outcomes.append(outcome)
+        if outcome[2] is not None and not quarantining:
             break
-        outcomes.append((pos, summaries, None, None))
     if tele.timers:
         tele.pop()
     if before is None:
@@ -434,6 +437,184 @@ def _kill_pool_workers(pool: "WorkerPool") -> int:
     return killed
 
 
+class _CellFold:
+    """Settles unit outcomes into cells — the fold both drivers share.
+
+    :meth:`lookup` replays one cell's cached seeds and numbers the
+    units still to compute, in index-major seed order (the order the
+    serial driver runs them); :meth:`resolve` settles one computed
+    outcome; :meth:`fold` aggregates a complete cell in seed order,
+    checkpoints it and narrates ``cell.done``.  Every per-unit event is
+    emitted here in the parent, which is what keeps the serial and
+    parallel event streams equivalent.
+    """
+
+    def __init__(self, seeds: list[int], *, spec: dict[str, Any],
+                 checkpointer: "SweepCheckpointer | None",
+                 cache: "SuiteCache | None",
+                 unit_key: "Callable[[float, int], str] | None",
+                 quarantine_store: "QuarantineStore | None") -> None:
+        self.seeds = seeds
+        self.checkpointer = checkpointer
+        self.cache = cache
+        self.unit_key = unit_key
+        self.quarantine_store = quarantine_store
+        self.quarantining = spec["on_failure"] == "quarantine"
+        self.stream = _progress.current()
+        self.xs: dict[int, float] = {}
+        self.suites: dict[int, dict[int, Any]] = {}
+        self.quarantined: dict[int, dict[int, dict]] = {}
+        self.cells: dict[int, SweepCell] = {}
+        self.units: list[tuple[int, int, float, int, int]] = []
+        self.keys: list[str | None] = []
+        self.remaining: set[int] = set()
+        #: ``(pos, error)`` of the lowest-ordered failing unit, the one
+        #: the sweep raises (never set while quarantining).
+        self.best_err: tuple[int, BaseException] | None = None
+
+    def lookup(self, index: int, x: float) -> list[int]:
+        """Replay cell *index*'s cache hits; return the positions of
+        its units still to compute (a fully cached cell folds here)."""
+        self.xs[index] = x
+        self.suites[index] = {}
+        self.quarantined[index] = {}
+        todo = []
+        for seed_pos, seed in enumerate(self.seeds):
+            key = summaries = None
+            if self.cache is not None:
+                key = self.unit_key(x, seed)
+                summaries = self.cache.get(key)
+            if summaries is not None:
+                self.suites[index][seed_pos] = summaries
+                self._unit_done(index, seed_pos, "cached")
+                continue
+            pos = len(self.units)
+            self.units.append((pos, index, x, seed_pos, seed))
+            self.keys.append(key)
+            self.remaining.add(pos)
+            todo.append(pos)
+        if not todo:
+            self.fold(index)
+        return todo
+
+    def _unit_done(self, index: int, seed_pos: int, status: str,
+                   **fields: Any) -> None:
+        if self.stream is not None:
+            self.stream.unit_done(index=index, x=self.xs[index],
+                                  seed_pos=seed_pos,
+                                  seed=self.seeds[seed_pos],
+                                  status=status, **fields)
+
+    def resolve(self, pos: int, summaries: Any, err: BaseException | None,
+                failure: tuple[str | None, int] | None,
+                retries: list[tuple[int, str]]) -> None:
+        """Settle one :func:`_run_unit` outcome: narrate its retries,
+        then fold it, quarantine it, or note the failure."""
+        if pos not in self.remaining:
+            return  # stale duplicate from a superseded generation
+        _, index, x, seed_pos, seed = self.units[pos]
+        for attempt, error_type in retries:
+            _TELEMETRY.inc("sweep.retries")
+            fields = dict(index=index, x=x, seed_pos=seed_pos, seed=seed,
+                          attempt=attempt, error_type=error_type)
+            _TELEMETRY.emit("sweep.retry", **fields)
+            if self.stream is not None:
+                self.stream.emit("unit.retry", **fields)
+        if err is not None:
+            if not self.quarantining:
+                # Stays unresolved: the sweep dies on the lowest-
+                # ordered failure, exactly as the serial driver does.
+                if self.best_err is None or pos < self.best_err[0]:
+                    self.best_err = (pos, err)
+                return
+            self.remaining.discard(pos)
+            classification, attempts = failure
+            record = QuarantinedCell.from_failure(
+                err, index=index, x=x, seed=seed, seed_pos=seed_pos,
+                attempts=attempts, classification=classification,
+                fingerprint=self.keys[pos])
+            if self.quarantine_store is not None:
+                self.quarantine_store.record(record)
+            _TELEMETRY.inc("resilience.quarantined")
+            self.quarantined[index][seed_pos] = record.to_payload()
+            self._unit_done(index, seed_pos, "quarantined",
+                            error_type=record.error_type,
+                            classification=record.classification)
+        else:
+            if self.best_err is not None and pos > self.best_err[0]:
+                # Beyond the failure point: the serial driver would
+                # never have run this unit; drop the result.
+                return
+            self.remaining.discard(pos)
+            if self.cache is not None:
+                self.cache.put(self.keys[pos], summaries)
+            self.suites[index][seed_pos] = summaries
+            self._unit_done(index, seed_pos, "computed")
+        if (len(self.suites[index]) + len(self.quarantined[index])
+                == len(self.seeds)):
+            self.fold(index)
+
+    def fold(self, index: int) -> None:
+        from repro.experiments.runner import SweepCell
+
+        per_cell = self.suites.pop(index)
+        quarantined = self.quarantined.pop(index)
+        cell = SweepCell(x=self.xs[index])
+        # Seed order interleaves successes and quarantine records the
+        # same way whichever order the units settled in, so partial
+        # cells fold byte-identically too.
+        for seed_pos in range(len(self.seeds)):
+            if seed_pos in per_cell:
+                cell.record_summaries(per_cell[seed_pos])
+            else:
+                cell.quarantined.append(quarantined[seed_pos])
+        if self.checkpointer is not None:
+            self.checkpointer.store(index, cell)
+        self.cells[index] = cell
+        if self.stream is not None:
+            self.stream.cell_done(index=index, x=cell.x,
+                                  quarantined=len(cell.quarantined))
+
+    def raise_if_draining(self,
+                          shutdown: "GracefulShutdown | None") -> None:
+        if shutdown is not None:
+            shutdown.raise_if_requested(
+                completed_cells=len(self.cells),
+                checkpoint_dir=(self.checkpointer.directory
+                                if self.checkpointer is not None
+                                else None))
+
+
+def run_serial(
+    pending: list[tuple[int, float]],
+    seeds: list[int],
+    *,
+    spec: dict[str, Any],
+    checkpointer: "SweepCheckpointer | None" = None,
+    cache: "SuiteCache | None" = None,
+    unit_key: "Callable[[float, int], str] | None" = None,
+    quarantine_store: "QuarantineStore | None" = None,
+    shutdown: "GracefulShutdown | None" = None,
+) -> "dict[int, SweepCell]":
+    """Compute the *pending* (index, x) cells in this process.
+
+    Cell by cell: a drain request is honoured between cells, the cache
+    is consulted for the cell's seeds, the rest run in seed order
+    through :func:`_run_unit`, and the first failure (outside
+    quarantine) raises at once.  Never touches the worker pool.
+    """
+    fold = _CellFold(seeds, spec=spec, checkpointer=checkpointer,
+                     cache=cache, unit_key=unit_key,
+                     quarantine_store=quarantine_store)
+    for index, x in pending:
+        fold.raise_if_draining(shutdown)
+        for pos in fold.lookup(index, x):
+            fold.resolve(*_run_unit(spec, fold.units[pos]))
+            if fold.best_err is not None:
+                raise fold.best_err[1]
+    return fold.cells
+
+
 def run_cells(
     pending: list[tuple[int, float]],
     seeds: list[int],
@@ -449,10 +630,10 @@ def run_cells(
 ) -> "dict[int, SweepCell]":
     """Compute the *pending* (index, x) cells on the warm worker pool.
 
-    Returns ``{index: SweepCell}`` with each cell's suites folded in
-    seed order — the exact aggregation the serial loop performs — and
-    checkpoints every completed cell through *checkpointer* as soon as
-    its last seed lands, regardless of what order chunks complete in.
+    Returns ``{index: SweepCell}`` folded by the same :class:`_CellFold`
+    as :func:`run_serial`, so cells come out in seed order and each is
+    checkpointed through *checkpointer* as soon as its last seed lands,
+    regardless of what order chunks complete in.
 
     With *cache* (and its *unit_key* fingerprint function) set, every
     unit is looked up before dispatch — hits fold directly in the
@@ -487,25 +668,20 @@ def run_cells(
     finishes the ones in flight, and leaves the rest for a resumed
     run; the caller raises :class:`~repro.errors.SweepInterrupted`.
     """
-    from repro.experiments.runner import SweepCell
-
-    # The sweep's live progress stream, when one is attached.  All
-    # per-unit events are emitted here in the *parent* (workers cannot
-    # write to the pid-pinned stream), which is what keeps the serial
-    # and parallel event sets equivalent.
     stream = _progress.current()
     if stream is not None:
         stream.pid_provider = _pool_pids
-
-    xs = dict(pending)
-    suites: dict[int, dict[int, Any]] = {index: {} for index, _ in pending}
-    quarantined: dict[int, dict[int, dict]] = {
-        index: {} for index, _ in pending}
-    cells: dict[int, SweepCell] = {}
-    on_failure = spec.get("on_failure", "raise")
-    max_retries = spec.get("max_retries", 0)
-    retry_backoff = spec.get("retry_backoff", 0.25)
-    unit_timeout = spec.get("unit_timeout")
+    fold = _CellFold(seeds, spec=spec, checkpointer=checkpointer,
+                     cache=cache, unit_key=unit_key,
+                     quarantine_store=quarantine_store)
+    for index, x in pending:
+        fold.lookup(index, x)
+    if not fold.remaining:
+        return fold.cells
+    units, remaining = fold.units, fold.remaining
+    max_retries = spec["max_retries"]
+    retry_backoff = spec["retry_backoff"]
+    unit_timeout = spec["unit_timeout"]
     # Effective parallelism.  On a one-CPU host (pinned CI containers)
     # forked workers only timeshare against the parent while still
     # paying fork, pickling and IPC — pure overhead — so dispatch
@@ -514,61 +690,7 @@ def run_cells(
     # must land in expendable workers, and the supervision path they
     # exercise is exactly what chaos runs exist to test.
     inline_only = default_workers() <= 1 and spec.get("chaos") is None
-
-    def cell_complete(index: int) -> bool:
-        return (index in suites
-                and (len(suites[index]) + len(quarantined[index])
-                     == len(seeds)))
-
-    def fold(index: int) -> None:
-        per_cell = suites.pop(index)
-        quar = quarantined.pop(index)
-        cell = SweepCell(x=float(xs[index]))
-        # Seed order interleaves successes and quarantine records
-        # exactly as the serial loop met them, so partial cells fold
-        # byte-identically too.
-        for seed_pos in range(len(seeds)):
-            if seed_pos in per_cell:
-                cell.record_summaries(per_cell[seed_pos])
-            else:
-                cell.quarantined.append(quar[seed_pos])
-        if checkpointer is not None:
-            checkpointer.store(index, cell)
-        cells[index] = cell
-        if stream is not None:
-            stream.cell_done(index=index, x=float(xs[index]),
-                             quarantined=len(cell.quarantined))
-
-    # Consult the cache before dispatch; positions number only the
-    # units that actually need computing, in index-major seed order —
-    # the order a serial (cache-consulting) sweep would hit them.
-    units: list[tuple[int, int, float, int, int]] = []
-    keys: list[str | None] = []
-    for index, x in pending:
-        for seed_pos, seed in enumerate(seeds):
-            summaries = None
-            key = None
-            if cache is not None and unit_key is not None:
-                key = unit_key(x, seed)
-                summaries = cache.get(key)
-            if summaries is not None:
-                suites[index][seed_pos] = summaries
-                if stream is not None:
-                    stream.unit_done(index=index, x=float(x),
-                                     seed_pos=seed_pos, seed=seed,
-                                     status="cached")
-            else:
-                units.append((len(units), index, x, seed_pos, seed))
-                keys.append(key)
-    for index, _x in pending:
-        if cell_complete(index):
-            fold(index)
-    if not units:
-        return cells
-
-    remaining: set[int] = set(range(len(units)))
     crash_counts: dict[int, int] = {}
-    best_err: tuple[int, BaseException] | None = None
 
     def stall_budget(max_units: int) -> float | None:
         """How long zero completions can mean 'working' not 'wedged'.
@@ -583,58 +705,6 @@ def run_cells(
         backoff = sum(retry_backoff * 2.0 ** a for a in range(max_retries))
         return (max_units * ((1 + max_retries) * unit_timeout + backoff)
                 + 5.0)
-
-    def resolve(pos: int, summaries: Any, err: BaseException | None,
-                failure: tuple[str, int] | None = None) -> None:
-        """Settle one unit outcome: fold, quarantine, or note failure.
-
-        *failure* is the worker's ``(classification, attempts)`` for
-        *err*; without it (a crash the parent saw) both are derived
-        from *err* here.
-        """
-        nonlocal best_err
-        if pos not in remaining:
-            return  # stale duplicate from a superseded generation
-        _, index, x, seed_pos, seed = units[pos]
-        if err is not None:
-            if on_failure != "quarantine":
-                # Stays unresolved: the sweep dies on the lowest-
-                # ordered failure, exactly as the serial loop would.
-                if best_err is None or pos < best_err[0]:
-                    best_err = (pos, err)
-                return
-            remaining.discard(pos)
-            classification, attempts = failure or (
-                None, 1 + retry_budget(err, max_retries))
-            record = QuarantinedCell.from_failure(
-                err, index=index, x=float(x), seed=seed,
-                seed_pos=seed_pos, attempts=attempts,
-                classification=classification, fingerprint=keys[pos])
-            if quarantine_store is not None:
-                quarantine_store.record(record)
-            _TELEMETRY.inc("resilience.quarantined")
-            quarantined[index][seed_pos] = record.to_payload()
-            if stream is not None:
-                stream.unit_done(index=index, x=float(x),
-                                 seed_pos=seed_pos, seed=seed,
-                                 status="quarantined",
-                                 error_type=record.error_type,
-                                 classification=record.classification)
-        else:
-            if best_err is not None and pos > best_err[0]:
-                # Beyond the failure point: a serial sweep would never
-                # have run this unit; drop the result.
-                return
-            remaining.discard(pos)
-            if cache is not None and keys[pos] is not None:
-                cache.put(keys[pos], summaries)
-            suites[index][seed_pos] = summaries
-            if stream is not None:
-                stream.unit_done(index=index, x=float(x),
-                                 seed_pos=seed_pos, seed=seed,
-                                 status="computed")
-        if cell_complete(index):
-            fold(index)
 
     def merge_meta(meta: dict, *, inline: bool = False) -> None:
         # Fold the worker's chunk delta into the parent registry the
@@ -713,7 +783,7 @@ def run_cells(
                     if meta is not None:
                         merge_meta(meta)
                     for outcome in outcomes:
-                        resolve(*outcome)
+                        fold.resolve(*outcome)
             if shutdown is not None and shutdown.requested:
                 # Draining: drop whatever has not started (their units
                 # stay unresolved, for the resumed run) but finish
@@ -721,30 +791,26 @@ def run_cells(
                 for future in list(not_done):
                     if future.cancel():
                         not_done.discard(future)
-            if best_err is not None:
+            if fold.best_err is not None:
                 # Chunks starting beyond the lowest known failure
                 # cannot lower it: cancel what has not started, keep
                 # draining the rest (a still-running earlier chunk may
                 # fail lower).
                 for future in list(not_done):
-                    if (chunk_futures[future] > best_err[0]
+                    if (chunk_futures[future] > fold.best_err[0]
                             and future.cancel()):
                         not_done.discard(future)
         return broke
 
     mode = "chunked"
     while remaining:
-        if shutdown is not None:
-            shutdown.raise_if_requested(
-                completed_cells=len(cells),
-                checkpoint_dir=(checkpointer.directory
-                                if checkpointer is not None else None))
+        fold.raise_if_draining(shutdown)
         todo = sorted(remaining)
-        if best_err is not None:
+        if fold.best_err is not None:
             # Only units below the failure point can still matter (a
             # lower-ordered unit may fail lower); everything else is
             # moot — the sweep is going to raise.
-            todo = [pos for pos in todo if pos < best_err[0]]
+            todo = [pos for pos in todo if pos < fold.best_err[0]]
         if not todo:
             break
 
@@ -760,7 +826,7 @@ def run_cells(
                     continue
                 if shutdown is not None and shutdown.requested:
                     break
-                if best_err is not None and pos > best_err[0]:
+                if fold.best_err is not None and pos > fold.best_err[0]:
                     break
                 pool = WorkerPool.acquire(workers, spec)
                 try:
@@ -790,7 +856,7 @@ def run_cells(
                     if meta is not None:
                         merge_meta(meta)
                     for outcome in outcomes:
-                        resolve(*outcome)
+                        fold.resolve(*outcome)
                 if crashed:
                     pool.shutdown(cancel_futures=True)
                     _TELEMETRY.inc("resilience.pool_rebuilds")
@@ -799,14 +865,15 @@ def run_cells(
                                     mode="solo",
                                     unresolved=len(remaining))
                     crash_counts[pos] = crash_counts.get(pos, 0) + 1
-                    if crash_counts[pos] > max_retries:
+                    crashes = crash_counts[pos]
+                    if crashes > max_retries:
                         _, index, x, seed_pos, seed = units[pos]
-                        resolve(pos, None, WorkerCrashError(
+                        fold.resolve(pos, None, WorkerCrashError(
                             f"unit x={float(x):g} seed={seed} took its "
-                            f"worker down {crash_counts[pos]} time(s) "
+                            f"worker down {crashes} time(s) "
                             f"in solo dispatch",
                             x=float(x), workload_seed=seed,
-                            crashes=crash_counts[pos]))
+                            crashes=crashes), (None, crashes), [])
                     # Under budget: the unit stays in `remaining` and
                     # the outer loop re-dispatches it (chaos-injected
                     # crashes are at-most-once, so the re-run is the
@@ -829,7 +896,7 @@ def run_cells(
             # (interpreter pages, first-submit latency), time a serial
             # sweep would already spend computing.  The parent runs the
             # first chunk itself while the pool warms behind it, so a
-            # cold parallel sweep is never slower than the serial loop.
+            # cold parallel sweep is never slower than the serial driver.
             # Skipped under an installed chaos plan — injected crashes
             # must land in (expendable) workers, never in the parent.
             inline_plans = [todo[plans[0][0]:plans[0][1]]]
@@ -863,16 +930,17 @@ def run_cells(
             # Chunk granularity keeps drain and lowest-failure
             # semantics: a requested shutdown or a known lower-ordered
             # failure stops the inline stream between chunks, exactly
-            # where the serial loop would stop.
+            # where the serial driver would stop.
             if shutdown is not None and shutdown.requested:
                 break
-            if best_err is not None and positions[0] > best_err[0]:
+            if (fold.best_err is not None
+                    and positions[0] > fold.best_err[0]):
                 break
             outcomes, meta = _run_chunk([units[p] for p in positions])
             if meta is not None:
                 merge_meta(meta, inline=True)
             for outcome in outcomes:
-                resolve(*outcome)
+                fold.resolve(*outcome)
         max_units = max((len(todo[start:stop]) for start, stop in plans),
                         default=1)
         broke = consume(pool, chunk_futures, stall_budget(max_units)) or broke
@@ -893,12 +961,12 @@ def run_cells(
                             unresolved=len(remaining))
             mode = next_mode
 
-    if best_err is not None:
+    if fold.best_err is not None:
         # Cancelling futures never stops already-running workers; the
         # pool itself is shut down (and the warm singleton dropped) so
         # no stale worker outlives the failed sweep.
         pool = WorkerPool.current()
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-        raise best_err[1]
-    return cells
+        raise fold.best_err[1]
+    return fold.cells

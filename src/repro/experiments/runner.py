@@ -3,7 +3,12 @@
 Every experiment in :mod:`repro.experiments.figures` reduces to the
 same inner loop — generate (or load) a task set, run the same seeded
 workload under every policy, normalise to the no-DVS baseline, and
-aggregate across task sets.  That loop lives here.
+aggregate across task sets.  The suite (:func:`run_suite`), the cell
+it folds into (:class:`SweepCell`) and the sweep's plan live here:
+:func:`sweep` validates its options, loads checkpoints, opens the
+progress stream and the run manifest, then hands the pending cells to
+one of the two drivers in :mod:`repro.experiments.parallel`, which
+share one unit runner and one cell fold.
 
 Long sweeps are additionally *robust*: :func:`sweep` can checkpoint
 each completed cell to disk (atomically), retry transiently failing
@@ -28,7 +33,6 @@ from __future__ import annotations
 
 import json
 import sys
-import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -36,12 +40,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.cpu.processor import Processor
-from repro.cpu.profiles import ideal_processor
 from repro.errors import (
     ExperimentError,
     SuiteExecutionError,
     SweepInterrupted,
-    UnitTimeoutError,
 )
 from repro.experiments import chaos as _chaos
 from repro.experiments.cache import (
@@ -52,10 +54,7 @@ from repro.experiments.cache import (
 from repro.experiments.resilience import (
     EXECUTION_DEFAULTS,
     GracefulShutdown,
-    QuarantinedCell,
     QuarantineStore,
-    retry_budget,
-    unit_deadline,
 )
 from repro.experiments.config import EXPERIMENT_PERIOD_CHOICES
 from repro.faults import FaultPlan
@@ -264,9 +263,9 @@ class SweepCell:
             self, summaries: dict[str, PolicySummary]) -> None:
         """Fold one suite's per-policy summaries into the cell.
 
-        The single aggregation path shared by the serial loop, the
-        parallel executor's out-of-order folding and cache-hit
-        replays — which is what makes all three byte-identical.
+        The single aggregation path: the sweep's cell fold calls it
+        for computed and cache-replayed suites alike, in seed order,
+        in both drivers — which is what makes them byte-identical.
         """
         for name, summary in summaries.items():
             self.normalized.setdefault(name, []).append(
@@ -469,19 +468,21 @@ def sweep(
     to *max_retries* times with exponential backoff before the failure
     propagates.
 
-    ``workers > 1`` fans the (cell, seed) units out in chunks over a
-    warm pool of that many forked worker processes (see
-    :mod:`repro.experiments.parallel`); *chunk_size* overrides the
-    auto-sized units-per-submit.  Aggregation order is preserved, so
-    the cells — and any checkpoints written — are byte-identical to a
-    ``workers=1`` run.  On platforms without ``fork`` the sweep
-    silently runs serially.
+    ``workers=1`` runs the (cell, seed) units in this process, cell by
+    cell; ``workers > 1`` fans them out in chunks over a warm pool of
+    that many forked worker processes; *chunk_size* overrides the
+    auto-sized units-per-submit.  Both drivers run every unit through
+    one unit runner and settle it through one fold (see
+    :mod:`repro.experiments.parallel`), so the cells — and any
+    checkpoints, quarantine records and progress events written —
+    match a ``workers=1`` run byte for byte.  On platforms without
+    ``fork`` the sweep silently runs serially.
 
     With *cache_dir* set, every completed (cell, seed) suite is also
     persisted in a content-addressed
     :class:`~repro.experiments.cache.SuiteCache` and consulted before
-    any simulation runs — in the serial path and before parallel
-    dispatch alike — so re-runs (and other sweeps sharing cells)
+    any simulation runs — cell by cell serially, before dispatch in
+    parallel — so re-runs (and other sweeps sharing cells)
     replay hits instead of re-simulating, byte-identically.  The
     mandatory *workload_id* names the workload closure in the cache
     fingerprint: it MUST encode every parameter that changes
@@ -490,8 +491,8 @@ def sweep(
     because closures themselves cannot be fingerprinted.
 
     *audit_every* turns on spot-auditing: every N-th **(cell, seed)
-    unit** — counted in index-major seed order, the same positions in
-    the serial and parallel paths — runs with tracing enabled and its
+    unit** — counted in index-major seed order, picked by the one unit
+    runner — runs with tracing enabled and its
     schedule is checked by :func:`repro.analysis.audit_trace`; any
     violation aborts the sweep with a
     :class:`~repro.errors.SuiteExecutionError` naming the invariant.
@@ -517,7 +518,10 @@ def sweep(
     Deterministic failures (engine/policy errors: pure functions of
     the seed) skip the retry ladder entirely — retries with backoff
     are reserved for transient ones (I/O hiccups, OOM kills,
-    timeouts) that a retry genuinely can cure.
+    timeouts) that a retry genuinely can cure.  Every retry is
+    counted (``sweep.retries``) and narrated (``sweep.retry``,
+    ``unit.retry``) by the parent when the unit settles, in either
+    mode.
 
     SIGINT/SIGTERM no longer kill a sweep mid-checkpoint: in-flight
     units drain, completed cells are checkpointed, the run manifest
@@ -623,174 +627,57 @@ def sweep(
             stream_dir, cells=len(xs), seeds=n_tasksets,
             workers=workers, workload_id=workload_id)
 
-    def compute_unit(index: int, x: float, seed_pos: int,
-                     seed: int) -> dict[str, PolicySummary]:
-        """One (cell, seed) suite with classified in-place retries."""
-        audit = (audit_every is not None
-                 and (index * n_tasksets + seed_pos) % audit_every == 0)
-        if stream is not None:
-            stream.emit("unit.start", index=index, x=float(x),
-                        seed_pos=seed_pos, seed=seed)
-        attempt = 0
-        while True:
-            try:
-                with unit_deadline(unit_timeout, x=float(x), seed=seed):
-                    # Inside the deadline, so an injected hang is
-                    # interruptible exactly like a real one.
-                    _chaos.on_unit_start(float(x), seed)
-                    with TELEMETRY.phase("unit.workload"):
-                        taskset, model = make_workload(float(x), seed)
-                    processor = (processor_factory(float(x))
-                                 if processor_factory
-                                 else ideal_processor())
-                    with TELEMETRY.sample_unit():
-                        suite = run_suite(
-                            taskset, policy_names, processor, model,
-                            horizon=horizon,
-                            overhead_aware=overhead_aware,
-                            allow_misses=allow_misses,
-                            policy_factory=(policy_factory(float(x))
-                                            if policy_factory else None),
-                            faults=(faults_factory(float(x), seed)
-                                    if faults_factory else None),
-                            workload_seed=seed,
-                            audit=audit)
-                return suite.policy_summaries()
-            except Exception as exc:
-                if isinstance(exc, UnitTimeoutError):
-                    TELEMETRY.inc("resilience.unit_timeouts")
-                # Deterministic failures reproduce identically on
-                # every attempt — their retry budget is zero, so they
-                # fail (or quarantine) fast instead of burning the
-                # backoff ladder.
-                if attempt >= retry_budget(exc, max_retries):
-                    raise
-                TELEMETRY.inc("sweep.retries")
-                TELEMETRY.emit("sweep.retry", index=index, x=float(x),
-                               seed=seed, attempt=attempt)
-                if stream is not None:
-                    stream.emit("unit.retry", index=index, x=float(x),
-                                seed_pos=seed_pos, seed=seed,
-                                attempt=attempt,
-                                error_type=type(exc).__name__)
-                _time.sleep(retry_backoff * (2.0 ** attempt))
-                attempt += 1
-
-    def compute_cell(index: int, x: float) -> SweepCell:
-        cell = SweepCell(x=float(x))
-        seeds = list(taskset_seeds(master_seed, n_tasksets))
-        keys = [unit_key(float(x), seed) if cache is not None else None
-                for seed in seeds]
-        cached = [cache.get(key) if cache is not None else None
-                  for key in keys]
-        for seed_pos, seed in enumerate(seeds):
-            summaries = cached[seed_pos]
-            status = "cached" if summaries is not None else "computed"
-            if summaries is None:
-                try:
-                    summaries = compute_unit(index, float(x),
-                                             seed_pos, seed)
-                except Exception as exc:
-                    if on_failure != "quarantine":
-                        raise
-                    record = QuarantinedCell.from_failure(
-                        exc, index=index, x=float(x), seed=seed,
-                        seed_pos=seed_pos,
-                        attempts=1 + retry_budget(exc, max_retries),
-                        fingerprint=keys[seed_pos])
-                    if quarantine_store is not None:
-                        quarantine_store.record(record)
-                    TELEMETRY.inc("resilience.quarantined")
-                    cell.quarantined.append(record.to_payload())
-                    if stream is not None:
-                        stream.unit_done(
-                            index=index, x=float(x), seed_pos=seed_pos,
-                            seed=seed, status="quarantined",
-                            error_type=record.error_type,
-                            classification=record.classification)
-                    continue
-                if cache is not None:
-                    cache.put(keys[seed_pos], summaries)
-            if stream is not None:
-                stream.unit_done(index=index, x=float(x),
-                                 seed_pos=seed_pos, seed=seed,
-                                 status=status)
-            cell.record_summaries(summaries)
-        if stream is not None:
-            stream.cell_done(index=index, x=float(x),
-                             quarantined=len(cell.quarantined))
-        return cell
+    seeds = taskset_seeds(master_seed, n_tasksets)
+    spec = {
+        "make_workload": make_workload,
+        "policy_names": list(policy_names),
+        "horizon": horizon,
+        "processor_factory": processor_factory,
+        "overhead_aware": overhead_aware,
+        "allow_misses": allow_misses,
+        "policy_factory": policy_factory,
+        "faults_factory": faults_factory,
+        "max_retries": max_retries,
+        "retry_backoff": retry_backoff,
+        "audit_every": audit_every,
+        "n_seeds": n_tasksets,
+        "unit_timeout": unit_timeout,
+        "on_failure": on_failure,
+        # Workers snapshot the installed chaos plan at fork time; a
+        # plan change must invalidate the warm pool like any other
+        # spec change.
+        "chaos": _chaos.current(),
+    }
 
     def execute() -> list[SweepCell]:
-        if workers > 1:
-            from repro.experiments.parallel import (
-                fork_available,
-                run_cells,
-            )
-            if fork_available():
-                by_index: dict[int, SweepCell] = {}
-                pending: list[tuple[int, float]] = []
-                with TELEMETRY.span("sweep.plan"):
-                    for index, x in enumerate(xs):
-                        cached = (checkpointer.load(index, float(x))
-                                  if checkpointer is not None else None)
-                        if cached is not None:
-                            TELEMETRY.inc("sweep.cells_resumed")
-                            if stream is not None:
-                                stream.cell_resumed(index=index,
-                                                    x=float(x))
-                            by_index[index] = cached
-                        else:
-                            pending.append((index, float(x)))
-                if pending:
-                    by_index.update(run_cells(
-                        pending, taskset_seeds(master_seed, n_tasksets),
-                        spec={
-                            "make_workload": make_workload,
-                            "policy_names": list(policy_names),
-                            "horizon": horizon,
-                            "processor_factory": processor_factory,
-                            "overhead_aware": overhead_aware,
-                            "allow_misses": allow_misses,
-                            "policy_factory": policy_factory,
-                            "faults_factory": faults_factory,
-                            "max_retries": max_retries,
-                            "retry_backoff": retry_backoff,
-                            "audit_every": audit_every,
-                            "n_seeds": n_tasksets,
-                            "unit_timeout": unit_timeout,
-                            "on_failure": on_failure,
-                            # Workers snapshot the installed chaos
-                            # plan at fork time; a plan change must
-                            # invalidate the warm pool like any other
-                            # spec change.
-                            "chaos": _chaos.current(),
-                        },
-                        workers=workers, checkpointer=checkpointer,
-                        cache=cache, unit_key=unit_key,
-                        chunk_size=chunk_size,
-                        quarantine_store=quarantine_store,
-                        shutdown=shutdown))
-                return [by_index[index] for index in range(len(xs))]
+        from repro.experiments import parallel
 
-        cells = []
-        for index, x in enumerate(xs):
-            shutdown.raise_if_requested(
-                completed_cells=len(cells),
-                checkpoint_dir=checkpoint_dir)
-            if checkpointer is not None:
-                cached = checkpointer.load(index, float(x))
-                if cached is not None:
-                    TELEMETRY.inc("sweep.cells_resumed")
-                    if stream is not None:
-                        stream.cell_resumed(index=index, x=float(x))
-                    cells.append(cached)
+        by_index: dict[int, SweepCell] = {}
+        pending: list[tuple[int, float]] = []
+        with TELEMETRY.span("sweep.plan"):
+            for index, x in enumerate(xs):
+                cell = (checkpointer.load(index, float(x))
+                        if checkpointer is not None else None)
+                if cell is None:
+                    pending.append((index, float(x)))
                     continue
-            cell = compute_cell(index, float(x))
-            if checkpointer is not None:
-                checkpointer.store(index, cell)
-            cells.append(cell)
-        return cells
+                TELEMETRY.inc("sweep.cells_resumed")
+                if stream is not None:
+                    stream.cell_resumed(index=index, x=float(x))
+                by_index[index] = cell
+        if pending:
+            options = dict(spec=spec, checkpointer=checkpointer,
+                           cache=cache, unit_key=unit_key,
+                           quarantine_store=quarantine_store,
+                           shutdown=shutdown)
+            if workers > 1 and parallel.fork_available():
+                by_index.update(parallel.run_cells(
+                    pending, seeds, workers=workers,
+                    chunk_size=chunk_size, **options))
+            else:
+                by_index.update(parallel.run_serial(
+                    pending, seeds, **options))
+        return [by_index[index] for index in range(len(xs))]
 
     # Attach the stream as the process-current one so the parallel
     # executor and the resilience layer can emit without it being

@@ -23,8 +23,9 @@ Writer (:class:`ProgressStream`)
     wait.  Threads do not survive ``fork``, so workers never heartbeat.
 
 Event kinds (:data:`EVENT_KINDS`, schema :data:`PROGRESS_SCHEMA`)
-    ``sweep.start`` (totals, workers, schema), ``unit.start`` (serial
-    compute only — parallel marks dispatch at chunk granularity with
+    ``sweep.start`` (totals, workers, schema), ``unit.start`` (units
+    computed in the sweep's own process: the serial driver and inline
+    chunks — forked dispatch is marked at chunk granularity by
     ``chunk.dispatch``), ``unit.done`` (status ``computed`` / ``cached``
     / ``quarantined``), ``unit.retry``, ``cell.done``, ``cell.resumed``
     (checkpoint-resumed cells), ``chunk.dispatch``, ``heartbeat``,

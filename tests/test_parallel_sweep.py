@@ -222,6 +222,24 @@ class TestWarmPool:
         parallel.shutdown_pool()
 
 
+    def test_serial_sweep_leaves_the_warm_pool_alone(self):
+        parallel.shutdown_pool()
+        kwargs = dict(n_tasksets=2, horizon=HORIZON)
+        sweep((0.5,), workload, POLICIES, workers=2, **kwargs)
+        pool = parallel.WorkerPool.current()
+        assert pool is not None
+        sweep((0.4, 0.7), workload, POLICIES, **kwargs)
+        assert parallel.WorkerPool.current() is pool
+
+        def doomed_workload(u: float, seed: int):
+            raise ValueError("dead on arrival")
+
+        with pytest.raises(ValueError):
+            sweep((0.5,), doomed_workload, POLICIES, **kwargs)
+        assert parallel.WorkerPool.current() is pool
+        parallel.shutdown_pool()
+
+
 class TestChunkPlanning:
     def test_contiguous_cover(self):
         chunks = plan_chunks(10, workers=3)

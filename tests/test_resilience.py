@@ -235,24 +235,46 @@ class TestQuarantine:
                 raise DeadlineMissError(f"poison u={u:g}")
             return workload(u, seed)
 
-        kwargs = dict(n_tasksets=2, horizon=HORIZON,
-                      on_failure="quarantine")
-        serial = sweep((0.4, 0.8), poisoned, POLICIES, **kwargs)
-        para = sweep((0.4, 0.8), poisoned, POLICIES, workers=2,
-                     **kwargs)
-        # Aggregates fold byte-identically; quarantine records carry
-        # the same units (timestamps differ, so compare structure).
-        assert (json.dumps(serial[0].to_payload())
-                == json.dumps(para[0].to_payload()))
-        assert para[1].is_partial and serial[1].is_partial
+        def make_flaky_then_poisoned():
+            # A transient failure, then a deterministic one: two
+            # attempts run, and both modes must record both.  The
+            # per-process memory is enough, because a unit's retries
+            # run where its first attempt ran.
+            failed: set[tuple[float, int]] = set()
+
+            def flaky_then_poisoned(u: float, seed: int):
+                if u <= 0.6:
+                    return workload(u, seed)
+                if (u, seed) not in failed:
+                    failed.add((u, seed))
+                    raise OSError("transient hiccup")
+                raise DeadlineMissError(f"poison u={u:g}")
+
+            return flaky_then_poisoned
 
         def shape(cell):
             return [(r["index"], r["seed_pos"], r["error_type"],
-                     r["classification"])
+                     r["classification"], r["attempts"])
                     for r in cell.quarantined]
 
-        assert shape(para[1]) == shape(serial[1])
-        assert (serial[1].normalized == para[1].normalized)
+        kwargs = dict(n_tasksets=2, horizon=HORIZON, max_retries=2,
+                      retry_backoff=0.01, on_failure="quarantine")
+        for make_workload, attempts in (
+                (lambda: poisoned, 1), (make_flaky_then_poisoned, 2)):
+            serial = sweep((0.4, 0.8), make_workload(), POLICIES,
+                           **kwargs)
+            para = sweep((0.4, 0.8), make_workload(), POLICIES,
+                         workers=2, **kwargs)
+            # Aggregates fold byte-identically; quarantine records
+            # carry the same units (timestamps differ, so compare
+            # structure).
+            assert (json.dumps(serial[0].to_payload())
+                    == json.dumps(para[0].to_payload()))
+            assert para[1].is_partial and serial[1].is_partial
+            assert shape(para[1]) == shape(serial[1])
+            assert {r["attempts"] for r in serial[1].quarantined} \
+                == {attempts}
+            assert (serial[1].normalized == para[1].normalized)
 
     @needs_fork
     def test_worker_timeout_record_keeps_its_classification(self):
@@ -289,6 +311,51 @@ class TestQuarantine:
         again = QuarantinedCell.from_payload(record.to_payload())
         assert again == record
         assert "cell 3" in record.describe()
+
+
+class TestRetryNarration:
+    @pytest.mark.parametrize(
+        "workers", [1, pytest.param(2, marks=needs_fork)])
+    def test_every_retry_reaches_both_event_streams(
+            self, tmp_path, monkeypatch, workers):
+        from repro.telemetry import TELEMETRY
+        from repro.telemetry.progress import read_progress
+
+        # Two CPUs as far as dispatch can tell, so the pool really
+        # forks: a worker cannot write to the parent's event sinks.
+        monkeypatch.setattr(parallel, "default_workers", lambda: 2)
+        failed_once: set[tuple[float, int]] = set()
+
+        def flaky(u: float, seed: int):
+            if (u, seed) not in failed_once:
+                failed_once.add((u, seed))
+                raise OSError("transient hiccup")
+            return workload(u, seed)
+
+        events = tmp_path / "events.jsonl"
+        TELEMETRY.reset()
+        TELEMETRY.configure(enabled=True, events_path=events,
+                            manifest_dir=tmp_path)
+        try:
+            sweep((0.5, 0.7), flaky, POLICIES, n_tasksets=2,
+                  horizon=HORIZON, workers=workers, max_retries=1,
+                  retry_backoff=0.01)
+            counted = TELEMETRY.counter("sweep.retries")
+        finally:
+            TELEMETRY.configure(enabled=False)
+            TELEMETRY.reset()
+        retries = [event for event in map(
+            json.loads, events.read_text().splitlines())
+            if event["kind"] == "sweep.retry"]
+        assert counted == 4
+        assert len(retries) == 4
+        assert read_progress(tmp_path).retries == 4
+        assert sorted((e["index"], e["seed_pos"]) for e in retries) \
+            == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        for event in retries:
+            assert event["attempt"] == 0
+            assert event["error_type"] == "OSError"
+            assert {"x", "seed"} <= set(event)
 
 
 class TestChaosPlans:
