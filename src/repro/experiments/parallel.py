@@ -56,6 +56,8 @@ fully folded before the failure is surfaced are already checkpointed.
 Retries run where the unit runs; the unit runner returns them with
 the outcome and the parent narrates them as it settles the unit,
 because a worker cannot write to the parent's pid-pinned sinks.
+Every event goes through ``TELEMETRY.emit`` once; the sweep's
+attached progress stream receives its share from there.
 
 On top of that sits **supervision** (DESIGN.md §11): a worker *death*
 (not a reported failure — an OOM kill, segfault or injected chaos
@@ -95,7 +97,6 @@ from repro.experiments.resilience import (
     unit_deadline,
 )
 from repro.telemetry import TELEMETRY as _TELEMETRY
-from repro.telemetry import progress as _progress
 
 if TYPE_CHECKING:
     from repro.experiments.cache import PolicySummary, SuiteCache
@@ -250,8 +251,8 @@ def _run_unit(spec: dict[str, Any],
     :func:`_run_chunk` calls it for every unit of a chunk.  It picks
     the spot-audited units (every ``audit_every``-th in index-major
     seed order, so both drivers audit the same units), narrates
-    ``unit.start`` (a no-op in a forked worker: the stream it inherited
-    is pinned to the parent's pid), fires the chaos hook inside the
+    ``unit.start`` (a no-op in a forked worker: the sinks it inherited
+    are pinned to the parent's pid), fires the chaos hook inside the
     per-unit SIGALRM deadline (when ``unit_timeout`` is set; pool
     workers run tasks on their main thread, so the alarm is armable)
     and retries *classified* failures: deterministic failures get a
@@ -271,8 +272,8 @@ def _run_unit(spec: dict[str, Any],
     audit_every = spec["audit_every"]
     audit = (audit_every is not None
              and (index * spec["n_seeds"] + seed_pos) % audit_every == 0)
-    _progress.emit("unit.start", index=index, x=float(x),
-                   seed_pos=seed_pos, seed=seed)
+    _TELEMETRY.emit("unit.start", index=index, x=float(x),
+                    seed_pos=seed_pos, seed=seed)
     processor_factory = spec["processor_factory"]
     policy_factory = spec["policy_factory"]
     faults_factory = spec["faults_factory"]
@@ -406,10 +407,10 @@ def map_forked(calls: "list[Any]", workers: int) -> list[Any]:
         _CALLS = None
 
 
-def _pool_pids() -> list[int]:
+def pool_pids() -> list[int]:
     """The parent pid plus every live pool worker pid — what a
     progress-stream heartbeat liveness-probes while a sweep is
-    dispatching (:mod:`repro.telemetry.progress`)."""
+    dispatching."""
     pids = [os.getpid()]
     pool = WorkerPool.current()
     if pool is not None:
@@ -460,7 +461,6 @@ class _CellFold:
         self.unit_key = unit_key
         self.quarantine_store = quarantine_store
         self.quarantining = spec["on_failure"] == "quarantine"
-        self.stream = _progress.current()
         self.xs: dict[int, float] = {}
         self.suites: dict[int, dict[int, Any]] = {}
         self.quarantined: dict[int, dict[int, dict]] = {}
@@ -499,11 +499,9 @@ class _CellFold:
 
     def _unit_done(self, index: int, seed_pos: int, status: str,
                    **fields: Any) -> None:
-        if self.stream is not None:
-            self.stream.unit_done(index=index, x=self.xs[index],
-                                  seed_pos=seed_pos,
-                                  seed=self.seeds[seed_pos],
-                                  status=status, **fields)
+        _TELEMETRY.emit("unit.done", index=index, x=float(self.xs[index]),
+                        seed_pos=seed_pos, seed=self.seeds[seed_pos],
+                        status=status, **fields)
 
     def resolve(self, pos: int, summaries: Any, err: BaseException | None,
                 failure: tuple[str | None, int] | None,
@@ -515,11 +513,9 @@ class _CellFold:
         _, index, x, seed_pos, seed = self.units[pos]
         for attempt, error_type in retries:
             _TELEMETRY.inc("sweep.retries")
-            fields = dict(index=index, x=x, seed_pos=seed_pos, seed=seed,
-                          attempt=attempt, error_type=error_type)
-            _TELEMETRY.emit("sweep.retry", **fields)
-            if self.stream is not None:
-                self.stream.emit("unit.retry", **fields)
+            _TELEMETRY.emit("unit.retry", index=index, x=x,
+                            seed_pos=seed_pos, seed=seed,
+                            attempt=attempt, error_type=error_type)
         if err is not None:
             if not self.quarantining:
                 # Stays unresolved: the sweep dies on the lowest-
@@ -536,6 +532,10 @@ class _CellFold:
             if self.quarantine_store is not None:
                 self.quarantine_store.record(record)
             _TELEMETRY.inc("resilience.quarantined")
+            _TELEMETRY.emit("resilience.quarantine", index=index, x=x,
+                            seed=seed, error_type=record.error_type,
+                            classification=record.classification,
+                            path=record.artifact)
             self.quarantined[index][seed_pos] = record.to_payload()
             self._unit_done(index, seed_pos, "quarantined",
                             error_type=record.error_type,
@@ -571,9 +571,9 @@ class _CellFold:
         if self.checkpointer is not None:
             self.checkpointer.store(index, cell)
         self.cells[index] = cell
-        if self.stream is not None:
-            self.stream.cell_done(index=index, x=cell.x,
-                                  quarantined=len(cell.quarantined))
+        _TELEMETRY.emit("cell.done", index=index, x=float(cell.x),
+                        seeds=len(self.seeds),
+                        quarantined=len(cell.quarantined))
 
     def raise_if_draining(self,
                           shutdown: "GracefulShutdown | None") -> None:
@@ -668,9 +668,6 @@ def run_cells(
     finishes the ones in flight, and leaves the rest for a resumed
     run; the caller raises :class:`~repro.errors.SweepInterrupted`.
     """
-    stream = _progress.current()
-    if stream is not None:
-        stream.pid_provider = _pool_pids
     fold = _CellFold(seeds, spec=spec, checkpointer=checkpointer,
                      cache=cache, unit_key=unit_key,
                      quarantine_store=quarantine_store)
@@ -760,11 +757,7 @@ def run_cells(
                 killed = _kill_pool_workers(pool)
                 _TELEMETRY.inc("resilience.watchdog_kills")
                 _TELEMETRY.emit("resilience.watchdog_kill",
-                                killed=killed, budget=budget)
-                if stream is not None:
-                    stream.emit("resilience.watchdog_kill",
-                                killed=killed, budget=budget,
-                                mode=mode)
+                                killed=killed, budget=budget, mode=mode)
                 continue
             with _TELEMETRY.phase("ipc.fold"):
                 for future in done:
@@ -775,8 +768,7 @@ def run_cells(
                         # its units stay unresolved for the next
                         # generation.
                         broke = True
-                        if stream is not None:
-                            stream.emit("resilience.worker_crash",
+                        _TELEMETRY.emit("resilience.worker_crash",
                                         mode=mode,
                                         error_type=type(exc).__name__)
                         continue
@@ -839,16 +831,12 @@ def run_cells(
                     killed = _kill_pool_workers(pool)
                     _TELEMETRY.inc("resilience.watchdog_kills")
                     _TELEMETRY.emit("resilience.watchdog_kill",
-                                    killed=killed, budget=budget)
-                    if stream is not None:
-                        stream.emit("resilience.watchdog_kill",
                                     killed=killed, budget=budget,
                                     mode="solo")
                     crashed = True
                 except BaseException as exc:
                     crashed = True
-                    if stream is not None:
-                        stream.emit("resilience.worker_crash",
+                    _TELEMETRY.emit("resilience.worker_crash",
                                     mode="solo",
                                     error_type=type(exc).__name__)
                 else:
@@ -860,8 +848,7 @@ def run_cells(
                 if crashed:
                     pool.shutdown(cancel_futures=True)
                     _TELEMETRY.inc("resilience.pool_rebuilds")
-                    if stream is not None:
-                        stream.emit("resilience.pool_rebuild",
+                    _TELEMETRY.emit("resilience.pool_rebuild",
                                     mode="solo",
                                     unresolved=len(remaining))
                     crash_counts[pos] = crash_counts.get(pos, 0) + 1
@@ -912,15 +899,8 @@ def run_cells(
                         [units[p] for p in positions])] = positions[0]
         except BrokenProcessPool:
             broke = True  # pool died mid-submit; drain what went out
-        if _TELEMETRY.enabled:
-            _TELEMETRY.inc("parallel.chunks_submitted",
-                           len(chunk_futures))
-            _TELEMETRY.emit("parallel.dispatch",
-                            chunks=len(chunk_futures), units=len(todo),
-                            workers=workers, mode=mode,
-                            inline_units=sum(map(len, inline_plans)))
-        if stream is not None:
-            stream.emit("chunk.dispatch", chunks=len(chunk_futures),
+        _TELEMETRY.inc("parallel.chunks_submitted", len(chunk_futures))
+        _TELEMETRY.emit("chunk.dispatch", chunks=len(chunk_futures),
                         units=len(todo), workers=workers, mode=mode,
                         inline_units=sum(map(len, inline_plans)))
         for positions in inline_plans:
@@ -953,12 +933,8 @@ def run_cells(
             _TELEMETRY.emit("resilience.pool_rebuild", mode=mode,
                             unresolved=len(remaining))
             next_mode = "isolated" if mode == "chunked" else "solo"
-            if stream is not None:
-                stream.emit("resilience.pool_rebuild", mode=mode,
-                            unresolved=len(remaining))
-                stream.emit("resilience.escalation", from_mode=mode,
-                            to_mode=next_mode,
-                            unresolved=len(remaining))
+            _TELEMETRY.emit("resilience.escalation", from_mode=mode,
+                            to_mode=next_mode, unresolved=len(remaining))
             mode = next_mode
 
     if fold.best_err is not None:

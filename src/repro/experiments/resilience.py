@@ -56,7 +56,6 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.telemetry import TELEMETRY
-from repro.telemetry import progress as _progress
 
 #: Exception types a retry (with backoff) can genuinely cure: external
 #: conditions, not properties of the unit itself.  ``OSError`` covers
@@ -252,14 +251,6 @@ class QuarantineStore:
             cell.artifact = None
             TELEMETRY.inc("resilience.quarantine_write_errors")
             return None
-        TELEMETRY.emit("resilience.quarantine", index=cell.index,
-                       x=cell.x, seed=cell.seed,
-                       error=cell.error_type, path=str(path))
-        _progress.emit("resilience.quarantine", index=cell.index,
-                       x=cell.x, seed=cell.seed,
-                       error_type=cell.error_type,
-                       classification=cell.classification,
-                       path=str(path))
         return path
 
     def load_all(self) -> list[QuarantinedCell]:
@@ -311,10 +302,12 @@ class GracefulShutdown:
             self._restore()
             signal.raise_signal(signum)
             return
+        # Flags and a counter only: a handler that writes into a
+        # locked sink can deadlock, so ``sweep()`` emits
+        # ``resilience.drain`` once the drain has unwound.
         self.requested = True
         self.signal_number = signum
         TELEMETRY.inc("resilience.drain_requests")
-        TELEMETRY.emit("resilience.drain", signal=signum)
 
     def __enter__(self) -> "GracefulShutdown":
         if threading.current_thread() is threading.main_thread():

@@ -32,6 +32,7 @@ the sweep.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,8 +63,7 @@ from repro.policies.base import DvsPolicy
 from repro.policies.registry import make_policy
 from repro.sim.engine import simulate
 from repro.sim.results import SimulationResult
-from repro.telemetry import TELEMETRY
-from repro.telemetry import progress as _progress
+from repro.telemetry import PROGRESS_SCHEMA, TELEMETRY, open_stream
 from repro.telemetry.manifest import (
     RunManifest,
     git_revision,
@@ -519,9 +519,8 @@ def sweep(
     the seed) skip the retry ladder entirely — retries with backoff
     are reserved for transient ones (I/O hiccups, OOM kills,
     timeouts) that a retry genuinely can cure.  Every retry is
-    counted (``sweep.retries``) and narrated (``sweep.retry``,
-    ``unit.retry``) by the parent when the unit settles, in either
-    mode.
+    counted (``sweep.retries``) and narrated (``unit.retry``) by the
+    parent when the unit settles, in either mode.
 
     SIGINT/SIGTERM no longer kill a sweep mid-checkpoint: in-flight
     units drain, completed cells are checkpointed, the run manifest
@@ -529,10 +528,10 @@ def sweep(
     the sweep resumable.
 
     *progress_dir* names where the live ``progress.jsonl`` event
-    stream (DESIGN.md §14, :mod:`repro.telemetry.progress`) is
-    written; when ``None`` it defaults to the telemetry manifest
-    directory (telemetry on) and else to *checkpoint_dir*, so every
-    checkpointed sweep is ``repro watch``-able with no extra flags.
+    stream (DESIGN.md §14) is written; when ``None`` it defaults to
+    the telemetry manifest directory (telemetry on) and else to
+    *checkpoint_dir*, so every checkpointed sweep is ``repro
+    watch``-able with no extra flags.
     With no directory at all the sweep runs unnarrated — the stream
     never touches the compute path, so summaries, cells and
     checkpoints are byte-identical with it on or off.
@@ -621,11 +620,7 @@ def sweep(
         stream_dir = TELEMETRY.manifest_dir
     if stream_dir is None:
         stream_dir = checkpoint_dir
-    stream = None
-    if stream_dir is not None:
-        stream = _progress.open_stream(
-            stream_dir, cells=len(xs), seeds=n_tasksets,
-            workers=workers, workload_id=workload_id)
+    stream = open_stream(stream_dir) if stream_dir is not None else None
 
     seeds = taskset_seeds(master_seed, n_tasksets)
     spec = {
@@ -662,8 +657,8 @@ def sweep(
                     pending.append((index, float(x)))
                     continue
                 TELEMETRY.inc("sweep.cells_resumed")
-                if stream is not None:
-                    stream.cell_resumed(index=index, x=float(x))
+                TELEMETRY.emit("cell.resumed", index=index, x=float(x),
+                               seeds=n_tasksets)
                 by_index[index] = cell
         if pending:
             options = dict(spec=spec, checkpointer=checkpointer,
@@ -671,6 +666,8 @@ def sweep(
                            quarantine_store=quarantine_store,
                            shutdown=shutdown)
             if workers > 1 and parallel.fork_available():
+                if stream is not None:
+                    stream.pid_provider = parallel.pool_pids
                 by_index.update(parallel.run_cells(
                     pending, seeds, workers=workers,
                     chunk_size=chunk_size, **options))
@@ -679,22 +676,24 @@ def sweep(
                     pending, seeds, **options))
         return [by_index[index] for index in range(len(xs))]
 
-    # Attach the stream as the process-current one so the parallel
-    # executor and the resilience layer can emit without it being
-    # threaded through their signatures.  Restored on every exit path.
-    prev_stream = _progress.attach(stream)
-
-    def finish_stream(status: str = "completed",
-                      error: BaseException | None = None) -> None:
+    def finish(status: str = "completed",
+               error: BaseException | None = None) -> None:
+        if status == "interrupted" and shutdown.signal_number is not None:
+            # The drain fact itself, emitted here in normal context:
+            # the signal handler only sets flags, because a handler
+            # that writes into a locked sink can deadlock.
+            TELEMETRY.emit("resilience.drain",
+                           signal=shutdown.signal_number)
         if stream is not None:
-            if (status == "interrupted"
-                    and shutdown.signal_number is not None):
-                # The drain fact itself, emitted from normal (not
-                # signal-handler) context so it can take the stream
-                # lock safely.
-                stream.emit("resilience.drain",
-                            signal=shutdown.signal_number)
-            stream.close(status=status, error=error)
+            # ``sweep.done`` carries the stream's tallies, so only a
+            # narrated sweep has one.
+            fields = stream.summary()
+            del fields["stream"]
+            fields["status"] = status
+            if error is not None:
+                fields["error"] = str(error)
+            TELEMETRY.emit("sweep.done", **fields)
+            stream.close()
 
     # With telemetry on, cut this sweep's metrics as a delta against
     # the registry (other sweeps in the same process keep their
@@ -706,9 +705,6 @@ def sweep(
     before = TELEMETRY.snapshot() if TELEMETRY.enabled else None
     TELEMETRY.inc("sweep.runs")
     TELEMETRY.inc("sweep.cells", len(xs))
-    TELEMETRY.emit("sweep.start",
-                   workload_id=workload_id, cells=len(xs),
-                   seeds=n_tasksets, workers=workers)
 
     def write_manifest() -> None:
         if before is None:
@@ -735,25 +731,37 @@ def sweep(
             on_failure=on_failure,
             progress=(stream.summary() if stream is not None else None))
 
+    # The stream is the registry's second event sink for the length
+    # of this sweep; the previous one is restored on every exit path.
+    prev_stream = TELEMETRY.attach_stream(stream)
     try:
+        TELEMETRY.emit("sweep.start", schema=PROGRESS_SCHEMA,
+                       cells=len(xs), seeds=n_tasksets,
+                       units=len(xs) * n_tasksets, workers=workers,
+                       workload_id=workload_id, pid=os.getpid(),
+                       heartbeat_interval=(stream.heartbeat_interval
+                                           if stream is not None
+                                           else None))
         with shutdown, TELEMETRY.span("sweep.compute"):
             cells = execute()
     except SweepInterrupted as exc:
         # The drain already checkpointed everything complete; close
         # the stream and flush the manifest too, so the interrupted
         # run leaves a full record before the interrupt propagates.
-        finish_stream("interrupted", exc)
+        finish("interrupted", exc)
         write_manifest()
         raise
     except BaseException as exc:
-        finish_stream("failed", exc)
+        finish("failed", exc)
         raise
+    else:
+        # Close before the manifest is cut, so the manifest's
+        # ``progress`` block repeats exactly the terminal
+        # ``sweep.done`` summary — the equality
+        # scripts/identity_gate.py enforces.
+        finish()
     finally:
-        _progress.attach(prev_stream)
-    # Close before the manifest is cut, so the manifest's ``progress``
-    # block repeats exactly the terminal ``sweep.done`` summary — the
-    # equality scripts/identity_gate.py enforces.
-    finish_stream()
+        TELEMETRY.attach_stream(prev_stream)
     write_manifest()
     return cells
 

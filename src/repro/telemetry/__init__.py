@@ -2,10 +2,13 @@
 
 See :mod:`repro.telemetry.core` for the instrumentation registry
 (:data:`TELEMETRY`, process-local, disabled by default: counters,
-histograms, the span stack with its phase timers, the stack sampler)
-and :mod:`repro.telemetry.manifest` for per-sweep run manifests.
-DESIGN.md §9 documents the span model, the metric naming scheme and
-the manifest schema.
+histograms, the span stack with its phase timers, the stack sampler,
+and :meth:`~Telemetry.emit`, the one event entry point),
+:mod:`repro.telemetry.manifest` for per-sweep run manifests and
+:mod:`repro.telemetry.progress` for ``progress.jsonl``, the filtered
+second event sink a sweep attaches to the registry while it runs.
+DESIGN.md §9 documents the span model, the metric naming scheme, the
+event sinks and the manifest schema.
 """
 
 from repro.telemetry.core import (
@@ -29,6 +32,7 @@ from repro.telemetry.progress import (
     PROGRESS_SCHEMA,
     ProgressSnapshot,
     ProgressStream,
+    open_stream,
     read_progress,
 )
 
@@ -49,5 +53,6 @@ __all__ = [
     "PROGRESS_SCHEMA",
     "ProgressSnapshot",
     "ProgressStream",
+    "open_stream",
     "read_progress",
 ]

@@ -43,10 +43,15 @@ chunk against its pre-chunk snapshot and the parent merges it in its
 fold loop, so parallel sweeps aggregate the same counts and phases a
 serial sweep would (pinned by ``tests/test_telemetry.py``).
 
-An optional :class:`JsonlSink` appends structured events
-(``events.jsonl``); it records the pid that attached it and silently
-refuses to write from any other process, so forked workers never
-interleave lines into the parent's event log.
+Events have one entry point, :meth:`Telemetry.emit`, and two
+destinations.  While ``enabled`` with an ``events_path``, every event
+lands in ``events.jsonl`` (a :class:`JsonlSink`).  While a sweep's
+progress stream is attached (:meth:`Telemetry.attach_stream`), every
+event whose kind the stream takes also lands there — the stream is a
+filtered second sink, held by duck type (``kinds`` and ``write(kind,
+fields)``).  A :class:`JsonlSink` records the pid that opened it and
+silently refuses writes from any other process, so forked workers
+never interleave lines into the parent's logs.
 
 Nothing here imports from the rest of ``repro`` — the registry must
 stay leaf-level so every layer (engine, slack walks, policies,
@@ -202,28 +207,41 @@ def _subtract_records(after: Mapping, before: Mapping) -> dict:
 
 
 class JsonlSink:
-    """Append-only JSONL event stream, pinned to its attaching pid."""
+    """Append-only JSONL event stream, pinned to its attaching pid.
+
+    The pid is checked before the lock is touched, so a forked child
+    can neither write a line nor block on a lock its parent held at
+    fork time.  The lock serialises the attaching process's threads
+    (a progress stream's heartbeat thread writes beside the main one).
+    """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._file = self.path.open("a", encoding="utf-8")
         self._pid = os.getpid()
+        self._lock = threading.Lock()
         self._seq = 0
 
-    def write(self, kind: str, fields: Mapping[str, Any]) -> None:
-        """Append one event; a no-op in any process but the attacher."""
+    def write(self, kind: str, fields: Mapping[str, Any]) -> bool:
+        """Append one event; whether it was written (never in any
+        process but the attacher's, nor after :meth:`close`)."""
         if os.getpid() != self._pid:
-            return
-        self._seq += 1
-        record = {"seq": self._seq, "ts": round(time.time(), 6),
-                  "kind": kind, **fields}
-        self._file.write(json.dumps(record) + "\n")
-        self._file.flush()
+            return False
+        with self._lock:
+            if self._file.closed:
+                return False
+            self._seq += 1
+            record = {"seq": self._seq, "ts": round(time.time(), 6),
+                      "kind": kind, **fields}
+            self._file.write(json.dumps(record) + "\n")
+            self._file.flush()
+        return True
 
     def close(self) -> None:
         if os.getpid() == self._pid:
-            self._file.close()
+            with self._lock:
+                self._file.close()
 
 
 class StackSampler:
@@ -326,6 +344,8 @@ class Telemetry:
         self._sampler_pid: int | None = None
         self._workers: dict[str, dict[str, float]] = {}
         self._sink: JsonlSink | None = None
+        # The attached progress stream: ``kinds`` and ``write()``.
+        self._stream: Any = None
 
     # -- configuration -------------------------------------------------
 
@@ -341,6 +361,17 @@ class Telemetry:
             self._sink = JsonlSink(events_path)
         self.manifest_dir = (Path(manifest_dir)
                             if manifest_dir is not None else None)
+
+    def attach_stream(self, stream: Any) -> Any:
+        """Make *stream* the second event sink; returns the previous.
+
+        *stream* takes every emitted event whose kind is in its
+        ``kinds`` through ``stream.write(kind, fields)``, whether or
+        not ``enabled`` is on; ``None`` detaches.
+        """
+        previous = self._stream
+        self._stream = stream
+        return previous
 
     def configure_timers(self, *, enabled: bool = True,
                          timeline: bool = False, sample: bool = False,
@@ -413,10 +444,13 @@ class Telemetry:
         stats["busy_s"] += busy_s
 
     def emit(self, kind: str, **fields: Any) -> None:
-        """Write one structured event to the JSONL sink, if attached."""
-        if not self.enabled or self._sink is None:
-            return
-        self._sink.write(kind, fields)
+        """Write one structured event to each sink that takes it: the
+        attached stream (its kinds only) and ``events.jsonl``."""
+        stream = self._stream
+        if stream is not None and kind in stream.kinds:
+            stream.write(kind, fields)
+        if self.enabled and self._sink is not None:
+            self._sink.write(kind, fields)
 
     # -- the span stack ------------------------------------------------
 

@@ -1,26 +1,32 @@
 """Live sweep progress stream: `progress.jsonl` writer and reader.
 
-Every observability surface before this one — run manifests, Chrome
-traces, the energy ledger — is written *after* a run completes; a
-researcher staring at a 20-minute sweep is blind until it ends.  This
-module closes that gap with a schema-versioned, append-only
-``progress.jsonl`` the sweep runner and the parallel executor write
-*while* they run, plus the reader/snapshot side that ``repro watch``
-(and the future ``repro serve`` poll endpoint) renders.
+Run manifests, Chrome traces and the energy ledger are written
+*after* a run completes; ``progress.jsonl`` narrates a sweep *while*
+it runs, and the reader/snapshot side here is what ``repro watch``
+and ``repro stats --follow`` render.
 
 Writer (:class:`ProgressStream`)
     One stream per ``sweep()`` call, living next to the checkpoint or
-    telemetry directory.  Events go through the existing fork-safe
-    pid-pinned :class:`~repro.telemetry.core.JsonlSink`, so forked
-    workers inherit the stream object but their writes silently no-op:
-    only the parent narrates, which is what makes the serial and
-    parallel streams *equivalent* — the same ``unit.done``/``cell.done``
-    event sets and the same terminal snapshot, regardless of worker
-    count (pinned by ``tests/test_progress.py``).  A daemon heartbeat
-    thread emits pid-liveness beats every ``heartbeat_interval``
-    seconds, so a watcher can tell "long unit still computing" from
-    "writer process is gone" even while the parent blocks in a pool
-    wait.  Threads do not survive ``fork``, so workers never heartbeat.
+    telemetry directory.  It emits nothing itself: ``sweep()``
+    attaches it to the registry (:meth:`~repro.telemetry.core.
+    Telemetry.attach_stream`) and every :meth:`~repro.telemetry.core.
+    Telemetry.emit` whose kind is in :data:`EVENT_KINDS` is written
+    here as well as to ``events.jsonl`` — one emit per fact, two
+    destinations.  The stream counts what it writes (``unit.done``,
+    ``cell.done``, ``cell.resumed``) into the terminal summary.  Its
+    :class:`~repro.telemetry.core.JsonlSink` is pinned to the opening
+    pid, so a forked worker that inherited the stream writes and
+    counts nothing: only the parent narrates, which is what makes the
+    serial and parallel streams *equivalent* — the same
+    ``unit.done``/``cell.done`` event sets and the same terminal
+    snapshot, regardless of worker count (pinned by
+    ``tests/test_progress.py``).  Between ``sweep.start`` and
+    ``sweep.done`` a daemon thread writes pid-liveness heartbeats
+    straight to the stream every ``heartbeat_interval`` seconds, so a
+    watcher can tell "long unit still computing" from "writer process
+    is gone" even while the parent blocks in a pool wait.  Heartbeats
+    are stream-only; threads do not survive ``fork``, so workers never
+    beat.
 
 Event kinds (:data:`EVENT_KINDS`, schema :data:`PROGRESS_SCHEMA`)
     ``sweep.start`` (totals, workers, schema), ``unit.start`` (units
@@ -44,10 +50,8 @@ Reader (:func:`read_progress` → :class:`ProgressSnapshot`)
     unfinished).  :meth:`ProgressSnapshot.to_payload` is the exact
     JSON ``repro watch --json`` prints.
 
-Like the telemetry core, this module stays leaf-level: it imports only
-:mod:`repro.telemetry.core` and :mod:`repro.errors`, so the runner,
-the parallel executor and the resilience layer can all emit into it
-without import cycles.
+Like the telemetry core, this module imports only
+:mod:`repro.telemetry.core` and :mod:`repro.errors`.
 """
 
 from __future__ import annotations
@@ -110,123 +114,94 @@ def _alive(pid: int) -> bool:
 
 
 class ProgressStream:
-    """The write side: one live event stream for one sweep.
+    """The write side: ``progress.jsonl``, a filtered event sink.
 
-    All mutation funnels through :meth:`emit`, which checks the
-    creating pid *before* touching the lock — a forked worker
-    inheriting the stream can never write a line, bump a counter, or
-    deadlock on a lock its parent held at fork time.
+    :meth:`write` is its one entry point; attached to the registry it
+    receives every emitted event whose kind is in :attr:`kinds`.  It
+    learns the sweep's size from ``sweep.start``, counts the units and
+    cells it writes, and starts its heartbeat on ``sweep.start`` and
+    stops it on ``sweep.done``.  Tallies move only when the sink
+    actually wrote, so an inherited stream in a forked worker never
+    counts.
     """
 
+    kinds = EVENT_KINDS
+
     def __init__(self, directory: str | Path, *,
-                 cells: int, seeds: int, workers: int = 1,
-                 workload_id: str | None = None,
                  heartbeat_interval: float | None =
                  DEFAULT_HEARTBEAT_INTERVAL) -> None:
-        self.directory = Path(directory)
-        self.path = self.directory / PROGRESS_FILENAME
-        self.directory.mkdir(parents=True, exist_ok=True)
+        self.path = Path(directory) / PROGRESS_FILENAME
         # Fresh stream per sweep: the old file narrates a finished run.
         self.path.unlink(missing_ok=True)
         self._sink = JsonlSink(self.path)
-        self._pid = os.getpid()
-        self._lock = threading.Lock()
-        self._closed = False
-        self.cells = int(cells)
-        self.seeds = int(seeds)
-        self.units = self.cells * self.seeds
-        self.workers = int(workers)
-        self.workload_id = workload_id
         self.heartbeat_interval = heartbeat_interval
         #: Parent-side tallies; the single source of the terminal
         #: summary the manifest's ``progress`` block repeats.
+        self.units = 0
+        self.cells = 0
         self.computed = 0
         self.cached = 0
         self.quarantined = 0
         self.resumed = 0
         self.cells_done = 0
         #: Replaceable hook: which pids a heartbeat should liveness-
-        #: probe.  The parallel executor points this at the live pool.
+        #: probe.  The sweep points this at the live pool.
         self.pid_provider: Callable[[], list[int]] | None = None
-        self.emit("sweep.start", schema=PROGRESS_SCHEMA,
-                  cells=self.cells, seeds=self.seeds, units=self.units,
-                  workers=self.workers, workload_id=workload_id,
-                  pid=self._pid,
-                  heartbeat_interval=heartbeat_interval)
         self._hb_stop = threading.Event()
         self._hb_thread: threading.Thread | None = None
-        if heartbeat_interval is not None and heartbeat_interval > 0:
-            self._hb_thread = threading.Thread(
-                target=self._heartbeat_loop, daemon=True,
-                name="repro-progress-heartbeat")
-            self._hb_thread.start()
 
-    # -- emission ------------------------------------------------------
-
-    def emit(self, kind: str, **fields: Any) -> None:
-        """Append one event; a no-op in workers and after close."""
-        if os.getpid() != self._pid:
+    def write(self, kind: str, fields: Mapping[str, Any]) -> None:
+        """Append one event and count it."""
+        if kind == "sweep.done":
+            self._stop_heartbeat()  # no beat after the terminal event
+        if not self._sink.write(kind, fields):
             return
-        with self._lock:
-            if self._closed:
-                return
-            self._sink.write(kind, fields)
-
-    def unit_done(self, *, index: int, x: float, seed_pos: int,
-                  seed: int, status: str,
-                  error_type: str | None = None,
-                  classification: str | None = None) -> None:
-        """One (cell, seed) unit settled — the stream's workhorse."""
-        if os.getpid() != self._pid:
-            return
-        if status == "computed":
-            self.computed += 1
-        elif status == "cached":
-            self.cached += 1
-        elif status == "quarantined":
-            self.quarantined += 1
-        fields: dict[str, Any] = {
-            "index": index, "x": float(x), "seed_pos": seed_pos,
-            "seed": seed, "status": status}
-        if error_type is not None:
-            fields["error_type"] = error_type
-            fields["classification"] = classification
-        self.emit("unit.done", **fields)
-
-    def cell_done(self, *, index: int, x: float,
-                  quarantined: int = 0) -> None:
-        if os.getpid() != self._pid:
-            return
-        self.cells_done += 1
-        self.emit("cell.done", index=index, x=float(x),
-                  seeds=self.seeds, quarantined=quarantined)
-
-    def cell_resumed(self, *, index: int, x: float) -> None:
-        """A cell replayed from its checkpoint: all seeds pre-done."""
-        if os.getpid() != self._pid:
-            return
-        self.resumed += self.seeds
-        self.cells_done += 1
-        self.emit("cell.resumed", index=index, x=float(x),
-                  seeds=self.seeds)
+        if kind == "unit.done":
+            status = fields["status"]
+            if status == "computed":
+                self.computed += 1
+            elif status == "cached":
+                self.cached += 1
+            elif status == "quarantined":
+                self.quarantined += 1
+        elif kind == "cell.done":
+            self.cells_done += 1
+        elif kind == "cell.resumed":
+            self.resumed += fields["seeds"]
+            self.cells_done += 1
+        elif kind == "sweep.start":
+            self.units = fields["units"]
+            self.cells = fields["cells"]
+            interval = self.heartbeat_interval
+            if interval is not None and interval > 0:
+                self._hb_thread = threading.Thread(
+                    target=self._heartbeat_loop, daemon=True,
+                    name="repro-progress-heartbeat")
+                self._hb_thread.start()
 
     def heartbeat(self) -> None:
         """One liveness beat: progress counts plus pid liveness."""
         provider = self.pid_provider
         try:
             pids = list(provider()) if provider is not None \
-                else [self._pid]
+                else [os.getpid()]
         except Exception:  # pragma: no cover - racing pool teardown
-            pids = [self._pid]
-        self.emit("heartbeat", done=self.done, computed=self.computed,
-                  cached=self.cached, resumed=self.resumed,
-                  quarantined=self.quarantined,
-                  cells_done=self.cells_done, pids=pids,
-                  alive=[pid for pid in pids if _alive(pid)])
+            pids = [os.getpid()]
+        self._sink.write("heartbeat", {
+            "done": self.done, "computed": self.computed,
+            "cached": self.cached, "resumed": self.resumed,
+            "quarantined": self.quarantined,
+            "cells_done": self.cells_done, "pids": pids,
+            "alive": [pid for pid in pids if _alive(pid)]})
 
     def _heartbeat_loop(self) -> None:
         while not self._hb_stop.wait(self.heartbeat_interval):
             self.heartbeat()
+
+    def _stop_heartbeat(self) -> None:
+        self._hb_stop.set()
+        if self._hb_thread is not None:
+            self._hb_thread.join(timeout=1.0)
 
     # -- summary and shutdown ------------------------------------------
 
@@ -250,71 +225,20 @@ class ProgressStream:
             "stream": str(self.path),
         }
 
-    def close(self, *, status: str = "completed",
-              error: BaseException | str | None = None) -> None:
-        """Emit the terminal ``sweep.done`` and stop the heartbeat.
-
-        Idempotent: only the first close narrates; a later close (the
-        runner's failure path racing its success path) is a no-op.
-        """
-        if os.getpid() != self._pid or self._closed:
-            return
-        self._hb_stop.set()
-        fields = dict(self.summary())
-        fields.pop("stream")
-        fields["status"] = status
-        if error is not None:
-            fields["error"] = str(error)
-        self.emit("sweep.done", **fields)
-        with self._lock:
-            self._closed = True
-            self._sink.close()
-        if self._hb_thread is not None:
-            self._hb_thread.join(timeout=1.0)
+    def close(self) -> None:
+        """Stop the heartbeat and close the file; idempotent."""
+        self._stop_heartbeat()
+        self._sink.close()
 
 
-# -- the process-current stream ----------------------------------------
-
-_CURRENT: ProgressStream | None = None
-
-
-def current() -> ProgressStream | None:
-    """The stream of the sweep currently executing, if any."""
-    return _CURRENT
-
-
-def attach(stream: ProgressStream | None) -> ProgressStream | None:
-    """Install *stream* as current; returns the previous one."""
-    global _CURRENT
-    previous = _CURRENT
-    _CURRENT = stream
-    return previous
-
-
-def emit(kind: str, **fields: Any) -> None:
-    """Emit into the current stream; safe to call from anywhere.
-
-    A no-op when no stream is attached — and, via the pid pinning, in
-    any forked worker that inherited one.
-    """
-    stream = _CURRENT
-    if stream is not None:
-        stream.emit(kind, **fields)
-
-
-def open_stream(directory: str | Path, *, cells: int, seeds: int,
-                workers: int = 1, workload_id: str | None = None,
-                heartbeat_interval: float | None =
-                DEFAULT_HEARTBEAT_INTERVAL) -> ProgressStream | None:
+def open_stream(directory: str | Path) -> ProgressStream | None:
     """Open a stream, degrading to ``None`` on unusable directories.
 
     Progress narration is an observability aid — a read-only disk or a
     permission error must never take the sweep itself down.
     """
     try:
-        return ProgressStream(directory, cells=cells, seeds=seeds,
-                              workers=workers, workload_id=workload_id,
-                              heartbeat_interval=heartbeat_interval)
+        return ProgressStream(directory)
     except OSError as exc:
         TELEMETRY.inc("progress.degraded")
         import sys
@@ -345,7 +269,7 @@ class CellProgress:
 
 @dataclass
 class ProgressSnapshot:
-    """Everything a watcher (or the serve daemon) needs, one read.
+    """Everything a watcher needs, one read.
 
     Derived purely from the stream file — no live process contact
     beyond the pid liveness probes — so it works identically attached
@@ -404,8 +328,7 @@ class ProgressSnapshot:
         }
 
     def to_payload(self) -> dict:
-        """The ``repro watch --json`` payload (and the future serve
-        daemon's poll-endpoint body)."""
+        """The ``repro watch --json`` payload."""
         return {
             "kind": "progress-snapshot",
             "schema": self.schema,
@@ -550,9 +473,11 @@ def read_progress(target: str | Path, *, now: float | None = None,
         elif kind == "unit.retry":
             snap.retries += 1
             failures.append({"ts": ts, "kind": kind,
+                             "index": event.get("index"),
                              "x": event.get("x"),
                              "seed": event.get("seed"),
-                             "attempt": event.get("attempt")})
+                             "attempt": event.get("attempt"),
+                             "error_type": event.get("error_type")})
         elif kind == "cell.done":
             snap.cells_done += 1
             entry = cell(int(event.get("index", -1)))

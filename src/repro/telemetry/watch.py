@@ -12,8 +12,7 @@ Everything here is a pure function of a
 :class:`~repro.telemetry.progress.ProgressSnapshot`, so the same
 rendering serves `repro watch`, `repro stats --follow`, and the tests;
 the ``--json`` one-shot mode skips rendering entirely and prints
-:meth:`ProgressSnapshot.to_payload` — the exact payload the future
-``repro serve`` daemon returns from its poll endpoint.
+:meth:`ProgressSnapshot.to_payload`.
 """
 
 from __future__ import annotations

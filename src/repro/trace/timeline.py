@@ -1,7 +1,7 @@
 """Sweep timeline: the parallel executor's pool as a Chrome trace.
 
 The warm-pool executor (:mod:`repro.experiments.parallel`) already
-emits structured telemetry events — ``parallel.dispatch`` when chunks
+emits structured telemetry events — ``chunk.dispatch`` when chunks
 are submitted, ``parallel.chunk`` when each worker-executed chunk
 lands (carrying the worker pid and the chunk's wall-clock window),
 ``span`` records for the sweep phases, ``sweep.checkpoint`` per cell.
@@ -100,7 +100,7 @@ def sweep_timeline_events(events_path: str | Path) -> list[dict]:
                 "dur": wall * _SCALE, "pid": _PID, "tid": _PARENT_TID,
                 "args": {"cpu_s": rec.get("cpu_s")},
             })
-        elif kind == "parallel.dispatch":
+        elif kind == "chunk.dispatch":
             events.append({
                 "name": "dispatch", "cat": "executor", "ph": "i",
                 "s": "t", "ts": ts(float(rec["ts"])), "pid": _PID,

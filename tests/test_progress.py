@@ -22,6 +22,8 @@ import io
 import json
 import os
 import subprocess
+import sys
+import threading
 import time
 
 import pytest
@@ -104,6 +106,12 @@ def unit_event(seq, ts, *, index=0, seed_pos=0, status="computed"):
     return {"seq": seq, "ts": ts, "kind": "unit.done", "index": index,
             "x": 0.5, "seed_pos": seed_pos, "seed": 7,
             "status": status}
+
+
+def fields_of(event: dict) -> dict:
+    """An event's payload: what a sink's ``write`` takes."""
+    return {k: v for k, v in event.items()
+            if k not in ("seq", "ts", "kind")}
 
 
 # -- serial / parallel equivalence -------------------------------------
@@ -260,8 +268,9 @@ def test_finished_stream_never_stalls(tmp_path):
 
 
 def test_writer_heartbeats_carry_pid_liveness(tmp_path):
-    stream = ProgressStream(tmp_path, cells=1, seeds=1,
-                            heartbeat_interval=0.02)
+    stream = ProgressStream(tmp_path, heartbeat_interval=0.02)
+    stream.write("sweep.start", fields_of(
+        start_event(cells=1, seeds=1, heartbeat_interval=0.02)))
     try:
         deadline = time.time() + 2.0
         while time.time() < deadline:
@@ -279,22 +288,70 @@ def test_writer_heartbeats_carry_pid_liveness(tmp_path):
 def test_forked_child_cannot_write(tmp_path):
     if not fork_available():
         pytest.skip("needs os.fork")
-    stream = ProgressStream(tmp_path, cells=1, seeds=1,
-                            heartbeat_interval=None)
-    pid = os.fork()
-    if pid == 0:  # child: all of these must silently no-op
-        stream.emit("unit.start", index=0)
-        stream.unit_done(index=0, x=0.5, seed_pos=0, seed=1,
-                         status="computed")
-        stream.close()
-        os._exit(0)
-    assert os.waitpid(pid, 0)[1] == 0
-    stream.unit_done(index=0, x=0.5, seed_pos=0, seed=1,
-                     status="computed")
+    stream = ProgressStream(tmp_path, heartbeat_interval=None)
+    stream.write("sweep.start", fields_of(start_event(cells=1, seeds=1)))
+    done = fields_of(unit_event(2, 1000.0))
+    previous = TELEMETRY.attach_stream(stream)
+    try:
+        pid = os.fork()
+        if pid == 0:  # child: all of these must silently no-op
+            stream.write("unit.start", {"index": 0})
+            stream.write("unit.done", done)
+            TELEMETRY.emit("unit.done", **done)
+            stream.close()
+            os._exit(0 if stream.done == 0 else 1)  # counted nothing
+        assert os.waitpid(pid, 0)[1] == 0
+        stream.write("unit.done", done)
+    finally:
+        TELEMETRY.attach_stream(previous)
     stream.close()
+    assert stream.computed == 1
     snap = read_progress(tmp_path)
     assert snap.computed == 1  # the parent's one write, nothing more
     assert validate_stream(tmp_path) == []
+
+
+def test_heartbeats_and_events_share_the_sink_safely(tmp_path):
+    # The sink's lock serialises the heartbeat thread with the main
+    # one: a lost update would repeat a seq, a torn write would leave
+    # a corrupt line.
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    stream = ProgressStream(tmp_path, heartbeat_interval=0.001)
+    try:
+        stream.write("sweep.start", fields_of(
+            start_event(cells=1, seeds=1, heartbeat_interval=0.001)))
+        done = fields_of(unit_event(2, 1000.0))
+        written = 0
+        deadline = time.monotonic() + 0.3
+        while time.monotonic() < deadline:
+            stream.write("unit.done", done)
+            written += 1
+    finally:
+        stream.close()
+        sys.setswitchinterval(switch)
+    assert not any(thread.name == "repro-progress-heartbeat"
+                   for thread in threading.enumerate())
+    assert validate_stream(tmp_path) == []
+    kinds = [json.loads(line)["kind"]
+             for line in stream.path.read_text().splitlines()]
+    assert kinds.count("heartbeat") > 0
+    assert kinds.count("unit.done") == stream.computed == written
+    assert read_progress(tmp_path).corrupt_lines == 0
+
+
+def test_retry_failure_names_its_error_type(tmp_path):
+    path = tmp_path / PROGRESS_FILENAME
+    write_stream(path, [
+        start_event(),
+        {"seq": 2, "ts": 1000.5, "kind": "unit.retry", "index": 0,
+         "x": 0.5, "seed_pos": 1, "seed": 7, "attempt": 0,
+         "error_type": "OSError"}])
+    snap = read_progress(path, now=1001.0)
+    [failure] = snap.recent_failures
+    assert failure["error_type"] == "OSError"
+    assert failure["index"] == 0
+    assert "unit.retry: OSError (x=0.5, seed=7)" in render_snapshot(snap)
 
 
 # -- watch loop --------------------------------------------------------

@@ -40,6 +40,7 @@ from repro.experiments.chaos import (
 )
 from repro.experiments.resilience import (
     EXECUTION_DEFAULTS,
+    GracefulShutdown,
     QuarantinedCell,
     QuarantineStore,
     classify,
@@ -50,6 +51,8 @@ from repro.experiments.resilience import (
     unit_deadline,
 )
 from repro.experiments.runner import bcwc_model, standard_taskset, sweep
+from repro.telemetry import TELEMETRY
+from repro.telemetry.progress import EVENT_KINDS, PROGRESS_FILENAME
 
 pytestmark = pytest.mark.chaos
 
@@ -346,7 +349,7 @@ class TestRetryNarration:
             TELEMETRY.reset()
         retries = [event for event in map(
             json.loads, events.read_text().splitlines())
-            if event["kind"] == "sweep.retry"]
+            if event["kind"] == "unit.retry"]
         assert counted == 4
         assert len(retries) == 4
         assert read_progress(tmp_path).retries == 4
@@ -437,6 +440,49 @@ class TestChaosCrashRecovery:
         # Every non-poisoned unit still folded.
         total = sum(len(c.normalized.get("static", [])) for c in cells)
         assert total == 4 - len(quarantined)
+
+    def test_progress_stream_is_the_event_log_projection(
+            self, tmp_path, monkeypatch):
+        # The crash-and-quarantine sweep above, narrated to both files:
+        # every supervision fact is emitted once, so the stream minus
+        # its heartbeats is events.jsonl filtered to the stream's kinds.
+        monkeypatch.setattr(parallel, "default_workers", lambda: 2)
+        xs = (0.4, 0.7)
+        plan_seed, _ = _chaos_seed_firing_on_some_units(
+            xs, probability=0.3)
+        plan = ChaosPlan(seed=plan_seed,
+                         crash=CrashChaos(probability=0.3))
+        events_path = tmp_path / "events.jsonl"
+        TELEMETRY.reset()
+        TELEMETRY.configure(enabled=True, events_path=events_path,
+                            manifest_dir=tmp_path)
+        try:
+            with chaos.active(plan):
+                sweep(xs, workload, POLICIES, n_tasksets=2,
+                      horizon=HORIZON, workers=2, max_retries=0,
+                      on_failure="quarantine",
+                      checkpoint_dir=tmp_path / "ckpt")
+            rebuilds = TELEMETRY.counter("resilience.pool_rebuilds")
+            quarantined = TELEMETRY.counter("resilience.quarantined")
+        finally:
+            TELEMETRY.configure(enabled=False)
+            TELEMETRY.reset()
+
+        def substance(path, keep):
+            events = [json.loads(line)
+                      for line in path.read_text().splitlines()]
+            return [{k: v for k, v in event.items()
+                     if k not in ("seq", "ts")}
+                    for event in events if keep(event["kind"])]
+
+        stream = substance(tmp_path / PROGRESS_FILENAME,
+                           lambda kind: kind != "heartbeat")
+        log = substance(events_path, lambda kind: kind in EVENT_KINDS)
+        assert stream == log
+        kinds = [event["kind"] for event in log]
+        assert rebuilds > 0 and quarantined > 0
+        assert kinds.count("resilience.pool_rebuild") == rebuilds
+        assert kinds.count("resilience.quarantine") == quarantined
 
 
 def _chaos_seed_firing_on_some_units(
@@ -547,6 +593,58 @@ class TestDegradedWrites:
 
 
 class TestGracefulShutdown:
+    def test_signal_handler_only_sets_flags(self, tmp_path):
+        # Writing from a signal handler into a locked sink can
+        # deadlock: the handler sets flags and bumps a counter, and
+        # writes no event.
+        events_path = tmp_path / "events.jsonl"
+        TELEMETRY.reset()
+        TELEMETRY.configure(enabled=True, events_path=events_path)
+        try:
+            with pytest.raises(SweepInterrupted):
+                with GracefulShutdown() as shutdown:
+                    shutdown._handle(signal.SIGTERM, None)
+                    written = events_path.read_text()
+                    drains = TELEMETRY.counter(
+                        "resilience.drain_requests")
+                    shutdown.raise_if_requested(completed_cells=0,
+                                                checkpoint_dir=None)
+        finally:
+            TELEMETRY.configure(enabled=False)
+            TELEMETRY.reset()
+        assert written == ""
+        assert drains == 1
+        assert shutdown.requested
+        assert shutdown.signal_number == signal.SIGTERM
+
+    def test_drain_is_narrated_once_in_each_file(self, tmp_path):
+        def slow_workload(u: float, seed: int):
+            time.sleep(0.15)
+            return workload(u, seed)
+
+        events_path = tmp_path / "events.jsonl"
+        TELEMETRY.reset()
+        TELEMETRY.configure(enabled=True, events_path=events_path,
+                            manifest_dir=tmp_path)
+        timer = threading.Timer(
+            0.3, os.kill, (os.getpid(), signal.SIGINT))
+        timer.start()
+        try:
+            with pytest.raises(SweepInterrupted):
+                sweep((0.4, 0.5, 0.6, 0.7), slow_workload, POLICIES,
+                      n_tasksets=2, horizon=HORIZON,
+                      checkpoint_dir=tmp_path / "ckpt")
+        finally:
+            timer.cancel()
+            TELEMETRY.configure(enabled=False)
+            TELEMETRY.reset()
+        for path in (events_path, tmp_path / PROGRESS_FILENAME):
+            kinds = [json.loads(line)["kind"]
+                     for line in path.read_text().splitlines()]
+            assert kinds.count("resilience.drain") == 1, path.name
+            assert kinds.index("resilience.drain") \
+                < kinds.index("sweep.done"), path.name
+
     def test_sigint_drains_and_resumes_byte_identically(self, tmp_path):
         xs = (0.4, 0.5, 0.6, 0.7)
         kwargs = dict(n_tasksets=2, horizon=HORIZON)

@@ -179,7 +179,7 @@ class TestDiff:
 class TestSweepTimeline:
     def _events(self, tmp_path):
         lines = [
-            {"seq": 1, "ts": 100.0, "kind": "parallel.dispatch",
+            {"seq": 1, "ts": 100.0, "kind": "chunk.dispatch",
              "chunks": 2, "units": 4, "workers": 2},
             {"seq": 2, "ts": 101.5, "kind": "parallel.chunk",
              "pid": 41, "units": 2, "wall_s": 1.4, "t0": 100.1,
