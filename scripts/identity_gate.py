@@ -103,8 +103,12 @@ N_SPECS = len(FIXED_SPECS) + len(DRAWN_SHAPES)
 UNITS = N_SPECS * N_SEEDS
 RUNS = UNITS * len(ALL_POLICY_NAMES)  # each unit runs every policy
 #: The policies whose speed the compiled core decides itself on every
-#: compiled run, except under the safety governor (faulted specs).
-C_DECIDED = ("lpSTA", "lpSEH", "laEDF", "feedback", "DRA")
+#: compiled run, except under the safety governor (faulted specs; the
+#: no-DVS baseline of a suite is never governed, so it decides in C on
+#: every unit).  The unfaulted runs draw their demands in C too:
+#: overrun faults wrap the execution model, every other spec's is
+#: uniform or worst-case.
+C_DECIDED = ALL_POLICY_NAMES
 
 CHAOS_PROBABILITY = 0.1
 #: Chaos legs' unit deadline: several times the slowest honest unit
@@ -290,34 +294,44 @@ def check_progress(tag: str, leg: dict, directory: Path) -> list[tuple]:
         if e["kind"] in ("unit.done", "cell.done", "cell.resumed"))
 
 
-def check_engines(tag: str, leg: dict, parent_runs: int,
+def check_engines(tag: str, leg: dict, parent_runs: int, parent_drawn: int,
                   parent_decides: dict[str, int], decided_units: int) -> None:
     """Interpreted legs run no C; compiled legs run every suite in C,
     and every unguarded run of the :data:`C_DECIDED` policies also
-    decides its speeds in C (the engagement probe)."""
+    draws its demands and decides its speeds in C (the engagement
+    probe)."""
     counted = TELEMETRY.counter("engine.compiled_runs")
+    draws = TELEMETRY.counter("engine.compiled_draws")
     decides = TELEMETRY.counter("engine.compiled_decides")
     if not leg["compiled"]:
         check(f"{tag} stayed interpreted",
-              parent_runs == counted == decides == 0
-              and not parent_decides,
+              parent_runs == parent_drawn == counted == draws == decides
+              == 0 and not parent_decides,
               f"compiled runs: {parent_runs} parent, {counted} counted")
         return
-    expected = {name: decided_units for name in C_DECIDED}
+    expected = {name: UNITS if name == "none" else decided_units
+                for name in C_DECIDED}
+    unguarded = len(C_DECIDED) * decided_units
     if leg["workers"] == 1:
         check(f"{tag} compiled core ran every suite", parent_runs == RUNS,
               f"{parent_runs} of {RUNS} runs compiled")
+        check(f"{tag} every unguarded run drew its demands in C",
+              parent_drawn == unguarded,
+              f"{parent_drawn} of {unguarded} runs drew in C")
         check(f"{tag} every unguarded run of {'/'.join(C_DECIDED)} "
               f"decided in C", parent_decides == expected,
               f"decided {parent_decides}, expected {expected}")
     if leg["telemetry"]:
         check(f"{tag} compiled core ran every suite, workers included",
               counted == RUNS, f"engine.compiled_runs={counted} of {RUNS}")
+        check(f"{tag} every unguarded run drew its demands in C, workers "
+              f"included", draws == unguarded,
+              f"engine.compiled_draws={draws} of {unguarded}")
         check(f"{tag} every unguarded run of {'/'.join(C_DECIDED)} "
               f"decided in C, workers included",
-              decides == len(C_DECIDED) * decided_units,
+              decides == sum(expected.values()),
               f"engine.compiled_decides={decides} of "
-              f"{len(C_DECIDED) * decided_units}")
+              f"{sum(expected.values())}")
 
 
 def check_profile(tag: str, leg: dict, delta: dict, measured: float) -> None:
@@ -374,6 +388,7 @@ def run_leg(tag: str, leg: dict, kwargs: dict, reference: list[str],
             manifest_dir=stream_dir if leg["progress"] else None)
     TELEMETRY.configure_timers(enabled=leg["profile"])
     parent_before = fastcore.RUN_COUNTS["compiled"]
+    drawn_before = fastcore.RUN_COUNTS["drawn"]
     decided_before = dict(fastcore.RUN_COUNTS["decided"])
     t0 = time.perf_counter()
     try:
@@ -395,7 +410,9 @@ def run_leg(tag: str, leg: dict, kwargs: dict, reference: list[str],
                 for name, count in fastcore.RUN_COUNTS["decided"].items()
                 if count != decided_before.get(name, 0)}
             check_engines(tag, leg, fastcore.RUN_COUNTS["compiled"]
-                          - parent_before, decided, decided_units)
+                          - parent_before,
+                          fastcore.RUN_COUNTS["drawn"] - drawn_before,
+                          decided, decided_units)
             if leg["telemetry"] and leg["audit"]:
                 check(f"{tag} every run audited",
                       TELEMETRY.counter("audit.runs") == RUNS,

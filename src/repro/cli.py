@@ -371,6 +371,8 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
         print(f"                runs this process: "
               f"{info['runs']['compiled']} compiled, "
               f"{info['runs']['interpreted']} interpreted")
+        print(f"                demands drawn in C: "
+              f"{info['runs']['drawn']} runs")
         decided = info["runs"]["decided"]
         print("                decided in C: " + ", ".join(
             f"{name} {decided.get(name, 0)}"

@@ -36,7 +36,8 @@ if TYPE_CHECKING:
 #: the class was defined (a monkeypatch, a tracer) keeps the Python path.
 _DECIDE_HOOKS = ("bind", "reset", "select_speed", "on_release",
                  "on_completion", "observe_slack", "observe_decision",
-                 "deferral_speed", "_advance_canonical", "_gc")
+                 "deferral_speed", "_advance_canonical", "_gc",
+                 "utilization_estimate", "intensity", "_grow_streams")
 _DECIDE_HELPERS = ("exact_slack", "heuristic_slack", "allotted_speed",
                    "stretch_speed")
 
@@ -56,13 +57,18 @@ class DecideSpec(NamedTuple):
     """
 
     owner: type
-    #: ``"lpSTA"``, ``"lpSEH"``, ``"laEDF"``, ``"feedback"`` or ``"DRA"``.
+    #: The registry name of the policy whose decide the core runs:
+    #: ``"lpSTA"``, ``"lpSEH"``, ``"laEDF"``, ``"feedback"``, ``"DRA"``,
+    #: ``"none"``, ``"static"``, ``"ccEDF"``, ``"lppsEDF"`` or
+    #: ``"clairvoyant"``.
     kind: str
-    #: Reference speed of the analysis (DRA: the canonical speed).
+    #: Reference speed of the analysis (DRA: the canonical speed; none
+    #: and static: the constant speed; lppsEDF: the static speed).
     baseline: float = 1.0
     #: The tasks in the reference time base (``None``: the task set's).
     tasks: tuple | None = None
-    #: lpSTA's window cap in max periods (``None``: no cap).
+    #: lpSTA's and clairvoyant's window cap in max periods (``None``:
+    #: no cap).
     window_cap: float | None = None
     #: lpSTA: the greedy full-speed baseline; laEDF: the safety floor.
     option: bool = False
@@ -80,6 +86,8 @@ class DecideState(NamedTuple):
     #: One ``(task index, job index, deadline, release, budget, done)``
     #: per alpha-queue entry, in queue order.
     alpha: tuple
+    #: ccEDF's utilization estimate per task, task order.
+    util: tuple
 
 
 class DvsPolicy(ABC):

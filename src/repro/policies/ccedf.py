@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.policies.base import DvsPolicy
+from repro.cpu.processor import Processor
+from repro.policies.base import DecideSpec, DecideState, DvsPolicy
 from repro.tasks.job import Job
+from repro.tasks.taskset import TaskSet
 from repro.types import Speed
 
 if TYPE_CHECKING:
@@ -29,10 +31,18 @@ class CcEdfPolicy(DvsPolicy):
         super().__init__()
         self._util: dict[str, float] = {}
 
+    def bind(self, taskset: TaskSet, processor: Processor) -> None:
+        super().bind(taskset, processor)
+        self.decide_spec = DecideSpec(CcEdfPolicy, "ccEDF")
+
     def reset(self) -> None:
         assert self.taskset is not None
         # Until a task's first job completes, assume worst case.
         self._util = {t.name: t.utilization for t in self.taskset}
+
+    def absorb_decide_state(self, state: DecideState) -> None:
+        assert self.taskset is not None
+        self._util = dict(zip((t.name for t in self.taskset), state.util))
 
     def on_release(self, job: Job, ctx: "SimContext") -> None:
         # A new job resets the task to its worst-case utilization.

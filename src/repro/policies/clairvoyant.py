@@ -29,7 +29,7 @@ from bisect import bisect_right
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from repro.policies.base import DvsPolicy
+from repro.policies.base import DecideSpec, DvsPolicy
 from repro.sim import fastcore as _fastcore
 from repro.tasks.job import Job
 from repro.types import Speed, Time, Work
@@ -118,6 +118,9 @@ class ClairvoyantPolicy(DvsPolicy):
     def bind(self, taskset, processor) -> None:
         super().bind(taskset, processor)
         self._max_period = max(task.period for task in taskset)
+        self.decide_spec = DecideSpec(
+            ClairvoyantPolicy, "clairvoyant",
+            window_cap=self.window_cap_periods)
 
     def reset(self) -> None:
         self._streams = None

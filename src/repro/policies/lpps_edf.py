@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.schedulability import minimum_constant_speed
 from repro.cpu.processor import Processor
-from repro.policies.base import DvsPolicy
+from repro.policies.base import DecideSpec, DvsPolicy
 from repro.tasks.job import Job
 from repro.tasks.taskset import TaskSet
 from repro.types import Speed
@@ -38,6 +38,8 @@ class LppsEdfPolicy(DvsPolicy):
         super().bind(taskset, processor)
         self._static_speed = max(minimum_constant_speed(taskset),
                                  processor.min_speed)
+        self.decide_spec = DecideSpec(LppsEdfPolicy, "lppsEDF",
+                                      self._static_speed)
 
     def select_speed(self, job: Job, ctx: "SimContext") -> Speed:
         active = ctx.active_jobs

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.policies.base import DvsPolicy
+from repro.cpu.processor import Processor
+from repro.policies.base import DecideSpec, DvsPolicy
 from repro.tasks.job import Job
+from repro.tasks.taskset import TaskSet
 from repro.types import Speed
 
 if TYPE_CHECKING:
@@ -23,6 +25,10 @@ class NoDvsPolicy(DvsPolicy):
     """
 
     name = "none"
+
+    def bind(self, taskset: TaskSet, processor: Processor) -> None:
+        super().bind(taskset, processor)
+        self.decide_spec = DecideSpec(NoDvsPolicy, "none", 1.0)
 
     def select_speed(self, job: Job, ctx: "SimContext") -> Speed:
         return 1.0

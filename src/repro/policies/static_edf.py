@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.analysis.schedulability import minimum_constant_speed
-from repro.policies.base import DvsPolicy
+from repro.policies.base import DecideSpec, DvsPolicy
 from repro.tasks.job import Job
 from repro.tasks.taskset import TaskSet
 from repro.cpu.processor import Processor
@@ -37,6 +37,7 @@ class StaticEdfPolicy(DvsPolicy):
         super().bind(taskset, processor)
         self._speed = max(minimum_constant_speed(taskset),
                           processor.min_speed)
+        self.decide_spec = DecideSpec(StaticEdfPolicy, "static", self._speed)
 
     @property
     def static_speed(self) -> Speed:

@@ -12,10 +12,12 @@
  * to repro.sim.fastcore helpers so string formatting and exception
  * types never fork from the Python implementation.
  *
- * Two exceptions keep Python out of the common path: the speed
- * decision of lpSTA, lpSEH, laEDF, feedback and DRA runs here from
- * the decide spec their bind() sets (section 13.4), and a job lives in
- * its slot; its Python Job is built only when Python code asks for it.
+ * Three exceptions keep Python out of the common path: every registry
+ * policy's speed decision runs here from the decide spec its bind()
+ * sets (section 13.4); the demands of uniform and constant execution
+ * models are drawn here, bit-identical to numpy, into per-task tables
+ * on the model (section 13.4); and a job lives in its slot, its Python
+ * Job built only when Python code asks for it.
  *
  * CoreEngine exposes the same private attribute surface SimContext
  * reads from Simulator (_now, _active, _next_release, ...), so the
@@ -86,6 +88,20 @@ intern_names(void)
 /* small helpers                                                       */
 /* ------------------------------------------------------------------ */
 
+/* Python's two-argument min/max: the first argument unless the second
+ * is strictly smaller/larger. */
+static inline double
+py_min(double a, double b)
+{
+    return (b < a) ? b : a;
+}
+
+static inline double
+py_max(double a, double b)
+{
+    return (b > a) ? b : a;
+}
+
 static int
 attr_as_double(PyObject *obj, PyObject *name, double *out)
 {
@@ -153,6 +169,348 @@ seq_as_longs(PyObject *seq, Py_ssize_t *out_n)
 }
 
 /* ------------------------------------------------------------------ */
+/* demand draws (repro.tasks.execution)                                */
+/* ------------------------------------------------------------------ */
+
+/* UniformExecution.ratio is float(default_rng(entropy).uniform(low,
+ * high)) with entropy = blake2b(f"{seed}:{task}:{index}", digest_size=8)
+ * read little-endian.  The four steps below reproduce it bit for bit:
+ * BLAKE2b-64, numpy's SeedSequence (pool of four 32-bit words) and
+ * generate_state(4, uint64), PCG64 seeding plus one XSL-RR output, and
+ * Generator.uniform's low + (high - low) * next_double. */
+
+static const uint64_t B2B_IV[8] = {
+    0x6a09e667f3bcc908ULL, 0xbb67ae8584caa73bULL, 0x3c6ef372fe94f82bULL,
+    0xa54ff53a5f1d36f1ULL, 0x510e527fade682d1ULL, 0x9b05688c2b3e6c1fULL,
+    0x1f83d9abfb41bd6bULL, 0x5be0cd19137e2179ULL,
+};
+
+static const uint8_t B2B_SIGMA[12][16] = {
+    {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
+    {14, 10, 4, 8, 9, 15, 13, 6, 1, 12, 0, 2, 11, 7, 5, 3},
+    {11, 8, 12, 0, 5, 2, 15, 13, 10, 14, 3, 6, 7, 1, 9, 4},
+    {7, 9, 3, 1, 13, 12, 11, 14, 2, 6, 5, 10, 4, 0, 15, 8},
+    {9, 0, 5, 7, 2, 4, 10, 15, 14, 1, 11, 12, 6, 8, 3, 13},
+    {2, 12, 6, 10, 0, 11, 8, 3, 4, 13, 7, 5, 15, 14, 1, 9},
+    {12, 5, 1, 15, 14, 13, 4, 10, 0, 7, 6, 3, 9, 2, 8, 11},
+    {13, 11, 7, 14, 12, 1, 3, 9, 5, 0, 15, 4, 8, 6, 2, 10},
+    {6, 15, 14, 9, 11, 3, 0, 8, 12, 2, 13, 7, 1, 4, 10, 5},
+    {10, 2, 8, 4, 7, 6, 1, 5, 15, 11, 9, 14, 3, 12, 13, 0},
+    {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
+    {14, 10, 4, 8, 9, 15, 13, 6, 1, 12, 0, 2, 11, 7, 5, 3},
+};
+
+static inline uint64_t
+rotr64(uint64_t x, unsigned r)
+{
+    return (x >> r) | (x << ((64 - r) & 63));
+}
+
+static void
+b2b_compress(uint64_t h[8], const uint8_t block[128], uint64_t count,
+             int last)
+{
+    uint64_t m[16], v[16];
+    for (int i = 0; i < 16; i++) {
+        uint64_t w = 0;
+        for (int b = 7; b >= 0; b--)
+            w = (w << 8) | block[8 * i + b];
+        m[i] = w;
+    }
+    for (int i = 0; i < 8; i++) {
+        v[i] = h[i];
+        v[i + 8] = B2B_IV[i];
+    }
+    v[12] ^= count;   /* messages here are far below 2**64 bytes */
+    if (last)
+        v[14] = ~v[14];
+#define B2B_G(r, i, a, b, c, d) do { \
+        a = a + b + m[B2B_SIGMA[r][2 * (i)]]; \
+        d = rotr64(d ^ a, 32); \
+        c = c + d; \
+        b = rotr64(b ^ c, 24); \
+        a = a + b + m[B2B_SIGMA[r][2 * (i) + 1]]; \
+        d = rotr64(d ^ a, 16); \
+        c = c + d; \
+        b = rotr64(b ^ c, 63); } while (0)
+    for (int r = 0; r < 12; r++) {
+        B2B_G(r, 0, v[0], v[4], v[8], v[12]);
+        B2B_G(r, 1, v[1], v[5], v[9], v[13]);
+        B2B_G(r, 2, v[2], v[6], v[10], v[14]);
+        B2B_G(r, 3, v[3], v[7], v[11], v[15]);
+        B2B_G(r, 4, v[0], v[5], v[10], v[15]);
+        B2B_G(r, 5, v[1], v[6], v[11], v[12]);
+        B2B_G(r, 6, v[2], v[7], v[8], v[13]);
+        B2B_G(r, 7, v[3], v[4], v[9], v[14]);
+    }
+#undef B2B_G
+    for (int i = 0; i < 8; i++)
+        h[i] ^= v[i] ^ v[i + 8];
+}
+
+/* Step 1: the first 8 bytes of BLAKE2b(data, digest_size=8), read
+ * little-endian (the low word of the state, on any host). */
+static uint64_t
+blake2b64(const uint8_t *data, size_t len)
+{
+    uint64_t h[8];
+    memcpy(h, B2B_IV, sizeof h);
+    h[0] ^= 0x01010000ULL ^ 8;   /* fanout 1, depth 1, no key, 8 bytes */
+    uint8_t block[128];
+    size_t done = 0;
+    while (len - done > 128) {
+        memcpy(block, data + done, 128);
+        done += 128;
+        b2b_compress(h, block, done, 0);
+    }
+    memset(block, 0, sizeof block);
+    memcpy(block, data + done, len - done);
+    b2b_compress(h, block, len, 1);
+    return h[0];
+}
+
+#define SS_INIT_A 0x43b0d7e5U
+#define SS_MULT_A 0x931e8875U
+#define SS_INIT_B 0x8b51f9ddU
+#define SS_MULT_B 0x58f38dedU
+#define SS_MIX_MULT_L 0xca01f9ddU
+#define SS_MIX_MULT_R 0x4973f715U
+
+static inline uint32_t
+ss_hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= SS_MULT_A;
+    value *= *hash_const;
+    return value ^ (value >> 16);
+}
+
+static inline uint32_t
+ss_mix(uint32_t x, uint32_t y)
+{
+    uint32_t result = SS_MIX_MULT_L * x - SS_MIX_MULT_R * y;
+    return result ^ (result >> 16);
+}
+
+/* Step 2: SeedSequence(entropy).generate_state(4, uint64).  The
+ * entropy is one 32-bit word below 2**32 (0 included), else two; both
+ * fit the pool of four, so no word is mixed in after the pool. */
+static void
+seed_sequence_state(uint64_t entropy, uint64_t out[4])
+{
+    uint32_t words[2] = {(uint32_t)entropy, (uint32_t)(entropy >> 32)};
+    int n_words = (entropy >> 32) ? 2 : 1;
+    uint32_t pool[4], hash_const = SS_INIT_A;
+    for (int i = 0; i < 4; i++)
+        pool[i] = ss_hashmix(i < n_words ? words[i] : 0, &hash_const);
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst)
+                pool[dst] = ss_mix(pool[dst],
+                                   ss_hashmix(pool[src], &hash_const));
+    uint32_t state[8];
+    hash_const = SS_INIT_B;
+    for (int i = 0; i < 8; i++) {
+        uint32_t value = pool[i % 4] ^ hash_const;
+        hash_const *= SS_MULT_B;
+        value *= hash_const;
+        state[i] = value ^ (value >> 16);
+    }
+    for (int i = 0; i < 4; i++)   /* little-endian pairs of words */
+        out[i] = (uint64_t)state[2 * i] | ((uint64_t)state[2 * i + 1] << 32);
+}
+
+typedef struct {
+    uint64_t hi, lo;
+} U128;
+
+/* The low 128 bits of a * b. */
+static U128
+u128_mul(U128 a, U128 b)
+{
+    uint64_t a0 = a.lo & 0xffffffffULL, a1 = a.lo >> 32;
+    uint64_t b0 = b.lo & 0xffffffffULL, b1 = b.lo >> 32;
+    uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0, p11 = a1 * b1;
+    uint64_t mid = (p00 >> 32) + (p01 & 0xffffffffULL)
+                   + (p10 & 0xffffffffULL);
+    U128 r;
+    r.lo = (mid << 32) | (p00 & 0xffffffffULL);
+    r.hi = p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+           + a.hi * b.lo + a.lo * b.hi;
+    return r;
+}
+
+static U128
+u128_add(U128 a, U128 b)
+{
+    U128 r;
+    r.lo = a.lo + b.lo;
+    r.hi = a.hi + b.hi + (r.lo < a.lo);
+    return r;
+}
+
+static const U128 PCG_MULT = {2549297995355413924ULL,
+                              4865540595714422341ULL};
+
+/* Step 3: PCG64 seeded from the four words (state, then increment, high
+ * word first), then its first output: one step and the XSL-RR of the
+ * new state. */
+static uint64_t
+pcg64_first_output(const uint64_t seed[4])
+{
+    U128 init = {seed[0], seed[1]};
+    U128 inc = {(seed[2] << 1) | (seed[3] >> 63), (seed[3] << 1) | 1};
+    U128 state = {0, 0};
+    state = u128_add(u128_mul(state, PCG_MULT), inc);
+    state = u128_add(state, init);
+    state = u128_add(u128_mul(state, PCG_MULT), inc);
+    state = u128_add(u128_mul(state, PCG_MULT), inc);
+    return rotr64(state.hi ^ state.lo, (unsigned)(state.hi >> 58));
+}
+
+/* Steps 2-4: float(default_rng(entropy).uniform(low, high)). */
+static double
+entropy_uniform(uint64_t entropy, double low, double high)
+{
+    uint64_t seed[4];
+    seed_sequence_state(entropy, seed);
+    uint64_t x = pcg64_first_output(seed);
+    return low + (high - low) * ((double)(x >> 11) * (1.0 / 9007199254740992.0));
+}
+
+/* A per-task table of the demands an execution model draws: job k's
+ * work is work[k], drawn once, in index order, on first use, and
+ * shared by every run of the model and by the clairvoyant oracle.
+ * key holds f"{seed}:{task}:" as UTF-8; each draw appends the index. */
+typedef struct {
+    PyObject_HEAD
+    char *key;
+    Py_ssize_t key_len;
+    double low, high, wcet, bcet, min_ratio;
+    double *work;
+    Py_ssize_t n, cap;
+} DemandTable;
+
+/* ExecutionModel.work of job k: the ratio clamped into [min_ratio, 1],
+ * times the WCET, held within [max(bcet, min_ratio * wcet), wcet]
+ * with Python's min/max tie rules.  low == high skips the draw: the
+ * uniform value is low + 0.0 * u == low exactly. */
+static double
+demand_draw(const DemandTable *t, Py_ssize_t k)
+{
+    double ratio = t->low;
+    if (t->high != t->low) {
+        int len = PyOS_snprintf(t->key + t->key_len, 24, "%zd", k);
+        uint64_t entropy = blake2b64((const uint8_t *)t->key,
+                                     (size_t)(t->key_len + len));
+        ratio = entropy_uniform(entropy, t->low, t->high);
+    }
+    double clamped = py_min(1.0, py_max(t->min_ratio, ratio));
+    double demand = clamped * t->wcet;
+    double floor = py_max(py_max(demand, t->bcet), t->min_ratio * t->wcet);
+    return py_min(t->wcet, floor);
+}
+
+/* work[k], drawing every missing entry up to k. */
+static int
+demand_at(DemandTable *t, Py_ssize_t k, double *out)
+{
+    if (k >= t->n) {
+        if (k >= PY_SSIZE_T_MAX / 16) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        if (k >= t->cap) {
+            Py_ssize_t cap = t->cap ? t->cap : 64;
+            while (cap <= k)
+                cap *= 2;
+            double *grown = PyMem_Realloc(t->work, (size_t)cap * sizeof(double));
+            if (grown == NULL) {
+                PyErr_NoMemory();
+                return -1;
+            }
+            t->work = grown;
+            t->cap = cap;
+        }
+        for (; t->n <= k; t->n++)
+            t->work[t->n] = demand_draw(t, t->n);
+    }
+    *out = t->work[k];
+    return 0;
+}
+
+static void
+DemandTable_dealloc(DemandTable *self)
+{
+    PyMem_Free(self->key);
+    PyMem_Free(self->work);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+/* DemandTable(key, low, high, wcet, bcet, min_ratio) */
+static int
+DemandTable_init(DemandTable *self, PyObject *args, PyObject *kwds)
+{
+    const char *key;
+    Py_ssize_t key_len;
+    if (kwds != NULL && PyDict_GET_SIZE(kwds) != 0) {
+        PyErr_SetString(PyExc_TypeError, "DemandTable takes no kwargs");
+        return -1;
+    }
+    if (self->key != NULL) {
+        PyErr_SetString(PyExc_TypeError, "DemandTable is initialized once");
+        return -1;
+    }
+    if (!PyArg_ParseTuple(args, "y#ddddd", &key, &key_len, &self->low,
+                          &self->high, &self->wcet, &self->bcet,
+                          &self->min_ratio))
+        return -1;
+    /* room for the decimal index and the terminator */
+    self->key = PyMem_Malloc((size_t)key_len + 24);
+    if (self->key == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    memcpy(self->key, key, (size_t)key_len);
+    self->key_len = key_len;
+    return 0;
+}
+
+static PyObject *
+DemandTable_work(DemandTable *self, PyObject *arg)
+{
+    Py_ssize_t k = PyLong_AsSsize_t(arg);
+    if (k == -1 && PyErr_Occurred())
+        return NULL;
+    if (k < 0) {
+        PyErr_SetString(PyExc_IndexError, "job index must be >= 0");
+        return NULL;
+    }
+    double w;
+    if (demand_at(self, k, &w) < 0)
+        return NULL;
+    return PyFloat_FromDouble(w);
+}
+
+static PyMethodDef DemandTable_methods[] = {
+    {"work", (PyCFunction)DemandTable_work, METH_O,
+     "work(index) -> the job's demand, drawn on first use."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject DemandTableType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._fastcore.DemandTable",
+    .tp_basicsize = sizeof(DemandTable),
+    .tp_dealloc = (destructor)DemandTable_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "One task's demands, drawn in C on first use.",
+    .tp_methods = DemandTable_methods,
+    .tp_init = (initproc)DemandTable_init,
+    .tp_new = PyType_GenericNew,
+};
+
+/* ------------------------------------------------------------------ */
 /* CoreEngine                                                          */
 /* ------------------------------------------------------------------ */
 
@@ -162,7 +520,8 @@ seq_as_longs(PyObject *seq, Py_ssize_t *out_n)
  * and is kept in step with the slot from then on. */
 typedef struct {
     PyObject *job;      /* strong ref, or NULL until materialized */
-    PyObject *draw;     /* the execution model's work value (strong) */
+    PyObject *draw;     /* the execution model's work value (strong), or
+                         * NULL when the demand came from a DemandTable */
     double deadline;
     double release;
     double work;
@@ -511,18 +870,105 @@ heuristic_walk_core(double t, double d_first, Py_ssize_t n_active,
     return (best > 0.0) ? best : 0.0;
 }
 
-/* Python's two-argument min/max: the first argument unless the second
- * is strictly smaller/larger. */
-static inline double
-py_min(double a, double b)
+/* One (deadline, work) demand event of the intensity sweep. */
+typedef struct {
+    double d;
+    Py_ssize_t idx;
+    double w;
+} SlackEvent;
+
+static int
+event_cmp(const void *pa, const void *pb)
 {
-    return (b < a) ? b : a;
+    const SlackEvent *a = pa, *b = pb;
+    if (a->d < b->d)
+        return -1;
+    if (a->d > b->d)
+        return 1;
+    /* stable: original construction order breaks ties */
+    return (a->idx < b->idx) ? -1 : (a->idx > b->idx) ? 1 : 0;
 }
 
-static inline double
-py_max(double a, double b)
+/* Stable order of events[0, n) by deadline, written to out[0, n).
+ * Source s spans events[bounds[s], bounds[s + 1]): source 0 is the
+ * active jobs, source i + 1 is stream i.  Each stream slice is already
+ * in deadline order (deadlines are monotone in the job index), so a
+ * k-way merge replaces the sort and the few actives get a stable
+ * insertion sort.  Ties go to the earlier source, then the earlier
+ * position: the (deadline, construction index) order of a stable
+ * sort, which a slice out of order falls back to. */
+static void
+stable_deadline_order(SlackEvent *events, const Py_ssize_t *bounds,
+                      Py_ssize_t n_sources, Py_ssize_t *cursor,
+                      SlackEvent *out)
 {
-    return (b > a) ? b : a;
+    Py_ssize_t n = bounds[n_sources];
+    for (Py_ssize_t s = 1; s < n_sources; s++) {
+        for (Py_ssize_t j = bounds[s] + 1; j < bounds[s + 1]; j++) {
+            if (events[j].d < events[j - 1].d) {
+                for (Py_ssize_t i = 0; i < n; i++) {
+                    out[i] = events[i];
+                    out[i].idx = i;
+                }
+                qsort(out, (size_t)n, sizeof(SlackEvent), event_cmp);
+                return;
+            }
+        }
+    }
+    for (Py_ssize_t j = 1; j < bounds[1]; j++) {
+        SlackEvent key = events[j];
+        Py_ssize_t k = j;
+        while (k > 0 && events[k - 1].d > key.d) {
+            events[k] = events[k - 1];
+            k--;
+        }
+        events[k] = key;
+    }
+    for (Py_ssize_t s = 0; s < n_sources; s++)
+        cursor[s] = bounds[s];
+    for (Py_ssize_t m = 0; m < n; m++) {
+        Py_ssize_t best = -1;
+        for (Py_ssize_t s = 0; s < n_sources; s++) {
+            if (cursor[s] < bounds[s + 1] &&
+                (best < 0 || events[cursor[s]].d < events[cursor[best]].d))
+                best = s;
+        }
+        out[m] = events[cursor[best]++];
+    }
+}
+
+/* peak_intensity over the events of n_sources sources (see
+ * stable_deadline_order; ordered and cursor are work space of the events'
+ * and the sources' size): a group is every event within 1e-12 of its
+ * first deadline, evaluated when the next group opens (the final group
+ * is closed by an infinite sentinel deadline). */
+static double
+intensity_core(double t, double window_end, SlackEvent *events,
+               const Py_ssize_t *bounds, Py_ssize_t n_sources,
+               Py_ssize_t *cursor, SlackEvent *ordered)
+{
+    Py_ssize_t n = bounds[n_sources];
+    stable_deadline_order(events, bounds, n_sources, cursor, ordered);
+    double edge = window_end + 1e-9;
+    double best = 0.0;
+    double h = 0.0;
+    double d_k = -INFINITY, group_end = -INFINITY;
+    for (Py_ssize_t i = 0; i <= n; i++) {
+        double d = (i < n) ? ordered[i].d : INFINITY;
+        if (d > group_end) {
+            double span = d_k - t;
+            if (span > 1e-12 && d_k <= edge) {
+                double ratio = h / span;
+                if (ratio > best)
+                    best = ratio;
+            }
+            d_k = d;
+            group_end = d + 1e-12;
+        }
+        if (i < n)
+            h += ordered[i].w;
+    }
+    return best;
 }
 
 typedef struct {
@@ -553,6 +999,11 @@ typedef struct {
     double *t_period, *t_rel_deadline, *t_wcet;
     long *t_rank;
 
+    /* per-task demand tables (borrowed from the demand_tables tuple),
+     * or NULL: the execution model's work() draws */
+    PyObject *demand_tables;
+    DemandTable **tables;
+
     /* per-task run state */
     double *next_release;   /* mirrors next_release_dict */
     long *next_index;       /* mirrors next_index_dict */
@@ -581,6 +1032,10 @@ typedef struct {
     double *fu_util, *fu_corr;            /* full-speed columns */
     long analysis_calls;
     double *pid_pred, *pid_int, *pid_last;  /* feedback, per task */
+    double *cc_util;                        /* ccEDF, per task */
+    /* clairvoyant: demand events, per-source bounds and merge cursors */
+    SlackEvent *iv_events;
+    Py_ssize_t iv_cap, *iv_bounds, *iv_cursor;
     AlphaEntry *alpha;                      /* DRA, insertion order */
     Py_ssize_t n_alpha, cap_alpha;
     Py_ssize_t *alpha_order;
@@ -652,7 +1107,10 @@ CoreEngine_dealloc(CoreEngine *self)
     PyMem_Free(self->sc_corr); PyMem_Free(self->fu_util);
     PyMem_Free(self->fu_corr);
     PyMem_Free(self->pid_pred); PyMem_Free(self->pid_int);
-    PyMem_Free(self->pid_last);
+    PyMem_Free(self->pid_last); PyMem_Free(self->cc_util);
+    PyMem_Free(self->iv_events); PyMem_Free(self->iv_bounds);
+    PyMem_Free(self->iv_cursor);
+    Py_XDECREF(self->demand_tables); PyMem_Free(self->tables);
     PyMem_Free(self->alpha); PyMem_Free(self->alpha_order);
     PyMem_Free(self->w_ad); PyMem_Free(self->w_aw); PyMem_Free(self->w_rel);
     PyMem_Free(self->w_idx);
@@ -745,6 +1203,9 @@ ce_init_decide(CoreEngine *self, PyObject *ns)
     self->pid_pred = PyMem_Malloc(nn * sizeof(double));
     self->pid_int = PyMem_Calloc(nn, sizeof(double));
     self->pid_last = PyMem_Calloc(nn, sizeof(double));
+    self->cc_util = PyMem_Malloc(nn * sizeof(double));
+    self->iv_bounds = PyMem_Malloc((nn + 2) * sizeof(Py_ssize_t));
+    self->iv_cursor = PyMem_Malloc((nn + 1) * sizeof(Py_ssize_t));
     self->w_rel = PyMem_Malloc(nn * sizeof(double));
     self->w_cap = 16;
     self->w_ad = PyMem_Malloc((size_t)self->w_cap * sizeof(double));
@@ -755,7 +1216,9 @@ ce_init_decide(CoreEngine *self, PyObject *ns)
     self->alpha_order = PyMem_Malloc((size_t)self->cap_alpha
                                      * sizeof(Py_ssize_t));
     if (self->pid_pred == NULL || self->pid_int == NULL ||
-        self->pid_last == NULL || self->w_rel == NULL ||
+        self->pid_last == NULL || self->cc_util == NULL ||
+        self->iv_bounds == NULL || self->iv_cursor == NULL ||
+        self->w_rel == NULL ||
         self->w_ad == NULL || self->w_aw == NULL || self->w_idx == NULL ||
         self->alpha == NULL || self->alpha_order == NULL ||
         walk_buffers_reserve(&self->ws, self->w_cap, n) < 0) {
@@ -767,8 +1230,10 @@ ce_init_decide(CoreEngine *self, PyObject *ns)
     self->dk_max_period = n > 0 ? self->t_period[0] : 0.0;
     for (Py_ssize_t i = 0; i < n; i++) {
         self->pid_pred[i] = self->t_wcet[i];   /* cold start at the WCET */
-        if (self->dk != 0)
+        if (self->dk != 0) {
             self->dk_total_util += self->fu_util[i];
+            self->cc_util[i] = self->fu_util[i];   /* worst case until done */
+        }
         self->dk_max_period = py_max(self->dk_max_period, self->t_period[i]);
     }
     self->n_alpha = 0;
@@ -843,6 +1308,33 @@ CoreEngine_init(CoreEngine *self, PyObject *args, PyObject *kwds)
     GETARR("release0", next_release, seq_as_doubles)
 #undef GETARR
     self->n_tasks = n;
+
+    if (ns_get(ns, "demand_tables", &self->demand_tables) < 0)
+        return -1;
+    if (self->demand_tables != Py_None) {
+        if (!PyTuple_Check(self->demand_tables) ||
+            PyTuple_GET_SIZE(self->demand_tables) != n) {
+            PyErr_SetString(PyExc_ValueError,
+                            "demand_tables: one DemandTable per task");
+            return -1;
+        }
+        self->tables = PyMem_Malloc((size_t)(n > 0 ? n : 1)
+                                    * sizeof(DemandTable *));
+        if (self->tables == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        for (Py_ssize_t i = 0; i < n; i++) {
+            PyObject *table = PyTuple_GET_ITEM(self->demand_tables, i);
+            if (!PyObject_TypeCheck(table, &DemandTableType) ||
+                ((DemandTable *)table)->key == NULL) {
+                PyErr_SetString(PyExc_TypeError,
+                                "demand_tables: one DemandTable per task");
+                return -1;
+            }
+            self->tables[i] = (DemandTable *)table;
+        }
+    }
 
     seq = PyObject_GetAttrString(ns, "q_levels");
     if (seq == NULL)
@@ -949,6 +1441,8 @@ ce_job(CoreEngine *e, Py_ssize_t idx)
     if (s->job != NULL)
         return s->job;
     PyObject *task = PyTuple_GET_ITEM(e->tasks, s->task);
+    if (s->draw == NULL && (s->draw = PyFloat_FromDouble(s->work)) == NULL)
+        return NULL;
     PyObject *iobj = PyLong_FromLong(s->index);
     PyObject *rel = PyFloat_FromDouble(s->release);
     PyObject *job = (iobj == NULL || rel == NULL) ? NULL :
@@ -1076,7 +1570,8 @@ ce_active_append(CoreEngine *e, JobSlot slot)
 /* Each kind mirrors one policy's select_speed (and, for feedback and
  * DRA, its release/completion hooks) operation for operation; the
  * Python bodies stay the reference (tests/test_decide.py). */
-enum { DK_PYTHON = 0, DK_LPSTA, DK_LPSEH, DK_LAEDF, DK_FEEDBACK, DK_DRA };
+enum { DK_PYTHON = 0, DK_LPSTA, DK_LPSEH, DK_LAEDF, DK_FEEDBACK, DK_DRA,
+       DK_CONST, DK_CCEDF, DK_LPPS, DK_CLAIRVOYANT };
 
 /* Job.remaining_wcet: wcet - executed, clamped at zero. */
 static inline double
@@ -1498,6 +1993,101 @@ decide_dra(CoreEngine *e, const JobSlot *s, double *out)
     return 0;
 }
 
+/* CcEdfPolicy.select_speed: the estimates summed in task order (from
+ * int 0, as sum() does), floored at the minimum speed. */
+static void
+decide_ccedf(const CoreEngine *e, double *out)
+{
+    double total = 0.0;
+    for (Py_ssize_t i = 0; i < e->n_tasks; i++)
+        total += e->cc_util[i];
+    *out = py_max(total, e->dk_min_speed);
+}
+
+/* LppsEdfPolicy.select_speed: a lone active job is stretched to the
+ * earlier of its deadline and the next release (next_event_time of
+ * periodic arrivals); otherwise the static speed. */
+static void
+decide_lpps(CoreEngine *e, const JobSlot *s, double *out)
+{
+    if (e->n_active == 1) {
+        double fence = py_min(s->deadline, ce_next_release_global(e));
+        double window = fence - e->now;
+        if (window > 1e-12) {
+            *out = py_max(e->dk_min_speed,
+                          py_min(1.0, slot_budget(e, s) / window));
+            return;
+        }
+    }
+    *out = py_max(e->dk_baseline, e->dk_min_speed);
+}
+
+/* Room for n clairvoyant events plus their ordered copy behind them. */
+static int
+iv_reserve(CoreEngine *e, Py_ssize_t n)
+{
+    if (n <= e->iv_cap)
+        return 0;
+    Py_ssize_t cap = n < 32 ? 64 : 2 * n;
+    SlackEvent *grown = PyMem_Realloc(e->iv_events,
+                                      2 * (size_t)cap * sizeof(SlackEvent));
+    if (grown == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    e->iv_events = grown;
+    e->iv_cap = cap;
+    return 0;
+}
+
+/* ClairvoyantPolicy.select_speed: the intensity over its window of the
+ * active jobs' actual remaining work and every future job's drawn work
+ * at its deadline.  Future deadlines continue each task's release
+ * arithmetic (inline periodic arrivals: prefix sums of the period), and
+ * future work comes from the demand tables, so this is the same event
+ * list _grow_streams builds and intensity_sweep sorts. */
+static int
+decide_clairvoyant(CoreEngine *e, double *out)
+{
+    double t = e->now;
+    double d_max = e->active[0].deadline;
+    for (Py_ssize_t j = 1; j < e->n_active; j++)
+        d_max = py_max(d_max, e->active[j].deadline);
+    double window_end = py_min(e->horizon,
+                               py_max(d_max, t + e->dk_cap * e->dk_max_period));
+    double fence = window_end + 1e-12;
+    if (iv_reserve(e, e->n_active) < 0)
+        return -1;
+    Py_ssize_t n = 0;
+    for (Py_ssize_t j = 0; j < e->n_active; j++) {
+        const JobSlot *a = &e->active[j];
+        e->iv_events[n].d = a->deadline;
+        e->iv_events[n].w = snap_nonneg(a->work - a->executed);
+        n++;
+    }
+    e->iv_bounds[0] = 0;
+    for (Py_ssize_t i = 0; i < e->n_tasks; i++) {
+        e->iv_bounds[i + 1] = n;
+        double release = e->next_release[i];
+        for (Py_ssize_t k = e->next_index[i];; k++) {
+            double deadline = release + e->t_rel_deadline[i];
+            if (!(deadline <= fence))
+                break;
+            if (iv_reserve(e, n + 1) < 0 ||
+                demand_at(e->tables[i], k, &e->iv_events[n].w) < 0)
+                return -1;
+            e->iv_events[n++].d = deadline;
+            release = release + e->t_period[i];
+        }
+    }
+    e->iv_bounds[e->n_tasks + 1] = n;
+    double best = intensity_core(t, window_end, e->iv_events, e->iv_bounds,
+                                 e->n_tasks + 1, e->iv_cursor,
+                                 e->iv_events + e->iv_cap);
+    *out = py_max(e->dk_min_speed, py_min(1.0, best));
+    return 0;
+}
+
 /* The policy's speed for dispatching slot idx, inside the profiler
  * region the interpreted dispatch opens when profiling is on. */
 static int
@@ -1521,8 +2111,23 @@ ce_decide(CoreEngine *e, Py_ssize_t idx, double *out)
     case DK_FEEDBACK:
         rc = decide_feedback(e, s, out);
         break;
-    default:
+    case DK_DRA:
         rc = decide_dra(e, s, out);
+        break;
+    case DK_CONST:   /* none, static */
+        *out = e->dk_baseline;
+        rc = 0;
+        break;
+    case DK_CCEDF:
+        decide_ccedf(e, out);
+        rc = 0;
+        break;
+    case DK_LPPS:
+        decide_lpps(e, s, out);
+        rc = 0;
+        break;
+    default:
+        rc = decide_clairvoyant(e, out);
         break;
     }
     if (prof && rc < 0) {
@@ -1552,18 +2157,27 @@ ce_process_releases(CoreEngine *e)
                e->next_release[i] < e->horizon - K_TIME_EPS) {
             long index = e->next_index[i];
             double release = e->next_release[i];
-            PyObject *idx_obj = PyLong_FromLong(index);
-            if (idx_obj == NULL)
-                return -1;
-            PyObject *draw = PyObject_CallFunctionObjArgs(
-                e->m_work, task, idx_obj, NULL);
-            Py_DECREF(idx_obj);
-            if (draw == NULL)
-                return -1;
-            double work = PyFloat_AsDouble(draw);
-            if (work == -1.0 && PyErr_Occurred()) {
-                Py_DECREF(draw);
-                return -1;
+            PyObject *draw = NULL;
+            double work;
+            if (e->tables != NULL) {
+                /* in (0, wcet] by construction */
+                if (demand_at(e->tables[i], index, &work) < 0)
+                    return -1;
+            }
+            else {
+                PyObject *idx_obj = PyLong_FromLong(index);
+                if (idx_obj == NULL)
+                    return -1;
+                draw = PyObject_CallFunctionObjArgs(e->m_work, task, idx_obj,
+                                                    NULL);
+                Py_DECREF(idx_obj);
+                if (draw == NULL)
+                    return -1;
+                work = PyFloat_AsDouble(draw);
+                if (work == -1.0 && PyErr_Occurred()) {
+                    Py_DECREF(draw);
+                    return -1;
+                }
             }
             double wcet = e->t_wcet[i];
             PyObject *job = NULL;
@@ -1578,7 +2192,7 @@ ce_process_releases(CoreEngine *e)
                 Py_XDECREF(iobj);
                 Py_XDECREF(rel);
                 if (job == NULL) {
-                    Py_DECREF(draw);
+                    Py_XDECREF(draw);
                     return -1;
                 }
             }
@@ -1590,7 +2204,7 @@ ce_process_releases(CoreEngine *e)
                             e->jobs_released, 0, 0};
             if (ce_active_append(e, slot) < 0) {
                 Py_XDECREF(job);
-                Py_DECREF(draw);
+                Py_XDECREF(draw);
                 return -1;
             }
             /* the slot owns both references from here on */
@@ -1604,7 +2218,7 @@ ce_process_releases(CoreEngine *e)
                 PyObject *r = now_obj == NULL ? NULL :
                     PyObject_CallFunctionObjArgs(
                         e->h_overrun_note, e->trace, now_obj, jobj,
-                        draw, NULL);
+                        e->active[at].draw, NULL);
                 Py_XDECREF(now_obj);
                 if (r == NULL)
                     return -1;
@@ -1652,6 +2266,9 @@ ce_process_releases(CoreEngine *e)
             if (e->dk == DK_DRA) {
                 if (dra_release(e, &e->active[at]) < 0)
                     return -1;
+            }
+            else if (e->dk == DK_CCEDF) {
+                e->cc_util[i] = e->fu_util[i];
             }
             else if (e->m_on_release != Py_None) {
                 PyObject *jobj = ce_job(e, at);
@@ -2047,6 +2664,11 @@ ce_complete(CoreEngine *e, Py_ssize_t idx)
         else if (e->dk == DK_DRA) {
             dra_complete(e, slot.uid);
         }
+        else if (e->dk == DK_CCEDF) {
+            /* job.executed / task.period: a completed job executed its
+             * work */
+            e->cc_util[slot.task] = slot.work / e->t_period[slot.task];
+        }
         else if (hook) {
             PyObject *h = PyObject_CallFunctionObjArgs(
                 e->m_on_completion, slot.job, e->ctx, NULL);
@@ -2057,7 +2679,7 @@ ce_complete(CoreEngine *e, Py_ssize_t idx)
         }
     }
     Py_XDECREF(slot.job);
-    Py_DECREF(slot.draw);
+    Py_XDECREF(slot.draw);
     return status;
 }
 
@@ -2473,17 +3095,20 @@ CoreEngine_get_active(CoreEngine *self, void *Py_UNUSED(closure))
     return ce_jobs(self, 1);
 }
 
-/* decide_state() -> (analysis_calls, pid, canonical_now, alpha): what
- * the compiled decide leaves behind, for the policy to take back.  pid
- * is one (prediction, integral, last_error) per task; alpha one
- * (task, index, deadline, release, budget, done) per entry, in order. */
+/* decide_state() -> (analysis_calls, pid, canonical_now, alpha, util):
+ * what the compiled decide leaves behind, for the policy to take back.
+ * pid is one (prediction, integral, last_error) per task; alpha one
+ * (task, index, deadline, release, budget, done) per entry, in order;
+ * util ccEDF's utilization estimate per task. */
 static PyObject *
 CoreEngine_decide_state(CoreEngine *self, PyObject *Py_UNUSED(ignored))
 {
     PyObject *pid = PyTuple_New(self->n_tasks);
     PyObject *alpha = pid == NULL ? NULL : PyTuple_New(self->n_alpha);
-    if (alpha == NULL) {
+    PyObject *util = alpha == NULL ? NULL : PyTuple_New(self->n_tasks);
+    if (util == NULL) {
         Py_XDECREF(pid);
+        Py_XDECREF(alpha);
         return NULL;
     }
     for (Py_ssize_t i = 0; i < self->n_tasks; i++) {
@@ -2502,11 +3127,18 @@ CoreEngine_decide_state(CoreEngine *self, PyObject *Py_UNUSED(ignored))
             goto fail;
         PyTuple_SET_ITEM(alpha, k, row);
     }
-    return Py_BuildValue("(lNdN)", self->analysis_calls, pid,
-                         self->canonical_now, alpha);
+    for (Py_ssize_t i = 0; i < self->n_tasks; i++) {
+        PyObject *u = PyFloat_FromDouble(self->dk ? self->cc_util[i] : 0.0);
+        if (u == NULL)
+            goto fail;
+        PyTuple_SET_ITEM(util, i, u);
+    }
+    return Py_BuildValue("(lNdNN)", self->analysis_calls, pid,
+                         self->canonical_now, alpha, util);
 fail:
     Py_DECREF(pid);
     Py_DECREF(alpha);
+    Py_DECREF(util);
     return NULL;
 }
 
@@ -2608,24 +3240,6 @@ static PyTypeObject CoreEngineType = {
 /* slack kernels                                                       */
 /* ------------------------------------------------------------------ */
 
-typedef struct {
-    double d;
-    Py_ssize_t idx;
-    double w;
-} SlackEvent;
-
-static int
-event_cmp(const void *pa, const void *pb)
-{
-    const SlackEvent *a = pa, *b = pb;
-    if (a->d < b->d)
-        return -1;
-    if (a->d > b->d)
-        return 1;
-    /* stable: original construction order breaks ties */
-    return (a->idx < b->idx) ? -1 : (a->idx > b->idx) ? 1 : 0;
-}
-
 /* Parse sequences of floats into fresh arrays; each count goes to the
  * matching slot of n (NULL entries skip).  On failure frees what it
  * built and returns -1. */
@@ -2709,54 +3323,6 @@ bisect_right_list(PyObject *lst, double x, Py_ssize_t *out)
     }
     *out = lo;
     return 0;
-}
-
-/* Stable order of events[0, n) by deadline, written to out[0, n).
- * Source s spans events[bounds[s], bounds[s + 1]): source 0 is the
- * active jobs, source i + 1 is stream i.  Each stream slice is already
- * in deadline order (deadlines are monotone in the job index), so a
- * k-way merge replaces the sort and the few actives get a stable
- * insertion sort.  Ties go to the earlier source, then the earlier
- * position: the (deadline, construction index) order of a stable
- * sort, which a slice out of order falls back to. */
-static void
-stable_deadline_order(SlackEvent *events, const Py_ssize_t *bounds,
-                      Py_ssize_t n_sources, Py_ssize_t *cursor,
-                      SlackEvent *out)
-{
-    Py_ssize_t n = bounds[n_sources];
-    for (Py_ssize_t s = 1; s < n_sources; s++) {
-        for (Py_ssize_t j = bounds[s] + 1; j < bounds[s + 1]; j++) {
-            if (events[j].d < events[j - 1].d) {
-                for (Py_ssize_t i = 0; i < n; i++) {
-                    out[i] = events[i];
-                    out[i].idx = i;
-                }
-                qsort(out, (size_t)n, sizeof(SlackEvent), event_cmp);
-                return;
-            }
-        }
-    }
-    for (Py_ssize_t j = 1; j < bounds[1]; j++) {
-        SlackEvent key = events[j];
-        Py_ssize_t k = j;
-        while (k > 0 && events[k - 1].d > key.d) {
-            events[k] = events[k - 1];
-            k--;
-        }
-        events[k] = key;
-    }
-    for (Py_ssize_t s = 0; s < n_sources; s++)
-        cursor[s] = bounds[s];
-    for (Py_ssize_t m = 0; m < n; m++) {
-        Py_ssize_t best = -1;
-        for (Py_ssize_t s = 0; s < n_sources; s++) {
-            if (cursor[s] < bounds[s + 1] &&
-                (best < 0 || events[cursor[s]].d < events[cursor[best]].d))
-                best = s;
-        }
-        out[m] = events[cursor[best]++];
-    }
 }
 
 /* intensity_sweep(t, window_end, active_d, active_w, streams, k0s)
@@ -2850,32 +3416,8 @@ fastcore_intensity_sweep(PyObject *Py_UNUSED(module), PyObject *args)
         }
     }
     bounds[n_tasks + 1] = n;
-    SlackEvent *ordered = events + n;
-    stable_deadline_order(events, bounds, n_tasks + 1, lo, ordered);
-
-    /* peak_intensity: a group is every event within 1e-12 of its first
-     * deadline, evaluated when the next group opens (the final group
-     * is closed by an infinite sentinel deadline). */
-    double edge = window_end + 1e-9;
-    double best = 0.0;
-    double h = 0.0;
-    double d_k = -INFINITY, group_end = -INFINITY;
-    for (Py_ssize_t i = 0; i <= n; i++) {
-        double d = (i < n) ? ordered[i].d : INFINITY;
-        if (d > group_end) {
-            double span = d_k - t;
-            if (span > 1e-12 && d_k <= edge) {
-                double ratio = h / span;
-                if (ratio > best)
-                    best = ratio;
-            }
-            d_k = d;
-            group_end = d + 1e-12;
-        }
-        if (i < n)
-            h += ordered[i].w;
-    }
-    out = PyFloat_FromDouble(best);
+    out = PyFloat_FromDouble(intensity_core(t, window_end, events, bounds,
+                                            n_tasks + 1, lo, events + n));
 cleanup:
     PyMem_Free(ad); PyMem_Free(aw); PyMem_Free(k0);
     PyMem_Free(lo); PyMem_Free(hi); PyMem_Free(bounds);
@@ -2884,11 +3426,42 @@ cleanup:
     return out;
 }
 
+/* blake2b64(data) -> int: step 1 of the demand draw */
+static PyObject *
+fastcore_blake2b64(PyObject *Py_UNUSED(module), PyObject *arg)
+{
+    char *data;
+    Py_ssize_t len;
+    if (PyBytes_AsStringAndSize(arg, &data, &len) < 0)
+        return NULL;
+    return PyLong_FromUnsignedLongLong(
+        blake2b64((const uint8_t *)data, (size_t)len));
+}
+
+/* entropy_uniform(entropy, low, high) -> float: steps 2-4 */
+static PyObject *
+fastcore_entropy_uniform(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *o_entropy;
+    double low, high;
+    if (!PyArg_ParseTuple(args, "O!dd", &PyLong_Type, &o_entropy, &low,
+                          &high))
+        return NULL;
+    unsigned long long entropy = PyLong_AsUnsignedLongLong(o_entropy);
+    if (entropy == (unsigned long long)-1 && PyErr_Occurred())
+        return NULL;
+    return PyFloat_FromDouble(entropy_uniform(entropy, low, high));
+}
+
 /* ------------------------------------------------------------------ */
 /* module                                                              */
 /* ------------------------------------------------------------------ */
 
 static PyMethodDef fastcore_methods[] = {
+    {"blake2b64", fastcore_blake2b64, METH_O,
+     "blake2b(data, digest_size=8) read little-endian."},
+    {"entropy_uniform", fastcore_entropy_uniform, METH_VARARGS,
+     "float(numpy.random.default_rng(entropy).uniform(low, high))."},
     {"exact_slack_walk", fastcore_exact_slack_walk, METH_VARARGS,
      "Compiled exact slack event walk (flattened state)."},
     {"heuristic_slack_walk", fastcore_heuristic_slack_walk, METH_VARARGS,
@@ -2915,8 +3488,11 @@ PyInit__fastcore(void)
     if (m == NULL)
         return NULL;
     if (PyType_Ready(&CoreEngineType) < 0 ||
+        PyType_Ready(&DemandTableType) < 0 ||
         PyModule_AddObjectRef(m, "CoreEngine",
                               (PyObject *)&CoreEngineType) < 0 ||
+        PyModule_AddObjectRef(m, "DemandTable",
+                              (PyObject *)&DemandTableType) < 0 ||
         PyModule_AddIntConstant(m, "COMPILED", 1) < 0 ||
         PyModule_AddStringConstant(m, "BACKEND", "c-extension") < 0 ||
         PyModule_AddStringConstant(m, "SOURCE_SHA256",

@@ -34,6 +34,9 @@ This module is the seam between the two worlds:
   :class:`~repro.policies.base.DecideSpec` when the core can make the
   policy's speed decisions itself (DESIGN.md §13.4); after the run the
   policy takes its state back.
+* **Draw** — :func:`_demand_tables` hands the core the execution
+  model's per-task demand tables when the core can draw the demands
+  itself (DESIGN.md §13.4).
 """
 
 from __future__ import annotations
@@ -272,10 +275,12 @@ _EXT, _LOAD_REPORT = _resolve()
 sys.modules[_MODULE] = _EXT
 _default_override: bool | None = None
 
-#: Runs taken by each backend since process start, and the compiled
-#: runs whose policy decided in C, per policy name (the gate's
-#: engagement probe and ``repro doctor``'s evidence).
-RUN_COUNTS: dict = {"compiled": 0, "interpreted": 0, "decided": {}}
+#: Runs taken by each backend since process start, the compiled runs
+#: whose demands were drawn in C, and the compiled runs whose policy
+#: decided in C, per policy name (the gate's engagement probe and
+#: ``repro doctor``'s evidence).
+RUN_COUNTS: dict = {"compiled": 0, "interpreted": 0, "drawn": 0,
+                    "decided": {}}
 
 
 def compiled_available() -> bool:
@@ -453,21 +458,60 @@ def _ineligible_reason(sim: "Simulator") -> str | None:
 
 #: DecideSpec.kind -> the C core's decide kind (DK_* in _fastcore.c).
 _DECIDE_KINDS = {"lpSTA": 1, "lpSEH": 2, "laEDF": 3, "feedback": 4,
-                 "DRA": 5}
+                 "DRA": 5, "none": 6, "static": 6, "ccEDF": 7,
+                 "lppsEDF": 8, "clairvoyant": 9}
 #: The registry policies the compiled core decides for.
 DECIDED_POLICIES = tuple(_DECIDE_KINDS)
+#: Kinds decided in C only under inline periodic arrivals; clairvoyant
+#: also needs the demands drawn in C (it reads future jobs).
+_PERIODIC_KINDS = frozenset({"none", "static", "ccEDF", "lppsEDF",
+                             "clairvoyant"})
 
 
-def _decide_fields(sim: "Simulator") -> dict:
+def _demand_tables(model, tasks: tuple) -> tuple | None:
+    """One ``DemandTable`` per task of *tasks* when the core can draw
+    *model*'s demands itself (DESIGN.md §13.4), else ``None``
+    (``model.work()`` draws).
+
+    The tables live on the execution model, so every run of a suite and
+    the clairvoyant oracle draw each job once.  Only models whose
+    :meth:`~repro.tasks.execution.ExecutionModel.compiled_draw` holds
+    qualify, and only float WCETs and BCETs (an int could make
+    ``work()`` return an int).
+    """
+    from repro.tasks.execution import MIN_RATIO
+
+    bounds = model.compiled_draw()
+    if bounds is None or not all(type(task.wcet) is float
+                                 and type(task.bcet) is float
+                                 for task in tasks):
+        return None
+    low, high = bounds
+    tables = model.demand_tables
+    out = []
+    for task in tasks:
+        key = (task.name, task.wcet, task.bcet)
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = _EXT.DemandTable(
+                f"{model.seed}:{task.name}:".encode(), low, high,
+                task.wcet, task.bcet, MIN_RATIO)
+        out.append(table)
+    return tuple(out)
+
+
+def _decide_fields(sim: "Simulator", tables: tuple | None) -> dict:
     """The decide part of the C init contract (DESIGN.md §13.4).
 
     Kind 0 keeps the policy's own ``select_speed`` (and its release and
     completion hooks, skipped when they are the base class's no-ops).
     The compiled decide is taken only for the exact class that set the
     policy's :class:`~repro.policies.base.DecideSpec`, with every hook
-    it mirrors unpatched.  Telemetry and the timers do not change the
-    path: the core makes the same observations and opens the same
-    timer regions as the hooks would.
+    it mirrors unpatched, and for :data:`_PERIODIC_KINDS` only under
+    inline periodic arrivals (clairvoyant: with *tables* too).
+    Telemetry and the timers do not change the path: the core makes the
+    same observations and opens the same timer regions as the hooks
+    would.
     """
     from repro.analysis.slack import _flat_tasks
     from repro.policies.base import DvsPolicy
@@ -476,6 +520,10 @@ def _decide_fields(sim: "Simulator") -> dict:
     spec = policy.decide_spec
     kind = (_DECIDE_KINDS[spec.kind]
             if spec is not None and policy.decides_unpatched() else 0)
+    if kind and spec.kind in _PERIODIC_KINDS and (
+            type(sim.arrival_model) is not PeriodicArrival
+            or (spec.kind == "clairvoyant" and tables is None)):
+        kind = 0
     fields = dict(
         decide_kind=kind, decide_option=0, decide_baseline=1.0,
         decide_min_speed=1.0, decide_cap=math.nan, decide_kp=0.0,
@@ -529,6 +577,7 @@ def _build_namespace(sim: "Simulator") -> SimpleNamespace:
     tasks = sim.taskset.tasks
     names = tuple(task.name for task in tasks)
     rank = {name: i for i, name in enumerate(sorted(names))}
+    tables = _demand_tables(sim.execution_model, tasks)
     faults_transitions = (sim.faults is not None
                           and sim.faults.affects_transitions)
     return SimpleNamespace(
@@ -585,7 +634,8 @@ def _build_namespace(sim: "Simulator") -> SimpleNamespace:
         name_rank=tuple(rank[name] for name in names),
         release0=tuple(sim._next_release[name] for name in names),
         q_levels=tuple(float(level) for level in q_levels),
-        **_decide_fields(sim),
+        demand_tables=tables,
+        **_decide_fields(sim, tables),
     )
 
 
@@ -628,6 +678,8 @@ def run_compiled(sim: "Simulator") -> bool:
     core = _EXT.CoreEngine(namespace)
     ctx = CoreContext(core)
     RUN_COUNTS["compiled"] += 1
+    drawn = namespace.demand_tables is not None
+    RUN_COUNTS["drawn"] += drawn
     if namespace.decide_kind:
         decided = RUN_COUNTS["decided"]
         decided[sim._result.policy] = decided.get(sim._result.policy, 0) + 1
@@ -635,6 +687,8 @@ def run_compiled(sim: "Simulator") -> bool:
         # Unlike RUN_COUNTS these fold back across fork with the chunk
         # delta, so a parallel sweep can prove its workers ran C.
         _TELEMETRY.inc("engine.compiled_runs")
+        if drawn:
+            _TELEMETRY.inc("engine.compiled_draws")
         if namespace.decide_kind:
             _TELEMETRY.inc("engine.compiled_decides")
     try:

@@ -145,23 +145,23 @@ class BurstyArrival(ArrivalModel):
                 f"p_stay must be in [0, 1], got {p_stay}")
         self.lull_factor = lull_factor
         self.p_stay = p_stay
-        self._state_cache: dict[tuple[str, int], bool] = {}
+        #: Per task, the chain's states for indices 0, 1, ... so far.
+        self._chains: dict[str, list[bool]] = {}
 
     def _in_burst(self, task_name: str, index: int) -> bool:
-        key = (task_name, index)
-        cached = self._state_cache.get(key)
-        if cached is not None:
-            return cached
-        if index == 0:
-            state = bool(
-                _job_rng(self.seed ^ 0x7E7E, task_name, 0).random() < 0.5)
-        else:
-            prev = self._in_burst(task_name, index - 1)
-            flip = float(
-                _job_rng(self.seed ^ 0x7E7E, task_name, index).random())
-            state = prev if flip < self.p_stay else not prev
-        self._state_cache[key] = state
-        return state
+        chain = self._chains.setdefault(task_name, [])
+        # Fill forward from the last state known, in a loop.
+        while len(chain) <= index:
+            k = len(chain)
+            if k == 0:
+                state = bool(
+                    _job_rng(self.seed ^ 0x7E7E, task_name, 0).random() < 0.5)
+            else:
+                flip = float(
+                    _job_rng(self.seed ^ 0x7E7E, task_name, k).random())
+                state = chain[-1] if flip < self.p_stay else not chain[-1]
+            chain.append(state)
+        return chain[index]
 
     def gap(self, task: PeriodicTask, index: int) -> Time:
         if self._in_burst(task.name, index):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -49,12 +50,33 @@ def _clamp_ratio(ratio: float) -> float:
     return min(1.0, max(MIN_RATIO, ratio))
 
 
+#: What a compiled draw stands in for: the model's methods, and the
+#: module's helpers they call.  Replacing any of them keeps the Python
+#: path (see :meth:`ExecutionModel.compiled_draw`).
+_DRAW_HOOKS = ("ratio", "work", "_uniform_bounds")
+_DRAW_HELPERS = ("_job_rng", "_clamp_ratio")
+
+
+def _draw_snapshot(cls: type) -> tuple:
+    module = vars(sys.modules[__name__])
+    return (tuple(getattr(cls, name) for name in _DRAW_HOOKS)
+            + tuple(module[name] for name in _DRAW_HELPERS))
+
+
 class ExecutionModel(ABC):
     """Maps jobs to actual execution demands."""
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
         self._work_cache: dict[tuple[str, float, float, int], Work] = {}
+        #: Per-task demand tables the compiled core draws into, keyed
+        #: like the work cache without the index (``repro.sim.fastcore``):
+        #: a suite's runs and its clairvoyant oracle share them.
+        self.demand_tables: dict[tuple[str, float, float], object] = {}
+
+    def __getstate__(self) -> dict:
+        # The tables are a cache of compiled draws, rebuilt on demand.
+        return {**vars(self), "demand_tables": {}}
 
     @abstractmethod
     def ratio(self, task: PeriodicTask, index: int) -> float:
@@ -80,6 +102,30 @@ class ExecutionModel(ABC):
             self._work_cache[key] = cached
         return cached
 
+    def _uniform_bounds(self) -> tuple[float, float] | None:
+        """``(low, high)`` when :meth:`ratio` is
+        ``_job_rng(seed, task, index).uniform(low, high)`` (a constant
+        ratio is that draw with ``low == high``); ``None`` otherwise."""
+        return None
+
+    def compiled_draw(self) -> tuple[float, float] | None:
+        """The uniform ``(low, high)`` the compiled core may draw this
+        model's demands from, bit-identical to :meth:`work`; ``None``
+        keeps :meth:`work`.
+
+        Only an exact type that defines the draw qualifies, with its
+        hooks as the class defined them: a subclass, or a patched
+        method or helper on the class, module or instance, keeps the
+        Python path.
+        """
+        reference = _DRAWN.get(type(self))
+        if (reference is None
+                or any(a is not b for a, b in
+                       zip(_draw_snapshot(type(self)), reference))
+                or any(name in vars(self) for name in _DRAW_HOOKS)):
+            return None
+        return self._uniform_bounds()
+
     def describe(self) -> str:
         """One-line human description used in experiment reports."""
         return type(self).__name__
@@ -96,6 +142,9 @@ class ConstantExecution(ExecutionModel):
 
     def ratio(self, task: PeriodicTask, index: int) -> float:
         return self._ratio
+
+    def _uniform_bounds(self) -> tuple[float, float]:
+        return (float(self._ratio), float(self._ratio))
 
     def describe(self) -> str:
         return f"constant(ratio={self._ratio})"
@@ -126,6 +175,9 @@ class UniformExecution(ExecutionModel):
     def ratio(self, task: PeriodicTask, index: int) -> float:
         rng = _job_rng(self.seed, task.name, index)
         return float(rng.uniform(self.low, self.high))
+
+    def _uniform_bounds(self) -> tuple[float, float]:
+        return (float(self.low), float(self.high))
 
     def describe(self) -> str:
         return f"uniform(low={self.low}, high={self.high})"
@@ -232,9 +284,8 @@ class MarkovExecution(ExecutionModel):
     """Two-state Markov-modulated demand: bursty light/heavy phases.
 
     The per-task state chain is reconstructed deterministically from the
-    job index (the chain for job ``k`` replays transitions ``0..k``), so
-    sampling stays order-independent at O(index) cost — fine for the
-    simulation horizons used here.
+    job index (the chain for job ``k`` replays transitions ``0..k``,
+    each once per model), so sampling stays order-independent.
     """
 
     def __init__(self, light: float = 0.3, heavy: float = 0.9,
@@ -248,22 +299,23 @@ class MarkovExecution(ExecutionModel):
         self.light = light
         self.heavy = heavy
         self.p_stay = p_stay
-        self._state_cache: dict[tuple[str, int], bool] = {}
+        #: Per task, the chain's states for indices 0, 1, ... so far.
+        self._chains: dict[str, list[bool]] = {}
 
     def _state(self, task_name: str, index: int) -> bool:
         """Return True when the chain is in the heavy state at *index*."""
-        key = (task_name, index)
-        cached = self._state_cache.get(key)
-        if cached is not None:
-            return cached
-        if index == 0:
-            state = bool(_job_rng(self.seed, task_name, 0).random() < 0.5)
-        else:
-            prev = self._state(task_name, index - 1)
-            flip = float(_job_rng(self.seed, task_name, index).random())
-            state = prev if flip < self.p_stay else not prev
-        self._state_cache[key] = state
-        return state
+        chain = self._chains.setdefault(task_name, [])
+        # Fill forward from the last state known (a loop: one frame
+        # per index would overflow the stack on long horizons).
+        while len(chain) <= index:
+            k = len(chain)
+            if k == 0:
+                state = bool(_job_rng(self.seed, task_name, 0).random() < 0.5)
+            else:
+                flip = float(_job_rng(self.seed, task_name, k).random())
+                state = chain[-1] if flip < self.p_stay else not chain[-1]
+            chain.append(state)
+        return chain[index]
 
     def ratio(self, task: PeriodicTask, index: int) -> float:
         return self.heavy if self._state(task.name, index) else self.light
@@ -314,3 +366,9 @@ def model_for_bcwc_ratio(bcwc: float, seed: int = 0) -> ExecutionModel:
     if math.isclose(bcwc, 1.0):
         return WorstCaseExecution(seed=seed)
     return UniformExecution(low=bcwc, high=1.0, seed=seed)
+
+
+#: The exact types whose demands the compiled core can draw, with their
+#: draw hooks as defined (:meth:`ExecutionModel.compiled_draw`).
+_DRAWN = {cls: _draw_snapshot(cls) for cls in
+          (ConstantExecution, WorstCaseExecution, UniformExecution)}

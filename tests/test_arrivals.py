@@ -93,6 +93,15 @@ class TestBursty:
         gaps = sorted({round(b - a, 9) for a, b in zip(times, times[1:])})
         assert gaps == pytest.approx([10.0, 25.0])
 
+    def test_deep_gap_first_equals_index_order(self, task):
+        # The burst chain fills forward, without one frame per index.
+        fresh = BurstyArrival(p_stay=0.8, seed=3)
+        deep = fresh.gap(task, 5000)
+        warmed = BurstyArrival(p_stay=0.8, seed=3)
+        in_order = [warmed.gap(task, i) for i in range(5001)]
+        assert deep == in_order[-1]
+        assert [fresh.gap(task, i) for i in range(5001)] == in_order
+
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
             BurstyArrival(lull_factor=0.5)

@@ -1,7 +1,9 @@
 """The compiled decide and lazy jobs (DESIGN.md §13.4).
 
-lpSTA, lpSEH, laEDF, feedback and DRA choose their speed inside the
-compiled core; their Python hooks stay the reference.  The twin tests
+Every registry policy chooses its speed inside the compiled core; their
+Python hooks stay the reference.  none, static, ccEDF, lppsEDF and
+clairvoyant do so only under inline periodic arrivals, clairvoyant only
+with the demands drawn in C (no execution faults).  The twin tests
 draw workloads and hold the C decide to the Python ``select_speed``
 decision by decision: with telemetry on, every dispatch reports its
 desired (pre-quantization) speed through ``observe_decision``, on
@@ -26,12 +28,19 @@ from repro.errors import DeadlineMissError, SimulationError
 from repro.experiments.probes import SlackProbePolicy
 from repro.faults import FaultPlan
 from repro.faults.plan import OverrunFault
+from repro.experiments.config import DEFAULT_POLICIES
+from repro.experiments.runner import bcwc_model, run_suite, standard_taskset
 from repro.policies import (
+    CcEdfPolicy,
+    ClairvoyantPolicy,
     DraPolicy,
     FeedbackDvsPolicy,
     LaEdfPolicy,
+    LppsEdfPolicy,
     LpSehPolicy,
     LpStaPolicy,
+    NoDvsPolicy,
+    StaticEdfPolicy,
 )
 from repro.policies.base import DvsPolicy
 from repro.policies.governor import SafetyGovernor
@@ -91,12 +100,14 @@ def workloads(draw, *, overruns: bool = True) -> dict:
 
 
 def run(make_policy, workload: dict, *, python: bool, compiled=True,
-        **kwargs) -> tuple[list[float], object, DvsPolicy]:
+        c_decides=True, **kwargs) -> tuple[list[float], object, DvsPolicy]:
     """One run; returns its desired speeds, result and policy.
 
     ``python=True`` shadows ``select_speed`` on the instance, which
     keeps the Python path (an instance hook is never assumed to be the
     class's own); ``compiled=False`` runs the interpreted engine.
+    ``c_decides=False``: the workload keeps even the unshadowed policy
+    on the Python path.
     """
     policy = make_policy()
     if python:
@@ -127,14 +138,16 @@ def run(make_policy, workload: dict, *, python: bool, compiled=True,
     assert TELEMETRY.observe == observe
     decided = (fastcore.RUN_COUNTS["decided"].get(result.policy, 0)
                - before.get(result.policy, 0))
-    assert decided == (0 if python or not compiled else 1)
+    assert decided == (0 if python or not compiled or not c_decides
+                       else 1)
     return desired, result, policy
 
 
-def assert_twins(make_policy, workload: dict) -> tuple:
+def assert_twins(make_policy, workload: dict, c_decides=True) -> tuple:
     """The C decide against select_speed on the compiled engine, and
     against the interpreted engine (whose walks are Python too)."""
-    c_speeds, c_result, c_policy = run(make_policy, workload, python=False)
+    c_speeds, c_result, c_policy = run(make_policy, workload, python=False,
+                                       c_decides=c_decides)
     py_speeds, py_result, py_policy = run(make_policy, workload,
                                           python=True)
     assert c_speeds == py_speeds
@@ -190,6 +203,43 @@ def test_dra_decide_equals_select_speed(workload):
     assert list(c_policy._entries.items()) == list(
         py_policy._entries.items())
     assert c_policy._canonical_now == py_policy._canonical_now
+
+
+def _periodic(workload: dict) -> bool:
+    return type(workload.get("arrival")) in (type(None), PeriodicArrival)
+
+
+@TWIN
+@given(workload=workloads(), policy=st.sampled_from(
+    (NoDvsPolicy, StaticEdfPolicy)))
+def test_constant_decide_equals_select_speed(workload, policy):
+    assert_twins(policy, workload, c_decides=_periodic(workload))
+
+
+@TWIN
+@given(workload=workloads())
+def test_ccedf_decide_equals_select_speed(workload):
+    c_policy, py_policy = assert_twins(CcEdfPolicy, workload,
+                                       c_decides=_periodic(workload))
+    # The estimates end where the release and completion hooks leave
+    # them, in the same order.
+    assert list(c_policy._util.items()) == list(py_policy._util.items())
+
+
+@TWIN
+@given(workload=workloads())
+def test_lppsedf_decide_equals_select_speed(workload):
+    assert_twins(LppsEdfPolicy, workload, c_decides=_periodic(workload))
+
+
+@TWIN
+@given(workload=workloads(),
+       cap=st.sampled_from((4.0, 1.0, 0.5)))
+def test_clairvoyant_decide_equals_select_speed(workload, cap):
+    # Overrun faults wrap the model: no demand tables, Python path.
+    assert_twins(lambda: ClairvoyantPolicy(window_cap_periods=cap),
+                 workload, c_decides=_periodic(workload)
+                 and workload["faults"] is None)
 
 
 def test_dra_reclaims_across_deadline_ties():
@@ -310,6 +360,44 @@ def test_profiling_keeps_the_c_decide_and_its_regions():
     assert c_counts == py_counts
     assert c_counts["slack.heuristic"] == 2 * c_counts[
         "policy.decide.feedback"]
+
+
+def test_fig1_unit_runs_no_per_job_python(monkeypatch):
+    """An EXP-F1 suite (8 tasks, U 0.9, bc/wc 0.5, every default policy)
+    draws its demands and decides every speed in C: no ``work`` or
+    ``select_speed`` call reaches Python, and the only ``Job`` objects
+    built are the end-of-run mirror of the jobs still active at the
+    horizon (tracing is off, and no run misses, so no note needs one)."""
+    calls = {"work": 0, "select_speed": 0, "mk_job": 0}
+    build = fastcore._build_namespace
+    sims = []
+
+    def counting(sim):
+        sims.append(sim)
+        namespace = build(sim)
+        for name in calls:
+            def counted(*args, _name=name, _call=getattr(namespace, name)):
+                calls[_name] += 1
+                return _call(*args)
+            setattr(namespace, name, counted)
+        return namespace
+
+    monkeypatch.setattr(fastcore, "_build_namespace", counting)
+    before = dict(fastcore.RUN_COUNTS,
+                  decided=dict(fastcore.RUN_COUNTS["decided"]))
+    with fastcore.forced(True):
+        suite = run_suite(standard_taskset(8, 0.9, 2002), DEFAULT_POLICIES,
+                          ideal_processor(), bcwc_model(0.5, 2002), 600.0)
+    left_over = sum(len(sim._active) for sim in sims)
+    assert calls == {"work": 0, "select_speed": 0, "mk_job": left_over}
+    assert len(sims) == len(suite.results) == len(DEFAULT_POLICIES)
+    assert not any(result.notes for result in suite.results.values())
+    assert fastcore.RUN_COUNTS["drawn"] - before["drawn"] \
+        == len(DEFAULT_POLICIES)
+    assert {name: fastcore.RUN_COUNTS["decided"][name]
+            - before["decided"].get(name, 0)
+            for name in DEFAULT_POLICIES} \
+        == dict.fromkeys(DEFAULT_POLICIES, 1)
 
 
 # ----------------------------------------------------------------------

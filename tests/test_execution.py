@@ -173,6 +173,16 @@ class TestMarkov:
         values = sorted({round(model.work(task, i), 9) for i in range(200)})
         assert values == pytest.approx([2.5, 7.5])
 
+    def test_deep_index_first_equals_index_order(self, task):
+        # A fresh chain queried far ahead fills forward (no recursion)
+        # to the states an in-order walk reaches.
+        fresh = MarkovExecution(p_stay=0.9, seed=3)
+        deep = fresh.work(task, 5000)
+        warmed = MarkovExecution(p_stay=0.9, seed=3)
+        in_order = [warmed.work(task, i) for i in range(5001)]
+        assert deep == in_order[-1]
+        assert [fresh.work(task, i) for i in range(5001)] == in_order
+
 
 class TestTrace:
     def test_cyclic_replay(self, task):

@@ -168,7 +168,8 @@ def test_core_info_shape():
     info = fastcore.core_info()
     assert set(info) == {"available", "enabled", "backend", "origin",
                          "reason", "refused", "runs"}
-    assert set(info["runs"]) == {"compiled", "interpreted", "decided"}
+    assert set(info["runs"]) == {"compiled", "interpreted", "drawn",
+                                 "decided"}
     assert all(isinstance(count, int)
                for count in info["runs"]["decided"].values())
     if info["available"]:
@@ -285,6 +286,7 @@ def test_engines_identical_randomized(n, u, seed, bcwc, constrained,
 def test_doctor_reports_backends(capsys):
     from repro.cli import main
     before = dict(fastcore.RUN_COUNTS["decided"])
+    drawn = fastcore.RUN_COUNTS["drawn"]
     assert main(["doctor"]) == 0
     out = capsys.readouterr().out
     assert "numpy:" in out
@@ -300,6 +302,9 @@ def test_doctor_reports_backends(capsys):
         assert "decided in C: " + ", ".join(
             f"{name} {before.get(name, 0) + 1}"
             for name in fastcore.DECIDED_POLICIES) in out
+        # The probes' uniform demands are drawn in C too.
+        assert (f"demands drawn in C: "
+                f"{drawn + len(fastcore.DECIDED_POLICIES)} runs") in out
 
 
 @needs_compiled
