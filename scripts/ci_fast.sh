@@ -1,25 +1,25 @@
 #!/usr/bin/env bash
 # Fast CI loop: tier-1 tests minus the slow sweeps (on the default
 # engine, then on the interpreted one), the end-to-end benchmark's
-# self-tests, the execution-path identity gate, then the perf
-# regression guard against the newest checked-in BENCH_*.json.
+# self-tests, the execution-path identity gate, then a paired A/B of
+# the end-to-end benchmark against the merge base with main.
 #
-#   scripts/ci_fast.sh            # tests + identity gate + perf guard
+#   scripts/ci_fast.sh            # tests + identity gate + paired A/B
 #
 # The marked subsets (telemetry, compiled, watch, chaos, faults, trace)
 # and the parallel-executor/cache contract tests are all non-slow, so
-# the two "not slow" runs below already cover them.
+# the two "not slow" runs below already cover them; the compiled set
+# includes the compiled core's >= 2x speed bound.
 #
-# The perf guard fails when the engine_step mean degrades more than
-# 25% against the recorded trajectory, when the mini-sweep
-# parallel_speedup falls below 1.0, when parallel_speedup_cold falls
-# below 0.85 (a cold pool must never lose to a serial loop doing the
-# same work; parity is the ceiling on a one-CPU host, 0.85 leaves
-# noise room yet still catches the 0.76x refork regression), when the
-# compiled engine core runs less than 2x faster than the interpreted
-# loop (hosts where it was built), or when the instrumented mini sweep
-# fails to produce a consistent run manifest
-# (scripts/bench_record.py --check).
+# The A/B leg (scripts/ab.py) runs each side's own benchmarks/e2e/run.py
+# on every BENCHMARK.json workload, two pairs, alternating which side
+# goes first, on this host: no timing recorded elsewhere is compared.
+# It fails when either side's correctness checks fail or when
+# `run.py --compare` finds an end-to-end metric worse than its bound.
+# It costs 12 benchmark calls of ~9 s (under two minutes on a 2-vCPU
+# VM), and is skipped when the working tree does not differ from the
+# merge base (a clean checkout of main itself): the pair would compare
+# a tree with itself.
 # The full tier-1 gate remains `PYTHONPATH=src python -m pytest -x -q`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -44,11 +44,13 @@ PYTHONPATH=src python -m pytest -x -q benchmarks/e2e
 # loudly, naming the loader's reason, where the extension is missing.
 PYTHONPATH=src python scripts/identity_gate.py
 
-# Perf guard: bench_record.py resolves the newest BENCH_*.json itself
-# (by the date in the filename, not directory order) and names the
-# baseline it compared against.
-if ! ls BENCH_*.json >/dev/null 2>&1; then
-    echo "no BENCH_*.json record found; skipping the perf guard"
+# Paired A/B against the merge base with main.
+if ! base=$(git merge-base HEAD main 2>/dev/null); then
+    echo "no merge base with main; skipping the paired A/B"
     exit 0
 fi
-PYTHONPATH=src python scripts/bench_record.py --check
+if git diff --quiet "$base" && [ -z "$(git ls-files --others --exclude-standard)" ]; then
+    echo "working tree equals the merge base ${base:0:12}; skipping the paired A/B"
+    exit 0
+fi
+python scripts/ab.py "$base" --pairs 2

@@ -30,7 +30,7 @@ Commands
     The cross-run registry: ``list``/``show``/``compare``/``gc``
     ingested run records (sweep manifests auto-ingest via ``run
     --registry-dir`` / ``REPRO_REGISTRY_DIR``; ``ingest`` folds in
-    manifests and checked-in ``BENCH_*.json`` perf records by hand).
+    manifests by hand).
 ``trace``
     Schedule traces: ``export`` one run as a Perfetto-loadable Chrome
     trace (or compact JSONL), ``audit`` a run against the schedule
@@ -635,19 +635,10 @@ def _cmd_runs(args: argparse.Namespace) -> int:
         return 0
 
     if args.runs_command == "list":
-        if args.bench:
-            # Bootstrap: fold the checked-in perf trajectory into the
-            # registry before listing, so BENCH_*.json history and
-            # live sweeps share one axis.
-            for path in sorted(Path(args.bench_dir).glob("BENCH_*.json")):
-                try:
-                    registry.ingest_bench(path)
-                except ExperimentError as exc:
-                    print(f"  skipping {path}: {exc}", file=sys.stderr)
         records = registry.list(workload=args.workload,
                                 policy=args.policy_filter,
                                 fingerprint=args.fingerprint,
-                                since=args.since, kind=args.kind)
+                                since=args.since)
         if args.json:
             print(json.dumps([r.to_payload() for r in records],
                              indent=2, sort_keys=True))
@@ -1027,15 +1018,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "starts with PREFIX")
     p_rlist.add_argument("--since", default=None, metavar="DATE",
                          help="only runs created on/after this ISO date")
-    p_rlist.add_argument("--kind", default=None,
-                         choices=("sweep", "bench"))
-    p_rlist.add_argument("--bench", action="store_true",
-                         help="first ingest the checked-in BENCH_*.json "
-                              "perf records (the repo's recorded perf "
-                              "trajectory) from --bench-dir")
-    p_rlist.add_argument("--bench-dir", default=".", metavar="DIR",
-                         help="where --bench looks for BENCH_*.json "
-                              "(default: current directory)")
     p_rlist.add_argument("--json", action="store_true")
     p_rlist.set_defaults(func=_cmd_runs)
 
@@ -1060,11 +1042,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_rgc.set_defaults(func=_cmd_runs)
 
     p_ring = runs_sub.add_parser(
-        "ingest", help="ingest manifests / BENCH_*.json records "
-                       "(files or directories)")
+        "ingest", help="ingest run manifests (files or directories)")
     p_ring.add_argument("paths", nargs="+",
-                        help="manifest_*.json, BENCH_*.json, or "
-                             "directories to scan for both")
+                        help="manifest_*.json files, or directories to "
+                             "scan for them")
     p_ring.set_defaults(func=_cmd_runs)
 
     p_prof = sub.add_parser(

@@ -516,8 +516,8 @@ static PyTypeObject DemandTableType = {
 
 /* One active job.  The slot is the job's state; the Python ``Job`` is
  * built from it only when Python code needs the object (a policy hook,
- * ctx.active_jobs(), a note, a traced segment, the end-of-run _active)
- * and is kept in step with the slot from then on. */
+ * ctx.active_jobs(), a note, a traced segment) and is kept in step with
+ * the slot from then on. */
 typedef struct {
     PyObject *job;      /* strong ref, or NULL until materialized */
     PyObject *draw;     /* the execution model's work value (strong), or

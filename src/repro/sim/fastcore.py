@@ -699,8 +699,9 @@ def run_compiled(sim: "Simulator") -> bool:
             sim.policy.absorb_decide_state(DecideState(*core.decide_state()))
         # Mirror the engine attributes downstream introspection reads;
         # _next_release/_next_index are shared dicts, updated in place.
+        # The jobs still active at the horizon are not mirrored: nothing
+        # reads them after a run, and each would cost a Job.
         sim._now = core._now
         sim._current_speed = core._current_speed
-        sim._active = list(core._active)
         sim._release_version = core._release_version
     return True

@@ -3,10 +3,9 @@
 Run manifests answer "how was *this* result produced"; nothing so far
 answers "what runs exist, and how does today's compare to last
 week's".  The :class:`RunRegistry` closes that gap: every completed
-sweep manifest (and every checked-in ``BENCH_*.json`` perf record) is
-folded into one compact **run record** — identity, fingerprint digest,
-timing, cache and progress summaries, energy/miss proxies — and
-persisted under a two-level sharded layout::
+sweep manifest is folded into one compact **run record** — identity,
+fingerprint digest, timing, cache and progress summaries, energy/miss
+proxies — and persisted under a two-level sharded layout::
 
     <registry>/runs/<shard>/<run_id>.json
 
@@ -16,9 +15,8 @@ with thousands of runs never puts them all in one directory and two
 ingests of the same run land on the same path (idempotent by
 construction).
 
-Ingest happens two ways: explicitly (``repro runs ingest``, or the
-``repro runs list --bench`` bootstrap over the checked-in bench
-records) and automatically — :meth:`RunManifest.write
+Ingest happens two ways: explicitly (``repro runs ingest``) and
+automatically — :meth:`RunManifest.write
 <repro.telemetry.manifest.RunManifest.write>` offers every manifest it
 writes to :func:`ingest_written_manifest`, which is a no-op unless a
 registry is configured via ``repro run --registry-dir`` /
@@ -89,7 +87,9 @@ class RunRecord:
     """One registry entry: the comparable summary of one run."""
 
     run_id: str
-    kind: str                      # "sweep" | "bench"
+    #: "sweep"; a registry may also hold records of kinds older
+    #: versions wrote ("bench"), which load, list and gc like any other.
+    kind: str
     label: str
     created: str
     fingerprint_digest: str
@@ -107,7 +107,6 @@ class RunRecord:
     #: mean speed at equal misses means more slack reclaimed.
     mean_speed: dict[str, float] = field(default_factory=dict)
     misses: dict[str, Any] = field(default_factory=dict)
-    timings: dict[str, float] = field(default_factory=dict)
     #: Projected ``profile`` block (schema-5 manifests): attributed
     #: wall and the category budget, so ``repro runs compare`` can
     #: show attribution deltas.  Additive — absent in older records.
@@ -135,7 +134,6 @@ class RunRecord:
             "counters": self.counters,
             "mean_speed": self.mean_speed,
             "misses": self.misses,
-            "timings": self.timings,
             "profile": self.profile,
             "source": self.source,
         }
@@ -170,8 +168,6 @@ class RunRecord:
                         for k, v in payload.get("mean_speed",
                                                 {}).items()},
             misses=dict(payload.get("misses", {})),
-            timings={k: float(v)
-                     for k, v in payload.get("timings", {}).items()},
             profile=payload.get("profile"),
             source=str(payload.get("source", "")),
             schema=schema,
@@ -229,44 +225,6 @@ def record_from_manifest(manifest: RunManifest,
     )
 
 
-def record_from_bench(payload: Mapping,
-                      path: str | Path | None = None) -> RunRecord:
-    """Project one ``BENCH_*.json`` perf record into a registry record.
-
-    Bench records have no sweep fingerprint; their identity is the
-    record's date + revision, and their comparable substance is the
-    anchor timings (``hotpath`` means) plus the recorded sweep/batch
-    wall times — which is exactly what ``repro runs list --bench``
-    exists to put on one axis.
-    """
-    date = str(payload.get("date", "unknown"))
-    rev = str(payload.get("rev", "unknown"))
-    identity = {"date": date, "rev": rev,
-                "python": payload.get("python")}
-    digest = fingerprint_digest(identity)
-    timings: dict[str, float] = {}
-    for anchor, stats in (payload.get("hotpath") or {}).items():
-        mean = (stats or {}).get("mean_s")
-        if mean is not None:
-            timings[f"hotpath.{anchor}"] = float(mean)
-    for block in ("sweep_exp1_mini", "batch_exp1"):
-        for key, value in (payload.get(block) or {}).items():
-            if isinstance(value, (int, float)) and not isinstance(
-                    value, bool):
-                timings[f"{block}.{key}"] = float(value)
-    return RunRecord(
-        run_id=f"{_compact_ts(date)}-{digest[:_DIGEST_PREFIX]}",
-        kind="bench",
-        label=f"bench {date}",
-        created=date,
-        fingerprint_digest=digest,
-        fingerprint=identity,
-        git_rev=rev,
-        timings=timings,
-        source=str(path) if path is not None else "",
-    )
-
-
 class RunRegistry:
     """The sharded on-disk index of run records."""
 
@@ -297,29 +255,12 @@ class RunRegistry:
         self.add(record)
         return record
 
-    def ingest_bench(self, path: str | Path) -> RunRecord:
-        path = Path(path)
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ExperimentError(
-                f"cannot read bench record {path}: {exc}") from exc
-        record = record_from_bench(payload, path)
-        self.add(record)
-        return record
-
     def ingest_path(self, path: str | Path) -> list[RunRecord]:
-        """Ingest a manifest, a bench record, or a directory of both."""
+        """Ingest a manifest, or every manifest under a directory."""
         path = Path(path)
         if path.is_dir():
-            records = []
-            for candidate in sorted(path.glob("**/manifest_*.json")):
-                records.append(self.ingest_manifest(candidate))
-            for candidate in sorted(path.glob("**/BENCH_*.json")):
-                records.append(self.ingest_bench(candidate))
-            return records
-        if path.name.startswith("BENCH_"):
-            return [self.ingest_bench(path)]
+            return [self.ingest_manifest(candidate) for candidate
+                    in sorted(path.glob("**/manifest_*.json"))]
         return [self.ingest_manifest(path)]
 
     # -- query ---------------------------------------------------------
@@ -335,13 +276,10 @@ class RunRegistry:
     def list(self, *, workload: str | None = None,
              policy: str | None = None,
              fingerprint: str | None = None,
-             since: str | None = None,
-             kind: str | None = None) -> list[RunRecord]:
+             since: str | None = None) -> list[RunRecord]:
         """Query records, newest first."""
         results = []
         for record in self.records():
-            if kind is not None and record.kind != kind:
-                continue
             if workload is not None and workload not in (
                     record.workload_id or record.label):
                 continue
@@ -397,9 +335,9 @@ def compare_records(a: RunRecord, b: RunRecord) -> dict:
     """Structured diff of two run records (a = baseline, b = candidate).
 
     Flags fingerprint drift (keys whose spec values differ), and diffs
-    wall time, cache hit rate, progress counts, kept engine counters,
-    per-policy mean dispatch speed and (for bench records) the anchor
-    timings.  The rendering lives in :func:`render_compare`.
+    wall time, cache hit rate, progress counts, kept engine counters
+    and per-policy mean dispatch speed.  The rendering lives in
+    :func:`render_compare`.
     """
     drift = sorted(
         key for key in set(a.fingerprint) | set(b.fingerprint)
@@ -423,11 +361,6 @@ def compare_records(a: RunRecord, b: RunRecord) -> dict:
         entry = delta(a.mean_speed.get(name), b.mean_speed.get(name))
         if entry is not None:
             speeds[name] = entry
-    timings = {}
-    for name in sorted(set(a.timings) | set(b.timings)):
-        entry = delta(a.timings.get(name), b.timings.get(name))
-        if entry is not None:
-            timings[name] = entry
     progress = {}
     for name in ("units", "done", "computed", "cached", "resumed",
                  "quarantined"):
@@ -458,7 +391,6 @@ def compare_records(a: RunRecord, b: RunRecord) -> dict:
         "progress": progress,
         "counters": counters,
         "mean_speed": speeds,
-        "timings": timings,
         "profile": profile,
     }
 
@@ -483,10 +415,6 @@ def render_records(records: list[RunRecord]) -> str:
             notes.append(f"{p.get('done', 0)}/{p.get('units', 0)} units")
             if p.get("quarantined"):
                 notes.append(f"{p['quarantined']} quarantined")
-        if record.kind == "bench":
-            step = record.timings.get("hotpath.engine_step")
-            if step is not None:
-                notes.append(f"engine_step {step * 1e6:.0f}us")
         lines.append(
             f"{record.run_id:<28} {record.kind:<6} "
             f"{record.label[:22]:<22} {record.git_rev[:9]:<9} "
@@ -539,10 +467,6 @@ def render_record(record: RunRecord) -> str:
         lines.append("  counters:")
         for name in sorted(record.counters):
             lines.append(f"    {name:<32} {record.counters[name]}")
-    if record.timings:
-        lines.append("  timings:")
-        for name in sorted(record.timings):
-            lines.append(f"    {name:<32} {record.timings[name]:.6f}s")
     return "\n".join(lines)
 
 
@@ -578,8 +502,6 @@ def render_compare(diff: Mapping) -> str:
                      f"delta={entry['delta']:+d}")
     for name, entry in diff["mean_speed"].items():
         show(f"speed.{name}", entry, "{:.4f}")
-    for name, entry in diff["timings"].items():
-        show(name, entry, "{:.6f}")
     for name, entry in diff.get("profile", {}).items():
         show(f"profile.{name}", entry)
     if len(lines) == 2:

@@ -364,10 +364,9 @@ def test_profiling_keeps_the_c_decide_and_its_regions():
 
 def test_fig1_unit_runs_no_per_job_python(monkeypatch):
     """An EXP-F1 suite (8 tasks, U 0.9, bc/wc 0.5, every default policy)
-    draws its demands and decides every speed in C: no ``work`` or
-    ``select_speed`` call reaches Python, and the only ``Job`` objects
-    built are the end-of-run mirror of the jobs still active at the
-    horizon (tracing is off, and no run misses, so no note needs one)."""
+    draws its demands and decides every speed in C: no ``work``,
+    ``select_speed`` or ``Job`` construction reaches Python (tracing is
+    off, and no run misses, so no note needs a job)."""
     calls = {"work": 0, "select_speed": 0, "mk_job": 0}
     build = fastcore._build_namespace
     sims = []
@@ -388,8 +387,7 @@ def test_fig1_unit_runs_no_per_job_python(monkeypatch):
     with fastcore.forced(True):
         suite = run_suite(standard_taskset(8, 0.9, 2002), DEFAULT_POLICIES,
                           ideal_processor(), bcwc_model(0.5, 2002), 600.0)
-    left_over = sum(len(sim._active) for sim in sims)
-    assert calls == {"work": 0, "select_speed": 0, "mk_job": left_over}
+    assert calls == {"work": 0, "select_speed": 0, "mk_job": 0}
     assert len(sims) == len(suite.results) == len(DEFAULT_POLICIES)
     assert not any(result.notes for result in suite.results.values())
     assert fastcore.RUN_COUNTS["drawn"] - before["drawn"] \

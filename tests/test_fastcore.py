@@ -9,7 +9,9 @@ simulators, non-EDF schedulers) falls through to the interpreted loop;
 and a host without a compiler (or ``REPRO_COMPILED=0`` /
 ``--no-compiled``) runs exactly as before with zero new dependencies.
 ``scripts/identity_gate.py`` enforces the same contract on whole sweep
-fingerprints in CI.  The loader tests build a stub extension into
+fingerprints in CI.  Where it is built, the core must also run an
+engine-bound workload at least twice as fast as the interpreted loop.
+The loader tests build a stub extension into
 temporary cache roots: the cache key, the digest check, the trust
 rules and the ``REPRO_COMPILED=0`` short cut.
 """
@@ -21,6 +23,7 @@ import os
 import shutil
 import sys
 import sysconfig
+import time
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +280,40 @@ def test_engines_identical_randomized(n, u, seed, bcwc, constrained,
                     arrival_model=ARRIVALS[arrival](seed),
                     allow_misses=True))
         assert_results_identical(*results)
+
+
+# ----------------------------------------------------------------------
+# Speed: the core must pay for itself
+# ----------------------------------------------------------------------
+
+def test_compiled_core_at_least_twice_as_fast():
+    """One 8-task EXP-F1-shaped run under ``static`` (the engine's
+    dispatch loop, hardly any policy work): the best of five compiled
+    runs must take at most half the best of five interpreted ones."""
+    if not fastcore.compiled_available():
+        pytest.skip(f"compiled core unavailable: "
+                    f"{fastcore.core_info()['reason']}")
+    taskset = standard_taskset(8, 0.7, 20020311)
+    model = bcwc_model(0.5, 20020311)
+
+    def best_of_five(backend):
+        times = []
+        for _ in range(5):
+            with fastcore.forced(backend):
+                started = time.perf_counter()
+                result = simulate(taskset, ideal_processor(),
+                                  make_policy("static"), model,
+                                  horizon=1200.0)
+                times.append(time.perf_counter() - started)
+            assert result.jobs_completed > 0
+            assert not result.deadline_misses
+        return min(times)
+
+    interpreted = best_of_five(False)
+    compiled = best_of_five(True)
+    assert interpreted / compiled >= 2.0, (
+        f"compiled core {interpreted / compiled:.2f}x the interpreted "
+        f"loop ({compiled * 1e3:.2f} ms vs {interpreted * 1e3:.2f} ms)")
 
 
 # ----------------------------------------------------------------------

@@ -8,10 +8,11 @@ The contracts under test (DESIGN.md §14):
 * written manifests auto-ingest when a registry is configured
   (``REPRO_REGISTRY_DIR`` / ``set_registry_dir``) and never fail the
   manifest write when the registry is broken;
-* ``BENCH_*.json`` perf records ingest as ``bench``-kind records
-  carrying the anchor timings;
-* list filters (workload / policy / fingerprint / since / kind) and
-  prefix ``get`` behave, and ``gc`` keeps exactly the newest N;
+* a registry that already holds ``bench``-kind records (older versions
+  ingested their perf records) still lists, shows and gc's them,
+  through the API and the CLI;
+* list filters (workload / policy / fingerprint / since) and prefix
+  ``get`` behave, and ``gc`` keeps exactly the newest N;
 * ``compare`` flags fingerprint drift and diffs wall time, cache hit
   rate and per-policy mean dispatch speed.
 """
@@ -22,13 +23,13 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ExperimentError
 from repro.telemetry.manifest import RunManifest
 from repro.telemetry.registry import (
     RunRegistry,
     compare_records,
     default_registry_dir,
-    record_from_bench,
     record_from_manifest,
     render_compare,
     render_record,
@@ -49,13 +50,13 @@ def clean_default_dir(monkeypatch):
 
 def make_manifest(*, label="exp1", created="2026-08-08T10:00:00",
                   horizon=300.0, wall=2.5, hits=3, misses=5,
-                  quarantined=0):
+                  quarantined=0, policies=("static", "lpSTA")):
     return RunManifest(
         label=label,
         created=created,
         git_rev="abc1234",
         fingerprint={"workload_id": label, "horizon": horizon,
-                     "policies": ["static", "lpSTA"],
+                     "policies": list(policies),
                      "xs": [0.4, 0.7], "n_tasksets": 2},
         phases={"sweep.compute": {"wall_s": wall, "cpu_s": wall,
                                   "count": 1}},
@@ -73,13 +74,20 @@ def make_manifest(*, label="exp1", created="2026-08-08T10:00:00",
     )
 
 
-BENCH_PAYLOAD = {
-    "date": "2026-08-07", "rev": "deadbee", "python": "3.11.7",
-    "schema": 1,
-    "hotpath": {"engine_step": {"mean_s": 0.004, "min_s": 0.003,
-                                "rounds": 5, "stddev_s": 0.0001}},
-    "sweep_exp1_mini": {"serial_s": 1.0, "workers": 4,
-                        "parallel_speedup": 500.0},
+#: A ``bench``-kind record as older versions wrote it into a registry.
+OLD_PERF_RECORD = {
+    "kind": "run-record", "schema": 1, "run_kind": "bench",
+    "run_id": "20260807T000000-3f1c0a9b2e", "label": "bench 2026-08-07",
+    "created": "2026-08-07",
+    "fingerprint_digest": "3f1c0a9b2e5d4c6b7a8f9e0d1c2b3a49",
+    "fingerprint": {"date": "2026-08-07", "rev": "deadbee",
+                    "python": "3.11.7"},
+    "workload_id": None, "policies": [], "git_rev": "deadbee",
+    "code_epoch": "", "wall_s": None, "cache": {}, "progress": None,
+    "counters": {}, "mean_speed": {}, "misses": {},
+    "timings": {"hotpath.engine_step": 0.004,
+                "sweep_exp1_mini.serial_s": 1.0},
+    "profile": None, "source": "perf-record-2026-08-07.json",
 }
 
 
@@ -115,36 +123,43 @@ def test_ingest_is_idempotent(tmp_path):
     assert len(registry.list()) == 1
 
 
-def test_bench_record_ingests_timings(tmp_path):
+def test_existing_bench_kind_records_list_show_and_gc(tmp_path, capsys):
     registry = RunRegistry(tmp_path)
-    bench = tmp_path / "BENCH_2026-08-07.json"
-    bench.write_text(json.dumps(BENCH_PAYLOAD))
-    record = registry.ingest_bench(bench)
-    assert record.kind == "bench"
-    assert record.git_rev == "deadbee"
-    assert record.timings["hotpath.engine_step"] == pytest.approx(0.004)
-    assert record.timings["sweep_exp1_mini.serial_s"] == 1.0
-    assert record.run_id.startswith("20260807T000000-")
-    assert "engine_step" in render_records([record])
+    shard = registry.runs_dir / "3f"
+    shard.mkdir()
+    (shard / f"{OLD_PERF_RECORD['run_id']}.json").write_text(
+        json.dumps(OLD_PERF_RECORD))
+    registry.add(record_from_manifest(make_manifest()))
+
+    [sweep, bench] = registry.list()
+    assert (sweep.kind, bench.kind) == ("sweep", "bench")
+    assert bench.git_rev == "deadbee"
+    assert "bench 2026-08-07" in render_records([sweep, bench])
+    assert "deadbee" in render_record(bench)
+    assert registry.get("20260807").run_id == OLD_PERF_RECORD["run_id"]
+
+    cli = ["runs", "--registry-dir", str(tmp_path)]
+    assert main(cli + ["list"]) == 0
+    assert "bench 2026-08-07" in capsys.readouterr().out
+    assert main(cli + ["show", "20260807"]) == 0
+    assert "(bench)" in capsys.readouterr().out
+    assert main(cli + ["gc", "--keep", "1"]) == 0
+    assert "removed 1 record(s)" in capsys.readouterr().out
+    assert [r.kind for r in registry.list()] == ["sweep"]
+    assert not shard.exists()
 
 
 def test_ingest_path_scans_directories(tmp_path):
     registry = RunRegistry(tmp_path / "reg")
     data = tmp_path / "data"
-    data.mkdir()
+    (data / "nested").mkdir(parents=True)
     make_manifest().write(data / "manifest_exp1_001.json")
-    (data / "BENCH_2026-08-07.json").write_text(
-        json.dumps(BENCH_PAYLOAD))
+    make_manifest(label="exp2").write(
+        data / "nested" / "manifest_exp2_001.json")
+    (data / "perf-record-2026-08-07.json").write_text("{}")  # ignored
     records = registry.ingest_path(data)
-    assert sorted(r.kind for r in records) == ["bench", "sweep"]
-
-
-def test_unreadable_bench_raises(tmp_path):
-    registry = RunRegistry(tmp_path)
-    bad = tmp_path / "BENCH_bad.json"
-    bad.write_text("{nope")
-    with pytest.raises(ExperimentError, match="cannot read"):
-        registry.ingest_bench(bad)
+    assert sorted(r.label for r in records) == ["exp1", "exp2"]
+    assert len(registry.list()) == 2
 
 
 def test_torn_record_files_are_skipped(tmp_path):
@@ -190,18 +205,18 @@ def test_list_filters_and_prefix_get(tmp_path):
         label="exp1", created="2026-08-01T10:00:00")))
     registry.add(record_from_manifest(make_manifest(
         label="exp2", created="2026-08-08T10:00:00", horizon=400.0)))
-    bench = tmp_path / "BENCH_2026-08-07.json"
-    bench.write_text(json.dumps(BENCH_PAYLOAD))
-    registry.ingest_bench(bench)
+    registry.add(record_from_manifest(make_manifest(
+        label="exp3", created="2026-08-07T10:00:00",
+        policies=("ccEDF",))))
 
     assert [r.label for r in registry.list()] \
-        == ["exp2", "bench 2026-08-07", "exp1"]  # newest first
-    assert len(registry.list(kind="sweep")) == 2
+        == ["exp2", "exp3", "exp1"]  # newest first
     assert [r.label for r in registry.list(workload="exp2")] == ["exp2"]
     assert len(registry.list(policy="lpSTA")) == 2
-    assert len(registry.list(policy="ccEDF")) == 0
+    assert [r.label for r in registry.list(policy="ccEDF")] == ["exp3"]
+    assert len(registry.list(policy="DRA")) == 0
     assert [r.label for r in registry.list(since="2026-08-05")] \
-        == ["exp2", "bench 2026-08-07"]
+        == ["exp2", "exp3"]
     exp1 = registry.list(workload="exp1")[0]
     assert registry.list(
         fingerprint=exp1.fingerprint_digest[:6])[0].label == "exp1"

@@ -219,8 +219,9 @@ class TestEngineCounters:
         An enabled run does strictly more work than a disabled one, so
         min-of-N disabled time at or below min-of-N enabled time (plus
         generous scheduling-noise headroom) pins the disabled path to
-        'no measurable overhead'.  The absolute guard against *any*
-        slowdown of the engine loop is bench_record.py --check.
+        'no measurable overhead'.  The guard against *any* slowdown of
+        the engine loop is the paired end-to-end A/B of ``fig1``
+        against the base revision (``scripts/ab.py``).
         """
         def timed(enabled: bool) -> float:
             TELEMETRY.configure(enabled=enabled)
