@@ -5,7 +5,11 @@ Checks REV out into a temporary ``git worktree`` and, for every
 workload declared in ``BENCHMARK.json`` and every pair, runs each
 side's own ``benchmarks/e2e/run.py --workload W --seconds 0`` once:
 the base (REV) and the head (this working tree), alternating which
-side goes first.  Every run must pass its own correctness checks.
+side goes first.  Every run must pass its own correctness checks, and
+both sides must run the same engine core: it prints each side's
+backend and run counts (from the ``core_info`` its result file
+records) once per workload, and stops when one side ran compiled and
+the other interpreted, naming the loader's reason.
 Prints, per workload and end-to-end metric, each side's median and
 q1–q3, the head/base ratio of sums and the pairs each side won (ties
 count for neither), then hands the two sides' summaries to the
@@ -28,6 +32,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+#: The result file ``run.py --workload W`` writes (default seed, untraced).
+RESULT = ".bench_out/{}_seed2002_trace0.json"
+
 
 def git(*args: str) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
@@ -42,7 +49,10 @@ def run_e2e(checkout: Path, *args: str) -> subprocess.CompletedProcess:
 
 
 def sample(checkout: Path, workload: str) -> dict:
-    """One ``--seconds 0`` run; ``correct`` is False unless it passed."""
+    """One ``--seconds 0`` run; ``correct`` is False unless it passed,
+    ``core`` is the ``core_info`` its result file records (or None)."""
+    result = checkout / RESULT.format(workload)
+    result.unlink(missing_ok=True)  # never read a stale run's file
     proc = run_e2e(checkout, "--workload", workload, "--seconds", "0")
     lines = proc.stdout.strip().splitlines()
     try:
@@ -55,7 +65,41 @@ def sample(checkout: Path, workload: str) -> dict:
                          and proc.returncode == 0)
     record.setdefault("error", "; ".join(
         line for line in lines if line.startswith("FAIL ")))
+    try:
+        record["core"] = json.loads(result.read_text())["context"][
+            "core_info"]
+    except (OSError, ValueError, KeyError, TypeError):
+        record["core"] = None
     return record
+
+
+def core_kind(core: dict | None) -> str | None:
+    """How a run's engine ran, "compiled" or "interpreted"; None when
+    its result file says nothing."""
+    runs = (core or {}).get("runs") or {}
+    if runs.get("compiled"):
+        return "compiled"
+    return "interpreted" if runs.get("interpreted") else None
+
+
+def core_line(core: dict | None) -> str:
+    if core is None:
+        return "no core_info recorded"
+    runs = core.get("runs") or {}
+    return (f"{core.get('backend') or 'no compiled backend'}, runs "
+            + " ".join(f"{k}={runs.get(k, 0)}"
+                       for k in ("compiled", "interpreted", "drawn")))
+
+
+def core_mismatch(cores: dict) -> str | None:
+    """Why the two sides' runs are not comparable, or None."""
+    kinds = {side: core_kind(core) for side, core in cores.items()}
+    if set(kinds.values()) != {"compiled", "interpreted"}:
+        return None
+    slow = "base" if kinds["base"] == "interpreted" else "head"
+    reason = cores[slow].get("reason") or "the compiled core was off"
+    return (f"base ran {kinds['base']}, head ran {kinds['head']}; "
+            f"{slow}: {reason}")
 
 
 def summary(values: list[float]) -> dict:
@@ -117,18 +161,28 @@ def measure(base: Path, pairs: int, spec: dict) -> dict | None:
     for pair in range(pairs):
         for name in values:
             sides = [("base", base), ("head", ROOT)]
+            cores = {}
             for side, checkout in sides[::1 if pair % 2 == 0 else -1]:
                 record = sample(checkout, name)
                 if not record["correct"]:
                     print(f"FAIL {name} pair {pair + 1} {side}: "
                           f"{record.get('error') or 'checks failed'}")
                     return None
+                cores[side] = record["core"]
                 for metric, value in record["metrics"].items():
                     if metric in better:
                         values[name][metric][side].append(value["value"])
                 print(f"  pair {pair + 1}/{pairs} {name:<15} {side}: "
                       f"wall {record['metrics']['wall_s']['value']:.2f}s",
                       flush=True)
+            if pair == 0:
+                for side in ("base", "head"):
+                    print(f"  core {name:<15} {side}: "
+                          f"{core_line(cores[side])}")
+            mismatch = core_mismatch(cores)
+            if mismatch:
+                print(f"FAIL {name} pair {pair + 1}: {mismatch}")
+                return None
     return {name: {metric: pair_stats(v["base"], v["head"], better[metric])
                    for metric, v in per_metric.items()}
             for name, per_metric in values.items()}

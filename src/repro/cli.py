@@ -26,11 +26,6 @@ Commands
     Attach to a running (or finished) sweep's ``progress.jsonl`` and
     render a refreshing status view — per-cell bars, throughput, ETA,
     recent failures, stall detection; ``--json`` prints one snapshot.
-``runs``
-    The cross-run registry: ``list``/``show``/``compare``/``gc``
-    ingested run records (sweep manifests auto-ingest via ``run
-    --registry-dir`` / ``REPRO_REGISTRY_DIR``; ``ingest`` folds in
-    manifests by hand).
 ``trace``
     Schedule traces: ``export`` one run as a Perfetto-loadable Chrome
     trace (or compact JSONL), ``audit`` a run against the schedule
@@ -48,7 +43,8 @@ Commands
     ``profile`` block, a collapsed-stack flamegraph input, and a
     Perfetto-loadable phase trace), ``report`` a manifest's budget,
     ``flame`` a collapsed-stack file as a terminal flame tree,
-    ``diff`` two manifests' attribution.
+    ``diff`` two manifests' attribution (naming the fingerprint keys
+    that differ first).
 """
 
 from __future__ import annotations
@@ -167,11 +163,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   if args.telemetry_dir else None)
         TELEMETRY.configure(enabled=True, events_path=events,
                             manifest_dir=args.telemetry_dir)
-    if args.registry_dir:
-        # Same process-wide-default pattern again: written manifests
-        # auto-ingest into this registry (repro runs list).
-        from repro.telemetry.registry import set_registry_dir
-        set_registry_dir(args.registry_dir)
     if args.profile:
         from repro.telemetry import TELEMETRY
         TELEMETRY.configure_timers(enabled=True)
@@ -407,40 +398,55 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_manifest_path(target: str) -> Path | None:
-    """A manifest path from a file or a directory (newest manifest)."""
+def _manifest_paths(target: str, *, every: bool = False) -> list[Path]:
+    """The manifest *target* names: the file itself, or a directory's
+    newest ``manifest_*.json`` by write time (*every*: all of them,
+    oldest first).  Empty, with the reason printed, when there is none.
+    """
     path = Path(target)
-    if path.is_dir():
-        candidates = sorted(path.glob("manifest_*.json"))
-        if not candidates:
-            print(f"no manifest_*.json in {path}", file=sys.stderr)
-            return None
-        return candidates[-1]
-    return path
+    if not path.is_dir():
+        return [path]
+    candidates = sorted(path.glob("manifest_*.json"),
+                        key=lambda p: (p.stat().st_mtime_ns, p.name))
+    if not candidates:
+        print(f"no manifest_*.json in {path}", file=sys.stderr)
+    return candidates if every else candidates[-1:]
 
 
-def _load_profile_block(target: str) -> dict | None:
+def _load_manifest(path: Path):
+    """The manifest at *path*, or ``None`` with a one-line reason."""
+    from repro.errors import ExperimentError
     from repro.telemetry.manifest import RunManifest
-    path = _resolve_manifest_path(target)
-    if path is None:
+    try:
+        return RunManifest.load(path)
+    except (OSError, ValueError, ExperimentError) as exc:
+        message = str(exc)
+        if str(path) not in message:
+            message = f"cannot read manifest {path}: {message}"
+        print(message, file=sys.stderr)
         return None
-    manifest = RunManifest.load(path)
-    if not manifest.profile:
-        print(f"{path} has no profile block (was the sweep run with "
+
+
+def _load_profiled(target: str):
+    """The newest manifest *target* names, if it has a profile block."""
+    paths = _manifest_paths(target)
+    manifest = _load_manifest(paths[0]) if paths else None
+    if manifest is not None and not manifest.profile:
+        print(f"{paths[0]} has no profile block (was the sweep run with "
               f"profiling enabled? try: repro profile run)",
               file=sys.stderr)
         return None
-    return manifest.profile
+    return manifest
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.profiling import report as prep
 
     if args.profile_cmd == "report":
-        block = _load_profile_block(args.manifest)
-        if block is None:
+        manifest = _load_profiled(args.manifest)
+        if manifest is None:
             return 2
-        print(prep.render_budget(block))
+        print(prep.render_budget(manifest.profile))
         return 0
 
     if args.profile_cmd == "flame":
@@ -453,12 +459,17 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         return 0
 
     if args.profile_cmd == "diff":
-        block_a = _load_profile_block(args.a)
-        block_b = _load_profile_block(args.b)
-        if block_a is None or block_b is None:
+        from repro.telemetry.manifest import fingerprint_drift
+        a = _load_profiled(args.a)
+        b = _load_profiled(args.b) if a is not None else None
+        if b is None:
             return 2
-        print(prep.render_budget_diff(prep.diff_budgets(block_a,
-                                                        block_b)))
+        drift = fingerprint_drift(a.fingerprint, b.fingerprint)
+        if drift:
+            print(f"FINGERPRINT DRIFT: {', '.join(drift)} (the two runs "
+                  f"swept different specs)")
+        print(prep.render_budget_diff(prep.diff_budgets(a.profile,
+                                                        b.profile)))
         return 0
 
     # profile run: an instrumented EXP-F1 mini sweep.
@@ -480,9 +491,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
           else [0.3 + i * (0.8 - 0.3) / (n - 1) for i in range(n)])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.registry_dir:
-        from repro.telemetry.registry import set_registry_dir
-        set_registry_dir(args.registry_dir)
 
     def workload(u: float, seed: int):
         return (standard_taskset(args.tasks, u, seed),
@@ -547,8 +555,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from repro.errors import ExperimentError
-    from repro.telemetry.manifest import RunManifest, render_manifest
+    from repro.telemetry.manifest import render_manifest
     target = Path(args.manifest)
     if args.follow:
         # Reuse the watch plumbing: follow the live progress stream
@@ -562,19 +569,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         code = watch(target, interval=args.interval)
         if code != 0:
             return code
-    if target.is_dir():
-        candidates = sorted(target.glob("manifest_*.json"))
-        if not candidates:
-            print(f"no manifest_*.json under {target}", file=sys.stderr)
-            return 2
-        paths = candidates if args.all else [candidates[-1]]
-    else:
-        paths = [target]
+    paths = _manifest_paths(args.manifest, every=args.all)
+    if not paths:
+        return 2
     for index, path in enumerate(paths):
-        try:
-            manifest = RunManifest.load(path)
-        except (OSError, ValueError, ExperimentError) as exc:
-            print(f"cannot read manifest {path}: {exc}", file=sys.stderr)
+        manifest = _load_manifest(path)
+        if manifest is None:
             return 2
         if index:
             print()
@@ -598,85 +598,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         return 0
     return watch(args.target, interval=args.interval, once=args.once,
                  stall_after=args.stall_after)
-
-
-def _runs_registry(args: argparse.Namespace):
-    from repro.telemetry.registry import (
-        RunRegistry,
-        default_registry_dir,
-    )
-    directory = args.registry_dir or default_registry_dir()
-    if directory is None:
-        print("no registry configured: pass --registry-dir or set "
-              "REPRO_REGISTRY_DIR", file=sys.stderr)
-        return None
-    return RunRegistry(directory)
-
-
-def _cmd_runs(args: argparse.Namespace) -> int:
-    from repro.errors import ExperimentError
-    from repro.telemetry import registry as reg
-    registry = _runs_registry(args)
-    if registry is None:
-        return 2
-
-    if args.runs_command == "ingest":
-        total = 0
-        for target in args.paths:
-            try:
-                records = registry.ingest_path(target)
-            except ExperimentError as exc:
-                print(str(exc), file=sys.stderr)
-                return 2
-            for record in records:
-                print(f"  ingested {record.run_id} ({record.kind})")
-            total += len(records)
-        print(f"{total} record(s) ingested into {registry.directory}")
-        return 0
-
-    if args.runs_command == "list":
-        records = registry.list(workload=args.workload,
-                                policy=args.policy_filter,
-                                fingerprint=args.fingerprint,
-                                since=args.since)
-        if args.json:
-            print(json.dumps([r.to_payload() for r in records],
-                             indent=2, sort_keys=True))
-        else:
-            print(reg.render_records(records))
-        return 0
-
-    if args.runs_command == "show":
-        try:
-            record = registry.get(args.run_id)
-        except ExperimentError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        if args.json:
-            print(json.dumps(record.to_payload(), indent=2,
-                             sort_keys=True))
-        else:
-            print(reg.render_record(record))
-        return 0
-
-    if args.runs_command == "compare":
-        try:
-            a = registry.get(args.a)
-            b = registry.get(args.b)
-        except ExperimentError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        diff = reg.compare_records(a, b)
-        if args.json:
-            print(json.dumps(diff, indent=2, sort_keys=True))
-        else:
-            print(reg.render_compare(diff))
-        return 1 if diff["fingerprint_drift"] else 0
-
-    # gc
-    removed = registry.gc(keep=args.keep)
-    print(f"removed {removed} record(s), kept the newest {args.keep}")
-    return 0
 
 
 def _trace_simulator(args: argparse.Namespace):
@@ -865,12 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--metrics-json", default=None, metavar="FILE",
                        help="enable telemetry and dump the final "
                             "counter/histogram snapshot to FILE")
-    p_run.add_argument("--registry-dir", metavar="DIR",
-                       default=os.environ.get("REPRO_REGISTRY_DIR"),
-                       help="cross-run registry: every run manifest "
-                            "this run writes is also ingested here, "
-                            "queryable with 'repro runs' (default: "
-                            "$REPRO_REGISTRY_DIR)")
     p_run.add_argument("--profile", action="store_true",
                        help="enable the phase timers: every run "
                             "manifest written to --telemetry-dir "
@@ -999,55 +914,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "heartbeat interval, at least 10s)")
     p_watch.set_defaults(func=_cmd_watch)
 
-    p_runs = sub.add_parser(
-        "runs", help="query the cross-run registry (list/show/compare/"
-                     "gc ingested run records)")
-    p_runs.add_argument("--registry-dir", default=None, metavar="DIR",
-                        help="registry location (default: "
-                             "$REPRO_REGISTRY_DIR)")
-    runs_sub = p_runs.add_subparsers(dest="runs_command", required=True)
-
-    p_rlist = runs_sub.add_parser("list", help="list ingested runs, "
-                                               "newest first")
-    p_rlist.add_argument("--workload", default=None,
-                         help="substring match on the workload id")
-    p_rlist.add_argument("--policy", dest="policy_filter", default=None,
-                         help="only runs that swept this policy")
-    p_rlist.add_argument("--fingerprint", default=None, metavar="PREFIX",
-                         help="only runs whose fingerprint digest "
-                              "starts with PREFIX")
-    p_rlist.add_argument("--since", default=None, metavar="DATE",
-                         help="only runs created on/after this ISO date")
-    p_rlist.add_argument("--json", action="store_true")
-    p_rlist.set_defaults(func=_cmd_runs)
-
-    p_rshow = runs_sub.add_parser("show", help="show one run record")
-    p_rshow.add_argument("run_id", help="full run id, or an "
-                                        "unambiguous prefix")
-    p_rshow.add_argument("--json", action="store_true")
-    p_rshow.set_defaults(func=_cmd_runs)
-
-    p_rcmp = runs_sub.add_parser(
-        "compare", help="diff two runs' energy/miss/timing summaries "
-                        "(exit 1 on fingerprint drift)")
-    p_rcmp.add_argument("a", help="baseline run id (or prefix)")
-    p_rcmp.add_argument("b", help="candidate run id (or prefix)")
-    p_rcmp.add_argument("--json", action="store_true")
-    p_rcmp.set_defaults(func=_cmd_runs)
-
-    p_rgc = runs_sub.add_parser(
-        "gc", help="drop all but the newest N run records")
-    p_rgc.add_argument("--keep", type=int, default=50, metavar="N",
-                       help="records to keep (default 50)")
-    p_rgc.set_defaults(func=_cmd_runs)
-
-    p_ring = runs_sub.add_parser(
-        "ingest", help="ingest run manifests (files or directories)")
-    p_ring.add_argument("paths", nargs="+",
-                        help="manifest_*.json files, or directories to "
-                             "scan for them")
-    p_ring.set_defaults(func=_cmd_runs)
-
     p_prof = sub.add_parser(
         "profile",
         help="phase profiling: where a sweep's wall time goes "
@@ -1091,11 +957,6 @@ def build_parser() -> argparse.ArgumentParser:
                         dest="sample_interval", metavar="S",
                         help="stack sampling period in seconds "
                              "(default 0.001)")
-    p_prun.add_argument("--registry-dir", metavar="DIR",
-                        default=os.environ.get("REPRO_REGISTRY_DIR"),
-                        help="also ingest the manifest into this "
-                             "cross-run registry, so 'repro runs "
-                             "compare' shows attribution deltas")
     p_prun.set_defaults(func=_cmd_profile)
     p_prep = prof_sub.add_parser(
         "report", help="render the profile block of a run manifest")
@@ -1114,7 +975,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pflame.set_defaults(func=_cmd_profile)
     p_pdiff = prof_sub.add_parser(
         "diff", help="attribution deltas between two profiled "
-                     "manifests")
+                     "manifests, after any fingerprint drift")
     p_pdiff.add_argument("a", help="baseline manifest file or dir")
     p_pdiff.add_argument("b", help="comparison manifest file or dir")
     p_pdiff.set_defaults(func=_cmd_profile)

@@ -149,7 +149,7 @@ class DvsPolicy(ABC):
         """Record one speed decision into telemetry.
 
         Invoked by the engine at every dispatch — but only when the
-        telemetry registry is enabled, so the disabled path never pays
+        instrumentation registry is on, so the disabled path never pays
         the call.  Wrappers inherit this; the counter is keyed by the
         (wrapped) policy's reporting name.
         """

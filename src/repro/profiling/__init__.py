@@ -1,6 +1,6 @@
 """Sweep time-budget reports (DESIGN.md §9).
 
-The phase timers live in the telemetry registry
+The phase timers live in the instrumentation registry
 (:data:`repro.telemetry.TELEMETRY`, switched by ``configure_timers``);
 :mod:`repro.profiling.report` turns its deltas into time-budget
 blocks, flamegraphs and Chrome traces.

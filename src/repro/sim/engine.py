@@ -347,7 +347,7 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def _fold_telemetry(self, result: SimulationResult) -> None:
-        """Fold one completed run's totals into the telemetry registry.
+        """Fold one completed run's totals into the instrumentation registry.
 
         Folding *after* the run (from counts the result accumulates
         anyway) keeps the hot loop free of telemetry calls: with the

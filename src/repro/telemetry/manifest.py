@@ -39,8 +39,7 @@ from repro.errors import ExperimentError
 #: 4: added the ``progress`` block — the live progress stream's
 #:    terminal summary (units/computed/cached/resumed/quarantined/
 #:    cells, DESIGN.md §14), equal by construction to the stream's
-#:    ``sweep.done`` event; completed manifests are also offered to
-#:    the cross-run registry (:mod:`repro.telemetry.registry`).
+#:    ``sweep.done`` event.
 #: 5: added the ``profile`` block — the phase timers' time budget
 #:    (compute/slack/policy/cache/ipc/idle/supervision attribution
 #:    summing to attributed wall time, per-phase self/total times,
@@ -136,34 +135,26 @@ class RunManifest:
         }
 
     def write(self, path: str | Path) -> Path:
-        """Atomic write (temp + rename), like every sweep artifact.
-
-        A written manifest is also offered to the cross-run registry
-        (``repro runs``) when one is configured — via ``repro run
-        --registry-dir`` or ``REPRO_REGISTRY_DIR`` — so every
-        completed sweep becomes queryable without a separate ingest
-        step.  The hook is best-effort: registry trouble never fails
-        the manifest write.
-        """
+        """Atomic write (temp + rename), like every sweep artifact."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(path.name + ".tmp")
         tmp.write_text(json.dumps(self.to_payload(), indent=2,
                                   sort_keys=True) + "\n")
         tmp.replace(path)
-        try:
-            from repro.telemetry import registry as _registry
-            _registry.ingest_written_manifest(self, path)
-        except Exception:
-            pass
         return path
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "RunManifest":
-        if payload.get("kind") != "run-manifest":
+        kind = payload.get("kind") if isinstance(payload, Mapping) else None
+        if kind != "run-manifest":
+            raise ExperimentError(f"not a run manifest (kind={kind!r})")
+        try:
+            schema = int(payload.get("schema", -1))
+        except (TypeError, ValueError) as exc:
             raise ExperimentError(
-                f"not a run manifest (kind={payload.get('kind')!r})")
-        schema = int(payload.get("schema", -1))
+                f"manifest schema {payload.get('schema')!r} is not an "
+                f"integer") from exc
         if schema > MANIFEST_SCHEMA:
             raise ExperimentError(
                 f"manifest schema {schema} is newer than this build "
@@ -203,15 +194,18 @@ class RunManifest:
 
     def check_fingerprint(self, expected: Mapping) -> None:
         """Refuse to describe a sweep this manifest was not cut from."""
-        mismatched = sorted(
-            key for key in set(expected) | set(self.fingerprint)
-            if self.fingerprint.get(key) != expected.get(key))
+        mismatched = fingerprint_drift(self.fingerprint, expected)
         if mismatched:
             raise ExperimentError(
                 f"manifest fingerprint mismatch on "
                 f"{', '.join(mismatched)}: manifest was produced by a "
                 f"different sweep (have {self.fingerprint!r}, expected "
                 f"{dict(expected)!r})")
+
+
+def fingerprint_drift(a: Mapping, b: Mapping) -> list[str]:
+    """The spec keys whose values differ between two fingerprints."""
+    return sorted(key for key in set(a) | set(b) if a.get(key) != b.get(key))
 
 
 def next_manifest_path(directory: str | Path, label: str) -> Path:

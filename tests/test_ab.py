@@ -5,7 +5,11 @@ end-to-end benchmark stubbed out (no benchmark process is launched).
   ``statistics.quantiles`` cuts them, the head/base ratio of sums, and
   pair wins with ties counted for neither side;
 * a side whose run reports ``"correct": false`` makes the script exit
-  non-zero, and the temporary worktree is removed all the same.
+  non-zero, and the temporary worktree is removed all the same;
+* each side's engine core is printed from the ``core_info`` its result
+  file records, and a pair in which one side ran compiled and the
+  other interpreted makes the script exit non-zero, naming the
+  loader's reason.
 """
 
 from __future__ import annotations
@@ -50,9 +54,8 @@ def _git(repo, *args):
                    capture_output=True)
 
 
-@pytest.mark.skipif(shutil.which("git") is None, reason="git not installed")
-def test_incorrect_side_fails_and_removes_the_worktree(ab, tmp_path,
-                                                       monkeypatch):
+def _repo(ab, tmp_path, monkeypatch):
+    """A one-commit repository declaring one workload, as ab's ROOT."""
     repo = tmp_path / "repo"
     repo.mkdir()
     (repo / "BENCHMARK.json").write_text(json.dumps({
@@ -64,27 +67,75 @@ def test_incorrect_side_fails_and_removes_the_worktree(ab, tmp_path,
     _git(repo, "commit", "-q", "-m", "base")
     monkeypatch.setattr(ab, "ROOT", repo)
     monkeypatch.setattr(ab.tempfile, "tempdir", str(tmp_path))
+    return repo
+
+
+def _assert_worktree_removed(repo, base):
+    assert base != repo and not base.exists()
+    assert not base.parent.exists()
+    listed = subprocess.run(["git", "-C", str(repo), "worktree", "list"],
+                            capture_output=True, text=True, check=True)
+    assert len(listed.stdout.strip().splitlines()) == 1
+
+
+def _line(correct=True):
+    return json.dumps({"correct": correct, "attempted": 1,
+                       "failed": 0 if correct else 1,
+                       "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}})
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git not installed")
+def test_incorrect_side_fails_and_removes_the_worktree(ab, tmp_path,
+                                                       monkeypatch):
+    repo = _repo(ab, tmp_path, monkeypatch)
     checkouts = []
 
     def stub(checkout, *args):
         checkouts.append(checkout)
         assert checkout.exists()
         correct = checkout != repo  # the head side fails its checks
-        line = json.dumps({"correct": correct, "attempted": 1,
-                           "failed": 0 if correct else 1,
-                           "metrics": {"wall_s": {"value": 1.0,
-                                                  "unit": "s"}}})
         return subprocess.CompletedProcess(
             args, 0 if correct else 1,
-            stdout=("" if correct else "FAIL digest\n") + line + "\n",
-            stderr="")
+            stdout=("" if correct else "FAIL digest\n") + _line(correct)
+            + "\n", stderr="")
 
     monkeypatch.setattr(ab, "run_e2e", stub)
     assert ab.main(["HEAD", "--pairs", "2"]) == 1
     base = checkouts[0]
     assert checkouts == [base, repo]  # pair 1 runs the base side first
-    assert base != repo and not base.exists()
-    assert not base.parent.exists()
-    listed = subprocess.run(["git", "-C", str(repo), "worktree", "list"],
-                            capture_output=True, text=True, check=True)
-    assert len(listed.stdout.strip().splitlines()) == 1
+    _assert_worktree_removed(repo, base)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git not installed")
+def test_core_mismatch_fails_naming_the_reason(ab, tmp_path, monkeypatch,
+                                               capsys):
+    repo = _repo(ab, tmp_path, monkeypatch)
+    checkouts = []
+    reason = "build failed: gcc not found"
+
+    def stub(checkout, *args):
+        # The base's core did not build, so it ran interpreted.
+        checkouts.append(checkout)
+        compiled = checkout == repo
+        core = {"backend": "c-extension" if compiled else None,
+                "reason": None if compiled else reason,
+                "runs": {"compiled": 40 if compiled else 0,
+                         "interpreted": 0 if compiled else 40,
+                         "drawn": 40 if compiled else 0, "decided": {}}}
+        result = checkout / ab.RESULT.format(args[1])
+        result.parent.mkdir(exist_ok=True)
+        result.write_text(json.dumps({"context": {"core_info": core}}))
+        return subprocess.CompletedProcess(args, 0, stdout=_line() + "\n",
+                                           stderr="")
+
+    monkeypatch.setattr(ab, "run_e2e", stub)
+    assert ab.main(["HEAD", "--pairs", "2"]) == 1
+    out = capsys.readouterr().out
+    assert ("core fig1            base: no compiled backend, runs "
+            "compiled=0 interpreted=40 drawn=0") in out
+    assert ("core fig1            head: c-extension, runs compiled=40 "
+            "interpreted=0 drawn=40") in out
+    assert (f"FAIL fig1 pair 1: base ran interpreted, head ran compiled; "
+            f"base: {reason}") in out
+    assert len(checkouts) == 2  # stopped after the first pair
+    _assert_worktree_removed(repo, checkouts[0])

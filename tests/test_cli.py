@@ -133,6 +133,12 @@ class TestParser:
         assert main(["simulate", "--policy", "lpSTA,bogus"]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_runs_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["runs", "list"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'runs'" in capsys.readouterr().err
+
 
 class TestSimulateExtensions:
     def test_sporadic_arrivals_option(self, capsys):
@@ -347,3 +353,61 @@ class TestStatsRenderer:
             manifest.write(tmp_path / "manifest_rt_001.json"))
         assert loaded.audit == {"every": 3, "violations": 1}
         assert loaded.schema == 5
+
+
+class TestManifestPaths:
+    """``stats``, ``profile report`` and ``profile diff`` resolve a
+    directory to its newest manifest by write time, and report an
+    unreadable manifest in one line with exit status 2."""
+
+    @staticmethod
+    def write(path, label, mtime):
+        import os
+
+        from repro.profiling.report import profile_block
+        from repro.telemetry.manifest import RunManifest
+        block = profile_block({"phases": {"engine.run": {
+            "count": 1, "total_ns": 10**9, "self_ns": 10**9}}})
+        RunManifest(label=label, fingerprint={"label": label},
+                    profile=block).write(path)
+        os.utime(path, ns=(mtime, mtime))
+
+    def test_newest_by_write_time_not_by_name(self, capsys, tmp_path):
+        # The names sort opposite to the write order.
+        self.write(tmp_path / "manifest_b_001.json", "older", 10**18)
+        self.write(tmp_path / "manifest_a_001.json", "newer", 2 * 10**18)
+        assert main(["stats", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "run manifest: newer" in out and "older" not in out
+        assert main(["stats", str(tmp_path), "--all"]) == 0
+        out = capsys.readouterr().out
+        assert out.index("run manifest: older") < out.index(
+            "run manifest: newer")
+        assert main(["profile", "report", str(tmp_path)]) == 0
+        assert "time budget" in capsys.readouterr().out
+        other = tmp_path / "other"
+        other.mkdir()
+        self.write(other / "manifest_a_001.json", "older", 10**18)
+        assert main(["profile", "diff", str(other), str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("FINGERPRINT DRIFT: label")
+
+    def test_unreadable_manifest_exits_2_in_one_line(self, capsys,
+                                                     tmp_path):
+        missing = tmp_path / "missing.json"
+        foreign = tmp_path / "foreign.json"
+        foreign.write_text(json.dumps({"kind": "run-record"}))
+        listed = tmp_path / "list.json"
+        listed.write_text("[]")
+        no_schema = tmp_path / "no_schema.json"
+        no_schema.write_text(json.dumps({"kind": "run-manifest",
+                                         "schema": None}))
+        for argv in (["profile", "report", str(missing)],
+                     ["profile", "diff", str(foreign), str(foreign)],
+                     ["stats", str(foreign)],
+                     ["stats", str(listed)],
+                     ["profile", "report", str(no_schema)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            [line] = captured.err.splitlines()
+            assert line.startswith("cannot read manifest ")

@@ -17,7 +17,9 @@ and counters off (``tests/test_telemetry.py`` pins both switches):
   attributed wall tracks the measured wall within epsilon;
 * the report layer round-trips collapsed stacks, renders a flame
   tree, emits a well-formed Chrome trace, and the schema-5 ``profile``
-  block survives manifest and registry round-trips.
+  block survives a manifest round-trip;
+* ``repro profile diff`` prints two manifests' budget deltas, after
+  the fingerprint keys that differ between them.
 """
 
 from __future__ import annotations
@@ -43,12 +45,6 @@ from repro.profiling.report import (
 )
 from repro.telemetry import TELEMETRY, Telemetry, decide_label
 from repro.telemetry.manifest import MANIFEST_SCHEMA, RunManifest
-from repro.telemetry.registry import (
-    compare_records,
-    record_from_manifest,
-    render_compare,
-    render_record,
-)
 
 pytestmark = pytest.mark.telemetry
 
@@ -373,7 +369,7 @@ class TestManifestAndRegistry:
         loaded = RunManifest.from_payload(payload)
         assert loaded.profile is None
 
-    def test_registry_projects_and_compares_profile(self):
+    def _blocks(self):
         block_a = profile_block({"phases": {"engine.run": {
             "count": 2, "total_ns": 10**9, "self_ns": 10**9}}})
         block_b = profile_block({"phases": {
@@ -381,16 +377,34 @@ class TestManifestAndRegistry:
                            "self_ns": 10**9},
             "slack.exact": {"count": 5, "total_ns": 5 * 10**8,
                             "self_ns": 5 * 10**8}}})
-        rec_a = record_from_manifest(self._manifest(profile=block_a))
-        rec_b = record_from_manifest(self._manifest(profile=block_b,
-                                                    label="after"))
-        assert rec_a.profile["budget"]["compute"] == pytest.approx(1.0)
-        roundtrip = type(rec_a).from_payload(rec_a.to_payload())
-        assert roundtrip.profile == rec_a.profile
+        return block_a, block_b
 
-        diff = compare_records(rec_a, rec_b)
-        assert diff["profile"]["slack"]["delta"] == pytest.approx(0.5)
-        assert diff["profile"]["attributed_wall_s"]["delta"] == (
-            pytest.approx(0.5))
-        assert "profile.slack" in render_compare(diff)
-        assert "profile" in render_record(rec_b)
+    def test_profile_diff_reports_deltas(self, tmp_path, capsys):
+        from repro.cli import main
+        block_a, block_b = self._blocks()
+        assert block_a["budget"]["compute"] == pytest.approx(1.0)
+        diff = diff_budgets(block_a, block_b)
+        assert diff["slack"]["delta"] == pytest.approx(0.5)
+        assert diff["wall_s"]["delta"] == pytest.approx(0.5)
+
+        a = self._manifest(profile=block_a).write(tmp_path / "a.json")
+        b = self._manifest(profile=block_b, label="after").write(
+            tmp_path / "b.json")
+        assert main(["profile", "diff", str(a), str(b)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "profile attribution deltas (a -> b):"
+        assert any(line.split()[:1] == ["slack"] for line in lines)
+        assert "delta    +0.500s" in " ".join(lines)
+
+    def test_profile_diff_names_fingerprint_drift(self, tmp_path,
+                                                  capsys):
+        from repro.cli import main
+        block_a, block_b = self._blocks()
+        a = self._manifest(profile=block_a).write(tmp_path / "a.json")
+        drifted = self._manifest(profile=block_b)
+        drifted.fingerprint["horizon"] = 400.0
+        c = drifted.write(tmp_path / "c.json")
+        assert main(["profile", "diff", str(a), str(c)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("FINGERPRINT DRIFT: horizon ")
+        assert lines[1] == "profile attribution deltas (a -> b):"
