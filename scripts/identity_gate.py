@@ -71,12 +71,17 @@ MASTER_SEED = 2002
 HORIZON = 600.0  # the old compiled gate's; the experiments run 2400
 
 #: The experiments' shapes, always run: EXP-F1 at its default 8 tasks,
-#: EXP-F3's largest cell and the old compiled gate's fault-matrix cell.
+#: EXP-F3's largest cell and the old compiled gate's fault-matrix cell,
+#: plus short harmonic periods (a spec's ``periods``; the experiments'
+#: choices otherwise): the clairvoyant oracle's 4-period window, 160
+#: time units, then slides across the horizon instead of covering it.
 FIXED_SPECS = [
     {"n": 8, "u": 0.9, "bcwc": 0.5, "deadlines": None, "faults": None},
     {"n": 16, "u": 0.9, "bcwc": 0.5, "deadlines": None, "faults": None},
     {"n": 6, "u": 0.65, "bcwc": 0.5, "deadlines": None,
      "faults": {"factor": 1.3, "probability": 0.3, "stuck": 0.2}},
+    {"n": 8, "u": 0.9, "bcwc": 0.5, "deadlines": None, "faults": None,
+     "periods": (10.0, 20.0, 40.0)},
 ]
 #: Drawn over the experiments' ranges (fig3 sweeps 2 to 16 tasks, the
 #: fault matrix overruns by up to 1.4), derandomized under the
@@ -184,7 +189,7 @@ def sweep_kwargs(specs: list[dict]) -> dict:
         spec = specs[int(x)]
         taskset = generate_taskset(
             spec["n"], spec["u"], np.random.default_rng(seed),
-            period_choices=EXPERIMENT_PERIOD_CHOICES,
+            period_choices=spec.get("periods", EXPERIMENT_PERIOD_CHOICES),
             deadline_range=spec["deadlines"])
         return taskset, bcwc_model(spec["bcwc"], seed)
 

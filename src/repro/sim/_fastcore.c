@@ -937,11 +937,42 @@ stable_deadline_order(SlackEvent *events, const Py_ssize_t *bounds,
     }
 }
 
+/* peak_intensity's running state over events visited in stable
+ * deadline order: h sums the work visited so far, d_k is the open
+ * group's first deadline and group_end its end. */
+typedef struct {
+    double t, edge, best, h, d_k, group_end;
+} IntensitySweep;
+
+static inline void
+intensity_start(IntensitySweep *s, double t, double window_end)
+{
+    *s = (IntensitySweep){t, window_end + 1e-9, 0.0, 0.0, -INFINITY,
+                          -INFINITY};
+}
+
+/* Visit one event: a group is every event within 1e-12 of its first
+ * deadline, evaluated when the next group opens (the final group is
+ * closed by an infinite sentinel deadline of no work). */
+static inline void
+intensity_visit(IntensitySweep *s, double d, double w)
+{
+    if (d > s->group_end) {
+        double span = s->d_k - s->t;
+        if (span > 1e-12 && s->d_k <= s->edge) {
+            double ratio = s->h / span;
+            if (ratio > s->best)
+                s->best = ratio;
+        }
+        s->d_k = d;
+        s->group_end = d + 1e-12;
+    }
+    s->h += w;
+}
+
 /* peak_intensity over the events of n_sources sources (see
  * stable_deadline_order; ordered and cursor are work space of the events'
- * and the sources' size): a group is every event within 1e-12 of its
- * first deadline, evaluated when the next group opens (the final group
- * is closed by an infinite sentinel deadline). */
+ * and the sources' size). */
 static double
 intensity_core(double t, double window_end, SlackEvent *events,
                const Py_ssize_t *bounds, Py_ssize_t n_sources,
@@ -949,27 +980,19 @@ intensity_core(double t, double window_end, SlackEvent *events,
 {
     Py_ssize_t n = bounds[n_sources];
     stable_deadline_order(events, bounds, n_sources, cursor, ordered);
-    double edge = window_end + 1e-9;
-    double best = 0.0;
-    double h = 0.0;
-    double d_k = -INFINITY, group_end = -INFINITY;
-    for (Py_ssize_t i = 0; i <= n; i++) {
-        double d = (i < n) ? ordered[i].d : INFINITY;
-        if (d > group_end) {
-            double span = d_k - t;
-            if (span > 1e-12 && d_k <= edge) {
-                double ratio = h / span;
-                if (ratio > best)
-                    best = ratio;
-            }
-            d_k = d;
-            group_end = d + 1e-12;
-        }
-        if (i < n)
-            h += ordered[i].w;
-    }
-    return best;
+    IntensitySweep s;
+    intensity_start(&s, t, window_end);
+    for (Py_ssize_t i = 0; i < n; i++)
+        intensity_visit(&s, ordered[i].d, ordered[i].w);
+    intensity_visit(&s, INFINITY, 0.0);
+    return s.best;
 }
+
+/* One future job of a run's clairvoyant stream. */
+typedef struct {
+    double d, w;
+    Py_ssize_t task, k;
+} FutureJob;
 
 typedef struct {
     PyObject_HEAD
@@ -1033,9 +1056,17 @@ typedef struct {
     long analysis_calls;
     double *pid_pred, *pid_int, *pid_last;  /* feedback, per task */
     double *cc_util;                        /* ccEDF, per task */
-    /* clairvoyant: demand events, per-source bounds and merge cursors */
+    /* clairvoyant: the active jobs' events, and the run's future jobs
+     * in (deadline, task) order, live from fj_head, generated through
+     * every deadline within fj_fence; fj_release/fj_index continue each
+     * task's releases from its first */
     SlackEvent *iv_events;
-    Py_ssize_t iv_cap, *iv_bounds, *iv_cursor;
+    Py_ssize_t iv_cap;
+    FutureJob *fj;
+    Py_ssize_t fj_head, fj_len, fj_cap;
+    double fj_fence;
+    double *fj_release;
+    long *fj_index;
     AlphaEntry *alpha;                      /* DRA, insertion order */
     Py_ssize_t n_alpha, cap_alpha;
     Py_ssize_t *alpha_order;
@@ -1108,8 +1139,8 @@ CoreEngine_dealloc(CoreEngine *self)
     PyMem_Free(self->fu_corr);
     PyMem_Free(self->pid_pred); PyMem_Free(self->pid_int);
     PyMem_Free(self->pid_last); PyMem_Free(self->cc_util);
-    PyMem_Free(self->iv_events); PyMem_Free(self->iv_bounds);
-    PyMem_Free(self->iv_cursor);
+    PyMem_Free(self->iv_events); PyMem_Free(self->fj);
+    PyMem_Free(self->fj_release); PyMem_Free(self->fj_index);
     Py_XDECREF(self->demand_tables); PyMem_Free(self->tables);
     PyMem_Free(self->alpha); PyMem_Free(self->alpha_order);
     PyMem_Free(self->w_ad); PyMem_Free(self->w_aw); PyMem_Free(self->w_rel);
@@ -1204,8 +1235,8 @@ ce_init_decide(CoreEngine *self, PyObject *ns)
     self->pid_int = PyMem_Calloc(nn, sizeof(double));
     self->pid_last = PyMem_Calloc(nn, sizeof(double));
     self->cc_util = PyMem_Malloc(nn * sizeof(double));
-    self->iv_bounds = PyMem_Malloc((nn + 2) * sizeof(Py_ssize_t));
-    self->iv_cursor = PyMem_Malloc((nn + 1) * sizeof(Py_ssize_t));
+    self->fj_release = PyMem_Malloc(nn * sizeof(double));
+    self->fj_index = PyMem_Malloc(nn * sizeof(long));
     self->w_rel = PyMem_Malloc(nn * sizeof(double));
     self->w_cap = 16;
     self->w_ad = PyMem_Malloc((size_t)self->w_cap * sizeof(double));
@@ -1217,7 +1248,7 @@ ce_init_decide(CoreEngine *self, PyObject *ns)
                                      * sizeof(Py_ssize_t));
     if (self->pid_pred == NULL || self->pid_int == NULL ||
         self->pid_last == NULL || self->cc_util == NULL ||
-        self->iv_bounds == NULL || self->iv_cursor == NULL ||
+        self->fj_release == NULL || self->fj_index == NULL ||
         self->w_rel == NULL ||
         self->w_ad == NULL || self->w_aw == NULL || self->w_idx == NULL ||
         self->alpha == NULL || self->alpha_order == NULL ||
@@ -1235,7 +1266,10 @@ ce_init_decide(CoreEngine *self, PyObject *ns)
             self->cc_util[i] = self->fu_util[i];   /* worst case until done */
         }
         self->dk_max_period = py_max(self->dk_max_period, self->t_period[i]);
+        self->fj_release[i] = self->next_release[i];
+        self->fj_index[i] = self->next_index[i];
     }
+    self->fj_fence = -INFINITY;
     self->n_alpha = 0;
     self->canonical_now = 0.0;
     self->analysis_calls = 0;
@@ -2022,15 +2056,15 @@ decide_lpps(CoreEngine *e, const JobSlot *s, double *out)
     *out = py_max(e->dk_baseline, e->dk_min_speed);
 }
 
-/* Room for n clairvoyant events plus their ordered copy behind them. */
+/* Room for n active-job events. */
 static int
 iv_reserve(CoreEngine *e, Py_ssize_t n)
 {
     if (n <= e->iv_cap)
         return 0;
-    Py_ssize_t cap = n < 32 ? 64 : 2 * n;
+    Py_ssize_t cap = n < 32 ? 32 : 2 * n;
     SlackEvent *grown = PyMem_Realloc(e->iv_events,
-                                      2 * (size_t)cap * sizeof(SlackEvent));
+                                      (size_t)cap * sizeof(SlackEvent));
     if (grown == NULL) {
         PyErr_NoMemory();
         return -1;
@@ -2040,12 +2074,72 @@ iv_reserve(CoreEngine *e, Py_ssize_t n)
     return 0;
 }
 
+/* Extend the run's future-job stream through every deadline within
+ * fence.  Each task continues the core's release arithmetic (inline
+ * periodic arrivals: prefix sums of the period) from the run's first
+ * release (jobs the core has released since are skipped by the decide),
+ * and its deadlines are monotone in the job index, so
+ * appending the earliest next deadline (ties: the lower task) keeps the
+ * stream in (deadline, task) order: everything already in it lies
+ * within the previous fence, everything appended past it.  Works come
+ * from the demand tables. */
+static int
+fj_grow(CoreEngine *e, double fence)
+{
+    Py_ssize_t n = e->n_tasks;
+    if (fence <= e->fj_fence)
+        return 0;
+    if (e->fj_head > 0 && e->fj_head >= e->fj_len - e->fj_head) {
+        /* at least half the stream is released: drop it */
+        e->fj_len -= e->fj_head;
+        memmove(e->fj, e->fj + e->fj_head,
+                (size_t)e->fj_len * sizeof(FutureJob));
+        e->fj_head = 0;
+    }
+    for (;;) {
+        Py_ssize_t best = -1;
+        double d_best = 0.0;
+        for (Py_ssize_t i = 0; i < n; i++) {
+            double d = e->fj_release[i] + e->t_rel_deadline[i];
+            if (best < 0 || d < d_best) {
+                best = i;
+                d_best = d;
+            }
+        }
+        if (best < 0 || !(d_best <= fence))
+            break;
+        if (e->fj_len == e->fj_cap) {
+            Py_ssize_t cap = e->fj_cap ? 2 * e->fj_cap : 64;
+            FutureJob *grown = PyMem_Realloc(e->fj,
+                                             (size_t)cap * sizeof(FutureJob));
+            if (grown == NULL) {
+                PyErr_NoMemory();
+                return -1;
+            }
+            e->fj = grown;
+            e->fj_cap = cap;
+        }
+        FutureJob *f = &e->fj[e->fj_len];
+        f->d = d_best;
+        f->task = best;
+        f->k = e->fj_index[best];
+        if (demand_at(e->tables[best], f->k, &f->w) < 0)
+            return -1;
+        e->fj_len++;
+        e->fj_index[best]++;
+        e->fj_release[best] = e->fj_release[best] + e->t_period[best];
+    }
+    e->fj_fence = fence;
+    return 0;
+}
+
 /* ClairvoyantPolicy.select_speed: the intensity over its window of the
  * active jobs' actual remaining work and every future job's drawn work
- * at its deadline.  Future deadlines continue each task's release
- * arithmetic (inline periodic arrivals: prefix sums of the period), and
- * future work comes from the demand tables, so this is the same event
- * list _grow_streams builds and intensity_sweep sorts. */
+ * at its deadline -- the event list _grow_streams builds and
+ * intensity_sweep sorts, in the same order: the actives in stable
+ * deadline order, merged into the stream's unreleased jobs within the
+ * fence, ties to the active job (source 0 of intensity_sweep's merge),
+ * so h sums the same works in the same order. */
 static int
 decide_clairvoyant(CoreEngine *e, double *out)
 {
@@ -2056,35 +2150,49 @@ decide_clairvoyant(CoreEngine *e, double *out)
     double window_end = py_min(e->horizon,
                                py_max(d_max, t + e->dk_cap * e->dk_max_period));
     double fence = window_end + 1e-12;
-    if (iv_reserve(e, e->n_active) < 0)
+    if (iv_reserve(e, e->n_active) < 0 || fj_grow(e, fence) < 0)
         return -1;
-    Py_ssize_t n = 0;
-    for (Py_ssize_t j = 0; j < e->n_active; j++) {
+    SlackEvent *act = e->iv_events;
+    Py_ssize_t n_act = e->n_active;
+    for (Py_ssize_t j = 0; j < n_act; j++) {
         const JobSlot *a = &e->active[j];
-        e->iv_events[n].d = a->deadline;
-        e->iv_events[n].w = snap_nonneg(a->work - a->executed);
-        n++;
+        SlackEvent key = {a->deadline, j,
+                          snap_nonneg(a->work - a->executed)};
+        Py_ssize_t k = j;
+        while (k > 0 && act[k - 1].d > key.d) {
+            act[k] = act[k - 1];
+            k--;
+        }
+        act[k] = key;
     }
-    e->iv_bounds[0] = 0;
-    for (Py_ssize_t i = 0; i < e->n_tasks; i++) {
-        e->iv_bounds[i + 1] = n;
-        double release = e->next_release[i];
-        for (Py_ssize_t k = e->next_index[i];; k++) {
-            double deadline = release + e->t_rel_deadline[i];
-            if (!(deadline <= fence))
-                break;
-            if (iv_reserve(e, n + 1) < 0 ||
-                demand_at(e->tables[i], k, &e->iv_events[n].w) < 0)
-                return -1;
-            e->iv_events[n++].d = deadline;
-            release = release + e->t_period[i];
+    const FutureJob *fj = e->fj;
+    const long *next_index = e->next_index;
+    Py_ssize_t len = e->fj_len, f = e->fj_head;
+    while (f < len && fj[f].k < next_index[fj[f].task])
+        f++;
+    e->fj_head = f;
+    IntensitySweep s;
+    intensity_start(&s, t, window_end);
+    Py_ssize_t a = 0;
+    for (;;) {
+        while (f < len && fj[f].d <= fence &&
+               fj[f].k < next_index[fj[f].task])
+            f++;   /* released: active, or done */
+        int future = f < len && fj[f].d <= fence;
+        if (a < n_act && (!future || act[a].d <= fj[f].d)) {
+            intensity_visit(&s, act[a].d, act[a].w);
+            a++;
+        }
+        else if (future) {
+            intensity_visit(&s, fj[f].d, fj[f].w);
+            f++;
+        }
+        else {
+            break;
         }
     }
-    e->iv_bounds[e->n_tasks + 1] = n;
-    double best = intensity_core(t, window_end, e->iv_events, e->iv_bounds,
-                                 e->n_tasks + 1, e->iv_cursor,
-                                 e->iv_events + e->iv_cap);
-    *out = py_max(e->dk_min_speed, py_min(1.0, best));
+    intensity_visit(&s, INFINITY, 0.0);
+    *out = py_max(e->dk_min_speed, py_min(1.0, s.best));
     return 0;
 }
 

@@ -91,14 +91,23 @@ class ExecutionModel(ABC):
         of a suite (plus the clairvoyant oracle), so caching skips the
         per-query hash-seeded RNG reconstruction on all but the first
         lookup.  The key carries the WCET/BCET so a model shared
-        across differently-scaled task sets stays correct.
+        across differently-scaled task sets stays correct.  A miss
+        reads the task's compiled demand table when the core has made
+        one and the model still qualifies for it
+        (:meth:`compiled_draw`): the same value, drawn once per suite.
         """
         key = (task.name, task.wcet, task.bcet, index)
         cached = self._work_cache.get(key)
         if cached is None:
-            demand = _clamp_ratio(self.ratio(task, index)) * task.wcet
-            cached = min(task.wcet,
-                         max(demand, task.bcet, MIN_RATIO * task.wcet))
+            table = self.demand_tables.get(key[:3])
+            if (table is not None and type(task.wcet) is float
+                    and type(task.bcet) is float
+                    and self.compiled_draw() is not None):
+                cached = table.work(index)
+            else:
+                demand = _clamp_ratio(self.ratio(task, index)) * task.wcet
+                cached = min(task.wcet,
+                             max(demand, task.bcet, MIN_RATIO * task.wcet))
             self._work_cache[key] = cached
         return cached
 

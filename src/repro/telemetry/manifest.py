@@ -159,24 +159,22 @@ class RunManifest:
             raise ExperimentError(
                 f"manifest schema {schema} is newer than this build "
                 f"understands ({MANIFEST_SCHEMA})")
+        blocks = {name: _block(payload, name, {})
+                  for name in _MAPPING_BLOCKS}
+        blocks.update({name: _block(payload, name, None)
+                       for name in _OPTIONAL_BLOCKS})
+        for name, value in blocks["counters"].items():
+            if type(value) is not int:
+                raise ExperimentError(
+                    f"manifest counter {name!r} is {value!r}, not an "
+                    f"integer")
         return cls(
             label=str(payload.get("label", "")),
-            fingerprint=dict(payload.get("fingerprint", {})),
-            phases=dict(payload.get("phases", {})),
-            counters={k: int(v)
-                      for k, v in payload.get("counters", {}).items()},
-            histograms=dict(payload.get("histograms", {})),
-            cache=dict(payload.get("cache", {})),
-            workers=dict(payload.get("workers", {})),
-            faults=payload.get("faults"),
-            audit=payload.get("audit"),
-            resilience=payload.get("resilience"),
-            progress=payload.get("progress"),
-            profile=payload.get("profile"),
             code_epoch=str(payload.get("code_epoch", "")),
             git_rev=str(payload.get("git_rev", "")),
             created=str(payload.get("created", "")),
             schema=schema,
+            **blocks,
         )
 
     @classmethod
@@ -201,6 +199,26 @@ class RunManifest:
                 f"{', '.join(mismatched)}: manifest was produced by a "
                 f"different sweep (have {self.fingerprint!r}, expected "
                 f"{dict(expected)!r})")
+
+
+#: Blocks a manifest always has (an absent one loads empty), and blocks
+#: that may be ``null``.
+_MAPPING_BLOCKS = ("fingerprint", "phases", "counters", "histograms",
+                   "cache", "workers")
+_OPTIONAL_BLOCKS = ("faults", "audit", "resilience", "progress", "profile")
+
+
+def _block(payload: Mapping, name: str, default: dict | None) -> dict | None:
+    """A copy of block *name* of a manifest payload, *default* when it is
+    absent, ``None`` when it is ``null`` and may be."""
+    value = payload.get(name, default)
+    if value is None and default is None:
+        return None
+    if not isinstance(value, Mapping):
+        raise ExperimentError(
+            f"manifest block {name!r} is {type(value).__name__}, not an "
+            f"object")
+    return dict(value)
 
 
 def fingerprint_drift(a: Mapping, b: Mapping) -> list[str]:

@@ -411,3 +411,39 @@ class TestManifestPaths:
             assert captured.out == ""
             [line] = captured.err.splitlines()
             assert line.startswith("cannot read manifest ")
+
+    #: Manifests whose blocks have the wrong type: a block that is not an
+    #: object, a counter that is not an integer.
+    MALFORMED = ({"counters": [1]}, {"phases": [1]}, {"profile": [1]},
+                 {"fingerprint": None}, {"counters": {"engine.runs": 1.5}},
+                 {"counters": {"engine.runs": "3"}})
+
+    def malformed(self, tmp_path):
+        for n, blocks in enumerate(self.MALFORMED):
+            path = tmp_path / f"malformed_{n}.json"
+            path.write_text(json.dumps({"kind": "run-manifest",
+                                        "schema": 5, **blocks}))
+            yield path
+
+    def assert_one_line(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("cannot read manifest ")
+        assert "manifest block" in line or "manifest counter" in line
+
+    def test_malformed_block_stats_exits_2(self, capsys, tmp_path):
+        for path in self.malformed(tmp_path):
+            self.assert_one_line(capsys, ["stats", str(path)])
+
+    def test_malformed_block_profile_report_exits_2(self, capsys, tmp_path):
+        for path in self.malformed(tmp_path):
+            self.assert_one_line(capsys, ["profile", "report", str(path)])
+
+    def test_malformed_block_profile_diff_exits_2(self, capsys, tmp_path):
+        good = tmp_path / "good" / "manifest_a_001.json"
+        self.write(good, "good", 10**18)
+        for path in self.malformed(tmp_path):
+            self.assert_one_line(capsys, ["profile", "diff", str(good),
+                                          str(path)])

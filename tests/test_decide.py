@@ -100,7 +100,8 @@ def workloads(draw, *, overruns: bool = True) -> dict:
 
 
 def run(make_policy, workload: dict, *, python: bool, compiled=True,
-        c_decides=True, **kwargs) -> tuple[list[float], object, DvsPolicy]:
+        c_decides=True, horizon=HORIZON,
+        **kwargs) -> tuple[list[float], object, DvsPolicy]:
     """One run; returns its desired speeds, result and policy.
 
     ``python=True`` shadows ``select_speed`` on the instance, which
@@ -127,7 +128,7 @@ def run(make_policy, workload: dict, *, python: bool, compiled=True,
     try:
         with fastcore.forced(compiled):
             result = simulate(workload["taskset"], processor, policy,
-                              workload["model"], horizon=HORIZON,
+                              workload["model"], horizon=horizon,
                               faults=workload["faults"],
                               arrival_model=workload.get("arrival"),
                               allow_misses=True, **kwargs)
@@ -143,17 +144,26 @@ def run(make_policy, workload: dict, *, python: bool, compiled=True,
     return desired, result, policy
 
 
-def assert_twins(make_policy, workload: dict, c_decides=True) -> tuple:
+def assert_twins(make_policy, workload: dict, c_decides=True,
+                 horizon=HORIZON) -> tuple:
     """The C decide against select_speed on the compiled engine, and
-    against the interpreted engine (whose walks are Python too)."""
+    against the interpreted engine (whose walks are Python too).
+
+    The interpreted run goes first, while the model has no demand
+    tables: ``work()`` reads a table once a compiled run has drawn one,
+    so only then does the interpreted run draw with numpy and cross-check
+    the C draws end to end.
+    """
+    assert not workload["model"].demand_tables
+    interpreted = run(make_policy, workload, python=False, compiled=False,
+                      horizon=horizon)
     c_speeds, c_result, c_policy = run(make_policy, workload, python=False,
-                                       c_decides=c_decides)
+                                       c_decides=c_decides, horizon=horizon)
     py_speeds, py_result, py_policy = run(make_policy, workload,
-                                          python=True)
+                                          python=True, horizon=horizon)
     assert c_speeds == py_speeds
     assert len(c_speeds) == c_result.dispatches > 0
     assert c_result == py_result
-    interpreted = run(make_policy, workload, python=False, compiled=False)
     assert interpreted[:2] == (c_speeds, c_result)
     return c_policy, py_policy
 
@@ -232,14 +242,35 @@ def test_lppsedf_decide_equals_select_speed(workload):
     assert_twins(LppsEdfPolicy, workload, c_decides=_periodic(workload))
 
 
+#: Window caps in periods of the longest task: a quarter period to
+#: several horizons.  Over CLAIRVOYANT_HORIZON the shorter windows slide
+#: many times, so the C core's future-job stream grows and drops
+#: released jobs many times in one run.
+CLAIRVOYANT_CAPS = (0.25, 1.0, 4.0, 16.0)
+CLAIRVOYANT_HORIZON = 1000.0
+
+
 @TWIN
-@given(workload=workloads(),
-       cap=st.sampled_from((4.0, 1.0, 0.5)))
+@given(workload=workloads(), cap=st.sampled_from(CLAIRVOYANT_CAPS))
 def test_clairvoyant_decide_equals_select_speed(workload, cap):
     # Overrun faults wrap the model: no demand tables, Python path.
     assert_twins(lambda: ClairvoyantPolicy(window_cap_periods=cap),
                  workload, c_decides=_periodic(workload)
-                 and workload["faults"] is None)
+                 and workload["faults"] is None,
+                 horizon=CLAIRVOYANT_HORIZON)
+
+
+@pytest.mark.parametrize("cap", CLAIRVOYANT_CAPS)
+@pytest.mark.parametrize("deadline", (10.0, 7.0))
+def test_clairvoyant_decide_across_tied_deadlines(cap, deadline):
+    # One period for every task: each future deadline ties across all
+    # of them, and with the active jobs' (the merge's tie rules).
+    taskset = TaskSet([PeriodicTask(f"T{i}", wcet, 10.0, deadline=deadline)
+                       for i, wcet in enumerate((1.0, 2.5, 0.5, 2.0))])
+    workload = dict(taskset=taskset, faults=None, processor="ideal",
+                    model=UniformExecution(low=0.1, high=1.0, seed=5))
+    assert_twins(lambda: ClairvoyantPolicy(window_cap_periods=cap),
+                 workload, horizon=CLAIRVOYANT_HORIZON)
 
 
 def test_dra_reclaims_across_deadline_ties():

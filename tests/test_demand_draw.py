@@ -125,6 +125,8 @@ def test_table_matches_work(seed, name, low, high, same, wcet, bcet_share,
     # Out of index order: a table fills forward, work() is memoized.
     for index in indices:
         assert bits(table.work(index)) == bits(reference.work(t, index))
+        assert bits(model.work(t, index)) == bits(reference.work(t, index))
+    assert not reference.demand_tables
 
 
 @TWIN
@@ -133,10 +135,51 @@ def test_table_matches_work(seed, name, low, high, same, wcet, bcet_share,
        bcet_share=st.sampled_from((0.0, 0.5, 1.0)))
 def test_constant_tables_match_work(ratio, wcet, bcet_share):
     t = task("T", wcet, bcet_share * wcet)
-    for model in (ConstantExecution(ratio, seed=3), WorstCaseExecution()):
-        table = table_for(model, t)
+    # A fresh reference without tables: work() on the tabled model
+    # would read the table back.
+    for make in (lambda: ConstantExecution(ratio, seed=3),
+                 WorstCaseExecution):
+        table = table_for(make(), t)
+        reference = make()
         for index in (0, 1, 17):
-            assert bits(table.work(index)) == bits(model.work(t, index))
+            assert bits(table.work(index)) == bits(reference.work(t, index))
+        assert not reference.demand_tables
+
+
+def test_patched_hook_ignores_the_table(monkeypatch):
+    t = task("T", 2.0)
+    model = UniformExecution(low=0.2, seed=6)
+    table = table_for(model, t)
+    assert model.work(t, 0) == table.work(0)
+    monkeypatch.setattr(UniformExecution, "ratio",
+                        lambda self, task, index: 0.5)
+    assert model.work(t, 1) == 1.0 != table.work(1)
+    monkeypatch.undo()
+    shadowed = UniformExecution(low=0.2, seed=6)
+    table_for(shadowed, t)
+    shadowed.ratio = lambda task, index: 0.25
+    assert shadowed.work(t, 2) == 0.5 != table.work(2)
+
+
+def test_table_path_never_draws_with_numpy(monkeypatch):
+    calls = []
+    default_rng = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return default_rng(*args, **kwargs)
+
+    # _job_rng seeds every numpy draw through np.random.default_rng;
+    # replacing _job_rng itself would disqualify the table.
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    t = task("T", 1.5, 0.1)
+    model = UniformExecution(low=0.3, seed=8)
+    table = table_for(model, t)
+    drawn = [model.work(t, index) for index in range(50)]
+    assert calls == [] and drawn == [table.work(k) for k in range(50)]
+    plain = UniformExecution(low=0.3, seed=8)
+    assert [plain.work(t, index) for index in range(50)] == drawn
+    assert len(calls) == 50
 
 
 def test_tables_are_shared_per_task_shape():
