@@ -14,7 +14,8 @@ Prints, per workload and end-to-end metric, each side's median and
 q1–q3, the head/base ratio of sums and the pairs each side won (ties
 count for neither), then hands the two sides' summaries to the
 benchmark's own ``run.py --compare``, whose bound verdict is the exit
-status.  The worktree is removed on every exit path.
+status.  The worktree is removed on every exit path, SIGTERM included
+(exit status 143).
 
 Usage: python scripts/ab.py REV [--pairs N]
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -188,6 +190,12 @@ def measure(base: Path, pairs: int, spec: dict) -> dict | None:
             for name, per_metric in values.items()}
 
 
+def _terminated(signum: int, _frame) -> None:
+    # SIGTERM's default action ends the process without running the
+    # ``finally`` that removes the worktree; exit normally instead.
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", metavar="REV",
@@ -202,6 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     except subprocess.CalledProcessError:
         parser.error(f"unknown revision {args.rev!r}")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    previous = signal.signal(signal.SIGTERM, _terminated)
     scratch = Path(tempfile.mkdtemp(prefix="ab-"))
     base = scratch / "base"
     try:
@@ -220,11 +229,14 @@ def main(argv: list[str] | None = None) -> int:
         print(verdict.stderr, end="", file=sys.stderr)
         return verdict.returncode
     finally:
+        # A second SIGTERM must not cut the clean-up short.
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
         subprocess.run(["git", "-C", str(ROOT), "worktree", "remove",
                         "--force", str(base)], capture_output=True)
         shutil.rmtree(scratch, ignore_errors=True)
         subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"],
                        capture_output=True)
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -108,12 +108,18 @@ N_SPECS = len(FIXED_SPECS) + len(DRAWN_SHAPES)
 UNITS = N_SPECS * N_SEEDS
 RUNS = UNITS * len(ALL_POLICY_NAMES)  # each unit runs every policy
 #: The policies whose speed the compiled core decides itself on every
-#: compiled run, except under the safety governor (faulted specs; the
-#: no-DVS baseline of a suite is never governed, so it decides in C on
-#: every unit).  The unfaulted runs draw their demands in C too:
-#: overrun faults wrap the execution model, every other spec's is
-#: uniform or worst-case.
+#: unfaulted compiled run (the no-DVS baseline of a suite is never
+#: governed, so it decides in C on every unit).  The unfaulted runs draw
+#: their demands in C too: overrun faults wrap the execution model,
+#: every other spec's is uniform or worst-case.
 C_DECIDED = ALL_POLICY_NAMES
+#: The policies whose governed runs (faulted specs) decide in C, the
+#: governor's floor a stage after the inner decide; counted under
+#: ``gov(<name>)``.  Clairvoyant reads future demands, which only the C
+#: draws give the core, so under overrun faults it keeps the Python
+#: path, governor included.
+GOVERNED_C_DECIDED = tuple(name for name in ALL_POLICY_NAMES
+                           if name not in ("none", "clairvoyant"))
 
 CHAOS_PROBABILITY = 0.1
 #: Chaos legs' unit deadline: several times the slowest honest unit
@@ -302,9 +308,10 @@ def check_progress(tag: str, leg: dict, directory: Path) -> list[tuple]:
 def check_engines(tag: str, leg: dict, parent_runs: int, parent_drawn: int,
                   parent_decides: dict[str, int], decided_units: int) -> None:
     """Interpreted legs run no C; compiled legs run every suite in C,
-    and every unguarded run of the :data:`C_DECIDED` policies also
-    draws its demands and decides its speeds in C (the engagement
-    probe)."""
+    every unguarded run of the :data:`C_DECIDED` policies also draws
+    its demands and decides its speeds in C, and every governed run of
+    the :data:`GOVERNED_C_DECIDED` policies decides in C (the
+    engagement probe)."""
     counted = TELEMETRY.counter("engine.compiled_runs")
     draws = TELEMETRY.counter("engine.compiled_draws")
     decides = TELEMETRY.counter("engine.compiled_decides")
@@ -316,15 +323,18 @@ def check_engines(tag: str, leg: dict, parent_runs: int, parent_drawn: int,
         return
     expected = {name: UNITS if name == "none" else decided_units
                 for name in C_DECIDED}
+    expected.update({f"gov({name})": UNITS - decided_units
+                     for name in GOVERNED_C_DECIDED})
     unguarded = len(C_DECIDED) * decided_units
+    label = (f"every unguarded run of {'/'.join(C_DECIDED)} and every "
+             f"governed run of {'/'.join(GOVERNED_C_DECIDED)} decided in C")
     if leg["workers"] == 1:
         check(f"{tag} compiled core ran every suite", parent_runs == RUNS,
               f"{parent_runs} of {RUNS} runs compiled")
         check(f"{tag} every unguarded run drew its demands in C",
               parent_drawn == unguarded,
               f"{parent_drawn} of {unguarded} runs drew in C")
-        check(f"{tag} every unguarded run of {'/'.join(C_DECIDED)} "
-              f"decided in C", parent_decides == expected,
+        check(f"{tag} {label}", parent_decides == expected,
               f"decided {parent_decides}, expected {expected}")
     if leg["telemetry"]:
         check(f"{tag} compiled core ran every suite, workers included",
@@ -332,8 +342,7 @@ def check_engines(tag: str, leg: dict, parent_runs: int, parent_drawn: int,
         check(f"{tag} every unguarded run drew its demands in C, workers "
               f"included", draws == unguarded,
               f"engine.compiled_draws={draws} of {unguarded}")
-        check(f"{tag} every unguarded run of {'/'.join(C_DECIDED)} "
-              f"decided in C, workers included",
+        check(f"{tag} {label}, workers included",
               decides == sum(expected.values()),
               f"engine.compiled_decides={decides} of "
               f"{sum(expected.values())}")

@@ -37,7 +37,8 @@ if TYPE_CHECKING:
 _DECIDE_HOOKS = ("bind", "reset", "select_speed", "on_release",
                  "on_completion", "observe_slack", "observe_decision",
                  "deferral_speed", "_advance_canonical", "_gc",
-                 "utilization_estimate", "intensity", "_grow_streams")
+                 "utilization_estimate", "intensity", "_grow_streams",
+                 "feasibility_floor", "_inflated_remaining")
 _DECIDE_HELPERS = ("exact_slack", "heuristic_slack", "allotted_speed",
                    "stretch_speed")
 
@@ -48,12 +49,26 @@ def _hook_snapshot(cls: type) -> tuple:
             + tuple(module.get(name) for name in _DECIDE_HELPERS))
 
 
+class GovernorStage(NamedTuple):
+    """The safety governor's feasibility floor, as a decide stage that
+    runs after its inner policy's (DESIGN.md §13.4)."""
+
+    #: The margin-inflated tasks, task order: each WCET is the task's
+    #: budget.
+    tasks: tuple
+    #: The floor's exact-walk window cap in max periods (``None``: no
+    #: cap).
+    window_cap: float | None
+
+
 class DecideSpec(NamedTuple):
     """What the compiled core needs to run a policy's speed decision.
 
     Set by :meth:`DvsPolicy.bind` of the policies the compiled core can
     decide for (DESIGN.md §13.4).  *owner* is the class whose hooks the
     decide mirrors: a subclass inherits the spec but not the decide.
+    The safety governor's spec is its inner policy's, owned by the
+    governor and carrying the governor's floor as its *stage*.
     """
 
     owner: type
@@ -74,6 +89,8 @@ class DecideSpec(NamedTuple):
     option: bool = False
     #: feedback's PID gains ``(kp, ki, kd)``.
     gains: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    #: A stage after the decide: the governor's floor (``None``: none).
+    stage: GovernorStage | None = None
 
 
 class DecideState(NamedTuple):
@@ -88,6 +105,11 @@ class DecideState(NamedTuple):
     alpha: tuple
     #: ccEDF's utilization estimate per task, task order.
     util: tuple
+    #: The governor stage's intervention and dispatch counts, and its
+    #: largest clamp.
+    interventions: int
+    dispatches: int
+    max_clamp: float
 
 
 class DvsPolicy(ABC):

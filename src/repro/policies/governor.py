@@ -21,10 +21,18 @@ while the raw reclaiming policies do.
 Interventions (floor above the inner policy's request) are counted,
 exposed via :meth:`metrics` into ``SimulationResult.policy_metrics``,
 and pinned to the trace as ``governor`` notes for audit.
+
+When the inner policy decides in the compiled core, so does the
+governor: :meth:`SafetyGovernor.bind` hands the core the inner spec
+plus the floor as a :class:`~repro.policies.base.GovernorStage`
+(DESIGN.md §13.4).  The methods below stay the reference the stage is
+held to, and keep deciding for subclasses, patched hooks and inner
+policies without a compiled decide.
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from repro.analysis.slack import (
@@ -34,7 +42,7 @@ from repro.analysis.slack import (
 )
 from repro.cpu.processor import Processor
 from repro.errors import ConfigurationError
-from repro.policies.base import DvsPolicy
+from repro.policies.base import DecideState, DvsPolicy, GovernorStage
 from repro.tasks.job import Job
 from repro.telemetry import TELEMETRY as _TELEMETRY
 from repro.tasks.task import PeriodicTask
@@ -43,6 +51,21 @@ from repro.types import Speed
 
 if TYPE_CHECKING:
     from repro.sim.engine import SimContext
+
+
+def _inflation(margin: float, task: PeriodicTask) -> float:
+    """The task's WCET factor: *margin*, capped at deadline / wcet.
+
+    Beyond the cap even a dedicated full-speed processor cannot finish
+    the job, so a larger margin buys nothing and would only break the
+    PeriodicTask wcet <= deadline invariant.  ``wcet * (deadline /
+    wcet)`` can round one ulp above the deadline (wcet 4.222, deadline
+    10); the cap then steps down until the product fits.
+    """
+    factor = min(margin, task.deadline / task.wcet)
+    while task.wcet * factor > task.deadline:
+        factor = math.nextafter(factor, 0.0)
+    return factor
 
 
 class SafetyGovernor(DvsPolicy):
@@ -72,16 +95,30 @@ class SafetyGovernor(DvsPolicy):
     def bind(self, taskset: TaskSet, processor: Processor) -> None:
         super().bind(taskset, processor)
         self.inner.bind(taskset, processor)
-        # Inflation is capped per task at deadline / wcet: beyond that
-        # even a dedicated full-speed processor cannot finish the job,
-        # so a larger margin buys nothing and would only break the
-        # PeriodicTask wcet <= deadline invariant.
-        self._factors = {
-            t.name: min(self.margin, t.deadline / t.wcet) for t in taskset}
+        self._factors = {t.name: _inflation(self.margin, t)
+                         for t in taskset}
         self._inflated_tasks = tuple(
             t.scaled(self._factors[t.name]) for t in taskset)
         self._budgets = {
             t.name: self._factors[t.name] * t.wcet for t in taskset}
+        spec = self.inner.decide_spec
+        self.decide_spec = None
+        # The core runs one stage: a governed governor stays Python.
+        if (type(self) is SafetyGovernor and spec is not None
+                and spec.stage is None and self.inner.decides_unpatched()):
+            self.decide_spec = spec._replace(
+                owner=SafetyGovernor, stage=GovernorStage(
+                    self._inflated_tasks, self.window_cap_periods))
+
+    def decides_unpatched(self) -> bool:
+        return (super().decides_unpatched()
+                and self.inner.decides_unpatched())
+
+    def absorb_decide_state(self, state: DecideState) -> None:
+        self._interventions = state.interventions
+        self._dispatches = state.dispatches
+        self._max_clamp = state.max_clamp
+        self.inner.absorb_decide_state(state)
 
     def reset(self) -> None:
         self._interventions = 0

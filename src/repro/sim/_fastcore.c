@@ -1072,6 +1072,14 @@ typedef struct {
     Py_ssize_t *alpha_order;
     double canonical_now;
     PyObject *m_observe_slack, *m_prof_push, *m_prof_pop, *decide_label;
+    /* the safety governor's feasibility floor over the decide above:
+     * the margin-inflated tasks' columns, task order; gv_cap is its
+     * window cap (NAN: none) */
+    int gov;
+    double *gv_wcet, *gv_util, *gv_corr;
+    double gv_cap, gv_max_clamp;
+    long gv_interventions, gv_dispatches;
+    PyObject *m_gov_slack, *m_gov_clamp;
     /* per-dispatch buffers: active columns, releases, walk merge */
     double *w_ad, *w_aw, *w_rel;
     Py_ssize_t *w_idx;
@@ -1130,6 +1138,7 @@ CoreEngine_dealloc(CoreEngine *self)
     Py_XDECREF(self->ctx);
     Py_XDECREF(self->m_observe_slack); Py_XDECREF(self->m_prof_push);
     Py_XDECREF(self->m_prof_pop); Py_XDECREF(self->decide_label);
+    Py_XDECREF(self->m_gov_slack); Py_XDECREF(self->m_gov_clamp);
     for (Py_ssize_t i = 0; i < self->n_active; i++) {
         Py_XDECREF(self->active[i].job);
         Py_XDECREF(self->active[i].draw);
@@ -1137,6 +1146,8 @@ CoreEngine_dealloc(CoreEngine *self)
     PyMem_Free(self->sc_wcet); PyMem_Free(self->sc_util);
     PyMem_Free(self->sc_corr); PyMem_Free(self->fu_util);
     PyMem_Free(self->fu_corr);
+    PyMem_Free(self->gv_wcet); PyMem_Free(self->gv_util);
+    PyMem_Free(self->gv_corr);
     PyMem_Free(self->pid_pred); PyMem_Free(self->pid_int);
     PyMem_Free(self->pid_last); PyMem_Free(self->cc_util);
     PyMem_Free(self->iv_events); PyMem_Free(self->fj);
@@ -1197,8 +1208,9 @@ ns_get_int(PyObject *ns, const char *name, int *out)
     return 0;
 }
 
-/* The decide spec (fastcore._decide_namespace): kind, parameters and
- * the per-task columns of the reference-base and full-speed tasks. */
+/* The decide spec (fastcore._decide_fields): kind, parameters, the
+ * per-task columns of the reference-base and full-speed tasks, and the
+ * governor stage's. */
 static int
 ce_init_decide(CoreEngine *self, PyObject *ns)
 {
@@ -1213,22 +1225,29 @@ ce_init_decide(CoreEngine *self, PyObject *ns)
         ns_get(ns, "observe_slack", &self->m_observe_slack) < 0 ||
         ns_get(ns, "prof_push", &self->m_prof_push) < 0 ||
         ns_get(ns, "prof_pop", &self->m_prof_pop) < 0 ||
-        ns_get(ns, "decide_label", &self->decide_label) < 0)
+        ns_get(ns, "decide_label", &self->decide_label) < 0 ||
+        ns_get_int(ns, "gov_stage", &self->gov) < 0 ||
+        ns_get_double(ns, "gov_cap", &self->gv_cap) < 0 ||
+        ns_get(ns, "gov_slack", &self->m_gov_slack) < 0 ||
+        ns_get(ns, "gov_clamp", &self->m_gov_clamp) < 0)
         return -1;
     Py_ssize_t n = self->n_tasks, got;
     PyObject *seq;
-#define GETCOL(attr, field) \
+#define GETCOL(attr, field, used) \
     seq = PyObject_GetAttrString(ns, attr); \
     if (seq == NULL) return -1; \
     self->field = seq_as_doubles(seq, &got); \
     Py_DECREF(seq); \
     if (self->field == NULL) return -1; \
-    if (self->dk != 0 && got != n) { \
+    if ((used) && got != n) { \
         PyErr_SetString(PyExc_ValueError, attr ": one value per task"); \
         return -1; }
-    GETCOL("sc_wcet", sc_wcet) GETCOL("sc_util", sc_util)
-    GETCOL("sc_corr", sc_corr) GETCOL("fu_util", fu_util)
-    GETCOL("fu_corr", fu_corr)
+    GETCOL("sc_wcet", sc_wcet, self->dk) GETCOL("sc_util", sc_util, self->dk)
+    GETCOL("sc_corr", sc_corr, self->dk) GETCOL("fu_util", fu_util, self->dk)
+    GETCOL("fu_corr", fu_corr, self->dk)
+    GETCOL("gov_wcet", gv_wcet, self->gov)
+    GETCOL("gov_util", gv_util, self->gov)
+    GETCOL("gov_corr", gv_corr, self->gov)
 #undef GETCOL
     size_t nn = (size_t)(n > 0 ? n : 1);
     self->pid_pred = PyMem_Malloc(nn * sizeof(double));
@@ -1273,6 +1292,8 @@ ce_init_decide(CoreEngine *self, PyObject *ns)
     self->n_alpha = 0;
     self->canonical_now = 0.0;
     self->analysis_calls = 0;
+    self->gv_interventions = self->gv_dispatches = 0;
+    self->gv_max_clamp = 0.0;
     return 0;
 }
 
@@ -1652,15 +1673,18 @@ ce_reserve_buffers(CoreEngine *e)
 }
 
 /* SimContext.slack_state as columns: active deadlines and budgets
- * (divided by the baseline unless it is exactly 1.0) and each task's
- * next release; also min() and max() of the active deadlines. */
+ * (the task's entry of *wcet* minus executed, clamped at zero, divided
+ * by the baseline unless it is exactly 1.0) and each task's next
+ * release; also min() and max() of the active deadlines. */
 static void
-ce_fill_state(CoreEngine *e, double baseline, double *d_min, double *d_max)
+ce_fill_state(CoreEngine *e, const double *wcet, double baseline,
+              double *d_min, double *d_max)
 {
     double lo = e->active[0].deadline, hi = lo;
     for (Py_ssize_t j = 0; j < e->n_active; j++) {
         const JobSlot *s = &e->active[j];
-        double w = slot_budget(e, s);
+        double w = wcet[s->task] - s->executed;
+        w = (w > 0.0) ? w : 0.0;
         if (baseline != 1.0)
             w = w / baseline;
         e->w_ad[j] = s->deadline;
@@ -1732,7 +1756,7 @@ decide_slack(CoreEngine *e, const JobSlot *s, double *out)
         return 0;
     }
     double d_min, d_max, slack;
-    ce_fill_state(e, e->dk_baseline, &d_min, &d_max);
+    ce_fill_state(e, e->t_wcet, e->dk_baseline, &d_min, &d_max);
     e->analysis_calls++;
     if (e->dk == DK_LPSTA) {
         double window_end = d_max;
@@ -1803,7 +1827,7 @@ decide_laedf(CoreEngine *e, const JobSlot *s, double *out)
         double remaining = slot_budget(e, s);
         if (remaining > 1e-12) {
             double d_min, d_max, slack;
-            ce_fill_state(e, 1.0, &d_min, &d_max);
+            ce_fill_state(e, e->t_wcet, 1.0, &d_min, &d_max);
             if (ce_slack(e, 0, d_min, 0.0, NULL, e->fu_util, e->fu_corr,
                          &slack) < 0)
                 return -1;
@@ -1826,12 +1850,12 @@ decide_feedback(CoreEngine *e, const JobSlot *s, double *out)
     double w_hat = py_min(remaining, py_max(1e-9, e->pid_pred[s->task]
                                                   - s->executed));
     double d_min, d_max, slack_scaled, slack_full;
-    ce_fill_state(e, e->dk_baseline, &d_min, &d_max);
+    ce_fill_state(e, e->t_wcet, e->dk_baseline, &d_min, &d_max);
     if (ce_slack(e, 0, d_min, 0.0, NULL, e->sc_util, e->sc_corr,
                  &slack_scaled) < 0)
         return -1;
     double optimistic = w_hat / (w_hat / e->dk_baseline + slack_scaled);
-    ce_fill_state(e, 1.0, &d_min, &d_max);
+    ce_fill_state(e, e->t_wcet, 1.0, &d_min, &d_max);
     if (ce_slack(e, 0, d_min, 0.0, NULL, e->fu_util, e->fu_corr,
                  &slack_full) < 0)
         return -1;
@@ -2196,6 +2220,55 @@ decide_clairvoyant(CoreEngine *e, double *out)
     return 0;
 }
 
+/* SafetyGovernor.select_speed over the inner decide's speed *out:
+ * feasibility_floor (the exact walk on margin-inflated budgets, with
+ * exact_slack's window rule), then the clamp.  An inflated task's WCET
+ * is the governor's budget (the same product factor * wcet), and it
+ * keeps the task set's deadline and period (PeriodicTask.scaled), so
+ * the walk reads the engine's own. */
+static int
+decide_governor(CoreEngine *e, const JobSlot *s, double *out)
+{
+    double desired = *out, floor = 0.0;
+    e->gv_dispatches++;
+    double remaining = e->gv_wcet[s->task] - s->executed;
+    remaining = (remaining > 0.0) ? remaining : 0.0;
+    /* at or below 1e-12 the job outran the margin: floor 0.0 */
+    if (remaining > 1e-12) {
+        double lo, hi, slack;
+        ce_fill_state(e, e->gv_wcet, 1.0, &lo, &hi);
+        if (!isnan(e->gv_cap))
+            hi = py_max(hi, e->now + e->gv_cap * e->dk_max_period);
+        if (ce_slack(e, 1, lo, hi, e->gv_wcet, e->gv_util, e->gv_corr,
+                     &slack) < 0)
+            return -1;
+        if (e->tele) {
+            PyObject *v = PyFloat_FromDouble(slack);
+            if (v == NULL || ce_call_void(e->m_gov_slack, v) < 0) {
+                Py_XDECREF(v);
+                return -1;
+            }
+            Py_DECREF(v);
+        }
+        /* stretch_speed(remaining, slack) */
+        floor = py_max(0.0, remaining / (remaining + slack));
+    }
+    if (floor > desired + 1e-9) {
+        e->gv_interventions++;
+        e->gv_max_clamp = py_max(e->gv_max_clamp, floor - desired);
+        PyObject *r = PyObject_CallFunction(
+            e->m_gov_clamp, "OdOldd", e->trace, e->now,
+            PyTuple_GET_ITEM(e->tasks, s->task), s->index, desired, floor);
+        if (r == NULL)
+            return -1;
+        Py_DECREF(r);
+        *out = py_min(1.0, floor);
+    }
+    else
+        *out = py_min(1.0, py_max(desired, floor));
+    return 0;
+}
+
 /* The policy's speed for dispatching slot idx, inside the profiler
  * region the interpreted dispatch opens when profiling is on. */
 static int
@@ -2238,6 +2311,8 @@ ce_decide(CoreEngine *e, Py_ssize_t idx, double *out)
         rc = decide_clairvoyant(e, out);
         break;
     }
+    if (rc == 0 && e->gov)
+        rc = decide_governor(e, s, out);
     if (prof && rc < 0) {
         /* close the region as a finally would, keeping the error */
         PyObject *etype, *eval, *etb;
@@ -2317,17 +2392,14 @@ ce_process_releases(CoreEngine *e)
             }
             /* the slot owns both references from here on */
             Py_ssize_t at = e->n_active - 1;
-            /* job.overrun: work > task.wcet + TIME_EPS */
+            /* job.overrun: work > task.wcet + TIME_EPS; the note names
+             * the job from its task and index, no Job needed (a
+             * DemandTable draws within the WCET, so draw is set) */
             if (jwork > wcet + K_TIME_EPS) {
                 e->overruns++;
-                PyObject *jobj = ce_job(e, at);
-                PyObject *now_obj = jobj == NULL ? NULL :
-                    PyFloat_FromDouble(e->now);
-                PyObject *r = now_obj == NULL ? NULL :
-                    PyObject_CallFunctionObjArgs(
-                        e->h_overrun_note, e->trace, now_obj, jobj,
-                        e->active[at].draw, NULL);
-                Py_XDECREF(now_obj);
+                PyObject *r = PyObject_CallFunction(
+                    e->h_overrun_note, "OdOlO", e->trace, e->now, task,
+                    index, e->active[at].draw);
                 if (r == NULL)
                     return -1;
                 Py_DECREF(r);
@@ -3203,11 +3275,12 @@ CoreEngine_get_active(CoreEngine *self, void *Py_UNUSED(closure))
     return ce_jobs(self, 1);
 }
 
-/* decide_state() -> (analysis_calls, pid, canonical_now, alpha, util):
- * what the compiled decide leaves behind, for the policy to take back.
- * pid is one (prediction, integral, last_error) per task; alpha one
- * (task, index, deadline, release, budget, done) per entry, in order;
- * util ccEDF's utilization estimate per task. */
+/* decide_state() -> (analysis_calls, pid, canonical_now, alpha, util,
+ * interventions, dispatches, max_clamp): what the compiled decide
+ * leaves behind, for the policy to take back.  pid is one (prediction,
+ * integral, last_error) per task; alpha one (task, index, deadline,
+ * release, budget, done) per entry, in order; util ccEDF's utilization
+ * estimate per task; the last three the governor stage's counters. */
 static PyObject *
 CoreEngine_decide_state(CoreEngine *self, PyObject *Py_UNUSED(ignored))
 {
@@ -3241,8 +3314,10 @@ CoreEngine_decide_state(CoreEngine *self, PyObject *Py_UNUSED(ignored))
             goto fail;
         PyTuple_SET_ITEM(util, i, u);
     }
-    return Py_BuildValue("(lNdNN)", self->analysis_calls, pid,
-                         self->canonical_now, alpha, util);
+    return Py_BuildValue("(lNdNNlld)", self->analysis_calls, pid,
+                         self->canonical_now, alpha, util,
+                         self->gv_interventions, self->gv_dispatches,
+                         self->gv_max_clamp);
 fail:
     Py_DECREF(pid);
     Py_DECREF(alpha);

@@ -392,9 +392,27 @@ def _miss(result, trace, job, detected_at, allow_misses):
             deadline=job.deadline, completion=detected_at)
 
 
-def _overrun_note(trace, now, job, work):
+def _overrun_note(trace, now, task, index, work):
+    # Job.name is f"{task.name}#{index}": no Job is built for the note.
     trace.note(now, "overrun",
-               f"{job.name}: work {work:g} > wcet {job.task.wcet:g}")
+               f"{task.name}#{index}: work {work:g} > wcet {task.wcet:g}")
+
+
+def _governor_slack(slack):
+    # SafetyGovernor.feasibility_floor's observation (telemetry on).
+    _TELEMETRY.observe("governor.slack", slack)
+
+
+def _governor_clamp(trace, now, task, index, desired, floor):
+    # SafetyGovernor.select_speed's intervention record.
+    name = f"{task.name}#{index}"
+    trace.note(now, "governor",
+               f"{name}: raised {desired:.4f} -> {floor:.4f}")
+    if _TELEMETRY.enabled:
+        _TELEMETRY.inc("governor.clamps")
+        _TELEMETRY.observe("governor.clamp_magnitude", floor - desired)
+        _TELEMETRY.emit("governor.clamp", job=name, t=now,
+                        desired=round(desired, 6), floor=round(floor, 6))
 
 
 def _stuck_note(trace, now, current, wanted):
@@ -508,7 +526,9 @@ def _decide_fields(sim: "Simulator", tables: tuple | None) -> dict:
     The compiled decide is taken only for the exact class that set the
     policy's :class:`~repro.policies.base.DecideSpec`, with every hook
     it mirrors unpatched, and for :data:`_PERIODIC_KINDS` only under
-    inline periodic arrivals (clairvoyant: with *tables* too).
+    inline periodic arrivals (clairvoyant: with *tables* too).  A spec
+    with a :class:`~repro.policies.base.GovernorStage` (the safety
+    governor's) decides its inner policy's kind, then the stage.
     Telemetry and the timers do not change the path: the core makes the
     same observations and opens the same timer regions as the hooks
     would.
@@ -524,12 +544,18 @@ def _decide_fields(sim: "Simulator", tables: tuple | None) -> dict:
             type(sim.arrival_model) is not PeriodicArrival
             or (spec.kind == "clairvoyant" and tables is None)):
         kind = 0
+    stage = spec.stage if kind else None
+    # The policy whose decide the kind mirrors: the governor's inner one.
+    decider = policy.inner if stage is not None else policy
     fields = dict(
         decide_kind=kind, decide_option=0, decide_baseline=1.0,
         decide_min_speed=1.0, decide_cap=math.nan, decide_kp=0.0,
         decide_ki=0.0, decide_kd=0.0, sc_wcet=(), sc_util=(),
         sc_corr=(), fu_util=(), fu_corr=(),
-        observe_slack=policy.observe_slack,
+        gov_stage=int(stage is not None), gov_cap=math.nan,
+        gov_wcet=(), gov_util=(), gov_corr=(),
+        gov_slack=_governor_slack, gov_clamp=_governor_clamp,
+        observe_slack=decider.observe_slack,
         prof_push=_TELEMETRY.push if _TELEMETRY.timers else None,
         prof_pop=_TELEMETRY.pop if _TELEMETRY.timers else None,
         decide_label=decide_label(sim._result.policy),
@@ -555,6 +581,13 @@ def _decide_fields(sim: "Simulator", tables: tuple | None) -> dict:
         sc_wcet=scaled[3], sc_util=scaled[4], sc_corr=scaled[5],
         fu_util=full[4], fu_corr=full[5], on_release=None,
         on_completion=None)
+    if stage is not None:
+        inflated = _flat_tasks(stage.tasks)
+        fields.update(
+            gov_cap=(math.nan if stage.window_cap is None
+                     else float(stage.window_cap)),
+            gov_wcet=inflated[3], gov_util=inflated[4],
+            gov_corr=inflated[5])
     return fields
 
 

@@ -9,7 +9,9 @@ end-to-end benchmark stubbed out (no benchmark process is launched).
 * each side's engine core is printed from the ``core_info`` its result
   file records, and a pair in which one side ran compiled and the
   other interpreted makes the script exit non-zero, naming the
-  loader's reason.
+  loader's reason;
+* SIGTERM in the middle of a sample ends the script normally: the
+  temporary worktree is unregistered and its directory removed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ from __future__ import annotations
 import importlib.util
 import json
 import shutil
+import signal
 import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -139,3 +144,53 @@ def test_core_mismatch_fails_naming_the_reason(ab, tmp_path, monkeypatch,
             f"base: {reason}") in out
     assert len(checkouts) == 2  # stopped after the first pair
     _assert_worktree_removed(repo, checkouts[0])
+
+
+#: Runs ab.main in a child process whose benchmark call blocks in a
+#: sleeping subprocess until the test sends SIGTERM.
+_SIGTERM_RUNNER = """
+import importlib.util, subprocess, sys, tempfile
+from pathlib import Path
+script, repo, tmp, ready = sys.argv[1:]
+spec = importlib.util.spec_from_file_location("ab_script", script)
+ab = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ab)
+ab.ROOT = Path(repo)
+tempfile.tempdir = tmp
+
+def blocked(checkout, *args):
+    Path(ready).write_text(str(checkout))
+    return subprocess.run([sys.executable, "-c",
+                           "import time; time.sleep(120)"])
+
+ab.run_e2e = blocked
+raise SystemExit(ab.main(["HEAD", "--pairs", "1"]))
+"""
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git not installed")
+def test_sigterm_removes_the_worktree(ab, tmp_path, monkeypatch):
+    repo = _repo(ab, tmp_path, monkeypatch)
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    ready = tmp_path / "ready"
+    runner = tmp_path / "runner.py"
+    runner.write_text(_SIGTERM_RUNNER)
+    proc = subprocess.Popen([sys.executable, str(runner), str(SCRIPT),
+                             str(repo), str(tmpdir), str(ready)])
+    try:
+        deadline = time.monotonic() + 60.0
+        while not ready.exists() and proc.poll() is None \
+                and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert ready.exists(), "the script never reached its first sample"
+        base = Path(ready.read_text())
+        assert base.exists()
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    _assert_worktree_removed(repo, base)
+    assert not list(tmpdir.iterdir())

@@ -3,11 +3,13 @@
 Every registry policy chooses its speed inside the compiled core; their
 Python hooks stay the reference.  none, static, ccEDF, lppsEDF and
 clairvoyant do so only under inline periodic arrivals, clairvoyant only
-with the demands drawn in C (no execution faults).  The twin tests
-draw workloads and hold the C decide to the Python ``select_speed``
-decision by decision: with telemetry on, every dispatch reports its
-desired (pre-quantization) speed through ``observe_decision``, on
-either path, so the two sequences must be equal element for element —
+with the demands drawn in C (no execution faults).  The safety governor
+over any of them decides in C too, its floor a stage after the inner
+decide.  The twin tests draw workloads and hold the C decide to the
+Python ``select_speed`` decision by decision: with telemetry on, every
+dispatch reports its desired (pre-quantization) speed through
+``observe_decision``, on either path, so the two sequences must be
+equal element for element —
 and the results, the policies' after-run state and lpSTA/lpSEH's
 ``analysis_calls`` too.  The fallback tests pin which runs keep the
 Python path; the lazy-job tests hold the slot-backed ``Job`` objects to
@@ -27,12 +29,13 @@ from repro.cpu.profiles import ideal_processor, xscale_processor
 from repro.errors import DeadlineMissError, SimulationError
 from repro.experiments.probes import SlackProbePolicy
 from repro.faults import FaultPlan
-from repro.faults.plan import OverrunFault
+from repro.faults.plan import OverrunFault, TransitionFault
 from repro.experiments.config import DEFAULT_POLICIES
 from repro.experiments.runner import bcwc_model, run_suite, standard_taskset
 from repro.policies import (
     CcEdfPolicy,
     ClairvoyantPolicy,
+    CriticalSpeedPolicy,
     DraPolicy,
     FeedbackDvsPolicy,
     LaEdfPolicy,
@@ -40,6 +43,7 @@ from repro.policies import (
     LpSehPolicy,
     LpStaPolicy,
     NoDvsPolicy,
+    OverheadAwarePolicy,
     StaticEdfPolicy,
 )
 from repro.policies.base import DvsPolicy
@@ -284,6 +288,131 @@ def test_dra_reclaims_across_deadline_ties():
 
 
 # ----------------------------------------------------------------------
+# The governor stage
+# ----------------------------------------------------------------------
+
+#: The inner policies the compiled core decides for, with the
+#: governor's floor as a stage after them.
+GOVERNED_INNER = {
+    "none": NoDvsPolicy, "static": StaticEdfPolicy, "ccEDF": CcEdfPolicy,
+    "lppsEDF": LppsEdfPolicy, "DRA": DraPolicy, "laEDF": LaEdfPolicy,
+    "feedback": FeedbackDvsPolicy, "lpSEH": LpSehPolicy,
+    "lpSTA": LpStaPolicy, "clairvoyant": ClairvoyantPolicy}
+
+
+@st.composite
+def governed_workloads(draw) -> dict:
+    """A workload with overrun faults up to 1.5x, stuck speed switches
+    or both (or neither), and the governor's margin."""
+    workload = draw(workloads(overruns=False))
+    seed = draw(st.integers(0, 2**16))
+    overrun = (OverrunFault(
+        factor=draw(st.floats(min_value=1.05, max_value=1.5)),
+        probability=draw(st.floats(min_value=0.1, max_value=1.0)))
+        if draw(st.booleans()) else None)
+    transition = (TransitionFault(stuck_probability=draw(
+        st.floats(min_value=0.05, max_value=0.3)))
+        if draw(st.booleans()) else None)
+    if overrun is not None or transition is not None:
+        workload["faults"] = FaultPlan(seed=seed, overrun=overrun,
+                                       transition=transition)
+    workload["margin"] = draw(st.floats(min_value=1.0, max_value=1.4))
+    return workload
+
+
+def governed_run(inner: str, workload: dict, *, compiled: bool,
+                 python: bool = False) -> tuple:
+    """One governed run with telemetry on: its result, the governor's
+    metrics, every observation and event in order, and the counters
+    and histograms (the engine's own backend counters left out)."""
+    policy = SafetyGovernor(GOVERNED_INNER[inner](),
+                            margin=workload["margin"])
+    if python:
+        policy.select_speed = policy.select_speed
+    observed: list[tuple] = []
+    observe, emit = TELEMETRY.observe, TELEMETRY.emit
+
+    def record_observe(name, value, **kwargs):
+        observed.append((name, value))
+        observe(name, value, **kwargs)
+
+    def record_emit(kind, **fields):
+        observed.append((kind, fields))
+        emit(kind, **fields)
+
+    processor = (ideal_processor() if workload["processor"] == "ideal"
+                 else xscale_processor())
+    before = dict(fastcore.RUN_COUNTS["decided"])
+    TELEMETRY.configure(enabled=True)
+    TELEMETRY.observe, TELEMETRY.emit = record_observe, record_emit
+    try:
+        with fastcore.forced(compiled):
+            result = simulate(workload["taskset"], processor, policy,
+                              workload["model"], horizon=HORIZON,
+                              faults=workload["faults"],
+                              arrival_model=workload["arrival"],
+                              allow_misses=True)
+        snapshot = TELEMETRY.snapshot()
+    finally:
+        del TELEMETRY.observe, TELEMETRY.emit
+        TELEMETRY.configure(enabled=False)
+        TELEMETRY.reset()
+    decided = (fastcore.RUN_COUNTS["decided"].get(result.policy, 0)
+               - before.get(result.policy, 0))
+    counters = {name: value for name, value in snapshot["counters"].items()
+                if not name.startswith("engine.compiled_")}
+    return decided, (result, policy.metrics(), observed, counters,
+                     snapshot["histograms"])
+
+
+def _governed_decides(inner: str, workload: dict) -> bool:
+    faults = workload["faults"]
+    return inner not in fastcore._PERIODIC_KINDS or (
+        _periodic(workload) and (inner != "clairvoyant" or faults is None
+                                 or not faults.affects_execution))
+
+
+@pytest.mark.parametrize("inner", tuple(GOVERNED_INNER))
+@settings(TWIN, max_examples=12)
+@given(workload=governed_workloads())
+def test_governed_decide_equals_select_speed(workload, inner):
+    # The interpreted run first: it draws with numpy (see assert_twins).
+    assert not workload["model"].demand_tables
+    decided, interpreted = governed_run(inner, workload, compiled=False)
+    assert decided == 0
+    decided, c_run = governed_run(inner, workload, compiled=True)
+    assert decided == _governed_decides(inner, workload)
+    decided, py_run = governed_run(inner, workload, compiled=True,
+                                   python=True)
+    assert decided == 0
+    assert c_run == py_run == interpreted
+    result, metrics, observed = c_run[:3]
+    assert metrics["dispatches"] == result.dispatches > 0
+    assert metrics["interventions"] == len(result.notes_of_kind("governor"))
+    assert sum(kind == "governor.clamp" for kind, _ in observed) \
+        == metrics["interventions"]
+
+
+def test_governed_fault_matrix_cell_clamps_in_c():
+    # An EXP-FM1 cell (U 0.65, overruns by 1.3 on every job, margin
+    # 1.3): the floor binds, and each clamp reads as the hooks' own.
+    taskset = standard_taskset(6, 0.65, 2002)
+    workload = dict(taskset=taskset, processor="ideal",
+                    arrival=PeriodicArrival(), margin=1.3,
+                    model=bcwc_model(0.5, 2002),
+                    faults=FaultPlan(seed=2002, overrun=OverrunFault(
+                        factor=1.3, probability=1.0)))
+    for inner in ("ccEDF", "DRA", "lpSEH", "lpSTA"):
+        decided, c_run = governed_run(inner, workload, compiled=True)
+        assert decided == 1
+        assert governed_run(inner, workload, compiled=False)[1] == c_run
+        result, metrics = c_run[:2]
+        assert result.deadline_misses == []
+        assert metrics["interventions"] > 0
+        assert metrics["max_clamp"] > 0.0
+
+
+# ----------------------------------------------------------------------
 # Which runs keep the Python path
 # ----------------------------------------------------------------------
 
@@ -314,12 +443,56 @@ def test_subclass_keeps_the_python_path():
     assert _decided() == before + 1
 
 
-def test_wrapper_keeps_the_python_path():
+def test_governed_run_decides_in_c():
     before = _decided()
     governed = _simulate(SafetyGovernor(LpSehPolicy()))
-    assert _decided() == before
+    assert _decided() == before + 1
     assert governed == _simulate(SafetyGovernor(LpSehPolicy()),
                                  compiled=False)
+
+
+class _Governor(SafetyGovernor):
+    """A subclass: it may override anything the stage mirrors."""
+
+
+@pytest.mark.parametrize("make_policy", [
+    pytest.param(lambda: _Governor(LpSehPolicy()), id="subclass"),
+    pytest.param(lambda: SafetyGovernor(SlackProbePolicy()),
+                 id="python-inner"),
+    pytest.param(lambda: SafetyGovernor(SafetyGovernor(LpSehPolicy()),
+                                        margin=1.2),
+                 id="governed-governor"),
+    pytest.param(lambda: SafetyGovernor(OverheadAwarePolicy(LpStaPolicy())),
+                 id="governed-overhead-aware"),
+    pytest.param(lambda: SafetyGovernor(CriticalSpeedPolicy(DraPolicy())),
+                 id="governed-critical-speed"),
+    pytest.param(lambda: OverheadAwarePolicy(LpStaPolicy()),
+                 id="overhead-aware"),
+    pytest.param(lambda: CriticalSpeedPolicy(DraPolicy()),
+                 id="critical-speed"),
+])
+def test_undecidable_wrappers_keep_the_python_path(make_policy):
+    before = _decided()
+    wrapped = _simulate(make_policy())
+    assert _decided() == before
+    assert wrapped == _simulate(make_policy(), compiled=False)
+
+
+def test_patched_floor_keeps_the_python_path(monkeypatch):
+    reference = _simulate(SafetyGovernor(LpStaPolicy(), margin=1.2))
+    original = SafetyGovernor.feasibility_floor
+    calls = []
+
+    def counted(self, job, ctx):
+        calls.append(job.name)
+        return original(self, job, ctx)
+
+    monkeypatch.setattr(SafetyGovernor, "feasibility_floor", counted)
+    before = _decided()
+    patched = _simulate(SafetyGovernor(LpStaPolicy(), margin=1.2))
+    assert _decided() == before
+    assert len(calls) == patched.dispatches
+    assert patched == reference
 
 
 def test_patched_hook_keeps_the_python_path(monkeypatch):
@@ -393,12 +566,10 @@ def test_profiling_keeps_the_c_decide_and_its_regions():
         "policy.decide.feedback"]
 
 
-def test_fig1_unit_runs_no_per_job_python(monkeypatch):
-    """An EXP-F1 suite (8 tasks, U 0.9, bc/wc 0.5, every default policy)
-    draws its demands and decides every speed in C: no ``work``,
-    ``select_speed`` or ``Job`` construction reaches Python (tracing is
-    off, and no run misses, so no note needs a job)."""
-    calls = {"work": 0, "select_speed": 0, "mk_job": 0}
+def _count_callbacks(monkeypatch, names) -> tuple[dict, list]:
+    """Count the calls the compiled core makes to the namespace
+    callbacks *names*; also collects the simulators it ran."""
+    calls = dict.fromkeys(names, 0)
     build = fastcore._build_namespace
     sims = []
 
@@ -413,6 +584,16 @@ def test_fig1_unit_runs_no_per_job_python(monkeypatch):
         return namespace
 
     monkeypatch.setattr(fastcore, "_build_namespace", counting)
+    return calls, sims
+
+
+def test_fig1_unit_runs_no_per_job_python(monkeypatch):
+    """An EXP-F1 suite (8 tasks, U 0.9, bc/wc 0.5, every default policy)
+    draws its demands and decides every speed in C: no ``work``,
+    ``select_speed`` or ``Job`` construction reaches Python (tracing is
+    off, and no run misses, so no note needs a job)."""
+    calls, sims = _count_callbacks(monkeypatch,
+                                   ("work", "select_speed", "mk_job"))
     before = dict(fastcore.RUN_COUNTS,
                   decided=dict(fastcore.RUN_COUNTS["decided"]))
     with fastcore.forced(True):
@@ -427,6 +608,34 @@ def test_fig1_unit_runs_no_per_job_python(monkeypatch):
             - before["decided"].get(name, 0)
             for name in DEFAULT_POLICIES} \
         == dict.fromkeys(DEFAULT_POLICIES, 1)
+
+
+def test_governed_overrun_run_builds_no_job(monkeypatch):
+    """A governed run whose every job overruns by 1.3 (margin 1.3, no
+    miss) decides in C and notes every overrun and clamp without a
+    ``Job``: the notes name the job from its task and index."""
+    calls, _sims = _count_callbacks(
+        monkeypatch, ("select_speed", "mk_job", "overrun_note",
+                      "gov_clamp"))
+    taskset = standard_taskset(6, 0.65, 2002)
+    plan = FaultPlan(seed=2002, overrun=OverrunFault(factor=1.3,
+                                                     probability=1.0))
+    results = []
+    for compiled in (True, False):
+        with fastcore.forced(compiled):
+            results.append(simulate(
+                taskset, ideal_processor(),
+                SafetyGovernor(LpStaPolicy(), margin=1.3),
+                bcwc_model(0.5, 2002), horizon=600.0, faults=plan))
+    governed, interpreted = results
+    assert governed == interpreted
+    assert not governed.deadline_misses
+    overruns = governed.notes_of_kind("overrun")
+    assert len(overruns) == governed.overrun_jobs == governed.jobs_released
+    assert calls == {"select_speed": 0, "mk_job": 0,
+                     "overrun_note": len(overruns),
+                     "gov_clamp": len(governed.notes_of_kind("governor"))}
+    assert calls["gov_clamp"] > 0
 
 
 # ----------------------------------------------------------------------

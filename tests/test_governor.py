@@ -16,6 +16,8 @@ from repro.policies.governor import SafetyGovernor
 from repro.policies.registry import make_policy
 from repro.sim.engine import simulate
 from repro.tasks.execution import model_for_bcwc_ratio
+from repro.tasks.task import PeriodicTask
+from repro.tasks.taskset import TaskSet
 
 pytestmark = pytest.mark.faults
 
@@ -53,6 +55,20 @@ class TestConstruction:
         policy = make_policy("ccEDF", governed=True, governor_margin=1.3)
         assert isinstance(policy, SafetyGovernor)
         assert policy.inner.name == "ccEDF"
+
+    def test_capped_inflation_fits_the_deadline(self):
+        # 4.222 * (10 / 4.222) rounds to 10.000000000000002: a cap at
+        # deadline / wcet alone would inflate the task past its
+        # deadline, which PeriodicTask refuses.
+        assert 4.222 * (10.0 / 4.222) > 10.0
+        taskset = TaskSet([PeriodicTask("T1", 4.222, 10.0),
+                           PeriodicTask("T2", 0.5, 10.0)])
+        gov = SafetyGovernor(make_policy("ccEDF"), margin=3.0)
+        gov.bind(taskset, ideal_processor())
+        inflated = {t.name: t.wcet for t in gov._inflated_tasks}
+        assert inflated["T1"] <= 10.0
+        assert inflated["T1"] == pytest.approx(10.0)
+        assert inflated["T2"] == 1.5
 
 
 class TestSafetyProperty:
