@@ -9,7 +9,9 @@ under faults.
 
 from __future__ import annotations
 
+from repro.faults import plan as _plan
 from repro.faults.plan import FaultPlan
+from repro.tasks import execution as _execution
 from repro.tasks.arrivals import ArrivalModel
 from repro.tasks.execution import ExecutionModel
 from repro.tasks.task import PeriodicTask
@@ -40,8 +42,38 @@ class FaultyExecution(ExecutionModel):
             return self.inner.work(task, index)
         return task.wcet * factor
 
+    def compiled_overrun(self) -> tuple[int, float, float] | None:
+        """``(seed, factor, probability)`` of the overrun draw when the
+        compiled core may draw this model's demands itself, bit-identical
+        to :meth:`work`; ``None`` keeps :meth:`work`.
+
+        Only an exact ``FaultyExecution`` over an exact ``FaultPlan``
+        with an overrun qualifies, with :meth:`work`, :meth:`ratio` and
+        ``FaultPlan.overrun_factor`` as defined and the plan drawing
+        from the execution models' ``_job_rng``; the inner model must
+        pass its own :meth:`compiled_draw` (the caller checks that).
+        """
+        plan = self.plan
+        if (_OVERRUN_HOOKS != _overrun_snapshot()
+                or type(self) is not FaultyExecution
+                or type(plan) is not FaultPlan or plan.overrun is None
+                or any(name in vars(self) for name in ("work", "ratio"))
+                or "overrun_factor" in vars(plan)):
+            return None
+        return (plan.seed ^ _plan._OVERRUN_SALT, plan.overrun.factor,
+                plan.overrun.probability)
+
     def describe(self) -> str:
         return f"{self.inner.describe()} + {self.plan.describe()}"
+
+
+def _overrun_snapshot() -> tuple:
+    # What compiled_overrun stands in for (compared by identity).
+    return (FaultyExecution.work, FaultyExecution.ratio,
+            FaultPlan.overrun_factor, _plan._job_rng, _execution._job_rng)
+
+
+_OVERRUN_HOOKS = _overrun_snapshot()
 
 
 class FaultyArrival(ArrivalModel):

@@ -7,17 +7,18 @@
  * (policy hooks, execution/arrival models, fault plans, non-default
  * scales/power/transition models, idle planners) stays a Python
  * callback, so stochastic draws, caches and error messages are the
- * interpreted ones by construction.  Rare events (deadline misses,
- * overrun notes, transition-fault notes, engine errors) are delegated
- * to repro.sim.fastcore helpers so string formatting and exception
- * types never fork from the Python implementation.
+ * interpreted ones by construction.  The per-job records (overrun,
+ * deadline-miss, governor and transition-fault notes, DeadlineMiss
+ * entries) are written here with CPython's own float formatter, pinned
+ * to the engine's f-strings by twin tests; exceptions are raised by
+ * repro.sim.fastcore helpers, so their types and messages stay Python's.
  *
  * Three exceptions keep Python out of the common path: every registry
  * policy's speed decision runs here from the decide spec its bind()
  * sets (section 13.4); the demands of uniform and constant execution
- * models are drawn here, bit-identical to numpy, into per-task tables
- * on the model (section 13.4); and a job lives in its slot, its Python
- * Job built only when Python code asks for it.
+ * models, and of overrun faults over them, are drawn here, bit-identical
+ * to numpy, into per-task tables (section 13.4); and a job lives in its
+ * slot, its Python Job built only when Python code asks for it.
  *
  * CoreEngine exposes the same private attribute surface SimContext
  * reads from Simulator (_now, _active, _next_release, ...), so the
@@ -62,6 +63,12 @@ static PyObject *s_executed, *s_first_dispatch_time, *s_preemption_count,
     *s_completion_time, *s_sleep, *s_wake_time, *s_achieved,
     *s_extra_time, *s_faulted, *s_work, *s_slack_exact,
     *s_slack_heuristic;
+/* the fields of TraceNote and DeadlineMiss, in declaration order, and
+ * the note kinds the core writes */
+static PyObject *note_fields[3], *miss_fields[4];
+static PyObject *k_overrun, *k_deadline_miss, *k_governor,
+    *k_transition_fault;
+static PyObject *empty_tuple;
 
 static int
 intern_names(void)
@@ -80,7 +87,20 @@ intern_names(void)
     MK(s_work, "work")
     MK(s_slack_exact, "slack.exact")
     MK(s_slack_heuristic, "slack.heuristic")
+    MK(note_fields[0], "time")
+    MK(note_fields[1], "kind")
+    MK(note_fields[2], "detail")
+    MK(miss_fields[0], "job")
+    MK(miss_fields[1], "task")
+    MK(miss_fields[2], "deadline")
+    MK(miss_fields[3], "detected_at")
+    MK(k_overrun, "overrun")
+    MK(k_deadline_miss, "deadline-miss")
+    MK(k_governor, "governor")
+    MK(k_transition_fault, "transition-fault")
 #undef MK
+    if ((empty_tuple = PyTuple_New(0)) == NULL)
+        return -1;
     return 0;
 }
 
@@ -382,14 +402,27 @@ entropy_uniform(uint64_t entropy, double low, double high)
  * work is work[k], drawn once, in index order, on first use, and
  * shared by every run of the model and by the clairvoyant oracle.
  * key holds f"{seed}:{task}:" as UTF-8; each draw appends the index. */
-typedef struct {
+typedef struct DemandTable {
     PyObject_HEAD
     char *key;
     Py_ssize_t key_len;
     double low, high, wcet, bcet, min_ratio;
     double *work;
     Py_ssize_t n, cap;
+    /* a faulted table (fault_table()): the inner model's table, and the
+     * overrun's factor and probability; key is the overrun draw's */
+    struct DemandTable *inner;
+    double factor, probability;
 } DemandTable;
+
+/* blake2b64(key + str(k)): the entropy of _job_rng(seed, task, k) for
+ * the key f"{seed}:{task}:". */
+static uint64_t
+table_entropy(const DemandTable *t, Py_ssize_t k)
+{
+    int len = PyOS_snprintf(t->key + t->key_len, 24, "%zd", k);
+    return blake2b64((const uint8_t *)t->key, (size_t)(t->key_len + len));
+}
 
 /* ExecutionModel.work of job k: the ratio clamped into [min_ratio, 1],
  * times the WCET, held within [max(bcet, min_ratio * wcet), wcet]
@@ -399,16 +432,29 @@ static double
 demand_draw(const DemandTable *t, Py_ssize_t k)
 {
     double ratio = t->low;
-    if (t->high != t->low) {
-        int len = PyOS_snprintf(t->key + t->key_len, 24, "%zd", k);
-        uint64_t entropy = blake2b64((const uint8_t *)t->key,
-                                     (size_t)(t->key_len + len));
-        ratio = entropy_uniform(entropy, t->low, t->high);
-    }
+    if (t->high != t->low)
+        ratio = entropy_uniform(table_entropy(t, k), t->low, t->high);
     double clamped = py_min(1.0, py_max(t->min_ratio, ratio));
     double demand = clamped * t->wcet;
     double floor = py_max(py_max(demand, t->bcet), t->min_ratio * t->wcet);
     return py_min(t->wcet, floor);
+}
+
+static int demand_at(DemandTable *t, Py_ssize_t k, double *out);
+
+/* FaultyExecution.work of job k: wcet * factor when the overrun hits
+ * (FaultPlan.overrun_factor: always at probability 1, else when
+ * _job_rng(seed ^ _OVERRUN_SALT, task, k).random() < probability; the
+ * uniform over [0, 1) is next_double exactly), else the inner draw. */
+static int
+fault_draw(const DemandTable *t, Py_ssize_t k, double *out)
+{
+    if (!(t->probability < 1.0) ||
+        entropy_uniform(table_entropy(t, k), 0.0, 1.0) < t->probability) {
+        *out = t->wcet * t->factor;
+        return 0;
+    }
+    return demand_at(t->inner, k, out);
 }
 
 /* work[k], drawing every missing entry up to k. */
@@ -432,8 +478,12 @@ demand_at(DemandTable *t, Py_ssize_t k, double *out)
             t->work = grown;
             t->cap = cap;
         }
-        for (; t->n <= k; t->n++)
-            t->work[t->n] = demand_draw(t, t->n);
+        for (; t->n <= k; t->n++) {
+            if (t->inner == NULL)
+                t->work[t->n] = demand_draw(t, t->n);
+            else if (fault_draw(t, t->n, &t->work[t->n]) < 0)
+                return -1;
+        }
     }
     *out = t->work[k];
     return 0;
@@ -444,7 +494,22 @@ DemandTable_dealloc(DemandTable *self)
 {
     PyMem_Free(self->key);
     PyMem_Free(self->work);
+    Py_XDECREF(self->inner);
     Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+/* room for the decimal index and the terminator */
+static int
+table_set_key(DemandTable *t, const char *key, Py_ssize_t key_len)
+{
+    t->key = PyMem_Malloc((size_t)key_len + 24);
+    if (t->key == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    memcpy(t->key, key, (size_t)key_len);
+    t->key_len = key_len;
+    return 0;
 }
 
 /* DemandTable(key, low, high, wcet, bcet, min_ratio) */
@@ -465,15 +530,7 @@ DemandTable_init(DemandTable *self, PyObject *args, PyObject *kwds)
                           &self->high, &self->wcet, &self->bcet,
                           &self->min_ratio))
         return -1;
-    /* room for the decimal index and the terminator */
-    self->key = PyMem_Malloc((size_t)key_len + 24);
-    if (self->key == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    memcpy(self->key, key, (size_t)key_len);
-    self->key_len = key_len;
-    return 0;
+    return table_set_key(self, key, key_len);
 }
 
 static PyObject *
@@ -516,7 +573,7 @@ static PyTypeObject DemandTableType = {
 
 /* One active job.  The slot is the job's state; the Python ``Job`` is
  * built from it only when Python code needs the object (a policy hook,
- * ctx.active_jobs(), a note, a traced segment) and is kept in step with
+ * ctx.active_jobs(), a traced segment) and is kept in step with
  * the slot from then on. */
 typedef struct {
     PyObject *job;      /* strong ref, or NULL until materialized */
@@ -1010,10 +1067,12 @@ typedef struct {
     PyObject *m_select_speed, *m_on_release, *m_on_completion,
         *m_observe, *m_plan_idle, *m_work, *m_arrival, *m_quantize,
         *m_active_energy, *m_transition, *m_transition_outcome;
-    /* fastcore rare-event helpers */
-    PyObject *h_mk_job, *h_miss, *h_overrun_note, *h_stuck_note,
-        *h_requant_note, *h_bad_speed, *h_bad_quant, *h_no_progress,
-        *h_overexec, *h_neg_exec, *h_trace_run;
+    /* fastcore helpers: the Job constructor and the error raisers */
+    PyObject *h_mk_job, *h_miss, *h_bad_speed, *h_bad_quant,
+        *h_no_progress, *h_overexec, *h_neg_exec, *h_trace_run;
+    /* the per-job records: the recorder's note list, the result's miss
+     * list, and their element types (TraceNote, DeadlineMiss) */
+    PyObject *notes, *misses, *note_type, *miss_type;
 
     PyObject *ctx;          /* set for the duration of run() only */
 
@@ -1032,8 +1091,8 @@ typedef struct {
     long *next_index;       /* mirrors next_index_dict */
     double *last_arrival;   /* NAN == no arrival yet */
 
-    /* per-task stat accumulators (missed stays owned by Python) */
-    long *st_released, *st_completed, *st_preempt;
+    /* per-task stat accumulators */
+    long *st_released, *st_completed, *st_preempt, *st_missed;
     double *st_exec, *st_resp, *st_maxresp;
 
     /* active jobs */
@@ -1130,11 +1189,12 @@ CoreEngine_dealloc(CoreEngine *self)
     Py_XDECREF(self->m_quantize); Py_XDECREF(self->m_active_energy);
     Py_XDECREF(self->m_transition); Py_XDECREF(self->m_transition_outcome);
     Py_XDECREF(self->h_mk_job); Py_XDECREF(self->h_miss);
-    Py_XDECREF(self->h_overrun_note); Py_XDECREF(self->h_stuck_note);
-    Py_XDECREF(self->h_requant_note); Py_XDECREF(self->h_bad_speed);
+    Py_XDECREF(self->h_bad_speed);
     Py_XDECREF(self->h_bad_quant); Py_XDECREF(self->h_no_progress);
     Py_XDECREF(self->h_overexec); Py_XDECREF(self->h_neg_exec);
     Py_XDECREF(self->h_trace_run);
+    Py_XDECREF(self->notes); Py_XDECREF(self->misses);
+    Py_XDECREF(self->note_type); Py_XDECREF(self->miss_type);
     Py_XDECREF(self->ctx);
     Py_XDECREF(self->m_observe_slack); Py_XDECREF(self->m_prof_push);
     Py_XDECREF(self->m_prof_pop); Py_XDECREF(self->decide_label);
@@ -1165,7 +1225,8 @@ CoreEngine_dealloc(CoreEngine *self)
     PyMem_Free(self->next_release); PyMem_Free(self->next_index);
     PyMem_Free(self->last_arrival);
     PyMem_Free(self->st_released); PyMem_Free(self->st_completed);
-    PyMem_Free(self->st_preempt); PyMem_Free(self->st_exec);
+    PyMem_Free(self->st_preempt); PyMem_Free(self->st_missed);
+    PyMem_Free(self->st_exec);
     PyMem_Free(self->st_resp); PyMem_Free(self->st_maxresp);
     PyMem_Free(self->spd_key); PyMem_Free(self->spd_dur);
     PyMem_Free((void *)self->q_levels);
@@ -1321,11 +1382,22 @@ CoreEngine_init(CoreEngine *self, PyObject *args, PyObject *kwds)
     GETM(m_observe)
     GETM(m_plan_idle) GETM(m_work) GETM(m_arrival) GETM(m_quantize)
     GETM(m_active_energy) GETM(m_transition) GETM(m_transition_outcome)
-    GETM(h_mk_job) GETM(h_miss) GETM(h_overrun_note) GETM(h_stuck_note)
-    GETM(h_requant_note) GETM(h_bad_speed) GETM(h_bad_quant)
+    GETM(h_mk_job) GETM(h_miss) GETM(h_bad_speed) GETM(h_bad_quant)
     GETM(h_no_progress) GETM(h_overexec) GETM(h_neg_exec)
     GETM(h_trace_run)
 #undef GETM
+    if (ns_get(ns, "notes", &self->notes) < 0 ||
+        ns_get(ns, "deadline_misses", &self->misses) < 0 ||
+        ns_get(ns, "note_type", &self->note_type) < 0 ||
+        ns_get(ns, "miss_type", &self->miss_type) < 0)
+        return -1;
+    if (!PyList_Check(self->notes) || !PyList_Check(self->misses) ||
+        !PyType_Check(self->note_type) || !PyType_Check(self->miss_type)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "notes and deadline_misses must be lists, "
+                        "note_type and miss_type classes");
+        return -1;
+    }
 
     if (ns_get_double(ns, "horizon", &self->horizon) < 0 ||
         ns_get_double(ns, "q_min", &self->q_min) < 0 ||
@@ -1404,12 +1476,14 @@ CoreEngine_init(CoreEngine *self, PyObject *args, PyObject *kwds)
     self->st_released = PyMem_Calloc((size_t)(n > 0 ? n : 1), sizeof(long));
     self->st_completed = PyMem_Calloc((size_t)(n > 0 ? n : 1), sizeof(long));
     self->st_preempt = PyMem_Calloc((size_t)(n > 0 ? n : 1), sizeof(long));
+    self->st_missed = PyMem_Calloc((size_t)(n > 0 ? n : 1), sizeof(long));
     self->st_exec = PyMem_Calloc((size_t)(n > 0 ? n : 1), sizeof(double));
     self->st_resp = PyMem_Calloc((size_t)(n > 0 ? n : 1), sizeof(double));
     self->st_maxresp = PyMem_Calloc((size_t)(n > 0 ? n : 1), sizeof(double));
     if (self->next_index == NULL || self->last_arrival == NULL ||
         self->st_released == NULL || self->st_completed == NULL ||
-        self->st_preempt == NULL || self->st_exec == NULL ||
+        self->st_preempt == NULL || self->st_missed == NULL ||
+        self->st_exec == NULL ||
         self->st_resp == NULL || self->st_maxresp == NULL) {
         PyErr_NoMemory();
         return -1;
@@ -1565,26 +1639,108 @@ ce_pick(CoreEngine *e)
     return best;
 }
 
-/* Register a miss through the Python helper (formats the note and
- * raises DeadlineMissError when misses abort the run). */
-static int
-ce_register_miss(CoreEngine *e, Py_ssize_t idx, double detected_at)
+/* ------------------------------------------------------------------ */
+/* per-job records                                                     */
+/* ------------------------------------------------------------------ */
+
+/* An instance of the dataclass *type* with its n fields set, as its
+ * generated __init__ leaves it without running it: object.__new__, then
+ * each field in declaration order through object.__setattr__ (what a
+ * frozen dataclass's __init__ calls).  Steals the references in
+ * values, which may hold NULL after a failed build. */
+static PyObject *
+ce_record(PyObject *type, int n, PyObject *const *fields, PyObject **values)
 {
-    e->active[idx].missed = 1;
-    PyObject *job = ce_job(e, idx);
-    if (job == NULL)
+    PyObject *obj = NULL;
+    int i;
+    for (i = 0; i < n && values[i] != NULL; i++)
+        ;
+    if (i == n)
+        obj = PyBaseObject_Type.tp_new((PyTypeObject *)type, empty_tuple,
+                                       NULL);
+    for (i = 0; obj != NULL && i < n; i++)
+        if (PyObject_GenericSetAttr(obj, fields[i], values[i]) < 0)
+            Py_CLEAR(obj);
+    for (i = 0; i < n; i++)
+        Py_XDECREF(values[i]);
+    return obj;
+}
+
+/* trace.note(t, kind, detail): a TraceNote appended to the recorder's
+ * list, in order with the notes Python code adds (ctx.note).  Steals
+ * detail. */
+static int
+ce_note(CoreEngine *e, double t, PyObject *kind, PyObject *detail)
+{
+    Py_INCREF(kind);
+    PyObject *values[3] = {PyFloat_FromDouble(t), kind, detail};
+    PyObject *note = ce_record(e->note_type, 3, note_fields, values);
+    if (note == NULL)
         return -1;
-    PyObject *t = PyFloat_FromDouble(detected_at);
-    if (t == NULL)
+    int rc = PyList_Append(e->notes, note);
+    Py_DECREF(note);
+    return rc;
+}
+
+/* A note whose detail formats a and b with format(x, "g") (code 'g',
+ * precision 6) or format(x, ".4f") ('f', 4): PyOS_double_to_string is
+ * what float.__format__ calls.  With task >= 0, text starts with the
+ * job name f"{task.name}#{index}" (%U#%ld), then the two floats (%s). */
+static int
+ce_note_floats(CoreEngine *e, double t, PyObject *kind, const char *text,
+               Py_ssize_t task, long index, char code, int precision,
+               double a, double b)
+{
+    char *sa = PyOS_double_to_string(a, code, precision, 0, NULL);
+    char *sb = sa == NULL ? NULL
+        : PyOS_double_to_string(b, code, precision, 0, NULL);
+    PyObject *detail = NULL;
+    if (sb != NULL)
+        detail = task >= 0
+            ? PyUnicode_FromFormat(text, PyTuple_GET_ITEM(e->names, task),
+                                   index, sa, sb)
+            : PyUnicode_FromFormat(text, sa, sb);
+    PyMem_Free(sa);
+    PyMem_Free(sb);
+    return detail == NULL ? -1 : ce_note(e, t, kind, detail);
+}
+
+/* Simulator._register_miss from the slot, no Job built: the
+ * DeadlineMiss record, the task's missed count and the note; when
+ * misses abort the run, fastcore._miss then raises the
+ * DeadlineMissError. */
+static int
+ce_miss(CoreEngine *e, JobSlot *s, double detected_at)
+{
+    s->missed = 1;
+    e->st_missed[s->task]++;
+    PyObject *task_name = PyTuple_GET_ITEM(e->names, s->task);
+    PyObject *name = PyUnicode_FromFormat("%U#%ld", task_name, s->index);
+    if (name == NULL)
         return -1;
-    PyObject *r = PyObject_CallFunctionObjArgs(
-        e->h_miss, e->result, e->trace, job, t,
-        e->allow_misses ? Py_True : Py_False, NULL);
-    Py_DECREF(t);
-    if (r == NULL)
+    Py_INCREF(name);
+    Py_INCREF(task_name);
+    PyObject *values[4] = {name, task_name, PyFloat_FromDouble(s->deadline),
+                           PyFloat_FromDouble(detected_at)};
+    PyObject *miss = ce_record(e->miss_type, 4, miss_fields, values);
+    int rc = miss == NULL ? -1 : PyList_Append(e->misses, miss);
+    Py_XDECREF(miss);
+    char *deadline = rc < 0 ? NULL
+        : PyOS_double_to_string(s->deadline, 'g', 6, 0, NULL);
+    PyObject *detail = deadline == NULL ? NULL
+        : PyUnicode_FromFormat("%U: deadline %s", name, deadline);
+    PyMem_Free(deadline);
+    Py_DECREF(name);
+    if (detail == NULL || ce_note(e, detected_at, k_deadline_miss,
+                                  detail) < 0)
         return -1;
-    Py_DECREF(r);
-    return 0;
+    if (e->allow_misses)
+        return 0;
+    PyObject *r = PyObject_CallFunction(
+        e->h_miss, "OOldd", e->result, PyTuple_GET_ITEM(e->tasks, s->task),
+        s->index, s->deadline, detected_at);
+    Py_XDECREF(r);
+    return -1;
 }
 
 static int
@@ -1593,7 +1749,7 @@ ce_check_misses(CoreEngine *e)
     double fence = e->now - K_DEADLINE_EPS;
     for (Py_ssize_t i = 0; i < e->n_active; i++) {
         if (e->active[i].deadline < fence && !e->active[i].missed) {
-            if (ce_register_miss(e, i, e->now) < 0)
+            if (ce_miss(e, &e->active[i], e->now) < 0)
                 return -1;
         }
     }
@@ -2256,12 +2412,20 @@ decide_governor(CoreEngine *e, const JobSlot *s, double *out)
     if (floor > desired + 1e-9) {
         e->gv_interventions++;
         e->gv_max_clamp = py_max(e->gv_max_clamp, floor - desired);
-        PyObject *r = PyObject_CallFunction(
-            e->m_gov_clamp, "OdOldd", e->trace, e->now,
-            PyTuple_GET_ITEM(e->tasks, s->task), s->index, desired, floor);
-        if (r == NULL)
+        if (ce_note_floats(e, e->now, k_governor, "%U#%ld: raised %s -> %s",
+                           s->task, s->index, 'f', 4, desired, floor) < 0)
             return -1;
-        Py_DECREF(r);
+        if (e->tele) {
+            PyObject *r = PyObject_CallFunction(
+                e->m_gov_clamp, "Nddd",
+                PyUnicode_FromFormat("%U#%ld",
+                                     PyTuple_GET_ITEM(e->names, s->task),
+                                     s->index),
+                e->now, desired, floor);
+            if (r == NULL)
+                return -1;
+            Py_DECREF(r);
+        }
         *out = py_min(1.0, floor);
     }
     else
@@ -2393,16 +2557,13 @@ ce_process_releases(CoreEngine *e)
             /* the slot owns both references from here on */
             Py_ssize_t at = e->n_active - 1;
             /* job.overrun: work > task.wcet + TIME_EPS; the note names
-             * the job from its task and index, no Job needed (a
-             * DemandTable draws within the WCET, so draw is set) */
+             * the job from its task and index, no Job needed */
             if (jwork > wcet + K_TIME_EPS) {
                 e->overruns++;
-                PyObject *r = PyObject_CallFunction(
-                    e->h_overrun_note, "OdOlO", e->trace, e->now, task,
-                    index, e->active[at].draw);
-                if (r == NULL)
+                if (ce_note_floats(e, e->now, k_overrun,
+                                   "%U#%ld: work %s > wcet %s", i, index,
+                                   'g', 6, work, wcet) < 0)
                     return -1;
-                Py_DECREF(r);
             }
             e->jobs_released++;
             e->st_released[i]++;
@@ -2721,25 +2882,19 @@ ce_apply_speed(CoreEngine *e, double d, double *out)
         if (is_faulted)
             e->transition_faults++;
         if (fabs(achieved - e->current_speed) <= K_SPEED_EPS) {
-            PyObject *r = PyObject_CallFunction(
-                e->h_stuck_note, "Oddd", e->trace, e->now,
-                e->current_speed, speed);
-            if (r == NULL)
-                return -1;
-            Py_DECREF(r);
-            if (ce_check_misses(e) < 0)
+            if (ce_note_floats(e, e->now, k_transition_fault,
+                               "stuck at %s (wanted %s)", -1, 0, 'g', 6,
+                               e->current_speed, speed) < 0 ||
+                ce_check_misses(e) < 0)
                 return -1;
             *out = e->current_speed;
             return 0;
         }
-        if (fabs(achieved - speed) > K_SPEED_EPS) {
-            PyObject *r = PyObject_CallFunction(
-                e->h_requant_note, "Oddd", e->trace, e->now, speed,
-                achieved);
-            if (r == NULL)
-                return -1;
-            Py_DECREF(r);
-        }
+        if (fabs(achieved - speed) > K_SPEED_EPS &&
+            ce_note_floats(e, e->now, k_transition_fault,
+                           "quantized %s -> %s", -1, 0, 'g', 6, speed,
+                           achieved) < 0)
+            return -1;
         /* quantize(min(1.0, achieved)) */
         double clamped = (achieved < 1.0) ? achieved : 1.0;
         if (ce_quantize(e, clamped, &speed) < 0)
@@ -2802,7 +2957,7 @@ ce_complete(CoreEngine *e, Py_ssize_t idx)
     /* met_deadline(eps=DEADLINE_EPS) on the completion time set now */
     int late = !(e->now <= s->deadline + K_DEADLINE_EPS) && !s->missed;
     int hook = e->dk == DK_PYTHON && e->m_on_completion != Py_None;
-    if ((late || hook) && ce_job(e, idx) == NULL)
+    if (hook && ce_job(e, idx) == NULL)
         return -1;
     if (s->job != NULL) {
         /* Job.complete(now): its checks hold by construction here */
@@ -2825,17 +2980,8 @@ ce_complete(CoreEngine *e, Py_ssize_t idx)
     if (response > e->st_maxresp[slot.task])
         e->st_maxresp[slot.task] = response;
     int status = 0;
-    if (late) {
-        PyObject *t = PyFloat_FromDouble(e->now);
-        PyObject *m = t == NULL ? NULL : PyObject_CallFunctionObjArgs(
-            e->h_miss, e->result, e->trace, slot.job, t,
-            e->allow_misses ? Py_True : Py_False, NULL);
-        Py_XDECREF(t);
-        if (m == NULL)
-            status = -1;
-        else
-            Py_DECREF(m);
-    }
+    if (late)
+        status = ce_miss(e, &slot, e->now);
     if (status == 0) {
         e->last_running = -1;
         if (e->dk == DK_FEEDBACK) {
@@ -3037,7 +3183,7 @@ ce_final_check(CoreEngine *e)
     for (Py_ssize_t i = 0; i < e->n_active; i++) {
         if (e->active[i].deadline <= e->horizon + K_TIME_EPS &&
             !e->active[i].missed) {
-            if (ce_register_miss(e, i, e->horizon) < 0)
+            if (ce_miss(e, &e->active[i], e->horizon) < 0)
                 return -1;
         }
     }
@@ -3117,6 +3263,7 @@ ce_flush(CoreEngine *e)
         TSETI("released", e->st_released[i]);
         TSETI("completed", e->st_completed[i]);
         TSETI("preemptions", e->st_preempt[i]);
+        TSETI("missed", e->st_missed[i]);
         TSETF("total_executed", e->st_exec[i]);
         TSETF("total_response", e->st_resp[i]);
         TSETF("max_response", e->st_maxresp[i]);
@@ -3609,6 +3756,44 @@ cleanup:
     return out;
 }
 
+/* fault_table(inner, key, factor, probability) -> DemandTable: the
+ * demands of a FaultyExecution over the model whose table is inner;
+ * key is f"{plan.seed ^ _OVERRUN_SALT}:{task}:" as UTF-8. */
+static PyObject *
+fastcore_fault_table(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *inner;
+    const char *key;
+    Py_ssize_t key_len;
+    double factor, probability;
+    if (!PyArg_ParseTuple(args, "O!y#dd", &DemandTableType, &inner, &key,
+                          &key_len, &factor, &probability))
+        return NULL;
+    DemandTable *in = (DemandTable *)inner;
+    if (in->key == NULL) {
+        PyErr_SetString(PyExc_TypeError, "inner DemandTable not initialized");
+        return NULL;
+    }
+    DemandTable *t = (DemandTable *)PyType_GenericNew(&DemandTableType,
+                                                      NULL, NULL);
+    if (t == NULL)
+        return NULL;
+    if (table_set_key(t, key, key_len) < 0) {
+        Py_DECREF(t);
+        return NULL;
+    }
+    t->low = in->low;
+    t->high = in->high;
+    t->wcet = in->wcet;
+    t->bcet = in->bcet;
+    t->min_ratio = in->min_ratio;
+    Py_INCREF(inner);
+    t->inner = in;
+    t->factor = factor;
+    t->probability = probability;
+    return (PyObject *)t;
+}
+
 /* blake2b64(data) -> int: step 1 of the demand draw */
 static PyObject *
 fastcore_blake2b64(PyObject *Py_UNUSED(module), PyObject *arg)
@@ -3643,6 +3828,8 @@ fastcore_entropy_uniform(PyObject *Py_UNUSED(module), PyObject *args)
 static PyMethodDef fastcore_methods[] = {
     {"blake2b64", fastcore_blake2b64, METH_O,
      "blake2b(data, digest_size=8) read little-endian."},
+    {"fault_table", fastcore_fault_table, METH_VARARGS,
+     "A DemandTable of FaultyExecution's demands over an inner table."},
     {"entropy_uniform", fastcore_entropy_uniform, METH_VARARGS,
      "float(numpy.random.default_rng(entropy).uniform(low, high))."},
     {"exact_slack_walk", fastcore_exact_slack_walk, METH_VARARGS,

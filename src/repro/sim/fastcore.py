@@ -22,11 +22,17 @@ This module is the seam between the two worlds:
   it declines, the engine falls through to the interpreted loop — the
   two produce byte-identical :class:`SimulationResult`s by contract
   (enforced by ``scripts/identity_gate.py``).
-* **Rare-event helpers** — deadline misses, overrun/transition notes,
-  and engine errors happen at most a handful of times per run, so the
-  C core delegates them here.  Keeping the f-strings and exception
-  construction in Python means the compiled path can never fork the
-  message formats or exception types from the interpreted engine.
+* **Records and errors** — the C core writes every per-job record
+  itself: overrun, deadline-miss, governor and transition-fault notes
+  (``TraceNote``s appended to the recorder's list) and the
+  ``DeadlineMiss`` entries, formatting floats with CPython's own
+  formatter.  A faulted run makes hundreds of them (EXP-FM1: ~460
+  overrun notes per faulted run, ~300 misses per raw one), so no
+  Python frame runs per record; twin tests pin the text to the
+  interpreted engine's f-strings.  Exceptions stay here: the core
+  calls :func:`_miss` and the other raisers only to raise, so error
+  types and messages are Python's own.  :func:`_mk_job` builds a
+  ``Job`` only when Python code asks for one.
 * **Kernels** — :func:`slack_kernels` hands ``repro.analysis.slack``
   and the clairvoyant policy the compiled kernels under the same
   enable switch, resolved once per run.
@@ -36,7 +42,7 @@ This module is the seam between the two worlds:
   policy takes its state back.
 * **Draw** — :func:`_demand_tables` hands the core the execution
   model's per-task demand tables when the core can draw the demands
-  itself (DESIGN.md §13.4).
+  itself, overrun faults included (DESIGN.md §13.4).
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ from repro.cpu.transition import NoOverhead
 from repro.errors import DeadlineMissError, PolicyError, SimulationError
 from repro.sim.results import DeadlineMiss
 from repro.sim.scheduler import EDFScheduler
+from repro.sim.tracing import TraceNote
 from repro.tasks.arrivals import PeriodicArrival
 from repro.tasks.job import Job
 from repro.telemetry import TELEMETRY as _TELEMETRY, decide_label
@@ -362,7 +369,7 @@ def slack_kernels():
 
 
 # ----------------------------------------------------------------------
-# Rare-event helpers (called from C; mirror Simulator verbatim)
+# Helpers called from C: the Job constructor and the error raisers
 # ----------------------------------------------------------------------
 
 def _never(*_args):  # bound for never-taken callback slots
@@ -374,28 +381,14 @@ def _mk_job(task, index, work, release, allow_overrun):
                          allow_overrun=allow_overrun)
 
 
-def _miss(result, trace, job, detected_at, allow_misses):
-    # Mirrors Simulator._register_miss; the missed-jobs set lives in
-    # the C core's per-slot flag.
-    miss = DeadlineMiss(job=job.name, task=job.task.name,
-                        deadline=job.deadline, detected_at=detected_at)
-    result.deadline_misses.append(miss)
-    result.task_stats[job.task.name].missed += 1
-    trace.note(detected_at, "deadline-miss",
-               f"{job.name}: deadline {job.deadline:g}")
-    if not allow_misses:
-        raise DeadlineMissError(
-            f"job {job.name} missed its deadline {job.deadline:g} "
-            f"(detected at t={detected_at:g}, policy="
-            f"{result.policy})",
-            task=job.task.name, job_index=job.index,
-            deadline=job.deadline, completion=detected_at)
-
-
-def _overrun_note(trace, now, task, index, work):
-    # Job.name is f"{task.name}#{index}": no Job is built for the note.
-    trace.note(now, "overrun",
-               f"{task.name}#{index}: work {work:g} > wcet {task.wcet:g}")
+def _miss(result, task, index, deadline, detected_at):
+    # Simulator._register_miss's error; the core has written the miss
+    # record, the task's count and the note first.
+    raise DeadlineMissError(
+        f"job {task.name}#{index} missed its deadline {deadline:g} "
+        f"(detected at t={detected_at:g}, policy={result.policy})",
+        task=task.name, job_index=index, deadline=deadline,
+        completion=detected_at)
 
 
 def _governor_slack(slack):
@@ -403,26 +396,13 @@ def _governor_slack(slack):
     _TELEMETRY.observe("governor.slack", slack)
 
 
-def _governor_clamp(trace, now, task, index, desired, floor):
-    # SafetyGovernor.select_speed's intervention record.
-    name = f"{task.name}#{index}"
-    trace.note(now, "governor",
-               f"{name}: raised {desired:.4f} -> {floor:.4f}")
-    if _TELEMETRY.enabled:
-        _TELEMETRY.inc("governor.clamps")
-        _TELEMETRY.observe("governor.clamp_magnitude", floor - desired)
-        _TELEMETRY.emit("governor.clamp", job=name, t=now,
-                        desired=round(desired, 6), floor=round(floor, 6))
-
-
-def _stuck_note(trace, now, current, wanted):
-    trace.note(now, "transition-fault",
-               f"stuck at {current:g} (wanted {wanted:g})")
-
-
-def _requant_note(trace, now, speed, achieved):
-    trace.note(now, "transition-fault",
-               f"quantized {speed:g} -> {achieved:g}")
+def _governor_clamp(name, now, desired, floor):
+    # SafetyGovernor.select_speed's clamp counters and event (telemetry
+    # on); the core has written the note.
+    _TELEMETRY.inc("governor.clamps")
+    _TELEMETRY.observe("governor.clamp_magnitude", floor - desired)
+    _TELEMETRY.emit("governor.clamp", job=name, t=now,
+                    desired=round(desired, 6), floor=round(floor, 6))
 
 
 def _bad_speed(result, desired):
@@ -495,10 +475,25 @@ def _demand_tables(model, tasks: tuple) -> tuple | None:
     the clairvoyant oracle draw each job once.  Only models whose
     :meth:`~repro.tasks.execution.ExecutionModel.compiled_draw` holds
     qualify, and only float WCETs and BCETs (an int could make
-    ``work()`` return an int).
+    ``work()`` return an int).  A
+    :class:`~repro.faults.injectors.FaultyExecution` whose
+    ``compiled_overrun()`` holds, over such a model, gets one fault
+    table per task over the inner model's: a per-run view whose
+    non-overrun jobs read the shared inner draws.
     """
+    from repro.faults.injectors import FaultyExecution
     from repro.tasks.execution import MIN_RATIO
 
+    if type(model) is FaultyExecution:
+        overrun = model.compiled_overrun()
+        inner = (_demand_tables(model.inner, tasks)
+                 if overrun is not None else None)
+        if inner is None:
+            return None
+        seed, factor, probability = overrun
+        return tuple(_EXT.fault_table(table, f"{seed}:{task.name}:".encode(),
+                                      factor, probability)
+                     for task, table in zip(tasks, inner))
     bounds = model.compiled_draw()
     if bounds is None or not all(type(task.wcet) is float
                                  and type(task.bcet) is float
@@ -636,12 +631,15 @@ def _build_namespace(sim: "Simulator") -> SimpleNamespace:
         transition=proc.transition,
         transition_outcome=(sim.faults.transition_outcome
                             if faults_transitions else _never),
-        # rare-event helpers
-        mk_job=_mk_job, miss=_miss, overrun_note=_overrun_note,
-        stuck_note=_stuck_note, requant_note=_requant_note,
+        # the Job constructor and the error raisers
+        mk_job=_mk_job, miss=_miss,
         bad_speed=_bad_speed, bad_quant=_bad_quant,
         no_progress=_no_progress, overexec=_overexec,
         neg_exec=_neg_exec, trace_run=_trace_run,
+        # the per-job records the core writes itself
+        notes=sim._trace._notes, note_type=TraceNote,
+        deadline_misses=sim._result.deadline_misses,
+        miss_type=DeadlineMiss,
         # scalars
         horizon=float(sim.horizon),
         q_min=float(q_min), p_alpha=float(p_alpha),

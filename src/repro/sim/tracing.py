@@ -68,10 +68,14 @@ class TraceRecorder:
 
     ``enabled`` gates only the *segment* stream — the part whose cost
     scales with the schedule length.  Notes are always buffered: they
-    record rare, audit-critical events (governor interventions,
-    injected faults, overruns), and disabling tracing for a large
-    sweep must not silently drop them (they surface on
+    record audit-critical events (governor interventions, injected
+    faults, overruns, deadline misses), and disabling tracing for a
+    large sweep must not silently drop them (they surface on
     :attr:`repro.sim.results.SimulationResult.notes` either way).
+    Under faults they are many: one full EXP-FM1 writes 92,400 overrun,
+    30,790 deadline-miss and 21,646 governor notes.  The compiled core
+    appends its notes to ``_notes`` directly, so the list is the one
+    record of order.
     """
 
     def __init__(self, enabled: bool = True) -> None:

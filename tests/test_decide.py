@@ -3,7 +3,7 @@
 Every registry policy chooses its speed inside the compiled core; their
 Python hooks stay the reference.  none, static, ccEDF, lppsEDF and
 clairvoyant do so only under inline periodic arrivals, clairvoyant only
-with the demands drawn in C (no execution faults).  The safety governor
+with the demands drawn in C (overrun faults included).  The safety governor
 over any of them decides in C too, its floor a stage after the inner
 decide.  The twin tests draw workloads and hold the C decide to the
 Python ``select_speed`` decision by decision: with telemetry on, every
@@ -257,10 +257,10 @@ CLAIRVOYANT_HORIZON = 1000.0
 @TWIN
 @given(workload=workloads(), cap=st.sampled_from(CLAIRVOYANT_CAPS))
 def test_clairvoyant_decide_equals_select_speed(workload, cap):
-    # Overrun faults wrap the model: no demand tables, Python path.
+    # Overrun faults wrap the model; the core draws the faulted demands
+    # (fault tables over the model's), so the oracle reads them in C.
     assert_twins(lambda: ClairvoyantPolicy(window_cap_periods=cap),
-                 workload, c_decides=_periodic(workload)
-                 and workload["faults"] is None,
+                 workload, c_decides=_periodic(workload),
                  horizon=CLAIRVOYANT_HORIZON)
 
 
@@ -366,10 +366,7 @@ def governed_run(inner: str, workload: dict, *, compiled: bool,
 
 
 def _governed_decides(inner: str, workload: dict) -> bool:
-    faults = workload["faults"]
-    return inner not in fastcore._PERIODIC_KINDS or (
-        _periodic(workload) and (inner != "clairvoyant" or faults is None
-                                 or not faults.affects_execution))
+    return inner not in fastcore._PERIODIC_KINDS or _periodic(workload)
 
 
 @pytest.mark.parametrize("inner", tuple(GOVERNED_INNER))
@@ -612,11 +609,11 @@ def test_fig1_unit_runs_no_per_job_python(monkeypatch):
 
 def test_governed_overrun_run_builds_no_job(monkeypatch):
     """A governed run whose every job overruns by 1.3 (margin 1.3, no
-    miss) decides in C and notes every overrun and clamp without a
-    ``Job``: the notes name the job from its task and index."""
+    miss) decides in C and writes every overrun and clamp note itself:
+    no ``Job``, no note helper (there is none left), and with telemetry
+    off no clamp callback."""
     calls, _sims = _count_callbacks(
-        monkeypatch, ("select_speed", "mk_job", "overrun_note",
-                      "gov_clamp"))
+        monkeypatch, ("select_speed", "mk_job", "miss", "gov_clamp"))
     taskset = standard_taskset(6, 0.65, 2002)
     plan = FaultPlan(seed=2002, overrun=OverrunFault(factor=1.3,
                                                      probability=1.0))
@@ -632,10 +629,36 @@ def test_governed_overrun_run_builds_no_job(monkeypatch):
     assert not governed.deadline_misses
     overruns = governed.notes_of_kind("overrun")
     assert len(overruns) == governed.overrun_jobs == governed.jobs_released
-    assert calls == {"select_speed": 0, "mk_job": 0,
-                     "overrun_note": len(overruns),
-                     "gov_clamp": len(governed.notes_of_kind("governor"))}
-    assert calls["gov_clamp"] > 0
+    assert governed.notes_of_kind("governor")
+    assert calls == {"select_speed": 0, "mk_job": 0, "miss": 0,
+                     "gov_clamp": 0}
+    assert not any(hasattr(fastcore, f"_{kind}_note")
+                   for kind in ("overrun", "stuck", "requant"))
+
+
+def test_raw_overrun_run_with_misses_builds_no_job(monkeypatch):
+    """A raw lpSTA run overrunning by 1.4 on every job, as in EXP-FM1,
+    misses deadlines: the core writes every miss record, count and note
+    from the job slots, with no ``Job`` and no call to ``_miss``."""
+    calls, _sims = _count_callbacks(monkeypatch, ("mk_job", "miss"))
+    taskset = standard_taskset(6, 0.65, 2002)
+    plan = FaultPlan(seed=2002, overrun=OverrunFault(factor=1.4,
+                                                     probability=1.0))
+    results = []
+    for compiled in (True, False):
+        with fastcore.forced(compiled):
+            results.append(simulate(
+                taskset, ideal_processor(), LpStaPolicy(),
+                bcwc_model(0.5, 2002), horizon=600.0, faults=plan,
+                allow_misses=True))
+    raw, interpreted = results
+    assert raw == interpreted
+    assert raw.notes == interpreted.notes
+    assert raw.deadline_misses
+    assert sum(stats.missed for stats in raw.task_stats.values()) \
+        == len(raw.deadline_misses) \
+        == len(raw.notes_of_kind("deadline-miss"))
+    assert calls == {"mk_job": 0, "miss": 0}
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Demand draws in C (DESIGN.md §13.4).
 
 The compiled core draws the demands of uniform and constant execution
-models itself, into per-task tables on the model.  Each step of the
+models itself, into per-task tables on the model, and those of overrun
+faults over them into per-run tables over the model's.  Each step of the
 draw is held to its Python reference float bit for bit: BLAKE2b-64 to
 ``hashlib``, the ``SeedSequence``/PCG64/``uniform`` steps to numpy over
 chosen entropies (one- and two-word ``SeedSequence`` entropy, the
@@ -243,15 +244,49 @@ def test_runs_draw_once_and_match_the_interpreter():
     assert results == [interpreted, interpreted]
 
 
-def test_faulted_runs_keep_work():
-    before = fastcore.RUN_COUNTS["drawn"]
+def test_faulted_runs_draw_in_c(monkeypatch):
+    """Overrun faults over a drawn model draw in C, equal to the
+    interpreted run; a patched overrun draw keeps ``work()``."""
     plan = FaultPlan(seed=2, overrun=OverrunFault(factor=1.2,
                                                   probability=0.3))
-    with fastcore.forced(True):
-        simulate(_taskset(), ideal_processor(), LpStaPolicy(),
-                 UniformExecution(seed=2), horizon=200.0, faults=plan,
-                 allow_misses=True)
-    assert fastcore.RUN_COUNTS["drawn"] == before
+    results = []
+    for compiled in (False, True):
+        before = fastcore.RUN_COUNTS["drawn"]
+        with fastcore.forced(compiled):
+            results.append(simulate(
+                _taskset(), ideal_processor(), LpStaPolicy(),
+                UniformExecution(seed=2), horizon=200.0, faults=plan,
+                allow_misses=True))
+        assert fastcore.RUN_COUNTS["drawn"] == before + compiled
+    assert results[0] == results[1] and results[1].overrun_jobs > 0
+    t = task("T", 1.0)
+    assert fastcore._demand_tables(
+        FaultyExecution(UniformExecution(seed=1), plan), (t,))
+    shadowed = FaultyExecution(UniformExecution(seed=1), plan)
+    shadowed.work = lambda task, index: 0.5
+    assert fastcore._demand_tables(shadowed, (t,)) is None
+    monkeypatch.setattr(FaultPlan, "overrun_factor",
+                        lambda self, name, index: 2.0)
+    assert fastcore._demand_tables(
+        FaultyExecution(UniformExecution(seed=1), plan), (t,)) is None
+
+
+@settings(TWIN, max_examples=60)
+@given(seed=st.integers(-2**40, 2**40),
+       factor=st.floats(min_value=1.01, max_value=3.0),
+       probability=st.one_of(st.just(1.0),
+                             st.floats(min_value=0.01, max_value=1.0)),
+       wcet=st.floats(min_value=1e-3, max_value=9.0),
+       indices=st.lists(st.integers(0, 2000), min_size=1, max_size=8))
+def test_fault_table_matches_work(seed, factor, probability, wcet, indices):
+    t = task("T1", wcet, 0.1 * wcet)
+    plan = FaultPlan(seed=seed, overrun=OverrunFault(
+        factor=factor, probability=probability))
+    (table,) = fastcore._demand_tables(
+        FaultyExecution(UniformExecution(low=0.2, seed=seed), plan), (t,))
+    reference = FaultyExecution(UniformExecution(low=0.2, seed=seed), plan)
+    for index in indices:
+        assert bits(table.work(index)) == bits(reference.work(t, index))
 
 
 def test_models_copy_without_their_tables():

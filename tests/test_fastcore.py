@@ -32,6 +32,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cpu.profiles import ideal_processor, xscale_processor
+from repro.errors import DeadlineMissError
 from repro.experiments.config import DEFAULT_POLICIES
 from repro.experiments.runner import bcwc_model, standard_taskset
 from repro.faults import FaultPlan
@@ -47,6 +48,7 @@ from repro.tasks.arrivals import (
     UniformJitterArrival,
 )
 from repro.tasks.generators import generate_taskset
+from repro.telemetry import TELEMETRY
 
 pytestmark = pytest.mark.compiled
 
@@ -280,6 +282,115 @@ def test_engines_identical_randomized(n, u, seed, bcwc, constrained,
                     arrival_model=ARRIVALS[arrival](seed),
                     allow_misses=True))
         assert_results_identical(*results)
+
+
+# ----------------------------------------------------------------------
+# Per-job records: the core writes them, the engine's f-strings rule
+# ----------------------------------------------------------------------
+
+def _recorded_run(taskset, policy, plan, *, compiled, seed,
+                  allow_misses=True):
+    """One faulted run with telemetry on: the result, the policy's
+    metrics, every observation and event in order, the counters (the
+    engine's own backend counters left out) and the histograms."""
+    observed: list[tuple] = []
+    observe, emit = TELEMETRY.observe, TELEMETRY.emit
+
+    def record_observe(name, value, **kwargs):
+        observed.append((name, value))
+        observe(name, value, **kwargs)
+
+    def record_emit(kind, **fields):
+        observed.append((kind, fields))
+        emit(kind, **fields)
+
+    before = fastcore.RUN_COUNTS["compiled"]
+    TELEMETRY.configure(enabled=True)
+    TELEMETRY.observe, TELEMETRY.emit = record_observe, record_emit
+    try:
+        with fastcore.forced(compiled):
+            result = simulate(taskset, ideal_processor(), policy,
+                              bcwc_model(0.5, seed), horizon=300.0,
+                              faults=plan, allow_misses=allow_misses)
+        snapshot = TELEMETRY.snapshot()
+    finally:
+        del TELEMETRY.observe, TELEMETRY.emit
+        TELEMETRY.configure(enabled=False)
+        TELEMETRY.reset()
+    assert fastcore.RUN_COUNTS["compiled"] - before == int(compiled)
+    counters = {name: value for name, value in snapshot["counters"].items()
+                if not name.startswith("engine.compiled_")}
+    return (result, policy.metrics(), observed, counters,
+            snapshot["histograms"])
+
+
+@needs_compiled
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(min_value=3, max_value=6),
+       u=st.floats(min_value=0.5, max_value=0.7),
+       seed=st.integers(min_value=0, max_value=2**16),
+       factor=st.floats(min_value=1.1, max_value=1.4),
+       probability=st.sampled_from((0.3, 1.0)),
+       stuck=st.booleans(), governed=st.booleans(),
+       policy=st.sampled_from(("lpSTA", "DRA", "ccEDF", "clairvoyant")))
+def test_faulted_records_identical(n, u, seed, factor, probability, stuck,
+                                   governed, policy):
+    """Raw and governed faulted runs: the overrun, deadline-miss,
+    governor and transition-fault notes the core writes equal the
+    interpreted engine's element by element, and so do the miss
+    records, the per-task counts, ``policy_metrics`` and, telemetry on,
+    the governor's counters, observations and events."""
+    taskset = standard_taskset(n, u, seed)
+    plan = FaultPlan(seed=seed,
+                     overrun=OverrunFault(factor=factor,
+                                          probability=probability),
+                     transition=(TransitionFault(stuck_probability=0.2)
+                                 if stuck else None))
+    runs = [_recorded_run(
+        taskset, make_policy(policy, governed=governed,
+                             governor_margin=factor),
+        plan, compiled=compiled, seed=seed) for compiled in (False, True)]
+    interpreted, compiled = runs
+    assert compiled == interpreted
+    result = compiled[0]
+    assert list(result.notes) == list(interpreted[0].notes)
+    assert result.deadline_misses == interpreted[0].deadline_misses
+    assert result.notes_of_kind("overrun")
+    assert len(result.notes_of_kind("deadline-miss")) \
+        == len(result.deadline_misses) \
+        == sum(stats.missed for stats in result.task_stats.values())
+    if governed:
+        assert len(result.notes_of_kind("governor")) \
+            == compiled[1]["interventions"] \
+            == sum(kind == "governor.clamp" for kind, _ in compiled[2])
+
+
+@needs_compiled
+def test_miss_abort_leaves_identical_records():
+    """With misses fatal, the core writes the first miss's record, count
+    and note, then ``fastcore._miss`` raises: the same error, message
+    and attributes, and the same partial result, as the interpreted
+    engine."""
+    taskset = standard_taskset(6, 0.65, 2002)
+    plan = FaultPlan(seed=2002, overrun=OverrunFault(factor=1.4))
+    seen = []
+    for compiled in (False, True):
+        sim = Simulator(taskset, ideal_processor(), make_policy("lpSTA"),
+                        bcwc_model(0.5, 2002), horizon=600.0, faults=plan)
+        with fastcore.forced(compiled), \
+                pytest.raises(DeadlineMissError) as exc:
+            sim.run()
+        error = exc.value
+        seen.append((str(error), error.task, error.job_index,
+                     error.deadline, error.completion,
+                     list(sim._result.deadline_misses),
+                     sim._result.task_stats, list(sim._trace.notes)))
+    interpreted, compiled = seen
+    assert compiled == interpreted
+    message, *_rest, misses, stats, notes = compiled
+    assert "missed its deadline" in message
+    assert len(misses) == 1 == sum(s.missed for s in stats.values())
+    assert notes[-1].kind == "deadline-miss"
 
 
 # ----------------------------------------------------------------------
