@@ -47,7 +47,13 @@ from repro.profiling.report import profile_block
 from repro.sim import fastcore
 from repro.sim.engine import simulate
 from repro.tasks.generators import generate_taskset
-from repro.telemetry import OVERHEAD_BUDGET, TELEMETRY, progress
+from repro.telemetry import (
+    EVENTS_FILENAME,
+    OVERHEAD_BUDGET,
+    TELEMETRY,
+    progress,
+)
+from repro.telemetry.core import read_events
 from repro.telemetry.manifest import RunManifest
 
 TOGGLES = ("compiled", "workers", "telemetry", "profile", "progress",
@@ -276,12 +282,15 @@ def phase_counts(delta: dict) -> dict[str, int]:
 
 
 def check_progress(tag: str, leg: dict, directory: Path) -> list[tuple]:
-    """The stream's contract; returns its unit/cell event substance."""
-    stream = directory / progress.PROGRESS_FILENAME
-    problems = progress.validate_stream(stream)
-    check(f"{tag} stream schema-valid and time-monotonic", not problems,
+    """The event log's narration contract; returns its unit/cell event
+    substance."""
+    problems = progress.validate_stream(directory)
+    check(f"{tag} event log well-formed and time-monotonic", not problems,
           "; ".join(problems[:5]))
     snap = progress.read_progress(directory)
+    check(f"{tag} narration at the current schema",
+          snap.schema == progress.PROGRESS_SCHEMA,
+          f"schema={snap.schema} expected={progress.PROGRESS_SCHEMA}")
     check(f"{tag} sweep completed",
           snap.finished and snap.status == "completed",
           f"status={snap.status} finished={snap.finished}")
@@ -294,7 +303,7 @@ def check_progress(tag: str, leg: dict, directory: Path) -> list[tuple]:
           f"{snap.cells_done=} {[c.done for c in snap.per_cell]}")
     check(f"{tag} no corrupt lines", snap.corrupt_lines == 0,
           f"{snap.corrupt_lines} corrupt line(s)")
-    events = [json.loads(line) for line in stream.read_text().splitlines()]
+    events, _ = read_events(directory / EVENTS_FILENAME)
     if leg["workers"] > 1:
         kinds = sorted({event["kind"] for event in events})
         check(f"{tag} parallel dispatch narrated",
@@ -396,17 +405,23 @@ def run_leg(tag: str, leg: dict, kwargs: dict, reference: list[str],
             tmp: Path, folds: dict, decided_units: int) -> None:
     """Run one leg, compare it with the reference, check its toggles."""
     kwargs = dict(kwargs, workers=leg["workers"])
-    stream_dir = tmp / "progress"
-    if leg["progress"]:
-        kwargs["progress_dir"] = stream_dir
+    run_dir = tmp / "run"
     if leg["audit"]:
         kwargs["audit_every"] = 1
     if leg["telemetry"]:
-        # With a manifest directory the stream would follow it, so a
+        # A narrated leg gets the event log and manifest directory
+        # `repro run --telemetry-dir` configures; with a manifest
+        # directory the sweep would narrate into it, so a
         # progress-off leg gets none.
         TELEMETRY.configure(
             enabled=True,
-            manifest_dir=stream_dir if leg["progress"] else None)
+            events_path=(run_dir / EVENTS_FILENAME
+                         if leg["progress"] else None),
+            manifest_dir=run_dir if leg["progress"] else None)
+    elif leg["progress"]:
+        # Counters off: the sweep opens its own log next to its
+        # checkpoints.
+        kwargs["checkpoint_dir"] = run_dir
     TELEMETRY.configure_timers(enabled=leg["profile"])
     parent_before = fastcore.RUN_COUNTS["compiled"]
     drawn_before = fastcore.RUN_COUNTS["drawn"]
@@ -443,7 +458,7 @@ def run_leg(tag: str, leg: dict, kwargs: dict, reference: list[str],
                 check_profile(tag, leg, delta, measured)
                 folds["phases"][tag] = phase_counts(delta)
             if leg["progress"]:
-                folds["events"][tag] = check_progress(tag, leg, stream_dir)
+                folds["events"][tag] = check_progress(tag, leg, run_dir)
             if leg["chaos"]:
                 check_chaos(tag, leg, kwargs, cells, reference, tmp)
     except SuiteExecutionError as exc:

@@ -21,11 +21,13 @@ Commands
 ``stats``
     Render a telemetry run manifest (written by ``run
     --telemetry-dir``) as an ASCII audit report; ``--follow`` first
-    watches the live progress stream until the sweep finishes.
+    watches the sweep's live event log until the sweep finishes.
 ``watch``
-    Attach to a running (or finished) sweep's ``progress.jsonl`` and
-    render a refreshing status view — per-cell bars, throughput, ETA,
-    recent failures, stall detection; ``--json`` prints one snapshot.
+    Attach to a running (or finished) sweep's event log
+    (``events.jsonl`` in its checkpoint or telemetry directory) and
+    render a refreshing status view of its newest sweep — per-cell
+    bars, throughput, ETA, recent failures, stall detection;
+    ``--json`` prints one snapshot.
 ``trace``
     Schedule traces: ``export`` one run as a Perfetto-loadable Chrome
     trace (or compact JSONL), ``audit`` a run against the schedule
@@ -158,8 +160,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.sim import fastcore
         fastcore.set_compiled_default(False)
     if args.telemetry_dir or args.metrics_json:
-        from repro.telemetry import TELEMETRY
-        events = (Path(args.telemetry_dir) / "events.jsonl"
+        from repro.telemetry import EVENTS_FILENAME, TELEMETRY
+        events = (Path(args.telemetry_dir) / EVENTS_FILENAME
                   if args.telemetry_dir else None)
         TELEMETRY.configure(enabled=True, events_path=events,
                             manifest_dir=args.telemetry_dir)
@@ -432,9 +434,9 @@ def _load_profiled(target: str):
     paths = _manifest_paths(target)
     manifest = _load_manifest(paths[0]) if paths else None
     if manifest is not None and not manifest.profile:
-        print(f"{paths[0]} has no profile block (was the sweep run with "
-              f"profiling enabled? try: repro profile run)",
-              file=sys.stderr)
+        print(f"{paths[0]} has no profile block (re-run the same "
+              f"experiment with profiling: repro run EXP --profile "
+              f"--telemetry-dir DIR)", file=sys.stderr)
         return None
     return manifest
 
@@ -558,13 +560,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.telemetry.manifest import render_manifest
     target = Path(args.manifest)
     if args.follow:
-        # Reuse the watch plumbing: follow the live progress stream
-        # until the sweep finishes, then fall through to rendering the
-        # manifest it wrote.
+        # Reuse the watch plumbing: follow the event log until the
+        # sweep finishes, then fall through to rendering the manifest
+        # it wrote.
         from repro.telemetry.watch import watch
         if not target.is_dir():
-            print("--follow needs a sweep directory (the progress "
-                  "stream lives next to the manifests)", file=sys.stderr)
+            print("--follow needs a sweep directory (the event log "
+                  "lives next to the manifests)", file=sys.stderr)
             return 2
         code = watch(target, interval=args.interval)
         if code != 0:
@@ -885,8 +887,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="with a directory, render every manifest "
                               "instead of only the newest")
     p_stats.add_argument("--follow", action="store_true",
-                         help="with a directory, watch the live "
-                              "progress stream until the sweep "
+                         help="with a directory, watch its "
+                              "events.jsonl until the newest sweep "
                               "finishes, then render its manifest")
     p_stats.add_argument("--interval", type=float, default=1.0,
                          metavar="SECONDS",
@@ -894,11 +896,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.set_defaults(func=_cmd_stats)
 
     p_watch = sub.add_parser(
-        "watch", help="attach to a sweep's live progress stream "
-                      "(written next to its checkpoints / telemetry)")
+        "watch", help="attach to a sweep's live event log "
+                      "(events.jsonl next to its checkpoints / "
+                      "telemetry)")
     p_watch.add_argument("target",
                          help="a sweep directory (checkpoint or "
-                              "telemetry dir), or a progress.jsonl")
+                              "telemetry dir), or an events.jsonl")
     p_watch.add_argument("--json", action="store_true",
                          help="print one machine-readable snapshot "
                               "and exit")
@@ -909,7 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="refresh interval (default 1s)")
     p_watch.add_argument("--stall-after", type=float, default=None,
                          metavar="SECONDS",
-                         help="declare a silent stream stalled after "
+                         help="declare a silent sweep stalled after "
                               "this long (default: 5x the writer's "
                               "heartbeat interval, at least 10s)")
     p_watch.set_defaults(func=_cmd_watch)

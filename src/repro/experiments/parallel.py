@@ -56,8 +56,8 @@ fully folded before the failure is surfaced are already checkpointed.
 Retries run where the unit runs; the unit runner returns them with
 the outcome and the parent narrates them as it settles the unit,
 because a worker cannot write to the parent's pid-pinned sinks.
-Every event goes through ``TELEMETRY.emit`` once; the sweep's
-attached progress stream receives its share from there.
+Every event goes through ``TELEMETRY.emit`` once, into the sweep's
+one event log.
 
 On top of that sits **supervision** (DESIGN.md §11): a worker *death*
 (not a reported failure — an OOM kill, segfault or injected chaos
@@ -99,6 +99,8 @@ from repro.experiments.resilience import (
 from repro.telemetry import TELEMETRY as _TELEMETRY
 
 if TYPE_CHECKING:
+    from collections import Counter
+
     from repro.experiments.cache import PolicySummary, SuiteCache
     from repro.experiments.resilience import (
         GracefulShutdown,
@@ -408,9 +410,8 @@ def map_forked(calls: "list[Any]", workers: int) -> list[Any]:
 
 
 def pool_pids() -> list[int]:
-    """The parent pid plus every live pool worker pid — what a
-    progress-stream heartbeat liveness-probes while a sweep is
-    dispatching."""
+    """The parent pid plus every live pool worker pid — what a sweep's
+    heartbeat liveness-probes while it dispatches."""
     pids = [os.getpid()]
     pool = WorkerPool.current()
     if pool is not None:
@@ -447,15 +448,19 @@ class _CellFold:
     outcome; :meth:`fold` aggregates a complete cell in seed order,
     checkpoints it and narrates ``cell.done``.  Every per-unit event is
     emitted here in the parent, which is what keeps the serial and
-    parallel event streams equivalent.
+    parallel event logs equivalent; *tally* counts what it narrates
+    (``unit.done`` per status, ``cells_done``) for the sweep's
+    terminal summary.
     """
 
     def __init__(self, seeds: list[int], *, spec: dict[str, Any],
                  checkpointer: "SweepCheckpointer | None",
                  cache: "SuiteCache | None",
                  unit_key: "Callable[[float, int], str] | None",
-                 quarantine_store: "QuarantineStore | None") -> None:
+                 quarantine_store: "QuarantineStore | None",
+                 tally: "Counter[str]") -> None:
         self.seeds = seeds
+        self.tally = tally
         self.checkpointer = checkpointer
         self.cache = cache
         self.unit_key = unit_key
@@ -499,6 +504,7 @@ class _CellFold:
 
     def _unit_done(self, index: int, seed_pos: int, status: str,
                    **fields: Any) -> None:
+        self.tally[status] += 1
         _TELEMETRY.emit("unit.done", index=index, x=float(self.xs[index]),
                         seed_pos=seed_pos, seed=self.seeds[seed_pos],
                         status=status, **fields)
@@ -571,6 +577,7 @@ class _CellFold:
         if self.checkpointer is not None:
             self.checkpointer.store(index, cell)
         self.cells[index] = cell
+        self.tally["cells_done"] += 1
         _TELEMETRY.emit("cell.done", index=index, x=float(cell.x),
                         seeds=len(self.seeds),
                         quarantined=len(cell.quarantined))
@@ -595,6 +602,7 @@ def run_serial(
     unit_key: "Callable[[float, int], str] | None" = None,
     quarantine_store: "QuarantineStore | None" = None,
     shutdown: "GracefulShutdown | None" = None,
+    tally: "Counter[str]",
 ) -> "dict[int, SweepCell]":
     """Compute the *pending* (index, x) cells in this process.
 
@@ -605,7 +613,8 @@ def run_serial(
     """
     fold = _CellFold(seeds, spec=spec, checkpointer=checkpointer,
                      cache=cache, unit_key=unit_key,
-                     quarantine_store=quarantine_store)
+                     quarantine_store=quarantine_store,
+                     tally=tally)
     for index, x in pending:
         fold.raise_if_draining(shutdown)
         for pos in fold.lookup(index, x):
@@ -627,6 +636,7 @@ def run_cells(
     chunk_size: int | None = None,
     quarantine_store: "QuarantineStore | None" = None,
     shutdown: "GracefulShutdown | None" = None,
+    tally: "Counter[str]",
 ) -> "dict[int, SweepCell]":
     """Compute the *pending* (index, x) cells on the warm worker pool.
 
@@ -670,7 +680,8 @@ def run_cells(
     """
     fold = _CellFold(seeds, spec=spec, checkpointer=checkpointer,
                      cache=cache, unit_key=unit_key,
-                     quarantine_store=quarantine_store)
+                     quarantine_store=quarantine_store,
+                     tally=tally)
     for index, x in pending:
         fold.lookup(index, x)
     if not fold.remaining:

@@ -6,7 +6,7 @@ workload under every policy, normalise to the no-DVS baseline, and
 aggregate across task sets.  The suite (:func:`run_suite`), the cell
 it folds into (:class:`SweepCell`) and the sweep's plan live here:
 :func:`sweep` validates its options, loads checkpoints, opens the
-progress stream and the run manifest, then hands the pending cells to
+event log and the run manifest, then hands the pending cells to
 one of the two drivers in :mod:`repro.experiments.parallel`, which
 share one unit runner and one cell fold.
 
@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -63,11 +64,16 @@ from repro.policies.base import DvsPolicy
 from repro.policies.registry import make_policy
 from repro.sim.engine import simulate
 from repro.sim.results import SimulationResult
-from repro.telemetry import PROGRESS_SCHEMA, TELEMETRY, open_stream
+from repro.telemetry import EVENTS_FILENAME, TELEMETRY, JsonlSink
 from repro.telemetry.manifest import (
     RunManifest,
     git_revision,
     next_manifest_path,
+)
+from repro.telemetry.progress import (
+    DEFAULT_HEARTBEAT_INTERVAL,
+    PROGRESS_SCHEMA,
+    Heartbeat,
 )
 from repro.tasks.execution import ExecutionModel, model_for_bcwc_ratio
 from repro.tasks.generators import generate_taskset
@@ -447,7 +453,6 @@ def sweep(
     audit_every: int | None = None,
     unit_timeout: float | None = None,
     on_failure: str | None = None,
-    progress_dir: str | Path | None = None,
 ) -> list[SweepCell]:
     """The generic experiment sweep.
 
@@ -527,13 +532,13 @@ def sweep(
     is flushed, and :class:`~repro.errors.SweepInterrupted` reports
     the sweep resumable.
 
-    *progress_dir* names where the live ``progress.jsonl`` event
-    stream (DESIGN.md §14) is written; when ``None`` it defaults to
-    the telemetry manifest directory (telemetry on) and else to
-    *checkpoint_dir*, so every checkpointed sweep is ``repro
-    watch``-able with no extra flags.
-    With no directory at all the sweep runs unnarrated — the stream
-    never touches the compute path, so summaries, cells and
+    The sweep narrates itself into its run directory's event log,
+    ``events.jsonl`` (DESIGN.md §14): the sink the CLI configured when
+    telemetry is on, else one opened for the sweep's length in the
+    telemetry manifest directory (telemetry on) or *checkpoint_dir*,
+    so every checkpointed sweep is ``repro watch``-able with no extra
+    flags.  With no directory at all the sweep runs unnarrated — the
+    log never touches the compute path, so summaries, cells and
     checkpoints are byte-identical with it on or off.
     """
     if not xs:
@@ -612,16 +617,6 @@ def sweep(
 
     shutdown = GracefulShutdown()
 
-    # Live progress narration (DESIGN.md §14): explicit directory, else
-    # the telemetry manifest dir, else the checkpoint dir.  No
-    # directory means no stream — and no overhead.
-    stream_dir = progress_dir
-    if stream_dir is None and TELEMETRY.enabled:
-        stream_dir = TELEMETRY.manifest_dir
-    if stream_dir is None:
-        stream_dir = checkpoint_dir
-    stream = open_stream(stream_dir) if stream_dir is not None else None
-
     seeds = taskset_seeds(master_seed, n_tasksets)
     spec = {
         "make_workload": make_workload,
@@ -644,6 +639,11 @@ def sweep(
         "chaos": _chaos.current(),
     }
 
+    # Where the events land: the plan step counts ``cell.resumed``, the
+    # drivers' cell fold ``unit.done`` and ``cell.done``; ``sweep.done``
+    # and the manifest's ``progress`` block repeat the tallies.
+    tally: Counter[str] = Counter()
+
     def execute() -> list[SweepCell]:
         from repro.experiments import parallel
 
@@ -659,15 +659,17 @@ def sweep(
                 TELEMETRY.inc("sweep.cells_resumed")
                 TELEMETRY.emit("cell.resumed", index=index, x=float(x),
                                seeds=n_tasksets)
+                tally["resumed"] += n_tasksets
+                tally["cells_done"] += 1
                 by_index[index] = cell
         if pending:
             options = dict(spec=spec, checkpointer=checkpointer,
                            cache=cache, unit_key=unit_key,
                            quarantine_store=quarantine_store,
-                           shutdown=shutdown)
+                           shutdown=shutdown, tally=tally)
             if workers > 1 and parallel.fork_available():
-                if stream is not None:
-                    stream.pid_provider = parallel.pool_pids
+                if heartbeat is not None:
+                    heartbeat.pids = parallel.pool_pids
                 by_index.update(parallel.run_cells(
                     pending, seeds, workers=workers,
                     chunk_size=chunk_size, **options))
@@ -675,6 +677,15 @@ def sweep(
                 by_index.update(parallel.run_serial(
                     pending, seeds, **options))
         return [by_index[index] for index in range(len(xs))]
+
+    def summary() -> dict:
+        counts = {key: tally[key] for key in
+                  ("computed", "cached", "resumed", "quarantined")}
+        return {"units": len(xs) * n_tasksets, "done": sum(counts.values()),
+                **counts, "cells": len(xs),
+                "cells_done": tally["cells_done"]}
+
+    heartbeat = None
 
     def finish(status: str = "completed",
                error: BaseException | None = None) -> None:
@@ -684,16 +695,12 @@ def sweep(
             # that writes into a locked sink can deadlock.
             TELEMETRY.emit("resilience.drain",
                            signal=shutdown.signal_number)
-        if stream is not None:
-            # ``sweep.done`` carries the stream's tallies, so only a
-            # narrated sweep has one.
-            fields = stream.summary()
-            del fields["stream"]
-            fields["status"] = status
-            if error is not None:
-                fields["error"] = str(error)
-            TELEMETRY.emit("sweep.done", **fields)
-            stream.close()
+        if log is None:
+            return  # unnarrated: no log to end
+        if heartbeat is not None:
+            heartbeat.stop()  # no beat after the terminal event
+        fields = {} if error is None else {"error": str(error)}
+        TELEMETRY.emit("sweep.done", **summary(), status=status, **fields)
 
     # With telemetry on, cut this sweep's metrics as a delta against
     # the registry (other sweeps in the same process keep their
@@ -725,29 +732,48 @@ def sweep(
             workers=workers,
             faults_injected=faults_factory is not None,
             audit_every=audit_every,
-            checkpoint_dir=checkpoint_dir,
+            checkpoint_dir=(checkpointer.directory
+                            if checkpointer is not None else None),
             workload_id=workload_id,
             unit_timeout=unit_timeout,
             on_failure=on_failure,
-            progress=(stream.summary() if stream is not None else None))
+            progress=({**summary(), "stream": log} if log is not None
+                      else None))
 
-    # The stream is the registry's second event sink for the length
-    # of this sweep; the previous one is restored on every exit path.
-    prev_stream = TELEMETRY.attach_stream(stream)
+    # The event log (DESIGN.md §14): the sink the CLI configured, else
+    # ``events.jsonl`` in the telemetry manifest dir or the checkpoint
+    # dir, open for this sweep's length.  No directory means no log —
+    # and no overhead.
+    own_sink = None
+    run_dir = TELEMETRY.manifest_dir if TELEMETRY.enabled else None
+    if run_dir is None:
+        run_dir = checkpoint_dir
+    if TELEMETRY.sink is None and run_dir is not None:
+        try:
+            own_sink = TELEMETRY.sink = JsonlSink(
+                Path(run_dir) / EVENTS_FILENAME)
+        except OSError as exc:
+            # Narration is an observability aid: an unusable directory
+            # must never take the sweep itself down.
+            TELEMETRY.inc("progress.degraded")
+            print(f"warning: event log dir {run_dir} unusable ({exc}); "
+                  f"sweep runs unnarrated", file=sys.stderr)
+    log = str(TELEMETRY.sink.path) if TELEMETRY.sink is not None else None
     try:
         TELEMETRY.emit("sweep.start", schema=PROGRESS_SCHEMA,
                        cells=len(xs), seeds=n_tasksets,
                        units=len(xs) * n_tasksets, workers=workers,
                        workload_id=workload_id, pid=os.getpid(),
-                       heartbeat_interval=(stream.heartbeat_interval
-                                           if stream is not None
-                                           else None))
+                       heartbeat_interval=(DEFAULT_HEARTBEAT_INTERVAL
+                                           if log is not None else None))
+        if log is not None:
+            heartbeat = Heartbeat(DEFAULT_HEARTBEAT_INTERVAL)
         with shutdown, TELEMETRY.span("sweep.compute"):
             cells = execute()
     except SweepInterrupted as exc:
-        # The drain already checkpointed everything complete; close
-        # the stream and flush the manifest too, so the interrupted
-        # run leaves a full record before the interrupt propagates.
+        # The drain already checkpointed everything complete; narrate
+        # the end and flush the manifest too, so the interrupted run
+        # leaves a full record before the interrupt propagates.
         finish("interrupted", exc)
         write_manifest()
         raise
@@ -755,13 +781,14 @@ def sweep(
         finish("failed", exc)
         raise
     else:
-        # Close before the manifest is cut, so the manifest's
-        # ``progress`` block repeats exactly the terminal
-        # ``sweep.done`` summary — the equality
+        # ``sweep.done`` first, so the manifest's ``progress`` block
+        # repeats exactly the terminal summary — the equality
         # scripts/identity_gate.py enforces.
         finish()
     finally:
-        TELEMETRY.attach_stream(prev_stream)
+        if own_sink is not None:
+            own_sink.close()
+            TELEMETRY.sink = None
     write_manifest()
     return cells
 

@@ -5,14 +5,15 @@ See :mod:`repro.telemetry.core` for the instrumentation registry
 histograms, the span stack with its phase timers, the stack sampler,
 and :meth:`~Telemetry.emit`, the one event entry point),
 :mod:`repro.telemetry.manifest` for per-sweep run manifests and
-:mod:`repro.telemetry.progress` for ``progress.jsonl``, the filtered
-second event sink a sweep attaches to the registry while it runs.
+:mod:`repro.telemetry.progress` for the live narration a sweep writes
+into its event log, ``events.jsonl``, and ``repro watch`` reads back.
 DESIGN.md §9 documents the span model, the metric naming scheme, the
-event sinks and the manifest schema.
+event log and the manifest schema.
 """
 
 from repro.telemetry.core import (
     DEFAULT_BOUNDS,
+    EVENTS_FILENAME,
     OVERHEAD_BUDGET,
     Histogram,
     JsonlSink,
@@ -28,16 +29,14 @@ from repro.telemetry.manifest import (
     render_manifest,
 )
 from repro.telemetry.progress import (
-    PROGRESS_FILENAME,
     PROGRESS_SCHEMA,
     ProgressSnapshot,
-    ProgressStream,
-    open_stream,
     read_progress,
 )
 
 __all__ = [
     "DEFAULT_BOUNDS",
+    "EVENTS_FILENAME",
     "OVERHEAD_BUDGET",
     "Histogram",
     "JsonlSink",
@@ -49,10 +48,7 @@ __all__ = [
     "git_revision",
     "next_manifest_path",
     "render_manifest",
-    "PROGRESS_FILENAME",
     "PROGRESS_SCHEMA",
     "ProgressSnapshot",
-    "ProgressStream",
-    "open_stream",
     "read_progress",
 ]

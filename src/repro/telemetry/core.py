@@ -43,15 +43,15 @@ chunk against its pre-chunk snapshot and the parent merges it in its
 fold loop, so parallel sweeps aggregate the same counts and phases a
 serial sweep would (pinned by ``tests/test_telemetry.py``).
 
-Events have one entry point, :meth:`Telemetry.emit`, and two
-destinations.  While ``enabled`` with an ``events_path``, every event
-lands in ``events.jsonl`` (a :class:`JsonlSink`).  While a sweep's
-progress stream is attached (:meth:`Telemetry.attach_stream`), every
-event whose kind the stream takes also lands there — the stream is a
-filtered second sink, held by duck type (``kinds`` and ``write(kind,
-fields)``).  A :class:`JsonlSink` records the pid that opened it and
-silently refuses writes from any other process, so forked workers
-never interleave lines into the parent's logs.
+Events have one entry point, :meth:`Telemetry.emit`, and one
+destination: the event log ``events.jsonl``, written by the
+:class:`JsonlSink` in :attr:`Telemetry.sink` whenever one is open —
+the one :meth:`Telemetry.configure` opens for an ``events_path``, or
+the one a sweep opens in its run directory for its own length.  A
+:class:`JsonlSink` records the pid that opened it and silently
+refuses writes from any other process, so forked workers never
+interleave lines into the parent's log.  :func:`read_events` is the
+one line reader every consumer of the log shares.
 
 Nothing here imports from the rest of ``repro`` — the registry must
 stay leaf-level so every layer (engine, slack walks, policies,
@@ -95,6 +95,9 @@ TIMELINE_CAP = 200_000
 
 #: Deepest Python stack the sampler will record per sample.
 _SAMPLE_MAX_DEPTH = 64
+
+#: The event log's file name in a run directory.
+EVENTS_FILENAME = "events.jsonl"
 
 #: Field order of a phase record (``[count, total_ns, self_ns, cpu_ns]``);
 #: only :meth:`Telemetry.span` measures CPU time.
@@ -212,13 +215,20 @@ class JsonlSink:
     The pid is checked before the lock is touched, so a forked child
     can neither write a line nor block on a lock its parent held at
     fork time.  The lock serialises the attaching process's threads
-    (a progress stream's heartbeat thread writes beside the main one).
+    (a sweep's heartbeat thread writes beside the main one).
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._file = self.path.open("a", encoding="utf-8")
+        if self._file.tell():
+            # A killed writer can leave a torn last line: end it, so
+            # this sink's first event starts a line of its own.
+            with self.path.open("rb") as tail:
+                tail.seek(-1, os.SEEK_END)
+                if tail.read(1) != b"\n":
+                    self._file.write("\n")
         self._pid = os.getpid()
         self._lock = threading.Lock()
         self._seq = 0
@@ -242,6 +252,33 @@ class JsonlSink:
         if os.getpid() == self._pid:
             with self._lock:
                 self._file.close()
+
+
+def read_events(path: str | Path) -> tuple[list[dict], list[int]]:
+    """Every event of a JSONL event log, skipping unreadable lines.
+
+    An event is a line holding a JSON object with a string ``kind``
+    and a numeric ``ts``; anything else (a tail torn by a killed
+    writer, a reader racing a write) is skipped.  Returns the events
+    in file order and, per skipped line, how many events preceded it,
+    so a reader can count the skipped lines of any stretch of the log.
+    Raises ``OSError`` when the file cannot be read.
+    """
+    events: list[dict] = []
+    skipped: list[int] = []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if not line.strip():
+            continue
+        try:
+            event = json.loads(line)
+        except ValueError:
+            event = None
+        if (isinstance(event, dict) and isinstance(event.get("kind"), str)
+                and isinstance(event.get("ts"), (int, float))):
+            events.append(event)
+        else:
+            skipped.append(len(events))
+    return events, skipped
 
 
 class StackSampler:
@@ -343,9 +380,8 @@ class Telemetry:
         self._sampler: StackSampler | None = None
         self._sampler_pid: int | None = None
         self._workers: dict[str, dict[str, float]] = {}
-        self._sink: JsonlSink | None = None
-        # The attached progress stream: ``kinds`` and ``write()``.
-        self._stream: Any = None
+        #: The event log's sink while one is open, else ``None``.
+        self.sink: JsonlSink | None = None
 
     # -- configuration -------------------------------------------------
 
@@ -354,24 +390,13 @@ class Telemetry:
                   manifest_dir: str | Path | None = None) -> None:
         """Switch counters, events and manifests on (or off)."""
         self.enabled = enabled
-        if self._sink is not None:
-            self._sink.close()
-            self._sink = None
+        if self.sink is not None:
+            self.sink.close()
+            self.sink = None
         if events_path is not None and enabled:
-            self._sink = JsonlSink(events_path)
+            self.sink = JsonlSink(events_path)
         self.manifest_dir = (Path(manifest_dir)
                             if manifest_dir is not None else None)
-
-    def attach_stream(self, stream: Any) -> Any:
-        """Make *stream* the second event sink; returns the previous.
-
-        *stream* takes every emitted event whose kind is in its
-        ``kinds`` through ``stream.write(kind, fields)``, whether or
-        not ``enabled`` is on; ``None`` detaches.
-        """
-        previous = self._stream
-        self._stream = stream
-        return previous
 
     def configure_timers(self, *, enabled: bool = True,
                          timeline: bool = False, sample: bool = False,
@@ -444,13 +469,10 @@ class Telemetry:
         stats["busy_s"] += busy_s
 
     def emit(self, kind: str, **fields: Any) -> None:
-        """Write one structured event to each sink that takes it: the
-        attached stream (its kinds only) and ``events.jsonl``."""
-        stream = self._stream
-        if stream is not None and kind in stream.kinds:
-            stream.write(kind, fields)
-        if self.enabled and self._sink is not None:
-            self._sink.write(kind, fields)
+        """Write one structured event to the event log, if one is open."""
+        sink = self.sink
+        if sink is not None:
+            sink.write(kind, fields)
 
     # -- the span stack ------------------------------------------------
 

@@ -1,54 +1,54 @@
-"""Live sweep progress stream: `progress.jsonl` writer and reader.
+"""Live sweep progress: the event log's narration, read back.
 
 Run manifests, Chrome traces and the energy ledger are written
-*after* a run completes; ``progress.jsonl`` narrates a sweep *while*
-it runs, and the reader/snapshot side here is what ``repro watch``
-and ``repro stats --follow`` render.
+*after* a run completes; the event log ``events.jsonl``
+(:mod:`repro.telemetry.core`) narrates a sweep *while* it runs, and
+the reader/snapshot side here is what ``repro watch`` and ``repro
+stats --follow`` render.
 
-Writer (:class:`ProgressStream`)
-    One stream per ``sweep()`` call, living next to the checkpoint or
-    telemetry directory.  It emits nothing itself: ``sweep()``
-    attaches it to the registry (:meth:`~repro.telemetry.core.
-    Telemetry.attach_stream`) and every :meth:`~repro.telemetry.core.
-    Telemetry.emit` whose kind is in :data:`EVENT_KINDS` is written
-    here as well as to ``events.jsonl`` — one emit per fact, two
-    destinations.  The stream counts what it writes (``unit.done``,
-    ``cell.done``, ``cell.resumed``) into the terminal summary.  Its
-    :class:`~repro.telemetry.core.JsonlSink` is pinned to the opening
-    pid, so a forked worker that inherited the stream writes and
-    counts nothing: only the parent narrates, which is what makes the
-    serial and parallel streams *equivalent* — the same
-    ``unit.done``/``cell.done`` event sets and the same terminal
-    snapshot, regardless of worker count (pinned by
+Writing
+    ``sweep()`` writes its events to ``<run dir>/events.jsonl`` whenever
+    it has a run directory: through the sink the CLI configured when
+    telemetry is on, else through a sink it opens for its own length.
+    Every fact is emitted once, through
+    :meth:`~repro.telemetry.core.Telemetry.emit`, by the parent only
+    (a :class:`~repro.telemetry.core.JsonlSink` is pinned to the pid
+    that opened it), which is what makes the serial and parallel logs
+    *equivalent*: the same ``unit.done``/``cell.done`` event sets and
+    the same terminal summary, regardless of worker count (pinned by
     ``tests/test_progress.py``).  Between ``sweep.start`` and
-    ``sweep.done`` a daemon thread writes pid-liveness heartbeats
-    straight to the stream every ``heartbeat_interval`` seconds, so a
-    watcher can tell "long unit still computing" from "writer process
-    is gone" even while the parent blocks in a pool wait.  Heartbeats
-    are stream-only; threads do not survive ``fork``, so workers never
-    beat.
+    ``sweep.done`` a :class:`Heartbeat` thread writes pid-liveness
+    ``heartbeat`` events every ``DEFAULT_HEARTBEAT_INTERVAL`` seconds,
+    so a watcher can tell "long unit still computing" from "writer
+    process is gone" even while the parent blocks in a pool wait.
+    Threads do not survive ``fork``, so workers never beat.
 
-Event kinds (:data:`EVENT_KINDS`, schema :data:`PROGRESS_SCHEMA`)
+Narrated kinds (:data:`EVENT_KINDS`, schema :data:`PROGRESS_SCHEMA`)
     ``sweep.start`` (totals, workers, schema), ``unit.start`` (units
     computed in the sweep's own process: the serial driver and inline
     chunks — forked dispatch is marked at chunk granularity by
     ``chunk.dispatch``), ``unit.done`` (status ``computed`` / ``cached``
     / ``quarantined``), ``unit.retry``, ``cell.done``, ``cell.resumed``
-    (checkpoint-resumed cells), ``chunk.dispatch``, ``heartbeat``,
-    ``resilience.*`` supervision facts (worker crash, watchdog kill,
-    escalation step, pool rebuild, quarantine, drain), and a terminal
-    ``sweep.done`` carrying the summary the run manifest's ``progress``
-    block repeats verbatim.
+    (checkpoint-resumed cells), ``chunk.dispatch``, ``heartbeat``
+    (``pids`` and ``alive``), ``resilience.*`` supervision facts
+    (worker crash, watchdog kill, escalation step, pool rebuild,
+    quarantine, drain), and a terminal ``sweep.done`` carrying the
+    summary the run manifest's ``progress`` block repeats verbatim.
+    The log's other kinds (``span``, ``parallel.chunk``,
+    ``simulation``, ...) are skipped.
 
 Reader (:func:`read_progress` → :class:`ProgressSnapshot`)
-    Re-reads the whole file (streams are small: one line per unit, not
-    per engine step), skips truncated or corrupt lines — counted in
-    the snapshot and in the ``progress.corrupt`` telemetry counter —
-    and derives live throughput, an ETA, per-cell progress, cache-hit
-    counts, recent failures and a stall verdict (no events beyond the
-    stall budget, or the writer pid is dead while the stream is
-    unfinished).  :meth:`ProgressSnapshot.to_payload` is the exact
-    JSON ``repro watch --json`` prints.
+    Re-reads the whole file (sweep events are per unit, cell and chunk,
+    not per engine step).  One log can hold several sweeps (``run
+    all``, a ``--resume``, a second process appending), so the reader
+    judges the **newest** ``sweep.start`` segment.  Torn or corrupt
+    lines are skipped and counted — in the snapshot and in the
+    ``progress.corrupt`` telemetry counter — and the snapshot carries
+    live throughput, an ETA, per-cell progress, cache-hit counts,
+    recent failures and a stall verdict (no events beyond the stall
+    budget, or the writer pid is dead while the sweep is unfinished).
+    :meth:`ProgressSnapshot.to_payload` is the exact JSON ``repro
+    watch --json`` prints.
 
 Like the telemetry core, this module imports only
 :mod:`repro.telemetry.core` and :mod:`repro.errors`.
@@ -56,25 +56,20 @@ Like the telemetry core, this module imports only
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Callable
 
 from repro.errors import ExperimentError
-from repro.telemetry.core import TELEMETRY, JsonlSink
+from repro.telemetry.core import EVENTS_FILENAME, TELEMETRY, read_events
 
-#: Bumped when the event layout changes; readers refuse newer streams.
-PROGRESS_SCHEMA = 1
-
-#: The stream's on-disk name, fixed so ``repro watch <dir>`` needs no
-#: further coordinates.  A new ``sweep()`` truncates the previous run's
-#: stream: watchers re-read the whole file each tick, so they follow
-#: the replacement seamlessly.
-PROGRESS_FILENAME = "progress.jsonl"
+#: Bumped when the narrated layout changes; readers refuse newer logs.
+#: 2: heartbeats carry only ``pids`` and ``alive``; the narration is
+#:    read from the event log, ``events.jsonl``.
+PROGRESS_SCHEMA = 2
 
 #: Default seconds between heartbeat events.
 DEFAULT_HEARTBEAT_INTERVAL = 2.0
@@ -82,8 +77,7 @@ DEFAULT_HEARTBEAT_INTERVAL = 2.0
 #: Default reader-side stall budget (seconds without any event).
 DEFAULT_STALL_AFTER = 10.0
 
-#: Every kind a schema-1 stream may contain; the CI gate
-#: (``scripts/identity_gate.py``) fails on anything else.
+#: Every kind the reader narrates; the log's other kinds are skipped.
 EVENT_KINDS = frozenset({
     "sweep.start", "sweep.done",
     "unit.start", "unit.done", "unit.retry",
@@ -113,138 +107,38 @@ def _alive(pid: int) -> bool:
     return True
 
 
-class ProgressStream:
-    """The write side: ``progress.jsonl``, a filtered event sink.
+class Heartbeat:
+    """A daemon thread emitting ``heartbeat`` events until :meth:`stop`.
 
-    :meth:`write` is its one entry point; attached to the registry it
-    receives every emitted event whose kind is in :attr:`kinds`.  It
-    learns the sweep's size from ``sweep.start``, counts the units and
-    cells it writes, and starts its heartbeat on ``sweep.start`` and
-    stops it on ``sweep.done``.  Tallies move only when the sink
-    actually wrote, so an inherited stream in a forked worker never
-    counts.
+    Every *interval* seconds it probes the pids :attr:`pids` names
+    (default: this process) and emits them with the live ones, through
+    the registry's one event log.
     """
 
-    kinds = EVENT_KINDS
+    def __init__(self, interval: float) -> None:
+        self.interval = interval
+        #: Replaceable: which pids a beat probes.  A sweep points this
+        #: at the live pool while it dispatches.
+        self.pids: Callable[[], list[int]] | None = None
+        self._stop = threading.Event()
+        self._thread = threading.Thread(
+            target=self._loop, daemon=True, name="repro-progress-heartbeat")
+        self._thread.start()
 
-    def __init__(self, directory: str | Path, *,
-                 heartbeat_interval: float | None =
-                 DEFAULT_HEARTBEAT_INTERVAL) -> None:
-        self.path = Path(directory) / PROGRESS_FILENAME
-        # Fresh stream per sweep: the old file narrates a finished run.
-        self.path.unlink(missing_ok=True)
-        self._sink = JsonlSink(self.path)
-        self.heartbeat_interval = heartbeat_interval
-        #: Parent-side tallies; the single source of the terminal
-        #: summary the manifest's ``progress`` block repeats.
-        self.units = 0
-        self.cells = 0
-        self.computed = 0
-        self.cached = 0
-        self.quarantined = 0
-        self.resumed = 0
-        self.cells_done = 0
-        #: Replaceable hook: which pids a heartbeat should liveness-
-        #: probe.  The sweep points this at the live pool.
-        self.pid_provider: Callable[[], list[int]] | None = None
-        self._hb_stop = threading.Event()
-        self._hb_thread: threading.Thread | None = None
+    def _loop(self) -> None:
+        while not self._stop.wait(self.interval):
+            try:
+                pids = (list(self.pids()) if self.pids is not None
+                        else [os.getpid()])
+            except Exception:  # pragma: no cover - racing pool teardown
+                pids = [os.getpid()]
+            TELEMETRY.emit("heartbeat", pids=pids,
+                           alive=[pid for pid in pids if _alive(pid)])
 
-    def write(self, kind: str, fields: Mapping[str, Any]) -> None:
-        """Append one event and count it."""
-        if kind == "sweep.done":
-            self._stop_heartbeat()  # no beat after the terminal event
-        if not self._sink.write(kind, fields):
-            return
-        if kind == "unit.done":
-            status = fields["status"]
-            if status == "computed":
-                self.computed += 1
-            elif status == "cached":
-                self.cached += 1
-            elif status == "quarantined":
-                self.quarantined += 1
-        elif kind == "cell.done":
-            self.cells_done += 1
-        elif kind == "cell.resumed":
-            self.resumed += fields["seeds"]
-            self.cells_done += 1
-        elif kind == "sweep.start":
-            self.units = fields["units"]
-            self.cells = fields["cells"]
-            interval = self.heartbeat_interval
-            if interval is not None and interval > 0:
-                self._hb_thread = threading.Thread(
-                    target=self._heartbeat_loop, daemon=True,
-                    name="repro-progress-heartbeat")
-                self._hb_thread.start()
-
-    def heartbeat(self) -> None:
-        """One liveness beat: progress counts plus pid liveness."""
-        provider = self.pid_provider
-        try:
-            pids = list(provider()) if provider is not None \
-                else [os.getpid()]
-        except Exception:  # pragma: no cover - racing pool teardown
-            pids = [os.getpid()]
-        self._sink.write("heartbeat", {
-            "done": self.done, "computed": self.computed,
-            "cached": self.cached, "resumed": self.resumed,
-            "quarantined": self.quarantined,
-            "cells_done": self.cells_done, "pids": pids,
-            "alive": [pid for pid in pids if _alive(pid)]})
-
-    def _heartbeat_loop(self) -> None:
-        while not self._hb_stop.wait(self.heartbeat_interval):
-            self.heartbeat()
-
-    def _stop_heartbeat(self) -> None:
-        self._hb_stop.set()
-        if self._hb_thread is not None:
-            self._hb_thread.join(timeout=1.0)
-
-    # -- summary and shutdown ------------------------------------------
-
-    @property
-    def done(self) -> int:
-        return (self.computed + self.cached + self.quarantined
-                + self.resumed)
-
-    def summary(self) -> dict:
-        """The terminal snapshot; repeated verbatim by the manifest's
-        ``progress`` block and by the ``sweep.done`` event."""
-        return {
-            "units": self.units,
-            "done": self.done,
-            "computed": self.computed,
-            "cached": self.cached,
-            "resumed": self.resumed,
-            "quarantined": self.quarantined,
-            "cells": self.cells,
-            "cells_done": self.cells_done,
-            "stream": str(self.path),
-        }
-
-    def close(self) -> None:
-        """Stop the heartbeat and close the file; idempotent."""
-        self._stop_heartbeat()
-        self._sink.close()
-
-
-def open_stream(directory: str | Path) -> ProgressStream | None:
-    """Open a stream, degrading to ``None`` on unusable directories.
-
-    Progress narration is an observability aid — a read-only disk or a
-    permission error must never take the sweep itself down.
-    """
-    try:
-        return ProgressStream(directory)
-    except OSError as exc:
-        TELEMETRY.inc("progress.degraded")
-        import sys
-        print(f"warning: progress stream dir {directory} unusable "
-              f"({exc}); sweep runs unnarrated", file=sys.stderr)
-        return None
+    def stop(self) -> None:
+        """Stop beating; no beat is written after this returns."""
+        self._stop.set()
+        self._thread.join(timeout=1.0)
 
 
 # -- the read side -----------------------------------------------------
@@ -252,7 +146,7 @@ def open_stream(directory: str | Path) -> ProgressStream | None:
 
 @dataclass
 class CellProgress:
-    """Per-cell completion state derived from the stream."""
+    """Per-cell completion state derived from the log."""
 
     index: int
     x: float | None = None
@@ -271,7 +165,7 @@ class CellProgress:
 class ProgressSnapshot:
     """Everything a watcher needs, one read.
 
-    Derived purely from the stream file — no live process contact
+    Derived purely from the event log — no live process contact
     beyond the pid liveness probes — so it works identically attached
     to a running sweep, a finished one, or an abandoned one.
     """
@@ -313,7 +207,7 @@ class ProgressSnapshot:
                 + self.quarantined)
 
     def summary(self) -> dict:
-        """The stream-writer's terminal-summary projection, for the
+        """The sweep's terminal-summary projection, for the
         manifest-vs-snapshot equality the CI gate enforces."""
         return {
             "units": self.units,
@@ -365,11 +259,24 @@ class ProgressSnapshot:
 
 
 def progress_path(target: str | Path) -> Path:
-    """Resolve a file-or-directory *target* to its stream path."""
+    """Resolve a file-or-directory *target* to its event log path."""
     target = Path(target)
     if target.is_dir():
-        return target / PROGRESS_FILENAME
+        return target / EVENTS_FILENAME
     return target
+
+
+def _newest_sweep(path: Path) -> tuple[list[dict], int]:
+    """The newest ``sweep.start`` segment of the log at *path* and the
+    number of lines skipped inside it; ``([], skipped)`` when the log
+    holds no ``sweep.start``."""
+    events, skipped = read_events(path)
+    starts = [i for i, event in enumerate(events)
+              if event["kind"] == "sweep.start"]
+    if not starts:
+        return [], len(skipped)
+    first = starts[-1]
+    return events[first:], sum(1 for pos in skipped if pos > first)
 
 
 #: How many trailing unit completions the throughput window uses.
@@ -381,30 +288,45 @@ _RECENT_FAILURES = 5
 
 def read_progress(target: str | Path, *, now: float | None = None,
                   stall_after: float | None = None) -> ProgressSnapshot:
-    """Parse a ``progress.jsonl`` into one :class:`ProgressSnapshot`.
+    """Narrate the newest sweep of an event log as one snapshot.
 
-    Corrupt or truncated lines (a watcher can race the writer
-    mid-line; a crash can tear the tail) are *skipped and counted* —
-    in ``corrupt_lines`` and in the ``progress.corrupt`` telemetry
-    counter — never fatal.  A stream whose first valid event is
-    missing, or whose schema is newer than this build, raises
+    Torn or corrupt lines (a watcher can race the writer mid-line; a
+    crash can tear the tail) are *skipped and counted* — in
+    ``corrupt_lines`` and in the ``progress.corrupt`` telemetry
+    counter — never fatal; kinds outside :data:`EVENT_KINDS` are
+    skipped.  A log with no readable ``sweep.start``, or whose newest
+    sweep has a schema newer than this build, raises
     :class:`~repro.errors.ExperimentError` instead of narrating
     garbage.
     """
     path = progress_path(target)
     try:
-        text = path.read_text(encoding="utf-8")
+        events, corrupt = _newest_sweep(path)
     except OSError as exc:
+        raise ExperimentError(f"no event log at {path}: {exc}") from exc
+    if not events:
         raise ExperimentError(
-            f"no progress stream at {path}: {exc}") from exc
+            f"event log {path} has no readable sweep.start event "
+            f"({corrupt} corrupt line(s))")
 
-    snap = ProgressSnapshot(path=str(path))
-    hb_interval: float | None = DEFAULT_HEARTBEAT_INTERVAL
+    start = events[0]
+    schema = int(start.get("schema", -1))
+    if schema > PROGRESS_SCHEMA:
+        raise ExperimentError(
+            f"event log {path} has progress schema {schema}, newer "
+            f"than this build understands ({PROGRESS_SCHEMA})")
+    snap = ProgressSnapshot(
+        path=str(path), schema=schema, started=float(start["ts"]),
+        updated=float(start["ts"]), cells=int(start.get("cells", 0)),
+        seeds=int(start.get("seeds", 0)),
+        units=int(start.get("units", 0)),
+        workers=int(start.get("workers", 1)),
+        workload_id=start.get("workload_id"),
+        writer_pid=start.get("pid"))
+    hb_interval = start.get("heartbeat_interval")
     done_ts: list[float] = []
     failures: list[dict] = []
     cells: dict[int, CellProgress] = {}
-    started = False
-    corrupt = 0
 
     def cell(index: int) -> CellProgress:
         entry = cells.get(index)
@@ -413,41 +335,11 @@ def read_progress(target: str | Path, *, now: float | None = None,
                                                 total=snap.seeds)
         return entry
 
-    for line in text.splitlines():
-        if not line.strip():
+    for event in events[1:]:
+        kind = event["kind"]
+        if kind not in EVENT_KINDS:
             continue
-        try:
-            event = json.loads(line)
-            kind = event["kind"]
-            ts = float(event["ts"])
-        except (ValueError, KeyError, TypeError):
-            corrupt += 1
-            continue
-        if not isinstance(kind, str) or kind not in EVENT_KINDS:
-            corrupt += 1
-            continue
-        if not started:
-            if kind != "sweep.start":
-                corrupt += 1
-                continue
-            schema = int(event.get("schema", -1))
-            if schema > PROGRESS_SCHEMA:
-                raise ExperimentError(
-                    f"progress stream {path} has schema {schema}, "
-                    f"newer than this build understands "
-                    f"({PROGRESS_SCHEMA})")
-            snap.schema = schema
-            snap.started = ts
-            snap.cells = int(event.get("cells", 0))
-            snap.seeds = int(event.get("seeds", 0))
-            snap.units = int(event.get("units", 0))
-            snap.workers = int(event.get("workers", 1))
-            snap.workload_id = event.get("workload_id")
-            snap.writer_pid = event.get("pid")
-            hb_interval = event.get("heartbeat_interval")
-            started = True
-            snap.updated = ts
-            continue
+        ts = float(event["ts"])
         snap.updated = ts
         if kind == "unit.done":
             status = event.get("status")
@@ -506,10 +398,6 @@ def read_progress(target: str | Path, *, now: float | None = None,
                                  **{k: v for k, v in event.items()
                                     if k not in ("seq", "ts", "kind")}})
 
-    if not started:
-        raise ExperimentError(
-            f"progress stream {path} has no readable sweep.start event "
-            f"({corrupt} corrupt line(s))")
     snap.corrupt_lines = corrupt
     if corrupt:
         TELEMETRY.inc("progress.corrupt", corrupt)
@@ -551,58 +439,40 @@ def read_progress(target: str | Path, *, now: float | None = None,
 
 
 def validate_stream(target: str | Path) -> list[str]:
-    """Structural validation for the CI gate: schema-known kinds,
-    strictly increasing ``seq``, non-decreasing ``ts``, a single
-    ``sweep.start`` first and at most one terminal ``sweep.done``.
-    Returns a list of human-readable problems (empty = valid)."""
-    path = progress_path(target)
-    problems: list[str] = []
+    """Structural validation of the newest sweep's narration, for the
+    CI gate: no torn or corrupt lines, strictly increasing ``seq``,
+    non-decreasing ``ts``, at most one terminal ``sweep.done`` and no
+    narration after it, known ``unit.done`` statuses.  Returns a list
+    of human-readable problems (empty = valid)."""
+    events, corrupt = _newest_sweep(progress_path(target))
+    if not events:
+        return ["no sweep.start event"]
+    problems = ([f"{corrupt} torn or corrupt line(s)"] if corrupt else [])
     last_seq = 0
     last_ts: float | None = None
-    saw_start = False
     saw_done = False
-    for lineno, line in enumerate(
-            path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            event = json.loads(line)
-        except ValueError:
-            problems.append(f"line {lineno}: not valid JSON")
-            continue
-        kind = event.get("kind")
+    for event in events:
+        kind = event["kind"]
         if kind not in EVENT_KINDS:
-            problems.append(f"line {lineno}: unknown kind {kind!r}")
             continue
         seq = event.get("seq")
-        ts = event.get("ts")
+        ts = event["ts"]
+        where = f"{kind} seq {seq!r}"
         if not isinstance(seq, int) or seq <= last_seq:
-            problems.append(f"line {lineno}: seq {seq!r} not "
-                            f"strictly increasing (last {last_seq})")
+            problems.append(f"{where}: seq not strictly increasing "
+                            f"(last {last_seq})")
         else:
             last_seq = seq
-        if not isinstance(ts, (int, float)) or (
-                last_ts is not None and ts < last_ts):
-            problems.append(f"line {lineno}: ts {ts!r} decreased "
+        if last_ts is not None and ts < last_ts:
+            problems.append(f"{where}: ts {ts!r} decreased "
                             f"(last {last_ts!r})")
         else:
             last_ts = float(ts)
-        if kind == "sweep.start":
-            if saw_start:
-                problems.append(f"line {lineno}: duplicate sweep.start")
-            saw_start = True
-        elif not saw_start:
-            problems.append(f"line {lineno}: {kind} before sweep.start")
-        if kind == "sweep.done":
-            if saw_done:
-                problems.append(f"line {lineno}: duplicate sweep.done")
-            saw_done = True
-        elif saw_done:
-            problems.append(f"line {lineno}: {kind} after sweep.done")
+        if saw_done:
+            problems.append(f"{where}: after sweep.done")
+        saw_done = saw_done or kind == "sweep.done"
         if kind == "unit.done" and event.get("status") \
                 not in UNIT_STATUSES:
-            problems.append(f"line {lineno}: unit.done status "
+            problems.append(f"{where}: unit.done status "
                             f"{event.get('status')!r} unknown")
-    if not saw_start:
-        problems.append("no sweep.start event")
     return problems

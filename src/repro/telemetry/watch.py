@@ -1,9 +1,9 @@
-"""`repro watch`: render a live progress stream for humans.
+"""`repro watch`: render a sweep's live progress for humans.
 
-The write side (:mod:`repro.telemetry.progress`) narrates a sweep into
-``progress.jsonl``; this module is the attachable read side — a
-separate process pointing `repro watch <dir>` at the stream directory
-gets a refreshing status view (overall and per-cell progress bars,
+A sweep narrates itself into its run directory's event log,
+``events.jsonl`` (:mod:`repro.telemetry.progress`); this module is the
+attachable read side — a separate process pointing `repro watch <dir>`
+at the run directory gets a refreshing status view (overall and per-cell progress bars,
 live throughput, an ETA, recent failures and quarantines, supervision
 activity, and a loud stall banner when heartbeats go silent or the
 writer pid dies), without touching the sweep process in any way.
@@ -159,13 +159,13 @@ def watch(target: str | Path, *, interval: float = 1.0,
           clock: Callable[[], float] = time.monotonic,
           sleep: Callable[[float], None] = time.sleep,
           max_wait: float | None = None) -> int:
-    """Follow *target*'s stream until the sweep finishes (or stalls).
+    """Follow *target*'s newest sweep until it finishes (or stalls).
 
     Re-reads and re-renders every *interval* seconds.  On a terminal
     the view refreshes in place (ANSI home+clear); on a pipe each
     refresh is a separate block.  Returns a process exit code: 0 for a
     completed sweep, 1 when the final state is failed or stalled, 2
-    when there is no readable stream.  *once* renders a single frame
+    when there is no readable event log.  *once* renders a single frame
     and returns.  *max_wait* (mostly for tests) bounds the total wait.
     """
     out = out if out is not None else sys.stdout

@@ -10,7 +10,9 @@ Chrome trace: one lane per worker pid holding its chunk spans, plus a
 parent lane with the sweep phases, dispatch instants and checkpoint
 markers — so pool utilization (stragglers, idle lanes, rebalancing)
 is visually inspectable in Perfetto instead of inferred from the
-manifest's aggregate utilization number.
+manifest's aggregate utilization number.  It reads the log with the
+same line reader as ``repro watch``: a torn or corrupt line (a sweep
+killed mid-write) is skipped and counted, never fatal.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 from pathlib import Path
 
 from repro.errors import ExperimentError
+from repro.telemetry.core import read_events
 
 #: Event wall-clock seconds -> trace microseconds.
 _SCALE = 1e6
@@ -30,31 +33,25 @@ _PID = 0
 _PARENT_TID = 0
 
 
-def _load_events(events_path: str | Path) -> list[dict]:
+def _load_events(events_path: str | Path) -> tuple[list[dict], int]:
+    """The log's events and how many lines were skipped."""
     path = Path(events_path)
     try:
-        lines = path.read_text().splitlines()
+        events, skipped = read_events(path)
     except OSError as exc:
         raise ExperimentError(
             f"cannot read telemetry events {path}: {exc}") from exc
-    events = []
-    for index, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ExperimentError(
-                f"telemetry events {path} line {index + 1} is not "
-                f"valid JSON: {exc}") from exc
     if not events:
         raise ExperimentError(f"telemetry events {path} are empty")
-    return events
+    return events, len(skipped)
 
 
 def sweep_timeline_events(events_path: str | Path) -> list[dict]:
     """Fold an ``events.jsonl`` stream into Chrome trace events."""
-    records = _load_events(events_path)
+    return _fold(_load_events(events_path)[0])
+
+
+def _fold(records: list[dict]) -> list[dict]:
 
     # The origin: earliest timestamp seen anywhere in the stream
     # (chunk windows start before their landing event's ts).
@@ -133,12 +130,14 @@ def sweep_timeline_events(events_path: str | Path) -> list[dict]:
 def export_sweep_timeline(events_path: str | Path,
                           out: str | Path) -> Path:
     """Write the worker-lane Chrome trace for one sweep's events."""
+    records, skipped = _load_events(events_path)
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     payload = {
-        "traceEvents": sweep_timeline_events(events_path),
+        "traceEvents": _fold(records),
         "displayTimeUnit": "ms",
-        "otherData": {"source": str(events_path)},
+        "otherData": {"source": str(events_path),
+                      "skipped_lines": skipped},
     }
     out.write_text(json.dumps(payload) + "\n")
     return out

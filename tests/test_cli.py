@@ -391,6 +391,17 @@ class TestManifestPaths:
         assert main(["profile", "diff", str(other), str(tmp_path)]) == 0
         assert capsys.readouterr().out.startswith("FINGERPRINT DRIFT: label")
 
+    def test_missing_profile_block_points_at_the_same_experiment(
+            self, capsys, tmp_path):
+        from repro.telemetry.manifest import RunManifest
+        RunManifest(label="EXP-F1", fingerprint={}).write(
+            tmp_path / "manifest_EXP-F1_001.json")
+        assert main(["profile", "report", str(tmp_path)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert "has no profile block" in line
+        assert "repro run EXP --profile --telemetry-dir DIR" in line
+        assert "profile run" not in line
+
     def test_unreadable_manifest_exits_2_in_one_line(self, capsys,
                                                      tmp_path):
         missing = tmp_path / "missing.json"

@@ -24,6 +24,7 @@ and counters off (``tests/test_telemetry.py`` pins both switches):
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import time
@@ -237,6 +238,11 @@ class TestBudgetInvariant:
     def test_profiled_sweep_budget_sums_to_wall(self):
         TELEMETRY.configure_timers(enabled=True)
         before = TELEMETRY.snapshot()
+        # Collect the test process's garbage first, as timeit does: an
+        # overdue full collection of everything earlier tests left
+        # (80-100 ms) otherwise lands in the sweep's first allocations,
+        # before its root frame opens, and is charged to the sweep.
+        gc.collect()
         t0 = time.perf_counter()
         run_sweep(1)
         measured = time.perf_counter() - t0

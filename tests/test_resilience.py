@@ -52,7 +52,7 @@ from repro.experiments.resilience import (
 )
 from repro.experiments.runner import bcwc_model, standard_taskset, sweep
 from repro.telemetry import TELEMETRY
-from repro.telemetry.progress import EVENT_KINDS, PROGRESS_FILENAME
+from repro.telemetry.progress import read_progress
 
 pytestmark = pytest.mark.chaos
 
@@ -322,7 +322,6 @@ class TestRetryNarration:
     def test_every_retry_reaches_both_event_streams(
             self, tmp_path, monkeypatch, workers):
         from repro.telemetry import TELEMETRY
-        from repro.telemetry.progress import read_progress
 
         # Two CPUs as far as dispatch can tell, so the pool really
         # forks: a worker cannot write to the parent's event sinks.
@@ -441,11 +440,11 @@ class TestChaosCrashRecovery:
         total = sum(len(c.normalized.get("static", [])) for c in cells)
         assert total == 4 - len(quarantined)
 
-    def test_progress_stream_is_the_event_log_projection(
+    def test_supervision_facts_are_narrated_once(
             self, tmp_path, monkeypatch):
-        # The crash-and-quarantine sweep above, narrated to both files:
-        # every supervision fact is emitted once, so the stream minus
-        # its heartbeats is events.jsonl filtered to the stream's kinds.
+        # The crash-and-quarantine sweep above, narrated to the event
+        # log: every supervision fact is emitted once, and the watcher
+        # counts exactly what the registry counted.
         monkeypatch.setattr(parallel, "default_workers", lambda: 2)
         xs = (0.4, 0.7)
         plan_seed, _ = _chaos_seed_firing_on_some_units(
@@ -468,21 +467,15 @@ class TestChaosCrashRecovery:
             TELEMETRY.configure(enabled=False)
             TELEMETRY.reset()
 
-        def substance(path, keep):
-            events = [json.loads(line)
-                      for line in path.read_text().splitlines()]
-            return [{k: v for k, v in event.items()
-                     if k not in ("seq", "ts")}
-                    for event in events if keep(event["kind"])]
-
-        stream = substance(tmp_path / PROGRESS_FILENAME,
-                           lambda kind: kind != "heartbeat")
-        log = substance(events_path, lambda kind: kind in EVENT_KINDS)
-        assert stream == log
-        kinds = [event["kind"] for event in log]
+        kinds = [json.loads(line)["kind"]
+                 for line in events_path.read_text().splitlines()]
         assert rebuilds > 0 and quarantined > 0
         assert kinds.count("resilience.pool_rebuild") == rebuilds
         assert kinds.count("resilience.quarantine") == quarantined
+        snap = read_progress(tmp_path)
+        assert snap.resilience["pool_rebuild"] == rebuilds
+        assert snap.resilience["quarantine"] == quarantined
+        assert snap.quarantined == quarantined
 
 
 def _chaos_seed_firing_on_some_units(
@@ -617,7 +610,7 @@ class TestGracefulShutdown:
         assert shutdown.requested
         assert shutdown.signal_number == signal.SIGTERM
 
-    def test_drain_is_narrated_once_in_each_file(self, tmp_path):
+    def test_drain_is_narrated_once(self, tmp_path):
         def slow_workload(u: float, seed: int):
             time.sleep(0.15)
             return workload(u, seed)
@@ -638,12 +631,11 @@ class TestGracefulShutdown:
             timer.cancel()
             TELEMETRY.configure(enabled=False)
             TELEMETRY.reset()
-        for path in (events_path, tmp_path / PROGRESS_FILENAME):
-            kinds = [json.loads(line)["kind"]
-                     for line in path.read_text().splitlines()]
-            assert kinds.count("resilience.drain") == 1, path.name
-            assert kinds.index("resilience.drain") \
-                < kinds.index("sweep.done"), path.name
+        kinds = [json.loads(line)["kind"]
+                 for line in events_path.read_text().splitlines()]
+        assert kinds.count("resilience.drain") == 1
+        assert kinds.index("resilience.drain") < kinds.index("sweep.done")
+        assert read_progress(tmp_path).status == "interrupted"
 
     def test_sigint_drains_and_resumes_byte_identically(self, tmp_path):
         xs = (0.4, 0.5, 0.6, 0.7)

@@ -213,6 +213,20 @@ class TestSweepTimeline:
         assert stamps == sorted(stamps)
         assert min(stamps) >= 0
 
+    def test_torn_tail_still_folds(self, tmp_path):
+        # A sweep killed mid-write tears the log's last line: the
+        # timeline skips and counts it, as `repro watch` does.
+        from repro.trace import export_sweep_timeline
+        path = self._events(tmp_path)
+        intact = export_sweep_timeline(path, tmp_path / "intact.json")
+        with path.open("a") as fh:
+            fh.write('{"seq": 6, "ts": 102.2, "kind": "parallel.ch')
+        torn = export_sweep_timeline(path, tmp_path / "torn.json")
+        intact, torn = (json.loads(p.read_text()) for p in (intact, torn))
+        assert torn["traceEvents"] == intact["traceEvents"]
+        assert intact["otherData"]["skipped_lines"] == 0
+        assert torn["otherData"]["skipped_lines"] == 1
+
     def test_empty_events_rejected(self, tmp_path):
         from repro.errors import ExperimentError
         from repro.trace import sweep_timeline_events
