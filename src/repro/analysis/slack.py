@@ -196,18 +196,37 @@ class SystemState:
         return sum(task.utilization for task in self.tasks)
 
 
+# The last task tuple scale_tasks scaled, pinned, and its scaled copies
+# by baseline speed: every policy of a suite binds to one task set, run
+# after run, so its scaled tuple is built once per suite and its
+# _flat_tasks columns stay cached with it.  One task tuple at a time.
+_SCALED: tuple[tuple, dict[float, tuple]] = ((), {})
+
+
 def scale_tasks(tasks: Sequence[PeriodicTask],
                 baseline_speed: float) -> tuple[PeriodicTask, ...]:
     """Re-express task WCETs as wall time at *baseline_speed*.
 
     Raises :class:`ConfigurationError` when a scaled WCET no longer fits
     its deadline — i.e. the baseline speed is below the task set's
-    minimum feasible constant speed.
+    minimum feasible constant speed.  A task tuple's scaled copies are
+    reused while it is the last one scaled (tasks are frozen).
     """
+    global _SCALED
     if not (0.0 < baseline_speed <= 1.0):
         raise ConfigurationError(
             f"baseline_speed must be in (0, 1], got {baseline_speed}")
-    return tuple(task.scaled(1.0 / baseline_speed) for task in tasks)
+    pinned, by_speed = _SCALED
+    if pinned is not tasks:
+        if type(tasks) is not tuple:
+            return tuple(task.scaled(1.0 / baseline_speed) for task in tasks)
+        by_speed = {}
+        _SCALED = (tasks, by_speed)
+    scaled = by_speed.get(baseline_speed)
+    if scaled is None:
+        scaled = by_speed[baseline_speed] = tuple(
+            task.scaled(1.0 / baseline_speed) for task in tasks)
+    return scaled
 
 
 def demand(state: SystemState, d: Time) -> Work:

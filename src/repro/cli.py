@@ -55,6 +55,7 @@ import argparse
 import inspect
 import json
 import os
+import signal
 import sys
 import time
 from pathlib import Path
@@ -991,11 +992,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The commands that stream what they read to stdout.  A reader that
+#: closes early (``repro stats --follow | head -5``) stops them quietly,
+#: as it stops a Unix filter: no traceback, and the status a shell
+#: reports for a filter killed by SIGPIPE.
+_STREAMING_COMMANDS = frozenset({"stats", "watch", "trace", "report"})
+
+
+def _stdout_closed() -> int:
+    # Python flushes stdout once more at exit: point it at /dev/null so
+    # that flush cannot fail again.
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return 128 + signal.SIGPIPE
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    if args.command not in _STREAMING_COMMANDS:
+        return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        return _stdout_closed()
+    return code
 
 
 if __name__ == "__main__":

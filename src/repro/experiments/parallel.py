@@ -73,18 +73,13 @@ partial instead of dying.
 
 from __future__ import annotations
 
+# multiprocessing and concurrent.futures (with logging, socket and
+# about twenty more stdlib modules) are imported where a pool is built:
+# a serial sweep never pays for them.
 import atexit
 import math
-import multiprocessing as mp
 import os
 import time as _time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    TimeoutError as _FuturesTimeout,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.cpu.profiles import ideal_processor
@@ -123,7 +118,9 @@ _CHUNKS_PER_WORKER = 2
 
 def fork_available() -> bool:
     """Whether this platform can fork workers (required for closures)."""
-    return "fork" in mp.get_all_start_methods()
+    import multiprocessing
+
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def default_workers() -> int:
@@ -205,8 +202,7 @@ class WorkerPool:
         #: first generation runs its first chunk inline in the parent
         #: (see run_cells) instead of idling behind the fork latency.
         self.fresh = True
-        self.executor = ProcessPoolExecutor(
-            max_workers=workers, mp_context=mp.get_context("fork"))
+        self.executor = _fork_executor(workers)
 
     @classmethod
     def acquire(cls, workers: int, spec: dict[str, Any]) -> "WorkerPool":
@@ -233,6 +229,15 @@ class WorkerPool:
             WorkerPool._instance = None
             _SPEC = None
         self.executor.shutdown(wait=False, cancel_futures=cancel_futures)
+
+
+def _fork_executor(workers: int):
+    """A ``ProcessPoolExecutor`` of *workers* forked processes."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers,
+                               mp_context=multiprocessing.get_context("fork"))
 
 
 def shutdown_pool() -> None:
@@ -395,8 +400,7 @@ def map_forked(calls: "list[Any]", workers: int) -> list[Any]:
     global _CALLS
     _CALLS = calls
     try:
-        pool = ProcessPoolExecutor(max_workers=workers,
-                                   mp_context=mp.get_context("fork"))
+        pool = _fork_executor(workers)
     except BaseException:
         _CALLS = None
         raise
@@ -678,6 +682,13 @@ def run_cells(
     finishes the ones in flight, and leaves the rest for a resumed
     run; the caller raises :class:`~repro.errors.SweepInterrupted`.
     """
+    from concurrent.futures import (
+        FIRST_COMPLETED,
+        TimeoutError as _FuturesTimeout,
+        wait,
+    )
+    from concurrent.futures.process import BrokenProcessPool
+
     fold = _CellFold(seeds, spec=spec, checkpointer=checkpointer,
                      cache=cache, unit_key=unit_key,
                      quarantine_store=quarantine_store,

@@ -565,6 +565,11 @@ def sweep(
         raise ExperimentError(
             f"on_failure must be 'raise' or 'quarantine', "
             f"got {on_failure!r}")
+    # With telemetry on, cut this sweep's metrics as a delta against
+    # the registry (other sweeps in the same process keep their
+    # counts), taken before the cache and the checkpointer open so the
+    # manifest counts their degradations.
+    before = TELEMETRY.snapshot() if TELEMETRY.enabled else None
     cache = None
     unit_key = None
     if cache_dir is not None:
@@ -702,14 +707,11 @@ def sweep(
         fields = {} if error is None else {"error": str(error)}
         TELEMETRY.emit("sweep.done", **summary(), status=status, **fields)
 
-    # With telemetry on, cut this sweep's metrics as a delta against
-    # the registry (other sweeps in the same process keep their
-    # counts) and drop a run manifest next to the checkpoints (or into
-    # the configured manifest directory).  ``sweep.compute`` is the
-    # root frame: every timer region this sweep opens — engine runs,
-    # slack walks, cache I/O, dispatch, idle — nests under it, and its
-    # self time is the orchestration residual.
-    before = TELEMETRY.snapshot() if TELEMETRY.enabled else None
+    # With telemetry on, drop a run manifest next to the checkpoints
+    # (or into the configured manifest directory).  ``sweep.compute``
+    # is the root frame: every timer region this sweep opens — engine
+    # runs, slack walks, cache I/O, dispatch, idle — nests under it,
+    # and its self time is the orchestration residual.
     TELEMETRY.inc("sweep.runs")
     TELEMETRY.inc("sweep.cells", len(xs))
 
@@ -810,7 +812,9 @@ def _write_sweep_manifest(
 
     The manifest lands in ``TELEMETRY.manifest_dir`` when configured
     (``repro run --telemetry-dir``), else next to the sweep's
-    checkpoints; with neither destination it is skipped.  Its numbers
+    checkpoints; with neither destination it is skipped, and with an
+    unusable one it is skipped with a warning: the sweep's cells are
+    computed by then, and a side artifact never costs them.  Its numbers
     are the sweep's *delta* — counters, the ``sweep.*`` spans, per-
     worker chunk accounting, and with timers on the ``profile`` time
     budget — so concurrent-in-process sweeps never bleed into each
@@ -872,7 +876,12 @@ def _write_sweep_manifest(
         profile=profile,
         git_rev=git_revision(),
     )
-    path = manifest.write(next_manifest_path(directory, label))
+    try:
+        path = manifest.write(next_manifest_path(directory, label))
+    except OSError as exc:
+        print(f"warning: manifest dir {directory} unusable ({exc}); "
+              f"sweep runs without a manifest", file=sys.stderr)
+        return None
     TELEMETRY.emit("sweep.manifest", path=str(path))
     return path
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import sys
 from abc import ABC, abstractmethod
+from itertools import repeat
+from operator import is_
 from typing import TYPE_CHECKING, Any, NamedTuple
 
 from repro.cpu.processor import Processor
@@ -44,9 +46,10 @@ _DECIDE_HELPERS = ("exact_slack", "heuristic_slack", "allotted_speed",
 
 
 def _hook_snapshot(cls: type) -> tuple:
+    # map() over the names: this runs for every compiled run.
     module = vars(sys.modules.get(cls.__module__, sys))
-    return (tuple(getattr(cls, name, None) for name in _DECIDE_HOOKS)
-            + tuple(module.get(name) for name in _DECIDE_HELPERS))
+    return (*map(getattr, repeat(cls), _DECIDE_HOOKS, repeat(None)),
+            *map(module.get, _DECIDE_HELPERS))
 
 
 class GovernorStage(NamedTuple):
@@ -97,13 +100,15 @@ class DecideState(NamedTuple):
     """The policy state a compiled decide leaves behind after a run."""
 
     analysis_calls: int
-    #: One ``(prediction, integral, last_error)`` per task, task order.
+    #: feedback's one ``(prediction, integral, last_error)`` per task,
+    #: task order (empty for the other kinds).
     pid: tuple
     canonical_now: float
     #: One ``(task index, job index, deadline, release, budget, done)``
     #: per alpha-queue entry, in queue order.
     alpha: tuple
-    #: ccEDF's utilization estimate per task, task order.
+    #: ccEDF's utilization estimate per task, task order (empty for the
+    #: other kinds).
     util: tuple
     #: The governor stage's intervention and dispatch counts, and its
     #: largest clamp.
@@ -134,10 +139,9 @@ class DvsPolicy(ABC):
         spec = self.decide_spec
         if spec is None or type(self) is not spec.owner:
             return False
-        current = _hook_snapshot(spec.owner)
-        return (all(a is b for a, b in zip(current,
-                                           spec.owner._reference_hooks))
-                and not any(name in vars(self) for name in _DECIDE_HOOKS))
+        return (all(map(is_, _hook_snapshot(spec.owner),
+                        spec.owner._reference_hooks))
+                and vars(self).keys().isdisjoint(_DECIDE_HOOKS))
 
     def absorb_decide_state(self, state: DecideState) -> None:
         """Take back the state a compiled decide ran on (see

@@ -18,7 +18,10 @@
  * sets (section 13.4); the demands of uniform and constant execution
  * models, and of overrun faults over them, are drawn here, bit-identical
  * to numpy, into per-task tables (section 13.4); and a job lives in its
- * slot, its Python Job built only when Python code asks for it.
+ * slot, its Python Job built only when Python code asks for it.  Nothing
+ * else builds a Python object per event: speed_time keys are computed
+ * exactly in C, and the next-release and job-index dicts Python reads
+ * are written only when Python can read them (section 13.1).
  *
  * CoreEngine exposes the same private attribute surface SimContext
  * reads from Simulator (_now, _active, _next_release, ...), so the
@@ -107,6 +110,55 @@ intern_names(void)
 /* ------------------------------------------------------------------ */
 /* small helpers                                                       */
 /* ------------------------------------------------------------------ */
+
+/* The interned attribute name for the string literal text, cached by
+ * the literal's address: every run reads about ninety fields of its
+ * init namespace and writes about seventy result and stats fields, and
+ * a fresh key string per access cost more than the access.  An
+ * interned key also hits the type's attribute cache. */
+#define NAME_SLOTS 512
+static struct { const char *text; PyObject *name; } names_by_literal[
+    NAME_SLOTS];
+
+static PyObject *
+name_of(const char *text)
+{
+    /* Fibonacci hashing of the address: nine bits, NAME_SLOTS slots */
+    size_t i = (size_t)(((uint64_t)(uintptr_t)text * 0x9E3779B97F4A7C15ULL)
+                        >> 55);
+    for (size_t probe = 0; probe < NAME_SLOTS; probe++) {
+        if (names_by_literal[i].text == text)
+            return names_by_literal[i].name;
+        if (names_by_literal[i].text == NULL) {
+            PyObject *name = PyUnicode_InternFromString(text);
+            if (name == NULL)
+                return NULL;
+            names_by_literal[i].text = text;
+            names_by_literal[i].name = name;
+            return name;
+        }
+        i = (i + 1) % NAME_SLOTS;
+    }
+    /* more distinct literals than slots: raise NAME_SLOTS */
+    PyErr_SetString(PyExc_RuntimeError, "fastcore: name cache full");
+    return NULL;
+}
+
+/* obj.<text>: a new reference, or NULL with an exception set */
+static PyObject *
+get_named(PyObject *obj, const char *text)
+{
+    PyObject *name = name_of(text);
+    return name == NULL ? NULL : PyObject_GetAttr(obj, name);
+}
+
+/* obj.<text> = value (value may be NULL after a failed build: -1) */
+static int
+set_named(PyObject *obj, const char *text, PyObject *value)
+{
+    PyObject *name = value == NULL ? NULL : name_of(text);
+    return name == NULL ? -1 : PyObject_SetAttr(obj, name, value);
+}
 
 /* Python's two-argument min/max: the first argument unless the second
  * is strictly smaller/larger. */
@@ -687,10 +739,26 @@ dmap_put(DoubleMap *m, double x, Py_ssize_t v)
 }
 
 /* round(x, 12) as float.__round__ computes it: the correctly rounded
- * 12-decimal string, read back correctly rounded. */
+ * 12-decimal string, read back correctly rounded.
+ *
+ * Fast path, exact without the string: for |x| <= 1, y = x * 1e12 lies
+ * below 2**40, so it is within 2**-13 of the exact product.  Unless
+ * frac(y) is within 0.01 of one half, nearbyint(y) is the exact
+ * product rounded to an integer N, and N / 1e12 (both exact doubles,
+ * one correctly rounded division) is the double nearest N * 1e-12:
+ * what reading the 12-decimal string back gives.  nearbyint keeps the
+ * sign of a result that rounds to zero, like the string "-0.000...".
+ * Near-ties and |x| > 1 (or NaN) take the formatter. */
 static int
 round12(double x, double *out)
 {
+    if (fabs(x) <= 1.0) {
+        double y = x * 1e12;
+        if (fabs(y - floor(y) - 0.5) > 0.01) {
+            *out = nearbyint(y) / 1e12;
+            return 0;
+        }
+    }
     char *text = PyOS_double_to_string(x, 'f', 12, 0, NULL);
     if (text == NULL)
         return -1;
@@ -1057,7 +1125,10 @@ typedef struct {
     /* configuration objects (strong refs; surfaced to SimContext) */
     PyObject *taskset, *processor, *scheduler, *execution_model,
         *arrival_model, *trace, *result;
-    PyObject *next_release_dict, *next_index_dict;  /* live dicts */
+    /* the live dicts Python reads (sim._next_release, _next_index):
+     * written from next_release/next_index only when Python can read
+     * them (ce_sync_mirrors), not per release */
+    PyObject *next_release_dict, *next_index_dict;
     PyObject *tasks;        /* tuple of PeriodicTask */
     PyObject *names;        /* tuple of str */
     PyObject *name2idx;     /* dict name -> int */
@@ -1087,9 +1158,11 @@ typedef struct {
     DemandTable **tables;
 
     /* per-task run state */
-    double *next_release;   /* mirrors next_release_dict */
-    long *next_index;       /* mirrors next_index_dict */
+    double *next_release;
+    long *next_index;
     double *last_arrival;   /* NAN == no arrival yet */
+    char *mirror_stale;     /* released since the dicts were written */
+    int mirrors_stale;      /* any entry of mirror_stale set */
 
     /* per-task stat accumulators */
     long *st_released, *st_completed, *st_preempt, *st_missed;
@@ -1165,11 +1238,11 @@ typedef struct {
 
     /* speed_time: one accumulator per round(speed, 12) key, in
      * key-first-seen order; durations add up in time order, exactly
-     * like the interpreted engine's dict updates.  spd_exact maps each
-     * speed seen to its key's index, spd_keyed each key. */
+     * like the interpreted engine's dict updates.  spd_keyed maps each
+     * key to its index. */
     double *spd_key, *spd_dur;
     Py_ssize_t n_spd, cap_spd;
-    DoubleMap spd_exact, spd_keyed;
+    DoubleMap spd_keyed;
 } CoreEngine;
 
 static void
@@ -1217,13 +1290,12 @@ CoreEngine_dealloc(CoreEngine *self)
     PyMem_Free(self->w_ad); PyMem_Free(self->w_aw); PyMem_Free(self->w_rel);
     PyMem_Free(self->w_idx);
     walk_buffers_free(&self->ws);
-    dmap_free(&self->spd_exact);
     dmap_free(&self->spd_keyed);
     PyMem_Free(self->active);
     PyMem_Free(self->t_period); PyMem_Free(self->t_rel_deadline);
     PyMem_Free(self->t_wcet); PyMem_Free(self->t_rank);
     PyMem_Free(self->next_release); PyMem_Free(self->next_index);
-    PyMem_Free(self->last_arrival);
+    PyMem_Free(self->last_arrival); PyMem_Free(self->mirror_stale);
     PyMem_Free(self->st_released); PyMem_Free(self->st_completed);
     PyMem_Free(self->st_preempt); PyMem_Free(self->st_missed);
     PyMem_Free(self->st_exec);
@@ -1237,7 +1309,7 @@ CoreEngine_dealloc(CoreEngine *self)
 static int
 ns_get(PyObject *ns, const char *name, PyObject **slot)
 {
-    PyObject *val = PyObject_GetAttrString(ns, name);
+    PyObject *val = get_named(ns, name);
     if (val == NULL)
         return -1;
     *slot = val;
@@ -1247,7 +1319,7 @@ ns_get(PyObject *ns, const char *name, PyObject **slot)
 static int
 ns_get_double(PyObject *ns, const char *name, double *out)
 {
-    PyObject *val = PyObject_GetAttrString(ns, name);
+    PyObject *val = get_named(ns, name);
     if (val == NULL)
         return -1;
     *out = PyFloat_AsDouble(val);
@@ -1258,7 +1330,7 @@ ns_get_double(PyObject *ns, const char *name, double *out)
 static int
 ns_get_int(PyObject *ns, const char *name, int *out)
 {
-    PyObject *val = PyObject_GetAttrString(ns, name);
+    PyObject *val = get_named(ns, name);
     if (val == NULL)
         return -1;
     long v = PyLong_AsLong(val);
@@ -1295,7 +1367,7 @@ ce_init_decide(CoreEngine *self, PyObject *ns)
     Py_ssize_t n = self->n_tasks, got;
     PyObject *seq;
 #define GETCOL(attr, field, used) \
-    seq = PyObject_GetAttrString(ns, attr); \
+    seq = get_named(ns, attr); \
     if (seq == NULL) return -1; \
     self->field = seq_as_doubles(seq, &got); \
     Py_DECREF(seq); \
@@ -1423,7 +1495,7 @@ CoreEngine_init(CoreEngine *self, PyObject *args, PyObject *kwds)
     PyObject *seq;
     Py_ssize_t n = 0, n2 = 0;
 #define GETARR(attr, field, conv) \
-    seq = PyObject_GetAttrString(ns, attr); \
+    seq = get_named(ns, attr); \
     if (seq == NULL) return -1; \
     self->field = conv(seq, &n2); \
     Py_DECREF(seq); \
@@ -1463,7 +1535,7 @@ CoreEngine_init(CoreEngine *self, PyObject *args, PyObject *kwds)
         }
     }
 
-    seq = PyObject_GetAttrString(ns, "q_levels");
+    seq = get_named(ns, "q_levels");
     if (seq == NULL)
         return -1;
     self->q_levels = seq_as_doubles(seq, &self->q_nlevels);
@@ -1473,6 +1545,7 @@ CoreEngine_init(CoreEngine *self, PyObject *args, PyObject *kwds)
 
     self->next_index = PyMem_Malloc((size_t)(n > 0 ? n : 1) * sizeof(long));
     self->last_arrival = PyMem_Malloc((size_t)(n > 0 ? n : 1) * sizeof(double));
+    self->mirror_stale = PyMem_Calloc((size_t)(n > 0 ? n : 1), 1);
     self->st_released = PyMem_Calloc((size_t)(n > 0 ? n : 1), sizeof(long));
     self->st_completed = PyMem_Calloc((size_t)(n > 0 ? n : 1), sizeof(long));
     self->st_preempt = PyMem_Calloc((size_t)(n > 0 ? n : 1), sizeof(long));
@@ -1481,6 +1554,7 @@ CoreEngine_init(CoreEngine *self, PyObject *args, PyObject *kwds)
     self->st_resp = PyMem_Calloc((size_t)(n > 0 ? n : 1), sizeof(double));
     self->st_maxresp = PyMem_Calloc((size_t)(n > 0 ? n : 1), sizeof(double));
     if (self->next_index == NULL || self->last_arrival == NULL ||
+        self->mirror_stale == NULL ||
         self->st_released == NULL || self->st_completed == NULL ||
         self->st_preempt == NULL || self->st_missed == NULL ||
         self->st_exec == NULL ||
@@ -1499,7 +1573,7 @@ CoreEngine_init(CoreEngine *self, PyObject *args, PyObject *kwds)
     self->spd_key = PyMem_Malloc((size_t)self->cap_spd * sizeof(double));
     self->spd_dur = PyMem_Malloc((size_t)self->cap_spd * sizeof(double));
     if (self->active == NULL || self->spd_key == NULL ||
-        self->spd_dur == NULL || dmap_init(&self->spd_exact, 16) < 0 ||
+        self->spd_dur == NULL ||
         dmap_init(&self->spd_keyed, 16) < 0) {
         PyErr_NoMemory();
         return -1;
@@ -1509,6 +1583,7 @@ CoreEngine_init(CoreEngine *self, PyObject *args, PyObject *kwds)
     self->now = 0.0;
     self->current_speed = 1.0;
     self->release_version = 0;
+    self->mirrors_stale = 0;
     self->switch_attempts = 0;
     self->last_running = -1;
     self->ctx = NULL;
@@ -1596,16 +1671,46 @@ ce_job(CoreEngine *e, Py_ssize_t idx)
     return job;
 }
 
-/* Slot state the engine updates: mirrored onto a materialized job. */
+/* Slot state the engine updates, mirrored onto a materialized job (an
+ * int attribute when is_int); a slot without a Job builds nothing. */
 static int
-ce_sync(CoreEngine *e, Py_ssize_t idx, PyObject *name, PyObject *value)
+ce_sync(CoreEngine *e, Py_ssize_t idx, PyObject *name, double value,
+        int is_int)
 {
     PyObject *job = e->active[idx].job;
-    if (job == NULL) {
-        Py_XDECREF(value);
-        return value == NULL ? -1 : 0;
+    if (job == NULL)
+        return 0;
+    return job_set(job, name, is_int ? PyLong_FromLong((long)value)
+                                     : PyFloat_FromDouble(value));
+}
+
+/* Write each task released since the last call into the live dicts
+ * (sim._next_release, sim._next_index).  Called wherever Python can
+ * read them: their getters, before every Python hook that receives the
+ * context, and by ce_flush. */
+static int
+ce_sync_mirrors(CoreEngine *e)
+{
+    if (!e->mirrors_stale)
+        return 0;
+    for (Py_ssize_t i = 0; i < e->n_tasks; i++) {
+        if (!e->mirror_stale[i])
+            continue;
+        PyObject *name = PyTuple_GET_ITEM(e->names, i);
+        PyObject *rel = PyFloat_FromDouble(e->next_release[i]);
+        int rc = rel == NULL ? -1
+            : PyDict_SetItem(e->next_release_dict, name, rel);
+        Py_XDECREF(rel);
+        PyObject *index = rc < 0 ? NULL : PyLong_FromLong(e->next_index[i]);
+        rc = index == NULL ? -1
+            : PyDict_SetItem(e->next_index_dict, name, index);
+        Py_XDECREF(index);
+        if (rc < 0)
+            return -1;
+        e->mirror_stale[i] = 0;
     }
-    return job_set(job, name, value);
+    e->mirrors_stale = 0;
+    return 0;
 }
 
 /* EDF pick: min over (deadline, release, task-name rank, index). */
@@ -2499,7 +2604,6 @@ ce_process_releases(CoreEngine *e)
         return ce_check_misses(e);
     for (Py_ssize_t i = 0; i < e->n_tasks; i++) {
         PyObject *task = PyTuple_GET_ITEM(e->tasks, i);
-        PyObject *name = PyTuple_GET_ITEM(e->names, i);
         while (e->next_release[i] <= e->now + K_TIME_EPS &&
                e->next_release[i] < e->horizon - K_TIME_EPS) {
             long index = e->next_index[i];
@@ -2569,13 +2673,6 @@ ce_process_releases(CoreEngine *e)
             e->st_released[i]++;
             e->last_arrival[i] = release;
             e->next_index[i] = index + 1;
-            PyObject *ni = PyLong_FromLong(index + 1);
-            if (ni == NULL ||
-                PyDict_SetItem(e->next_index_dict, name, ni) < 0) {
-                Py_XDECREF(ni);
-                return -1;
-            }
-            Py_DECREF(ni);
             double next_rel;
             if (e->periodic_inline) {
                 /* arrival prefix sums are repeated addition */
@@ -2596,13 +2693,8 @@ ce_process_releases(CoreEngine *e)
                     return -1;
             }
             e->next_release[i] = next_rel;
-            PyObject *nrobj = PyFloat_FromDouble(next_rel);
-            if (nrobj == NULL ||
-                PyDict_SetItem(e->next_release_dict, name, nrobj) < 0) {
-                Py_XDECREF(nrobj);
-                return -1;
-            }
-            Py_DECREF(nrobj);
+            e->mirror_stale[i] = 1;
+            e->mirrors_stale = 1;
             e->release_version++;
             if (e->dk == DK_DRA) {
                 if (dra_release(e, &e->active[at]) < 0)
@@ -2612,7 +2704,8 @@ ce_process_releases(CoreEngine *e)
                 e->cc_util[i] = e->fu_util[i];
             }
             else if (e->m_on_release != Py_None) {
-                PyObject *jobj = ce_job(e, at);
+                PyObject *jobj = ce_sync_mirrors(e) < 0 ? NULL
+                    : ce_job(e, at);
                 PyObject *r = jobj == NULL ? NULL :
                     PyObject_CallFunctionObjArgs(e->m_on_release, jobj,
                                                  e->ctx, NULL);
@@ -2751,6 +2844,8 @@ ce_handle_empty(CoreEngine *e)
         next_release = e->horizon;
     if (!e->has_idle_policy)
         return ce_idle_until(e, next_release);
+    if (ce_sync_mirrors(e) < 0)
+        return -1;
     PyObject *now_obj = PyFloat_FromDouble(e->now);
     PyObject *nr_obj = PyFloat_FromDouble(next_release);
     if (now_obj == NULL || nr_obj == NULL) {
@@ -2789,40 +2884,35 @@ ce_handle_empty(CoreEngine *e)
 static int
 ce_speed_time_add(CoreEngine *e, double speed, double duration)
 {
-    Py_ssize_t k = dmap_get(&e->spd_exact, speed);
+    double key;
+    if (round12(speed, &key) < 0)
+        return -1;
+    Py_ssize_t k = dmap_get(&e->spd_keyed, key);
     if (k < 0) {
-        double key;
-        if (round12(speed, &key) < 0)
-            return -1;
-        k = dmap_get(&e->spd_keyed, key);
-        if (k < 0) {
-            if (e->n_spd == e->cap_spd) {
-                Py_ssize_t cap = e->cap_spd * 2;
-                double *pk = PyMem_Realloc(e->spd_key,
-                                           (size_t)cap * sizeof(double));
-                if (pk == NULL) {
-                    PyErr_NoMemory();
-                    return -1;
-                }
-                e->spd_key = pk;
-                double *pd = PyMem_Realloc(e->spd_dur,
-                                           (size_t)cap * sizeof(double));
-                if (pd == NULL) {
-                    PyErr_NoMemory();
-                    return -1;
-                }
-                e->spd_dur = pd;
-                e->cap_spd = cap;
-            }
-            k = e->n_spd;
-            if (dmap_put(&e->spd_keyed, key, k) < 0)
+        if (e->n_spd == e->cap_spd) {
+            Py_ssize_t cap = e->cap_spd * 2;
+            double *pk = PyMem_Realloc(e->spd_key,
+                                       (size_t)cap * sizeof(double));
+            if (pk == NULL) {
+                PyErr_NoMemory();
                 return -1;
-            e->spd_key[k] = key;
-            e->spd_dur[k] = 0.0;
-            e->n_spd++;
+            }
+            e->spd_key = pk;
+            double *pd = PyMem_Realloc(e->spd_dur,
+                                       (size_t)cap * sizeof(double));
+            if (pd == NULL) {
+                PyErr_NoMemory();
+                return -1;
+            }
+            e->spd_dur = pd;
+            e->cap_spd = cap;
         }
-        if (dmap_put(&e->spd_exact, speed, k) < 0)
+        k = e->n_spd;
+        if (dmap_put(&e->spd_keyed, key, k) < 0)
             return -1;
+        e->spd_key[k] = key;
+        e->spd_dur[k] = 0.0;
+        e->n_spd++;
     }
     e->spd_dur[k] += duration;
     return 0;
@@ -2996,8 +3086,9 @@ ce_complete(CoreEngine *e, Py_ssize_t idx)
             e->cc_util[slot.task] = slot.work / e->t_period[slot.task];
         }
         else if (hook) {
-            PyObject *h = PyObject_CallFunctionObjArgs(
-                e->m_on_completion, slot.job, e->ctx, NULL);
+            PyObject *h = ce_sync_mirrors(e) < 0 ? NULL
+                : PyObject_CallFunctionObjArgs(e->m_on_completion,
+                                               slot.job, e->ctx, NULL);
             if (h == NULL)
                 status = -1;
             else
@@ -3014,7 +3105,7 @@ ce_complete(CoreEngine *e, Py_ssize_t idx)
 static int
 ce_select_speed(CoreEngine *e, Py_ssize_t idx, double *out)
 {
-    PyObject *job = ce_job(e, idx);
+    PyObject *job = ce_sync_mirrors(e) < 0 ? NULL : ce_job(e, idx);
     if (job == NULL)
         return -1;
     PyObject *desired = PyObject_CallFunctionObjArgs(e->m_select_speed,
@@ -3076,16 +3167,15 @@ ce_dispatch(CoreEngine *e, Py_ssize_t idx)
             JobSlot *ls = &e->active[li];
             ls->preempt++;
             e->st_preempt[ls->task]++;
-            if (ce_sync(e, li, s_preemption_count,
-                        PyLong_FromLong(ls->preempt)) < 0)
+            if (ce_sync(e, li, s_preemption_count, (double)ls->preempt,
+                        1) < 0)
                 return -1;
         }
     }
     if (!e->active[idx].dispatched) {
         e->active[idx].dispatched = 1;
         e->active[idx].first_dispatch = e->now;
-        if (ce_sync(e, idx, s_first_dispatch_time,
-                    PyFloat_FromDouble(e->now)) < 0)
+        if (ce_sync(e, idx, s_first_dispatch_time, e->now, 0) < 0)
             return -1;
     }
     e->dispatches++;
@@ -3149,7 +3239,7 @@ ce_dispatch(CoreEngine *e, Py_ssize_t idx)
         return -1;
     }
     s->executed = (new_total < s->work) ? new_total : s->work;
-    if (ce_sync(e, idx, s_executed, PyFloat_FromDouble(s->executed)) < 0)
+    if (ce_sync(e, idx, s_executed, s->executed, 0) < 0)
         return -1;
     double energy;
     if (ce_active_energy(e, speed, duration, &energy) < 0)
@@ -3190,21 +3280,24 @@ ce_final_check(CoreEngine *e)
     return 0;
 }
 
-/* Write the C accumulators into the SimulationResult.  Called on both
- * the success and the error path, so partially-run state is visible
- * exactly as the interpreted engine would have left it. */
+/* Write the C accumulators into the SimulationResult, and the release
+ * mirrors into their dicts.  Called on both the success and the error
+ * path, so partially-run state is visible exactly as the interpreted
+ * engine would have left it. */
 static int
 ce_flush(CoreEngine *e)
 {
     PyObject *res = e->result;
+    if (ce_sync_mirrors(e) < 0)
+        return -1;
 #define SETF(name, val) do { \
         PyObject *obj_ = PyFloat_FromDouble(val); \
-        if (obj_ == NULL || PyObject_SetAttrString(res, name, obj_) < 0) { \
+        if (set_named(res, name, obj_) < 0) { \
             Py_XDECREF(obj_); return -1; } \
         Py_DECREF(obj_); } while (0)
 #define SETI(name, val) do { \
         PyObject *obj_ = PyLong_FromLong(val); \
-        if (obj_ == NULL || PyObject_SetAttrString(res, name, obj_) < 0) { \
+        if (set_named(res, name, obj_) < 0) { \
             Py_XDECREF(obj_); return -1; } \
         Py_DECREF(obj_); } while (0)
     SETF("busy_energy", e->busy_energy);
@@ -3241,7 +3334,7 @@ ce_flush(CoreEngine *e)
         Py_DECREF(key);
         Py_DECREF(val);
     }
-    if (PyObject_SetAttrString(res, "speed_time", st) < 0) {
+    if (set_named(res, "speed_time", st) < 0) {
         Py_DECREF(st);
         return -1;
     }
@@ -3251,13 +3344,13 @@ ce_flush(CoreEngine *e)
 #define TSETI(name, val) do { \
             PyObject *obj_ = PyLong_FromLong(val); \
             if (obj_ == NULL || \
-                PyObject_SetAttrString(ts, name, obj_) < 0) { \
+                set_named(ts, name, obj_) < 0) { \
                 Py_XDECREF(obj_); return -1; } \
             Py_DECREF(obj_); } while (0)
 #define TSETF(name, val) do { \
             PyObject *obj_ = PyFloat_FromDouble(val); \
             if (obj_ == NULL || \
-                PyObject_SetAttrString(ts, name, obj_) < 0) { \
+                set_named(ts, name, obj_) < 0) { \
                 Py_XDECREF(obj_); return -1; } \
             Py_DECREF(obj_); } while (0)
         TSETI("released", e->st_released[i]);
@@ -3425,21 +3518,25 @@ CoreEngine_get_active(CoreEngine *self, void *Py_UNUSED(closure))
 /* decide_state() -> (analysis_calls, pid, canonical_now, alpha, util,
  * interventions, dispatches, max_clamp): what the compiled decide
  * leaves behind, for the policy to take back.  pid is one (prediction,
- * integral, last_error) per task; alpha one (task, index, deadline,
- * release, budget, done) per entry, in order; util ccEDF's utilization
- * estimate per task; the last three the governor stage's counters. */
+ * integral, last_error) per task, feedback's only; alpha one (task,
+ * index, deadline, release, budget, done) per entry, in order (DRA's
+ * only); util ccEDF's utilization estimate per task, ccEDF's only; the
+ * last three the governor stage's counters.  A kind's empty fields are
+ * ones its policy does not read. */
 static PyObject *
 CoreEngine_decide_state(CoreEngine *self, PyObject *Py_UNUSED(ignored))
 {
-    PyObject *pid = PyTuple_New(self->n_tasks);
+    Py_ssize_t n_pid = self->dk == DK_FEEDBACK ? self->n_tasks : 0;
+    Py_ssize_t n_util = self->dk == DK_CCEDF ? self->n_tasks : 0;
+    PyObject *pid = PyTuple_New(n_pid);
     PyObject *alpha = pid == NULL ? NULL : PyTuple_New(self->n_alpha);
-    PyObject *util = alpha == NULL ? NULL : PyTuple_New(self->n_tasks);
+    PyObject *util = alpha == NULL ? NULL : PyTuple_New(n_util);
     if (util == NULL) {
         Py_XDECREF(pid);
         Py_XDECREF(alpha);
         return NULL;
     }
-    for (Py_ssize_t i = 0; i < self->n_tasks; i++) {
+    for (Py_ssize_t i = 0; i < n_pid; i++) {
         PyObject *row = Py_BuildValue("(ddd)", self->pid_pred[i],
                                       self->pid_int[i], self->pid_last[i]);
         if (row == NULL)
@@ -3455,8 +3552,8 @@ CoreEngine_decide_state(CoreEngine *self, PyObject *Py_UNUSED(ignored))
             goto fail;
         PyTuple_SET_ITEM(alpha, k, row);
     }
-    for (Py_ssize_t i = 0; i < self->n_tasks; i++) {
-        PyObject *u = PyFloat_FromDouble(self->dk ? self->cc_util[i] : 0.0);
+    for (Py_ssize_t i = 0; i < n_util; i++) {
+        PyObject *u = PyFloat_FromDouble(self->cc_util[i]);
         if (u == NULL)
             goto fail;
         PyTuple_SET_ITEM(util, i, u);
@@ -3509,9 +3606,21 @@ OBJ_GETTER(scheduler)
 OBJ_GETTER(execution_model)
 OBJ_GETTER(arrival_model)
 OBJ_GETTER(trace)
-OBJ_GETTER(next_release_dict)
-OBJ_GETTER(next_index_dict)
 #undef OBJ_GETTER
+
+/* _next_release / _next_index: the live dicts, brought up to date */
+#define MIRROR_GETTER(field) \
+    static PyObject * \
+    CoreEngine_get_##field(CoreEngine *self, void *Py_UNUSED(closure)) \
+    { \
+        if (ce_sync_mirrors(self) < 0) \
+            return NULL; \
+        Py_INCREF(self->field); \
+        return self->field; \
+    }
+MIRROR_GETTER(next_release_dict)
+MIRROR_GETTER(next_index_dict)
+#undef MIRROR_GETTER
 
 static PyGetSetDef CoreEngine_getset[] = {
     {"_now", (getter)CoreEngine_get_now, NULL, NULL, NULL},

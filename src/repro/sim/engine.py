@@ -324,6 +324,7 @@ class Simulator:
         if self.idle_policy is not None:
             self.idle_policy.bind(self.taskset, self.processor)
         if not _fastcore.run_compiled(self):
+            self._reset_loop()
             self._process_releases()
 
             while self._now < self.horizon - TIME_EPS:
@@ -377,18 +378,32 @@ class Simulator:
                   energy=result.total_energy)
 
     def _reset(self) -> None:
+        """The run state both engines share: what the compiled core
+        reads and writes, and what stays readable after a run."""
         self._now = 0.0
+        self._current_speed = 1.0
+        tasks = self.taskset.tasks
+        arrival_time = self.arrival_model.arrival_time
+        self._next_release = {t.name: arrival_time(t, 0) for t in tasks}
+        self._next_index = dict.fromkeys(self._next_release, 0)
+        # Bumped on every release; SimContext caches key off it.
+        self._release_version = 0
+        self._trace = TraceRecorder(enabled=self.record_trace)
+        self._result = SimulationResult(
+            policy=getattr(self.policy, "name", type(self.policy).__name__),
+            horizon=self.horizon,
+            task_stats={t.name: TaskStats() for t in tasks},
+        )
+
+    def _reset_loop(self) -> None:
+        """The interpreted loop's own state, built only for a run the
+        compiled core declined."""
         self._active = []
         self._missed_jobs = set()
         self._last_running = None
-        self._current_speed = 1.0
         self._switch_attempts = 0
-        self._next_release = {
-            t.name: self.arrival_model.arrival_time(t, 0)
-            for t in self.taskset}
-        self._last_arrival: dict[str, Time | None] = {
-            t.name: None for t in self.taskset}
-        self._next_index = {t.name: 0 for t in self.taskset}
+        self._last_arrival: dict[str, Time | None] = dict.fromkeys(
+            self._next_release)
         # Min-heap over pending release times with lazy invalidation:
         # an entry is current iff it matches _next_release[name].  The
         # heap answers "earliest pending release" in O(1) amortised
@@ -396,15 +411,7 @@ class Simulator:
         self._release_heap: list[tuple[Time, str]] = [
             (r, name) for name, r in self._next_release.items()]
         heapify(self._release_heap)
-        # Bumped on every release; SimContext caches key off it.
-        self._release_version = 0
         self._ctx._map_cache = None
-        self._trace = TraceRecorder(enabled=self.record_trace)
-        self._result = SimulationResult(
-            policy=getattr(self.policy, "name", type(self.policy).__name__),
-            horizon=self.horizon,
-            task_stats={t.name: TaskStats() for t in self.taskset},
-        )
         #: Timer region of this run's policy decisions.
         self._decide_label = decide_label(self._result.policy)
 

@@ -32,7 +32,17 @@ This module is the seam between the two worlds:
   interpreted engine's f-strings.  Exceptions stay here: the core
   calls :func:`_miss` and the other raisers only to raise, so error
   types and messages are Python's own.  :func:`_mk_job` builds a
-  ``Job`` only when Python code asks for one.
+  ``Job`` only when Python code asks for one.  Nothing else costs a
+  Python object per event (DESIGN.md §13.1): ``speed_time`` keys are
+  computed exactly in C, and the simulator's ``_next_release`` and
+  ``_next_index`` dicts are written only where Python can read them
+  (the core's getters, before each hook that gets the context, and at
+  the end of the run, an aborted one included).
+* **Setup** — :class:`_Suite` holds what every run over one task
+  tuple shares (the task columns, and the last demand tables), built
+  by the suite's first compiled run; everything else, every
+  eligibility check included, is read per run.  The interpreted loop
+  builds its own state only for a run the core declined.
 * **Kernels** — :func:`slack_kernels` hands ``repro.analysis.slack``
   and the clairvoyant policy the compiled kernels under the same
   enable switch, resolved once per run.
@@ -58,15 +68,19 @@ from pathlib import Path
 from types import ModuleType, SimpleNamespace
 from typing import TYPE_CHECKING, Iterator
 
+from repro.analysis.slack import _flat_tasks
 from repro.cpu.power import PolynomialPowerModel
 from repro.cpu.processor import Processor
 from repro.cpu.speed import ContinuousScale, DiscreteScale
 from repro.cpu.transition import NoOverhead
 from repro.errors import DeadlineMissError, PolicyError, SimulationError
+from repro.faults.injectors import FaultyExecution
+from repro.policies.base import DecideState as _DecideState, DvsPolicy
 from repro.sim.results import DeadlineMiss
 from repro.sim.scheduler import EDFScheduler
 from repro.sim.tracing import TraceNote
 from repro.tasks.arrivals import PeriodicArrival
+from repro.tasks.execution import MIN_RATIO
 from repro.tasks.job import Job
 from repro.telemetry import TELEMETRY as _TELEMETRY, decide_label
 
@@ -444,14 +458,26 @@ def _ineligible_reason(sim: "Simulator") -> str | None:
     Exact-type checks, not isinstance: a subclass may override any
     hook the C core inlines, and correctness beats speed.
     """
-    from repro.sim.engine import Simulator
-    if type(sim) is not Simulator:
+    if type(sim) is not _engine_types()[0]:
         return f"subclassed simulator {type(sim).__name__}"
     if type(sim.scheduler) is not EDFScheduler:
         return f"scheduler {type(sim.scheduler).__name__}"
     if type(sim.processor) is not Processor:
         return f"processor {type(sim.processor).__name__}"
     return None
+
+
+_ENGINE_TYPES: tuple = ()
+
+
+def _engine_types() -> tuple:
+    """``(Simulator, CoreContext)``, imported on first use (the engine
+    module imports this one)."""
+    global _ENGINE_TYPES
+    if not _ENGINE_TYPES:
+        from repro.sim.engine import CoreContext, Simulator
+        _ENGINE_TYPES = (Simulator, CoreContext)
+    return _ENGINE_TYPES
 
 
 #: DecideSpec.kind -> the C core's decide kind (DK_* in _fastcore.c).
@@ -466,24 +492,67 @@ _PERIODIC_KINDS = frozenset({"none", "static", "ccEDF", "lppsEDF",
                              "clairvoyant"})
 
 
+class _Suite:
+    """What every compiled run over one task tuple shares.
+
+    The task part of the C init contract (names, columns, EDF name
+    ranks), whether the tasks admit compiled draws, and the demand
+    tables of the last execution model drawn for them.  Built by a
+    suite's first run and pinned to the task tuple it was built from
+    (tasks are frozen, so the tuple's identity is its content); the
+    tables are pinned to their model, its table dict, seed and bounds.
+    Per-run eligibility checks (patched hooks and models) still run
+    for every run: this holds only what they cannot change.
+    """
+
+    __slots__ = ("tasks", "fields", "drawable", "tables_key", "tables")
+
+    def __init__(self, tasks: tuple) -> None:
+        names = tuple(task.name for task in tasks)
+        rank = {name: i for i, name in enumerate(sorted(names))}
+        self.tasks = tasks
+        self.fields = dict(
+            tasks=tasks, names=names,
+            name2idx={name: i for i, name in enumerate(names)},
+            period=tuple(float(task.period) for task in tasks),
+            rel_deadline=tuple(float(task.deadline) for task in tasks),
+            wcet=tuple(float(task.wcet) for task in tasks),
+            name_rank=tuple(rank[name] for name in names))
+        # Only float WCETs and BCETs draw in C (an int could make
+        # work() return an int).
+        self.drawable = all(type(task.wcet) is float
+                            and type(task.bcet) is float for task in tasks)
+        self.tables_key: tuple | None = None
+        self.tables: tuple = ()
+
+
+#: The one :class:`_Suite` held: the last task tuple run compiled.
+_SUITE: _Suite | None = None
+
+
+def _suite(tasks: tuple) -> _Suite:
+    global _SUITE
+    suite = _SUITE
+    if suite is None or suite.tasks is not tasks:
+        suite = _SUITE = _Suite(tasks)
+    return suite
+
+
 def _demand_tables(model, tasks: tuple) -> tuple | None:
     """One ``DemandTable`` per task of *tasks* when the core can draw
     *model*'s demands itself (DESIGN.md §13.4), else ``None``
     (``model.work()`` draws).
 
     The tables live on the execution model, so every run of a suite and
-    the clairvoyant oracle draw each job once.  Only models whose
+    the clairvoyant oracle draw each job once; the suite entry keeps
+    the tuple.  Only models whose
     :meth:`~repro.tasks.execution.ExecutionModel.compiled_draw` holds
-    qualify, and only float WCETs and BCETs (an int could make
-    ``work()`` return an int).  A
-    :class:`~repro.faults.injectors.FaultyExecution` whose
+    qualify (checked on every call), and only float WCETs and BCETs.
+    A :class:`~repro.faults.injectors.FaultyExecution` whose
     ``compiled_overrun()`` holds, over such a model, gets one fault
     table per task over the inner model's: a per-run view whose
     non-overrun jobs read the shared inner draws.
     """
-    from repro.faults.injectors import FaultyExecution
-    from repro.tasks.execution import MIN_RATIO
-
     if type(model) is FaultyExecution:
         overrun = model.compiled_overrun()
         inner = (_demand_tables(model.inner, tasks)
@@ -495,25 +564,33 @@ def _demand_tables(model, tasks: tuple) -> tuple | None:
                                       factor, probability)
                      for task, table in zip(tasks, inner))
     bounds = model.compiled_draw()
-    if bounds is None or not all(type(task.wcet) is float
-                                 and type(task.bcet) is float
-                                 for task in tasks):
+    if bounds is None:
         return None
-    low, high = bounds
+    suite = _suite(tasks)
+    if not suite.drawable:
+        return None
     tables = model.demand_tables
+    key = suite.tables_key
+    if (key is not None and key[0] is model and key[1] is tables
+            and key[2] == model.seed and key[3] == bounds):
+        return suite.tables
+    low, high = bounds
     out = []
     for task in tasks:
-        key = (task.name, task.wcet, task.bcet)
-        table = tables.get(key)
+        table_key = (task.name, task.wcet, task.bcet)
+        table = tables.get(table_key)
         if table is None:
-            table = tables[key] = _EXT.DemandTable(
+            table = tables[table_key] = _EXT.DemandTable(
                 f"{model.seed}:{task.name}:".encode(), low, high,
                 task.wcet, task.bcet, MIN_RATIO)
         out.append(table)
-    return tuple(out)
+    suite.tables_key = (model, tables, model.seed, bounds)
+    suite.tables = tuple(out)
+    return suite.tables
 
 
-def _decide_fields(sim: "Simulator", tables: tuple | None) -> dict:
+def _decide_fields(sim: "Simulator", tables: tuple | None,
+                   label: str) -> dict:
     """The decide part of the C init contract (DESIGN.md §13.4).
 
     Kind 0 keeps the policy's own ``select_speed`` (and its release and
@@ -528,9 +605,6 @@ def _decide_fields(sim: "Simulator", tables: tuple | None) -> dict:
     same observations and opens the same timer regions as the hooks
     would.
     """
-    from repro.analysis.slack import _flat_tasks
-    from repro.policies.base import DvsPolicy
-
     policy = sim.policy
     spec = policy.decide_spec
     kind = (_DECIDE_KINDS[spec.kind]
@@ -542,27 +616,21 @@ def _decide_fields(sim: "Simulator", tables: tuple | None) -> dict:
     stage = spec.stage if kind else None
     # The policy whose decide the kind mirrors: the governor's inner one.
     decider = policy.inner if stage is not None else policy
+    timers = _TELEMETRY.timers
     fields = dict(
-        decide_kind=kind, decide_option=0, decide_baseline=1.0,
-        decide_min_speed=1.0, decide_cap=math.nan, decide_kp=0.0,
-        decide_ki=0.0, decide_kd=0.0, sc_wcet=(), sc_util=(),
-        sc_corr=(), fu_util=(), fu_corr=(),
-        gov_stage=int(stage is not None), gov_cap=math.nan,
-        gov_wcet=(), gov_util=(), gov_corr=(),
-        gov_slack=_governor_slack, gov_clamp=_governor_clamp,
+        _PYTHON_DECIDE, decide_kind=kind, gov_stage=int(stage is not None),
         observe_slack=decider.observe_slack,
-        prof_push=_TELEMETRY.push if _TELEMETRY.timers else None,
-        prof_pop=_TELEMETRY.pop if _TELEMETRY.timers else None,
-        decide_label=decide_label(sim._result.policy),
-        on_release=(None if type(policy).on_release is DvsPolicy.on_release
-                    and "on_release" not in vars(policy)
-                    else policy.on_release),
-        on_completion=(None if type(policy).on_completion
-                       is DvsPolicy.on_completion
-                       and "on_completion" not in vars(policy)
-                       else policy.on_completion),
-    )
+        prof_push=_TELEMETRY.push if timers else None,
+        prof_pop=_TELEMETRY.pop if timers else None,
+        decide_label=label)
     if not kind:
+        fields["on_release"] = (
+            None if type(policy).on_release is DvsPolicy.on_release
+            and "on_release" not in vars(policy) else policy.on_release)
+        fields["on_completion"] = (
+            None if type(policy).on_completion is DvsPolicy.on_completion
+            and "on_completion" not in vars(policy)
+            else policy.on_completion)
         return fields
     full = _flat_tasks(sim.taskset.tasks)
     scaled = _flat_tasks(spec.tasks) if spec.tasks is not None else full
@@ -574,8 +642,7 @@ def _decide_fields(sim: "Simulator", tables: tuple | None) -> dict:
                     else float(spec.window_cap)),
         decide_kp=kp, decide_ki=ki, decide_kd=kd,
         sc_wcet=scaled[3], sc_util=scaled[4], sc_corr=scaled[5],
-        fu_util=full[4], fu_corr=full[5], on_release=None,
-        on_completion=None)
+        fu_util=full[4], fu_corr=full[5])
     if stage is not None:
         inflated = _flat_tasks(stage.tasks)
         fields.update(
@@ -586,8 +653,31 @@ def _decide_fields(sim: "Simulator", tables: tuple | None) -> dict:
     return fields
 
 
+#: The decide fields of a run whose policy decides in Python; a
+#: compiled decide overrides the ones it uses.
+_PYTHON_DECIDE = dict(
+    decide_option=0, decide_baseline=1.0, decide_min_speed=1.0,
+    decide_cap=math.nan, decide_kp=0.0, decide_ki=0.0, decide_kd=0.0,
+    sc_wcet=(), sc_util=(), sc_corr=(), fu_util=(), fu_corr=(),
+    gov_cap=math.nan, gov_wcet=(), gov_util=(), gov_corr=(),
+    gov_slack=_governor_slack, gov_clamp=_governor_clamp,
+    on_release=None, on_completion=None)
+
+#: The fields no run changes: the Job constructor, the error raisers and
+#: the record types the core writes.
+_HELPERS = dict(
+    mk_job=_mk_job, miss=_miss, bad_speed=_bad_speed, bad_quant=_bad_quant,
+    no_progress=_no_progress, overexec=_overexec, neg_exec=_neg_exec,
+    trace_run=_trace_run, note_type=TraceNote, miss_type=DeadlineMiss)
+
+
 def _build_namespace(sim: "Simulator") -> SimpleNamespace:
-    """Flatten one reset-and-bound Simulator into the C init contract."""
+    """Flatten one reset-and-bound Simulator into the C init contract.
+
+    The task part comes from the suite entry (:class:`_Suite`); the
+    processor, the models, the policy and the run's own objects are
+    read for every run.
+    """
     proc = sim.processor
     scale = proc.scale
     if type(scale) is ContinuousScale:
@@ -603,43 +693,38 @@ def _build_namespace(sim: "Simulator") -> SimpleNamespace:
     else:
         power_kind, p_alpha, p_dynamic, p_static = 1, 0.0, 0.0, 0.0
     tasks = sim.taskset.tasks
-    names = tuple(task.name for task in tasks)
-    rank = {name: i for i, name in enumerate(sorted(names))}
-    tables = _demand_tables(sim.execution_model, tasks)
-    faults_transitions = (sim.faults is not None
-                          and sim.faults.affects_transitions)
+    suite = _suite(tasks)
+    model = sim.execution_model
+    arrival = sim.arrival_model
+    policy = sim.policy
+    result = sim._result
+    trace = sim._trace
+    faults = sim.faults
+    tables = _demand_tables(model, tasks)
+    faults_transitions = faults is not None and faults.affects_transitions
+    label = decide_label(result.policy)
     return SimpleNamespace(
+        **suite.fields, **_HELPERS,
         # shared objects (the core mutates result/trace/dicts in place)
         taskset=sim.taskset, processor=proc, scheduler=sim.scheduler,
-        execution_model=sim.execution_model,
-        arrival_model=sim.arrival_model,
-        trace=sim._trace, result=sim._result,
-        tasks=tasks, names=names,
-        name2idx={name: i for i, name in enumerate(names)},
-        task_stats=tuple(sim._result.task_stats[name] for name in names),
+        execution_model=model, arrival_model=arrival,
+        trace=trace, result=result,
+        task_stats=tuple(result.task_stats.values()),
         next_release=sim._next_release, next_index=sim._next_index,
         # policy / model callbacks
-        select_speed=_maybe_profiled(sim.policy.select_speed,
-                                     decide_label(sim._result.policy)),
-        observe=sim.policy.observe_decision,
+        select_speed=_maybe_profiled(policy.select_speed, label),
+        observe=policy.observe_decision,
         plan_idle=(sim.idle_policy.plan_idle
                    if sim.idle_policy is not None else _never),
-        work=sim.execution_model.work,
-        arrival=sim.arrival_model.arrival_time,
+        work=model.work,
+        arrival=arrival.arrival_time,
         quantize=proc.quantize,
         active_energy=proc.active_energy,
         transition=proc.transition,
-        transition_outcome=(sim.faults.transition_outcome
+        transition_outcome=(faults.transition_outcome
                             if faults_transitions else _never),
-        # the Job constructor and the error raisers
-        mk_job=_mk_job, miss=_miss,
-        bad_speed=_bad_speed, bad_quant=_bad_quant,
-        no_progress=_no_progress, overexec=_overexec,
-        neg_exec=_neg_exec, trace_run=_trace_run,
         # the per-job records the core writes itself
-        notes=sim._trace._notes, note_type=TraceNote,
-        deadline_misses=sim._result.deadline_misses,
-        miss_type=DeadlineMiss,
+        notes=trace._notes, deadline_misses=result.deadline_misses,
         # scalars
         horizon=float(sim.horizon),
         q_min=float(q_min), p_alpha=float(p_alpha),
@@ -652,21 +737,17 @@ def _build_namespace(sim: "Simulator") -> SimpleNamespace:
         allow_misses=int(sim.allow_misses),
         record_trace=int(sim.record_trace),
         faults_transitions=int(faults_transitions),
-        allow_overrun=int(sim.faults is not None),
-        is_periodic=int(sim.arrival_model.is_periodic),
-        periodic_inline=int(type(sim.arrival_model) is PeriodicArrival),
+        allow_overrun=int(faults is not None),
+        is_periodic=int(arrival.is_periodic),
+        periodic_inline=int(type(arrival) is PeriodicArrival),
         quant_kind=quant_kind, power_kind=power_kind,
         trans_none=int(type(proc.transition_model) is NoOverhead),
         has_idle_policy=int(sim.idle_policy is not None),
-        # per-task arrays (taskset order)
-        period=tuple(float(task.period) for task in tasks),
-        rel_deadline=tuple(float(task.deadline) for task in tasks),
-        wcet=tuple(float(task.wcet) for task in tasks),
-        name_rank=tuple(rank[name] for name in names),
-        release0=tuple(sim._next_release[name] for name in names),
-        q_levels=tuple(float(level) for level in q_levels),
+        # per-task run state (task order)
+        release0=tuple(sim._next_release.values()),
+        q_levels=tuple(map(float, q_levels)),
         demand_tables=tables,
-        **_decide_fields(sim, tables),
+        **_decide_fields(sim, tables, label),
     )
 
 
@@ -696,18 +777,18 @@ def run_compiled(sim: "Simulator") -> bool:
     """Run *sim*'s main loop on the compiled core, if permitted.
 
     Called by :meth:`Simulator.run` after ``_reset()`` and policy
-    binding.  Returns ``True`` when the compiled core executed the run
-    (the result object is fully populated); ``False`` means the caller
-    must run the interpreted loop.  Exceptions (deadline misses, policy
-    errors) propagate exactly as from the interpreted engine.
+    binding, before the interpreted loop's own state is built.  Returns
+    ``True`` when the compiled core executed the run (the result object
+    is fully populated); ``False`` means the caller must run the
+    interpreted loop.  Exceptions (deadline misses, policy errors)
+    propagate exactly as from the interpreted engine.
     """
     if not _refresh_kernels() or _ineligible_reason(sim) is not None:
         RUN_COUNTS["interpreted"] += 1
         return False
-    from repro.sim.engine import CoreContext
     namespace = _build_namespace(sim)
     core = _EXT.CoreEngine(namespace)
-    ctx = CoreContext(core)
+    ctx = _engine_types()[1](core)
     RUN_COUNTS["compiled"] += 1
     drawn = namespace.demand_tables is not None
     RUN_COUNTS["drawn"] += drawn
@@ -726,10 +807,11 @@ def run_compiled(sim: "Simulator") -> bool:
         core.run(ctx)
     finally:
         if namespace.decide_kind:
-            from repro.policies.base import DecideState
-            sim.policy.absorb_decide_state(DecideState(*core.decide_state()))
+            sim.policy.absorb_decide_state(
+                _DecideState(*core.decide_state()))
         # Mirror the engine attributes downstream introspection reads;
-        # _next_release/_next_index are shared dicts, updated in place.
+        # _next_release/_next_index are the shared dicts, which the core
+        # writes when Python can read them and at the end of the run.
         # The jobs still active at the horizon are not mirrored: nothing
         # reads them after a run, and each would cost a Job.
         sim._now = core._now

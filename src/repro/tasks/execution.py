@@ -21,6 +21,7 @@ import math
 import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from operator import is_
 
 import numpy as np
 
@@ -59,8 +60,8 @@ _DRAW_HELPERS = ("_job_rng", "_clamp_ratio")
 
 def _draw_snapshot(cls: type) -> tuple:
     module = vars(sys.modules[__name__])
-    return (tuple(getattr(cls, name) for name in _DRAW_HOOKS)
-            + tuple(module[name] for name in _DRAW_HELPERS))
+    return (*map(getattr, (cls,) * len(_DRAW_HOOKS), _DRAW_HOOKS),
+            *map(module.__getitem__, _DRAW_HELPERS))
 
 
 class ExecutionModel(ABC):
@@ -129,9 +130,8 @@ class ExecutionModel(ABC):
         """
         reference = _DRAWN.get(type(self))
         if (reference is None
-                or any(a is not b for a, b in
-                       zip(_draw_snapshot(type(self)), reference))
-                or any(name in vars(self) for name in _DRAW_HOOKS)):
+                or not all(map(is_, _draw_snapshot(type(self)), reference))
+                or not vars(self).keys().isdisjoint(_DRAW_HOOKS)):
             return None
         return self._uniform_bounds()
 

@@ -24,6 +24,10 @@ class TaskSet:
     schedulers.
     """
 
+    #: Set on an instance once assert_feasible_edf() passed: the set is
+    #: immutable, and every run of a suite asks again.
+    _edf_feasible = False
+
     def __init__(self, tasks: Sequence[PeriodicTask]) -> None:
         tasks = tuple(tasks)
         if not tasks:
@@ -137,6 +141,12 @@ class TaskSet:
         first and, when it fails, the exact processor-demand test
         delivers the final verdict.
         """
+        if self._edf_feasible:
+            return
+        self._assert_feasible_edf()
+        self._edf_feasible = True
+
+    def _assert_feasible_edf(self) -> None:
         if self.implicit_deadlines:
             if self.utilization > 1.0 + 1e-9:
                 raise InfeasibleTaskSetError(

@@ -1,9 +1,15 @@
 """Tests for the repro CLI."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -458,3 +464,41 @@ class TestManifestPaths:
         for path in self.malformed(tmp_path):
             self.assert_one_line(capsys, ["profile", "diff", str(good),
                                           str(path)])
+
+
+class TestBrokenPipe:
+    """Every command that streams to stdout stops quietly when its
+    reader closes early (``repro stats --follow | head -5``), as a Unix
+    filter does: no traceback, the SIGPIPE status."""
+
+    @staticmethod
+    def _into_closed_pipe(args, tmp_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        src = str(Path(repro.__file__).resolve().parents[1])
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", *args], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, timeout=120,
+                cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
+        finally:
+            os.close(write_end)
+        return done
+
+    def test_streaming_commands_stop_quietly(self, capsys, tmp_path):
+        tele = tmp_path / "tele"
+        assert main(["run", "fig1", "--quick", "--policy", "static",
+                     "--telemetry-dir", str(tele)]) == 0
+        capsys.readouterr()
+        results = Path(__file__).resolve().parents[1] / "results"
+        commands = {
+            "stats": ["stats", str(tele), "--follow", "--interval", "0.01"],
+            "watch": ["watch", str(tele)],
+            "trace": ["trace", "audit", "--policy", "lpSTA", "--tasks", "3",
+                      "--horizon", "60"],
+            "report": ["report", str(results)],
+        }
+        for name, args in commands.items():
+            done = self._into_closed_pipe(args, tmp_path)
+            assert done.stderr == "", (name, done.stderr)
+            assert done.returncode == 128 + signal.SIGPIPE, name

@@ -1,6 +1,13 @@
 """Tests for the experiment harness (quick-mode figures and tables)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.errors import ExperimentError
 from repro.experiments.config import (
@@ -224,3 +231,28 @@ class TestTableDrivers:
 
     def test_tables_registry_complete(self):
         assert set(TABLES) == {"table1", "table2", "table3"}
+
+
+def test_serial_sweep_leaves_the_pool_stack_unimported():
+    """A serial sweep imports neither ``multiprocessing`` nor
+    ``concurrent.futures`` (nor the ``logging``, ``socket`` and other
+    modules they pull in): the pool is built, and they are imported,
+    only by a sweep with workers.  Checked in a fresh interpreter,
+    since this one may have built a pool already."""
+    script = (
+        "import sys\n"
+        "from repro.experiments.runner import (bcwc_model,"
+        " standard_taskset, sweep)\n"
+        "cells = sweep([0.5], lambda u, s: (standard_taskset(4, u, s),"
+        " bcwc_model(0.5, s)), ['none', 'lpSTA'], n_tasksets=2,"
+        " horizon=100.0)\n"
+        "assert len(cells) == 1\n"
+        "print(sorted(name for name in ('multiprocessing',"
+        " 'concurrent.futures', 'concurrent.futures.process')"
+        " if name in sys.modules))\n")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

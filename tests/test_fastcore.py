@@ -19,6 +19,7 @@ rules and the ``REPRO_COMPILED=0`` short cut.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import shutil
 import sys
@@ -31,12 +32,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.cpu.processor import Processor
 from repro.cpu.profiles import ideal_processor, xscale_processor
-from repro.errors import DeadlineMissError
+from repro.cpu.speed import SpeedScale
+from repro.errors import DeadlineMissError, PolicyError
 from repro.experiments.config import DEFAULT_POLICIES
 from repro.experiments.runner import bcwc_model, standard_taskset
 from repro.faults import FaultPlan
 from repro.faults.plan import OverrunFault, TransitionFault
+from repro.policies.base import DvsPolicy
 from repro.policies.registry import make_policy
 from repro.sim import fastcore
 from repro.sim.engine import Simulator, simulate
@@ -47,7 +51,10 @@ from repro.tasks.arrivals import (
     PeriodicArrival,
     UniformJitterArrival,
 )
+from repro.tasks.execution import UniformExecution
 from repro.tasks.generators import generate_taskset
+from repro.tasks.task import PeriodicTask
+from repro.tasks.taskset import TaskSet
 from repro.telemetry import TELEMETRY
 
 pytestmark = pytest.mark.compiled
@@ -391,6 +398,232 @@ def test_miss_abort_leaves_identical_records():
     assert "missed its deadline" in message
     assert len(misses) == 1 == sum(s.missed for s in stats.values())
     assert notes[-1].kind == "deadline-miss"
+
+
+# ----------------------------------------------------------------------
+# Speed keys and release mirrors: what the core builds lazily
+# ----------------------------------------------------------------------
+
+class _ExactScale(SpeedScale):
+    """Every positive speed up to 1 + 1e-9 attainable as asked: the
+    desired speed reaches ``speed_time`` unquantized (a Python
+    ``quantize``, so both engines call it)."""
+
+    min_speed = 1e-15
+
+    def quantize(self, speed):
+        return speed
+
+    def is_attainable(self, speed, tol=1e-9):
+        return True
+
+
+class _ScriptedSpeeds(DvsPolicy):
+    """Returns its speeds in turn, one per dispatch, cycling."""
+
+    name = "scripted"
+
+    def __init__(self, speeds):
+        super().__init__()
+        self.speeds = speeds
+        self.asked = []
+
+    def reset(self):
+        self.asked = []
+
+    def select_speed(self, job, ctx):
+        speed = self.speeds[len(self.asked) % len(self.speeds)]
+        self.asked.append(speed)
+        return speed
+
+
+def _adversarial_speeds():
+    """Speeds whose 12-decimal keys are easy to get wrong."""
+    k = 123456789012 / 1e12
+    speeds = [
+        # exact binary ties at the 12th decimal: x * 1e12 = n + 1/2
+        1 / 8192, 3 / 8192, 4095 / 8192,
+        # decimal ties (near-ties in binary) at the 12th decimal; the
+        # last three round the other way from nearbyint(x * 1e12)
+        0.1234567890125, 0.5000000000005, 0.0000000000015,
+        0.9999999999995, 0.6180339887495, 0.0000000000065,
+        # k / 1e12 and its neighbours one ulp away
+        k, math.nextafter(k, 0.0), math.nextafter(k, 2.0),
+        0.7, math.nextafter(0.7, 0.0), math.nextafter(0.7, 2.0),
+        # below 1e-12: keys 0.0 and 1e-12, and a near-tie between them
+        4e-13, 6e-13, 5e-13, 1e-15,
+        # above 1 (the formatter's range) and the top speed itself
+        1.0 + 1e-10, math.nextafter(1.0, 2.0), 1.0,
+    ]
+    rng = np.random.default_rng(31)
+    speeds += [float(x) for x in rng.uniform(0.05, 1.0, 40)]
+    # 0.5 between two speeds keeps each from being held (SPEED_EPS)
+    return [s for speed in speeds for s in (speed, 0.5)]
+
+
+@needs_compiled
+def test_speed_keys_are_round_12_on_both_engines():
+    """``speed_time`` keys are ``round(speed, 12)`` in first-seen order,
+    bit for bit, on both engines, for speeds at and around 12-decimal
+    ties, one ulp off ``k / 1e12``, below ``1e-12`` (whose keys are
+    ``+0.0`` and ``1e-12``) and above 1 (the compiled core's formatter
+    fallback).  A desired ``-0.0`` never becomes a key: both engines
+    reject it."""
+    taskset = TaskSet([PeriodicTask(f"T{i}", 0.1 * period, period)
+                       for i, period in enumerate((1.0, 1.5, 2.0, 3.0))])
+    model = bcwc_model(0.5, SEED)
+    processor = Processor(scale=_ExactScale())
+    results, asked = [], []
+    for backend in (False, True):
+        policy = _ScriptedSpeeds(_adversarial_speeds())
+        with fastcore.forced(backend):
+            results.append(simulate(taskset, processor, policy, model,
+                                    horizon=HORIZON, allow_misses=True))
+        asked.append(policy.asked)
+    interpreted, compiled = results
+    assert_results_identical(interpreted, compiled)
+    assert asked[0] == asked[1]
+    assert len(asked[1]) > 2 * len(_adversarial_speeds())
+    applied, current = [], 1.0
+    for speed in asked[1]:
+        if abs(speed - current) > 1e-12:   # Simulator._apply_speed
+            current = speed
+        applied.append(current)
+    expected = dict.fromkeys(round(speed, 12) for speed in applied)
+    assert list(compiled.speed_time) == list(expected)
+    assert [math.copysign(1.0, key) for key in compiled.speed_time] \
+        == [math.copysign(1.0, key) for key in expected]
+    assert 0.0 in compiled.speed_time and 1e-12 in compiled.speed_time
+    assert round(1 / 8192, 12) == 0.000122070312   # half to even
+
+    errors = []
+    for backend in (False, True):
+        with fastcore.forced(backend), pytest.raises(PolicyError) as exc:
+            simulate(taskset, processor, _ScriptedSpeeds([-0.0]), model,
+                     horizon=HORIZON)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+
+
+class _MirrorReader(DvsPolicy):
+    """Decides in Python and records every release view the context
+    offers, at each dispatch and each release."""
+
+    name = "mirror-reader"
+
+    def __init__(self):
+        super().__init__()
+        self.reads = []
+
+    def reset(self):
+        self.reads = []
+
+    def _read(self, where, job, ctx):
+        name = job.task.name
+        self.reads.append((where, ctx.time, dict(ctx.next_release_map()),
+                           ctx.next_release_of(name),
+                           ctx.next_job_index(name)))
+
+    def on_release(self, job, ctx):
+        self._read("release", job, ctx)
+
+    def select_speed(self, job, ctx):
+        self._read("dispatch", job, ctx)
+        return 1.0
+
+
+@needs_compiled
+def test_release_mirrors_read_the_same_on_both_engines():
+    """The core writes ``_next_release``/``_next_index`` only when
+    Python can read them: a policy's reads through the context, at
+    every release and dispatch, and the simulator's dicts after the
+    run, equal the interpreted engine's."""
+    taskset, model = _workload()
+    seen = []
+    for backend in (False, True):
+        policy = _MirrorReader()
+        sim = Simulator(taskset, ideal_processor(), policy, model,
+                        horizon=HORIZON)
+        with fastcore.forced(backend):
+            result = sim.run()
+        seen.append((result, policy.reads, sim._next_release,
+                     sim._next_index))
+    (interpreted, reads_i, *mirrors_i), (compiled, reads_c, *mirrors_c) \
+        = seen
+    assert_results_identical(interpreted, compiled)
+    assert len(reads_c) > compiled.jobs_released
+    assert reads_c == reads_i
+    assert mirrors_c == mirrors_i
+    assert sum(mirrors_c[1].values()) == compiled.jobs_released
+
+
+class _PeekingModel(UniformExecution):
+    """Draws in Python (a subclass never draws in C) and, once a policy
+    handed it the context, records the release view at every draw."""
+
+    def __init__(self, seed):
+        super().__init__(low=0.5, high=1.0, seed=seed)
+        self.ctx = None
+        self.reads = []
+
+    def work(self, task, index):
+        if self.ctx is not None:
+            self.reads.append((task.name, index,
+                               dict(self.ctx.next_release_map()),
+                               self.ctx.next_job_index(task.name)))
+        return super().work(task, index)
+
+
+class _HandsOverContext(DvsPolicy):
+    """Gives the execution model the context at its first dispatch; no
+    release or completion hook runs."""
+
+    name = "hands-over-context"
+
+    def __init__(self, model):
+        super().__init__()
+        self.model = model
+
+    def select_speed(self, job, ctx):
+        self.model.ctx = ctx
+        return 1.0
+
+
+@needs_compiled
+def test_release_mirrors_current_between_hooks():
+    """Python code reading the context between two hooks (here the
+    execution model, at each draw of a release batch) sees the releases
+    made since the last hook: the core brings the mirrors up to date
+    when they are read."""
+    taskset = TaskSet([PeriodicTask(f"T{i}", 0.2 * period, period)
+                       for i, period in enumerate((1.0, 2.0, 2.0, 4.0))])
+    reads = []
+    for backend in (False, True):
+        model = _PeekingModel(SEED)
+        with fastcore.forced(backend):
+            simulate(taskset, ideal_processor(), _HandsOverContext(model),
+                     model, horizon=40.0)
+        reads.append(model.reads)
+    assert len(reads[1]) > 40
+    assert reads[1] == reads[0]
+
+
+@needs_compiled
+def test_release_mirrors_after_a_miss_abort():
+    """A run that raised ``DeadlineMissError`` (decided in C, so no
+    Python hook wrote the mirrors on the way) leaves the simulator's
+    ``_next_release``/``_next_index`` as the interpreted engine does."""
+    taskset = standard_taskset(6, 0.65, 2002)
+    plan = FaultPlan(seed=2002, overrun=OverrunFault(factor=1.4))
+    seen = []
+    for compiled in (False, True):
+        sim = Simulator(taskset, ideal_processor(), make_policy("lpSTA"),
+                        bcwc_model(0.5, 2002), horizon=600.0, faults=plan)
+        with fastcore.forced(compiled), pytest.raises(DeadlineMissError):
+            sim.run()
+        seen.append((sim._next_release, sim._next_index))
+    assert seen[1] == seen[0]
+    assert any(index > 0 for index in seen[1][1].values())
 
 
 # ----------------------------------------------------------------------

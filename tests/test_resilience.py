@@ -567,6 +567,61 @@ class TestDegradedWrites:
         assert "degraded" in capsys.readouterr().err
         assert not list((tmp_path / "ck").glob("cell_*.json"))
 
+    @pytest.mark.parametrize(
+        "workers", [1, pytest.param(2, marks=needs_fork)])
+    def test_unusable_manifest_dir_keeps_the_cells(
+            self, tmp_path, capsys, monkeypatch, workers):
+        """A telemetry manifest dir that is a regular file costs the
+        sweep its manifest (one warning), never its cells."""
+        monkeypatch.setattr(parallel, "default_workers", lambda: 2)
+        reference = sweep((0.5,), workload, POLICIES, n_tasksets=2,
+                          horizon=HORIZON)
+        capsys.readouterr()
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        TELEMETRY.reset()
+        TELEMETRY.configure(enabled=True, manifest_dir=blocker)
+        try:
+            cells = sweep((0.5,), workload, POLICIES, n_tasksets=2,
+                          horizon=HORIZON, workers=workers)
+        finally:
+            TELEMETRY.configure(enabled=False)
+            TELEMETRY.reset()
+        assert payloads(cells) == payloads(reference)
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning: manifest dir")]
+        assert len(warnings) == 1 and str(blocker) in warnings[0]
+        assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize(
+        "workers", [1, pytest.param(2, marks=needs_fork)])
+    def test_manifest_counts_a_degraded_cache(
+            self, tmp_path, capsys, monkeypatch, workers):
+        """An unusable cache dir degrades when the sweep opens it, and
+        the sweep's manifest counts that write among its degraded
+        ones."""
+        monkeypatch.setattr(parallel, "default_workers", lambda: 2)
+        reference = sweep((0.5,), workload, POLICIES, n_tasksets=2,
+                          horizon=HORIZON)
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        manifests = tmp_path / "manifests"
+        TELEMETRY.reset()
+        TELEMETRY.configure(enabled=True, manifest_dir=manifests)
+        try:
+            cells = sweep((0.5,), workload, POLICIES, n_tasksets=2,
+                          horizon=HORIZON, workers=workers,
+                          cache_dir=blocker, workload_id="w")
+        finally:
+            TELEMETRY.configure(enabled=False)
+            TELEMETRY.reset()
+        assert payloads(cells) == payloads(reference)
+        assert "cache dir" in capsys.readouterr().err
+        (path,) = manifests.glob("manifest_*.json")
+        manifest = json.loads(path.read_text())
+        assert manifest["resilience"]["degraded_writes"] == 1
+        assert manifest["counters"]["resilience.cache_degraded"] == 1
+
     def test_corrupt_cache_shard_is_self_healed(self, tmp_path):
         from repro.experiments.cache import PolicySummary
         cache = SuiteCache(tmp_path)
