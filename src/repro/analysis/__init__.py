@@ -33,13 +33,6 @@ from repro.analysis.audit import (
     render_violations,
     run_and_audit,
 )
-from repro.analysis.validation import (
-    validate_run,
-    validate_structure,
-    validate_speeds,
-    validate_jobs,
-    validate_energy,
-)
 from repro.analysis.stats import (
     Summary,
     summarize,
@@ -80,11 +73,6 @@ __all__ = [
     "audit_trace",
     "render_violations",
     "run_and_audit",
-    "validate_run",
-    "validate_structure",
-    "validate_speeds",
-    "validate_jobs",
-    "validate_energy",
     "Summary",
     "summarize",
     "geometric_mean",

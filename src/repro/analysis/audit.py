@@ -3,15 +3,16 @@
 :func:`audit_trace` replays a recorded schedule trace against the
 workload models and returns structured :class:`Violation` records —
 one per broken invariant occurrence — instead of raising on the first
-problem (the contract of :mod:`repro.analysis.validation`) or
-reducing to a boolean.  CI consumes the list (empty == pass, each
-entry names what broke, when, and for which job); humans get
-:func:`render_violations`.
+problem or reducing to a boolean.  It is the repo's one trace checker:
+tests, sweeps (``audit_every``) and ``repro trace audit`` all consume
+the list (empty == pass, each entry names what broke, when, and for
+which job); humans get :func:`render_violations`.  Tolerances are the
+fixed :data:`~repro.types.DEADLINE_EPS`; there are no knobs.
 
 Invariants audited, in one merge-walk over the segment stream:
 
-* **coverage** — segments tile ``[0, horizon]`` gap-free and without
-  overlaps;
+* **coverage** — segments tile ``[0, horizon]`` gap-free, without
+  overlaps and without negative durations;
 * **edf-order** — at every dispatch the running job has the earliest
   deadline among released, incomplete jobs, and no earlier-deadline
   release inside a run segment went unpreempted;
@@ -20,10 +21,14 @@ Invariants audited, in one merge-walk over the segment stream:
 * **work** — every job executes inside its ``[release, ...]`` window
   and retires exactly its actual demand, never more;
 * **deadline** — trace-observed completions agree with the result's
-  recorded deadline misses, in both directions;
+  recorded deadline misses, in both directions (a run that reports
+  its misses truthfully audits clean: callers that require no misses
+  also check ``result.deadline_misses``);
 * **speed** — every run speed is attainable on the processor's scale;
-* **energy** — the per-job :class:`~repro.trace.ledger.EnergyLedger`
-  reconciles bucket-by-bucket with the result's energy totals;
+* **energy** — every run segment's energy is the power model's
+  ``active_energy(speed, duration)``, and the per-job
+  :class:`~repro.trace.ledger.EnergyLedger` reconciles bucket-by-bucket
+  with the result's energy totals;
 * **governor-floor** — every governor intervention note is honoured by
   the dispatch it clamped (the run executes at or above the floor, or
   at the old speed when an injected transition fault held that switch).
@@ -109,9 +114,6 @@ def audit_trace(
     processor: Processor,
     execution_model: ExecutionModel,
     arrival_model: ArrivalModel | None = None,
-    *,
-    time_eps: float = DEADLINE_EPS,
-    deadline_eps: float = DEADLINE_EPS,
 ) -> list[Violation]:
     """Audit a traced run; returns all violations found (empty = clean).
 
@@ -139,23 +141,29 @@ def audit_trace(
             kind="coverage", time=0.0,
             message=f"empty trace over horizon {horizon:g}"))
     else:
-        if segments[0].start > time_eps:
+        if segments[0].start > DEADLINE_EPS:
             violations.append(Violation(
                 kind="coverage", time=0.0,
                 message=f"first segment starts at {segments[0].start:g}, "
                         f"not 0"))
+        for seg in segments:
+            if seg.duration < -DEADLINE_EPS:
+                violations.append(Violation(
+                    kind="coverage", time=seg.start,
+                    message=f"segment [{seg.start:g}, {seg.end:g}] has "
+                            f"negative duration"))
         for prev, cur in zip(segments, segments[1:]):
-            if cur.start > prev.end + time_eps:
+            if cur.start > prev.end + DEADLINE_EPS:
                 violations.append(Violation(
                     kind="coverage", time=prev.end,
                     message=f"gap [{prev.end:g}, {cur.start:g}] in "
                             f"coverage"))
-            elif cur.start < prev.end - time_eps:
+            elif cur.start < prev.end - DEADLINE_EPS:
                 violations.append(Violation(
                     kind="coverage", time=cur.start,
                     message=f"segment [{cur.start:g}, {cur.end:g}] "
                             f"overlaps previous end {prev.end:g}"))
-        if abs(segments[-1].end - horizon) > time_eps:
+        if abs(segments[-1].end - horizon) > DEADLINE_EPS:
             violations.append(Violation(
                 kind="coverage", time=segments[-1].end,
                 message=f"last segment ends at {segments[-1].end:g}, "
@@ -174,7 +182,7 @@ def audit_trace(
             release_pos += 1
 
     for seg in segments:
-        admit(seg.start + time_eps)
+        admit(seg.start + DEADLINE_EPS)
         if seg.kind == SegmentKind.RUN:
             name = seg.job or "?"
             window = jobs.get(name)
@@ -189,7 +197,7 @@ def audit_trace(
                     kind="speed", time=seg.start, job=name,
                     message=f"runs at unattainable speed "
                             f"{seg.speed:g}"))
-            if seg.start < window.release - time_eps:
+            if seg.start < window.release - DEADLINE_EPS:
                 violations.append(Violation(
                     kind="work", time=seg.start, job=name,
                     message=f"executes before its release "
@@ -198,7 +206,8 @@ def audit_trace(
                 active.values(), default=None,
                 key=lambda w: (w.deadline, w.release))
             if (earliest is not None
-                    and window.deadline > earliest.deadline + time_eps):
+                    and window.deadline
+                    > earliest.deadline + DEADLINE_EPS):
                 blocking = next(n for n, w in active.items()
                                 if w is earliest)
                 violations.append(Violation(
@@ -209,12 +218,12 @@ def audit_trace(
             # Releases strictly inside a run segment may only carry
             # later-or-equal deadlines — an earlier one had to preempt.
             while (release_pos < len(releases)
-                   and releases[release_pos][0] < seg.end - time_eps):
+                   and releases[release_pos][0] < seg.end - DEADLINE_EPS):
                 release, newcomer = releases[release_pos]
                 active[newcomer] = jobs[newcomer]
                 release_pos += 1
                 if (jobs[newcomer].deadline
-                        < window.deadline - time_eps):
+                        < window.deadline - DEADLINE_EPS):
                     violations.append(Violation(
                         kind="edf-order", time=release, job=name,
                         message=f"{newcomer} (deadline "
@@ -223,7 +232,7 @@ def audit_trace(
                                 f"(running deadline "
                                 f"{window.deadline:g})"))
             window.executed += seg.speed * seg.duration
-            tolerance = deadline_eps * max(1.0, window.demand)
+            tolerance = DEADLINE_EPS * max(1.0, window.demand)
             if window.executed > window.demand + tolerance:
                 violations.append(Violation(
                     kind="work", time=seg.end, job=name,
@@ -239,7 +248,7 @@ def audit_trace(
             # episode may legitimately span releases (procrastination),
             # so only the episode start is checked.
             pending = [n for n, w in active.items()
-                       if w.release < seg.start - time_eps]
+                       if w.release < seg.start - DEADLINE_EPS]
             if pending:
                 violations.append(Violation(
                     kind="idle", time=seg.start, job=pending[0],
@@ -250,7 +259,7 @@ def audit_trace(
     reported = {miss.job for miss in result.deadline_misses}
     for name, window in jobs.items():
         if window.completion is not None:
-            missed = window.completion > window.deadline + deadline_eps
+            missed = window.completion > window.deadline + DEADLINE_EPS
         else:
             missed = window.deadline <= horizon + TIME_EPS
         if missed and name not in reported:
@@ -268,7 +277,7 @@ def audit_trace(
             continue
         observed_miss = (window.completion is None
                          or window.completion
-                         > window.deadline - deadline_eps)
+                         > window.deadline - DEADLINE_EPS)
         if not observed_miss:
             violations.append(Violation(
                 kind="deadline", time=window.completion, job=name,
@@ -276,21 +285,31 @@ def audit_trace(
                         f"completes it at {window.completion:g}, before "
                         f"deadline {window.deadline:g}"))
 
-    # -- energy ledger conservation ------------------------------------
+    # -- energy: the power model, then ledger conservation -------------
+    for seg in segments:
+        if seg.kind == SegmentKind.RUN:
+            # A negative duration is a coverage violation, not a crash.
+            expected = processor.active_energy(seg.speed,
+                                               max(0.0, seg.duration))
+            tolerance = DEADLINE_EPS * max(1.0, expected)
+            if abs(seg.energy - expected) > tolerance:
+                violations.append(Violation(
+                    kind="energy", time=seg.start, job=seg.job,
+                    message=f"recorded energy {seg.energy:g} != power "
+                            f"model energy {expected:g}"))
     ledger = EnergyLedger.from_result(result)
     for problem in ledger.check(result):
         violations.append(Violation(
             kind="energy", time=horizon, message=problem))
 
     # -- governor floor ------------------------------------------------
-    violations.extend(_audit_governor_floor(result, time_eps))
+    violations.extend(_audit_governor_floor(result))
 
     violations.sort(key=lambda v: (v.time, v.kind))
     return violations
 
 
-def _audit_governor_floor(result: SimulationResult,
-                          time_eps: float) -> list[Violation]:
+def _audit_governor_floor(result: SimulationResult) -> list[Violation]:
     """Every governor clamp note must be honoured by its dispatch."""
     violations: list[Violation] = []
     segments = result.trace.segments
@@ -303,7 +322,7 @@ def _audit_governor_floor(result: SimulationResult,
         if not job or match is None:
             continue
         floor = float(match.group(1))
-        held = _held_speed(notes, index, time_eps)
+        held = _held_speed(notes, index)
         # A stuck switch keeps the old speed, so the fault, not the
         # policy, bounds this dispatch: it must still run at or above
         # the speed the switch held.
@@ -312,7 +331,7 @@ def _audit_governor_floor(result: SimulationResult,
         # timed switch).  If a release during the switch re-dispatched
         # another job, the floor no longer binds — skip.
         for seg in segments:
-            if seg.end <= note.time + time_eps:
+            if seg.end <= note.time + DEADLINE_EPS:
                 continue
             if seg.kind == SegmentKind.SWITCH:
                 continue
@@ -329,7 +348,7 @@ def _audit_governor_floor(result: SimulationResult,
     return violations
 
 
-def _held_speed(notes, index: int, time_eps: float) -> float | None:
+def _held_speed(notes, index: int) -> float | None:
     """The speed a stuck switch held for the clamp note at *index*.
 
     The engine applies the clamped speed right after the governor
@@ -338,7 +357,7 @@ def _held_speed(notes, index: int, time_eps: float) -> float | None:
     """
     when = notes[index].time
     for note in notes[index + 1:]:
-        if note.time > when + time_eps or note.kind == "governor":
+        if note.time > when + DEADLINE_EPS or note.kind == "governor":
             return None
         match = _STUCK.match(note.detail)
         if note.kind == "transition-fault" and match is not None:

@@ -49,7 +49,9 @@ class SimulationError(ReproError):
 
 
 class TraceValidationError(ReproError):
-    """A recorded trace violates a structural or semantic invariant."""
+    """A trace file cannot be read back: unreadable, empty, malformed,
+    or of an unknown schema.  (Schedule invariants are not exceptions:
+    :func:`repro.analysis.audit_trace` returns them as violations.)"""
 
 
 class PolicyError(ReproError):

@@ -64,7 +64,7 @@ from repro.policies.base import DvsPolicy
 from repro.policies.registry import make_policy
 from repro.sim.engine import simulate
 from repro.sim.results import SimulationResult
-from repro.telemetry import EVENTS_FILENAME, TELEMETRY, JsonlSink
+from repro.telemetry import EVENTS_FILENAME, TELEMETRY
 from repro.telemetry.manifest import (
     RunManifest,
     git_revision,
@@ -208,15 +208,12 @@ def _audited_run(
     JSONL artifact next to the telemetry manifests (when a manifest
     directory is configured) before the error propagates.
     """
-    from repro.analysis.audit import audit_trace, render_violations
+    from repro.analysis.audit import render_violations, run_and_audit
     from repro.sim.engine import Simulator
 
-    sim = Simulator(taskset, processor, policy, execution_model,
-                    horizon=horizon, record_trace=True,
-                    allow_misses=allow_misses, faults=faults)
-    result = sim.run()
-    violations = audit_trace(result, sim.taskset, sim.processor,
-                             sim.execution_model, sim.arrival_model)
+    result, violations = run_and_audit(Simulator(
+        taskset, processor, policy, execution_model, horizon=horizon,
+        record_trace=True, allow_misses=allow_misses, faults=faults))
     TELEMETRY.inc("audit.runs")
     if violations:
         TELEMETRY.inc("audit.violations", len(violations))
@@ -745,21 +742,15 @@ def sweep(
     # The event log (DESIGN.md §14): the sink the CLI configured, else
     # ``events.jsonl`` in the telemetry manifest dir or the checkpoint
     # dir, open for this sweep's length.  No directory means no log —
-    # and no overhead.
+    # and no overhead; an unusable one, one warning and no log.
     own_sink = None
     run_dir = TELEMETRY.manifest_dir if TELEMETRY.enabled else None
     if run_dir is None:
         run_dir = checkpoint_dir
-    if TELEMETRY.sink is None and run_dir is not None:
-        try:
-            own_sink = TELEMETRY.sink = JsonlSink(
-                Path(run_dir) / EVENTS_FILENAME)
-        except OSError as exc:
-            # Narration is an observability aid: an unusable directory
-            # must never take the sweep itself down.
-            TELEMETRY.inc("progress.degraded")
-            print(f"warning: event log dir {run_dir} unusable ({exc}); "
-                  f"sweep runs unnarrated", file=sys.stderr)
+    if (TELEMETRY.sink is None and TELEMETRY.events_path is None
+            and run_dir is not None):
+        own_sink = TELEMETRY.sink = TELEMETRY.open_events(
+            Path(run_dir) / EVENTS_FILENAME)
     log = str(TELEMETRY.sink.path) if TELEMETRY.sink is not None else None
     try:
         TELEMETRY.emit("sweep.start", schema=PROGRESS_SCHEMA,

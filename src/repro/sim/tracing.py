@@ -2,8 +2,8 @@
 
 A trace is a gap-free sequence of segments covering ``[0, horizon]``:
 every instant is either running one job at one speed, idling, or inside
-a speed transition.  Traces back the validation layer
-(:mod:`repro.analysis.validation`), the examples' Gantt rendering, and
+a speed transition.  Traces back the schedule auditor
+(:mod:`repro.analysis.audit`), the examples' Gantt rendering, and
 several tests; recording can be disabled for large sweeps.
 """
 

@@ -382,21 +382,44 @@ class Telemetry:
         self._workers: dict[str, dict[str, float]] = {}
         #: The event log's sink while one is open, else ``None``.
         self.sink: JsonlSink | None = None
+        #: The event log :meth:`configure` was asked for, opened or not.
+        self.events_path: Path | None = None
 
     # -- configuration -------------------------------------------------
 
     def configure(self, *, enabled: bool = True,
                   events_path: str | Path | None = None,
                   manifest_dir: str | Path | None = None) -> None:
-        """Switch counters, events and manifests on (or off)."""
+        """Switch counters, events and manifests on (or off).
+
+        An *events_path* whose directory is unusable degrades the run
+        to unnarrated (:meth:`open_events`); sweeps then do not try to
+        open a log of their own.
+        """
         self.enabled = enabled
         if self.sink is not None:
             self.sink.close()
             self.sink = None
-        if events_path is not None and enabled:
-            self.sink = JsonlSink(events_path)
+        self.events_path = (Path(events_path)
+                            if events_path is not None and enabled
+                            else None)
+        if self.events_path is not None:
+            self.sink = self.open_events(self.events_path)
         self.manifest_dir = (Path(manifest_dir)
                             if manifest_dir is not None else None)
+
+    def open_events(self, path: str | Path) -> JsonlSink | None:
+        """The event log at *path*, or ``None`` if its directory is
+        unusable.  Narration is an observability aid: an unusable
+        directory costs one warning (counted in ``progress.degraded``),
+        never the run."""
+        try:
+            return JsonlSink(path)
+        except OSError as exc:
+            self.inc("progress.degraded")
+            print(f"warning: event log dir {Path(path).parent} unusable "
+                  f"({exc}); running unnarrated", file=sys.stderr)
+            return None
 
     def configure_timers(self, *, enabled: bool = True,
                          timeline: bool = False, sample: bool = False,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.validation import validate_run
+from repro.analysis import audit_trace, render_violations
 from repro.cpu.profiles import ideal_processor
 from repro.errors import ConfigurationError
 from repro.policies.registry import ALL_POLICY_NAMES, make_policy
@@ -159,7 +159,10 @@ class TestSporadicSimulation:
         result = simulate(ts, ideal_processor(), make_policy("lpSEH"),
                           model, arrival_model=arrivals, horizon=1200.0,
                           record_trace=True)
-        validate_run(result, ts, ideal_processor(), model, arrivals)
+        violations = audit_trace(result, ts, ideal_processor(), model,
+                                 arrivals)
+        assert violations == [], render_violations(violations)
+        assert not result.deadline_misses
 
     def test_policy_view_is_pessimistic(self):
         # With sporadic arrivals the policy-visible next release must

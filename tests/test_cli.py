@@ -221,6 +221,22 @@ class TestRunPolicyAndTelemetry:
         assert "run manifest: EXP-F1" in out
         assert "engine.releases" in out
 
+    def test_telemetry_dir_that_is_a_file_degrades(self, capsys,
+                                                   tmp_path):
+        """An unusable telemetry dir costs the run its event log and
+        its manifest, one warning each, never its figure."""
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        assert main(["run", "fig1", "--quick",
+                     "--policy", "static,lpSTA",
+                     "--telemetry-dir", str(blocker)]) == 0
+        captured = capsys.readouterr()
+        assert "EXP-F1" in captured.out
+        assert [line.split(" dir ")[0]
+                for line in captured.err.splitlines()] == [
+            "warning: event log", "warning: manifest"]
+        assert blocker.read_text() == ""
+
     def test_profile_requires_telemetry_dir(self, capsys, tmp_path,
                                             monkeypatch):
         # Without --telemetry-dir no manifest is written, so the time

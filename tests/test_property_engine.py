@@ -5,14 +5,17 @@ ratio pattern and any policy, the simulator never misses a deadline and
 energy accounting stays consistent.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.validation import validate_run
+from repro.analysis import audit_trace, render_violations
 from repro.cpu.profiles import generic4_processor, ideal_processor
 from repro.policies.registry import ALL_POLICY_NAMES, make_policy
+from repro.sim import fastcore
 from repro.sim.engine import simulate
 from repro.tasks.execution import UniformExecution
 from repro.tasks.generators import generate_taskset
@@ -67,12 +70,28 @@ def test_energy_and_time_accounting(params):
     assert result.jobs_completed <= result.jobs_released
 
 
+PROCESSORS = {"ideal": ideal_processor, "generic4": generic4_processor}
+
+
 @settings(max_examples=10, deadline=None)
-@given(params=workload)
-def test_traces_validate(params):
-    result, ts, model = _run(params, ideal_processor(),
-                             horizon_cap=800.0, record_trace=True)
-    validate_run(result, ts, ideal_processor(), model)
+@given(params=workload, processor=st.sampled_from(sorted(PROCESSORS)))
+def test_traces_validate(params, processor):
+    """Every drawn run audits clean with no misses on both engines, and
+    the interpreted and compiled engines agree on result and trace."""
+    proc = PROCESSORS[processor]()
+    runs = []
+    for compiled in (False, True):
+        with fastcore.forced(compiled):
+            result, ts, model = _run(params, proc, horizon_cap=800.0,
+                                     record_trace=True)
+        violations = audit_trace(result, ts, proc, model)
+        assert violations == [], render_violations(violations)
+        assert not result.deadline_misses
+        runs.append(result)
+    interpreted, compiled = runs
+    assert interpreted.trace.segments == compiled.trace.segments
+    assert (dataclasses.replace(interpreted, trace=None)
+            == dataclasses.replace(compiled, trace=None))
 
 
 @settings(max_examples=10, deadline=None)

@@ -622,6 +622,77 @@ class TestDegradedWrites:
         assert manifest["resilience"]["degraded_writes"] == 1
         assert manifest["counters"]["resilience.cache_degraded"] == 1
 
+    @pytest.mark.parametrize(
+        "workers", [1, pytest.param(2, marks=needs_fork)])
+    def test_unusable_checkpoint_dir_keeps_the_cells(
+            self, tmp_path, capsys, monkeypatch, workers):
+        """A checkpoint dir that is a regular file costs the sweep its
+        checkpoints (one warning, one degraded write), never its
+        cells."""
+        monkeypatch.setattr(parallel, "default_workers", lambda: 2)
+        reference = sweep((0.5,), workload, POLICIES, n_tasksets=2,
+                          horizon=HORIZON)
+        capsys.readouterr()
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        manifests = tmp_path / "manifests"
+        TELEMETRY.reset()
+        TELEMETRY.configure(enabled=True, manifest_dir=manifests)
+        try:
+            cells = sweep((0.5,), workload, POLICIES, n_tasksets=2,
+                          horizon=HORIZON, workers=workers,
+                          checkpoint_dir=blocker)
+        finally:
+            TELEMETRY.configure(enabled=False)
+            TELEMETRY.reset()
+        assert payloads(cells) == payloads(reference)
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == 1
+        assert warnings[0].startswith(f"warning: checkpoint dir {blocker}")
+        assert blocker.read_text() == ""
+        (path,) = manifests.glob("manifest_*.json")
+        manifest = json.loads(path.read_text())
+        assert manifest["resilience"]["degraded_writes"] == 1
+        assert manifest["counters"]["resilience.checkpoint_degraded"] == 1
+
+    @pytest.mark.parametrize(
+        "workers", [1, pytest.param(2, marks=needs_fork)])
+    def test_unusable_events_path_keeps_the_cells(
+            self, tmp_path, capsys, monkeypatch, workers):
+        """An events path under a regular file costs the run its event
+        log (one warning, counted), never its cells or its manifest;
+        the sweep does not open a log of its own instead."""
+        monkeypatch.setattr(parallel, "default_workers", lambda: 2)
+        reference = sweep((0.5,), workload, POLICIES, n_tasksets=2,
+                          horizon=HORIZON)
+        capsys.readouterr()
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        manifests = tmp_path / "manifests"
+        TELEMETRY.reset()
+        try:
+            TELEMETRY.configure(enabled=True,
+                                events_path=blocker / "events.jsonl",
+                                manifest_dir=manifests)
+            cells = sweep((0.5,), workload, POLICIES, n_tasksets=2,
+                          horizon=HORIZON, workers=workers)
+            degraded = TELEMETRY.counter("progress.degraded")
+            sink = TELEMETRY.sink
+        finally:
+            TELEMETRY.configure(enabled=False)
+            TELEMETRY.reset()
+        assert payloads(cells) == payloads(reference)
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == 1
+        assert warnings[0].startswith(f"warning: event log dir {blocker}")
+        assert degraded == 1 and sink is None
+        assert blocker.read_text() == ""
+        assert [p.name for p in manifests.iterdir()
+                if p.name.startswith("manifest_")]
+        assert not (manifests / "events.jsonl").exists()
+
     def test_corrupt_cache_shard_is_self_healed(self, tmp_path):
         from repro.experiments.cache import PolicySummary
         cache = SuiteCache(tmp_path)

@@ -11,7 +11,7 @@ from repro.analysis import (
     render_violations,
     run_and_audit,
 )
-from repro.cpu.profiles import ideal_processor
+from repro.cpu.profiles import generic4_processor, ideal_processor
 from repro.errors import ConfigurationError
 from repro.experiments.runner import (
     bcwc_model,
@@ -23,8 +23,9 @@ from repro.faults import FaultPlan, OverrunFault
 from repro.faults.plan import TransitionFault
 from repro.policies.registry import ALL_POLICY_NAMES, make_policy
 from repro.sim.engine import Simulator
-from repro.sim.results import DeadlineMiss
-from repro.sim.tracing import SegmentKind, TraceNote
+from repro.sim.results import DeadlineMiss, SimulationResult
+from repro.sim.tracing import Segment, SegmentKind, TraceNote, TraceRecorder
+from repro.tasks.execution import UniformExecution
 from repro.tasks.task import PeriodicTask
 from repro.tasks.taskset import TaskSet
 
@@ -37,8 +38,9 @@ def small_taskset():
 
 
 def traced_sim(policy="lpSTA", taskset=None, horizon=40.0, faults=None,
-               **policy_kwargs):
-    return Simulator(taskset or small_taskset(), ideal_processor(),
+               processor=None, **policy_kwargs):
+    return Simulator(taskset or small_taskset(),
+                     processor or ideal_processor(),
                      make_policy(policy, **policy_kwargs),
                      horizon=horizon, record_trace=True,
                      allow_misses=True, faults=faults)
@@ -58,11 +60,34 @@ def governed_laedf_sim(stuck=0.0):
                      record_trace=True, allow_misses=True, faults=plan)
 
 
+PROCESSORS = {"ideal": ideal_processor, "generic4": generic4_processor}
+
+#: Every policy on both processors; ideal runs keep the bare policy id.
+POLICY_PROCESSOR = (
+    [pytest.param(policy, "ideal", id=policy)
+     for policy in ALL_POLICY_NAMES]
+    + [pytest.param(policy, "generic4", id=f"{policy}-generic4")
+       for policy in ALL_POLICY_NAMES])
+
+
 class TestCleanRuns:
-    @pytest.mark.parametrize("policy", ALL_POLICY_NAMES)
-    def test_every_policy_audits_clean(self, policy):
-        _, violations = run_and_audit(traced_sim(policy))
+    @pytest.mark.parametrize("policy,processor", POLICY_PROCESSOR)
+    def test_every_policy_audits_clean(self, policy, processor):
+        result, violations = run_and_audit(
+            traced_sim(policy, processor=PROCESSORS[processor]()))
         assert violations == [], render_violations(violations)
+        assert not result.deadline_misses
+
+    @pytest.mark.parametrize("policy", ALL_POLICY_NAMES)
+    def test_variable_demands_audit_clean(self, policy, three_task_set,
+                                          half_model):
+        """Early completions (demands 0.5-1.0 x WCET) beside a long
+        task: the slack every reclaiming policy feeds on."""
+        result, violations = run_and_audit(Simulator(
+            three_task_set, ideal_processor(), make_policy(policy),
+            half_model, horizon=80.0, record_trace=True))
+        assert violations == [], render_violations(violations)
+        assert not result.deadline_misses
 
     def test_generated_workload_audits_clean(self):
         sim = Simulator(standard_taskset(5, 0.7, seed=11),
@@ -149,6 +174,22 @@ class TestMutationDetection:
                 detected_at=1.0))
         assert "deadline" in _audit_mutated(mutate)
 
+    def test_power_model_energy_mismatch_detected(self):
+        """A run segment and the result's busy energy moved together:
+        the ledger still balances, only the power model disagrees."""
+        sim = traced_sim("ccEDF")
+        result = sim.run()
+        segs = result.trace._segments
+        i = next(j for j, s in enumerate(segs)
+                 if s.kind == SegmentKind.RUN)
+        segs[i] = dataclasses.replace(segs[i], energy=segs[i].energy + 0.5)
+        result.busy_energy += 0.5
+        violations = audit_trace(result, sim.taskset, sim.processor,
+                                 sim.execution_model, sim.arrival_model)
+        assert [(v.kind, v.job) for v in violations] == [
+            ("energy", segs[i].job)]
+        assert "power model" in violations[0].message
+
     def test_energy_ledger_imbalance_detected(self):
         def mutate(result):
             segs = result.trace._segments
@@ -157,6 +198,13 @@ class TestMutationDetection:
             segs[i] = dataclasses.replace(segs[i],
                                           energy=segs[i].energy + 1.0)
         assert "energy" in _audit_mutated(mutate)
+
+    def test_result_totals_off_the_trace_detected(self):
+        """The trace untouched, the result's idle total moved: only the
+        ledger's reconciliation can see it."""
+        def mutate(result):
+            result.idle_energy += 1.0
+        assert _audit_mutated(mutate) == {"energy"}
 
     @staticmethod
     def _halve_clamped_dispatch(result, note):
@@ -215,6 +263,135 @@ class TestMutationDetection:
         rendered = render_violations(violations)
         assert "coverage" in rendered and "A#0" in rendered
         assert render_violations([]) == "audit: 0 violations"
+
+
+def run_seg(start, end, job, speed=1.0, processor=None):
+    """A run segment carrying its power-model energy."""
+    energy = (processor or ideal_processor()).active_energy(
+        speed, end - start)
+    return Segment(start, end, SegmentKind.RUN, speed, energy, job,
+                   job.partition("#")[0] if job else None)
+
+
+def idle_seg(start, end):
+    return Segment(start, end, SegmentKind.IDLE, 0.0, 0.0)
+
+
+def audit_hand_trace(taskset, segments, horizon, processor=None):
+    """Audit a hand-built trace of jobs that each demand their WCET;
+    the result's energy totals are the trace's, so only the seeded
+    fault shows."""
+    trace = TraceRecorder()
+    trace._segments = list(segments)  # bypass recording guards
+    result = SimulationResult(
+        policy="hand", horizon=horizon, trace=trace,
+        busy_energy=sum(s.energy for s in segments
+                        if s.kind == SegmentKind.RUN))
+    return audit_trace(result, taskset, processor or ideal_processor(),
+                       UniformExecution(low=1.0, high=1.0, seed=0))
+
+
+def found(violations, kind, text, job=None):
+    return any(v.kind == kind and text in v.message
+               and (job is None or v.job == job) for v in violations)
+
+
+def one_task(phase=0.0):
+    return TaskSet([PeriodicTask("T", wcet=2.0, period=10.0, phase=phase)])
+
+
+class TestHandBuiltTraces:
+    """One seeded fault per check, each named by its message."""
+
+    def test_clean_hand_trace_passes(self):
+        assert audit_hand_trace(one_task(), [run_seg(0.0, 2.0, "T#0"),
+                                             idle_seg(2.0, 10.0)],
+                                10.0) == []
+
+    def test_late_first_segment_detected(self):
+        violations = audit_hand_trace(
+            one_task(), [run_seg(1.0, 3.0, "T#0"), idle_seg(3.0, 10.0)],
+            10.0)
+        assert found(violations, "coverage", "first segment starts at 1")
+
+    def test_trace_short_of_the_horizon_detected(self):
+        violations = audit_hand_trace(
+            one_task(), [run_seg(0.0, 2.0, "T#0"), idle_seg(2.0, 8.0)],
+            10.0)
+        assert found(violations, "coverage", "last segment ends at 8")
+
+    def test_negative_duration_detected(self):
+        # [0,2] [2,1] [1,3]: no gap and no overlap between neighbours.
+        backwards = run_seg(2.0, 3.0, "T#0")
+        object.__setattr__(backwards, "end", 1.0)
+        violations = audit_hand_trace(
+            one_task(), [run_seg(0.0, 2.0, "T#0"), backwards,
+                         idle_seg(1.0, 3.0)], 3.0)
+        assert found(violations, "coverage", "negative duration")
+
+    def test_unattainable_speed_detected(self):
+        proc = generic4_processor()  # levels .25/.5/.75/1
+        violations = audit_hand_trace(
+            one_task(), [run_seg(0.0, 10 / 3, "T#0", 0.6, proc),
+                         idle_seg(10 / 3, 10.0)], 10.0, proc)
+        assert found(violations, "speed", "unattainable speed 0.6")
+
+    def test_execution_before_release_detected(self):
+        violations = audit_hand_trace(
+            one_task(phase=5.0), [run_seg(0.0, 2.0, "T#0"),
+                                  idle_seg(2.0, 10.0)], 10.0)
+        assert found(violations, "work", "before its release", "T#0")
+
+    def test_overrun_detected(self):
+        violations = audit_hand_trace(
+            one_task(), [run_seg(0.0, 3.0, "T#0"), idle_seg(3.0, 10.0)],
+            10.0)
+        assert found(violations, "work", "more than its demand", "T#0")
+
+    def test_late_completion_detected(self):
+        violations = audit_hand_trace(
+            one_task(), [idle_seg(0.0, 9.0), run_seg(9.0, 11.0, "T#0"),
+                         idle_seg(11.0, 20.0)], 20.0)
+        assert found(violations, "deadline", "completion 11", "T#0")
+
+    def test_starved_job_detected(self):
+        violations = audit_hand_trace(
+            one_task(), [run_seg(0.0, 1.0, "T#0"), idle_seg(1.0, 20.0)],
+            20.0)
+        assert found(violations, "deadline", "completion never", "T#0")
+
+    @pytest.mark.parametrize("job", ["X#0", None])
+    def test_unknown_or_unlabelled_job_detected(self, job):
+        violations = audit_hand_trace(
+            one_task(), [run_seg(0.0, 2.0, job), idle_seg(2.0, 10.0)],
+            10.0)
+        assert found(violations, "work", "never release")
+
+    def test_later_deadline_dispatched_first_detected(self):
+        violations = audit_hand_trace(
+            small_taskset(), [run_seg(0.0, 2.0, "B#0"),
+                              run_seg(2.0, 3.0, "A#0"),
+                              idle_seg(3.0, 4.0)], 4.0)
+        assert found(violations, "edf-order", "A#0 (deadline 4) is "
+                                               "pending", "B#0")
+
+    def test_unpreempted_earlier_deadline_release_detected(self):
+        tasks = TaskSet([PeriodicTask("A", wcet=1.0, period=4.0,
+                                      phase=1.0),
+                         PeriodicTask("B", wcet=2.0, period=10.0)])
+        violations = audit_hand_trace(
+            tasks, [run_seg(0.0, 2.0, "B#0"), run_seg(2.0, 3.0, "A#0"),
+                    idle_seg(3.0, 5.0)], 5.0)
+        assert found(violations, "edf-order", "without preempting", "B#0")
+
+    def test_idling_with_pending_work_detected(self):
+        violations = audit_hand_trace(
+            small_taskset(), [run_seg(0.0, 1.0, "A#0"), idle_seg(1.0, 2.0),
+                              run_seg(2.0, 4.0, "B#0"),
+                              run_seg(4.0, 5.0, "A#1"), idle_seg(5.0, 8.0)],
+            8.0)
+        assert found(violations, "idle", "B#0 pending", "B#0")
+        assert {v.kind for v in violations} == {"idle"}
 
 
 class TestSuiteAudit:
