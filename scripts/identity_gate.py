@@ -364,7 +364,22 @@ def check_engines(tag: str, leg: dict, parent_runs: int, parent_drawn: int,
               f"{sum(expected.values())}")
 
 
-def check_profile(tag: str, leg: dict, delta: dict, measured: float) -> None:
+def engine_run_counts(kwargs: dict) -> dict[str, int]:
+    """``engine.run.<policy>`` regions a sweep of *kwargs* opens: each
+    unit runs the no-DVS baseline, then every other policy as its
+    cell's factory builds it (``gov(<name>)`` when governed)."""
+    counts = {"none": UNITS}
+    for x in kwargs["xs"]:
+        factory = kwargs["policy_factory"](x)
+        for name in kwargs["policy_names"]:
+            if name != "none":
+                label = factory(name).name
+                counts[label] = counts.get(label, 0) + N_SEEDS
+    return {f"engine.run.{label}": n for label, n in counts.items()}
+
+
+def check_profile(tag: str, leg: dict, delta: dict, measured: float,
+                  expected_runs: dict[str, int]) -> None:
     block = profile_block(delta)
     budget_sum = sum(block["budget"].values())
     check(f"{tag} budget categories sum to attributed wall",
@@ -375,6 +390,10 @@ def check_profile(tag: str, leg: dict, delta: dict, measured: float) -> None:
         check(f"{tag} attributed wall within epsilon of measured wall",
               abs(block["wall_s"] - measured) <= 0.10 * measured + 0.05,
               f"attributed={block['wall_s']:.4f}s measured={measured:.4f}s")
+    runs = {name: rec["count"] for name, rec in block["phases"].items()
+            if name.startswith("engine.run")}
+    check(f"{tag} one engine.run.<policy> region per run of each policy",
+          runs == expected_runs, f"got {runs}, expected {expected_runs}")
 
 
 def check_chaos(tag: str, leg: dict, kwargs: dict, cells: list,
@@ -422,7 +441,10 @@ def run_leg(tag: str, leg: dict, kwargs: dict, reference: list[str],
         # Counters off: the sweep opens its own log next to its
         # checkpoints.
         kwargs["checkpoint_dir"] = run_dir
-    TELEMETRY.configure_timers(enabled=leg["profile"])
+    # Profile legs switch on what `repro run --profile` does.
+    TELEMETRY.configure_timers(enabled=leg["profile"],
+                               timeline=leg["profile"],
+                               sample=leg["profile"])
     parent_before = fastcore.RUN_COUNTS["compiled"]
     drawn_before = fastcore.RUN_COUNTS["drawn"]
     decided_before = dict(fastcore.RUN_COUNTS["decided"])
@@ -455,7 +477,8 @@ def run_leg(tag: str, leg: dict, kwargs: dict, reference: list[str],
                       f"audit.runs={TELEMETRY.counter('audit.runs')}")
             if leg["profile"]:
                 delta = TELEMETRY.delta_since(None)
-                check_profile(tag, leg, delta, measured)
+                check_profile(tag, leg, delta, measured,
+                              engine_run_counts(kwargs))
                 folds["phases"][tag] = phase_counts(delta)
             if leg["progress"]:
                 folds["events"][tag] = check_progress(tag, leg, run_dir)

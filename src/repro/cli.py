@@ -20,8 +20,9 @@ Commands
     exits non-zero when anything drifted).
 ``stats``
     Render a telemetry run manifest (written by ``run
-    --telemetry-dir``) as an ASCII audit report; ``--follow`` first
-    watches the sweep's live event log until the sweep finishes.
+    --telemetry-dir``) as an ASCII audit report, with the time budget
+    of a ``run --profile``; ``--follow`` first watches the sweep's live
+    event log until the sweep finishes.
 ``watch``
     Attach to a running (or finished) sweep's event log
     (``events.jsonl`` in its checkpoint or telemetry directory) and
@@ -40,13 +41,11 @@ Commands
     parallel executor's default worker count, and the profiling layer's
     availability and measured per-region overhead.
 ``profile``
-    The phase timers (DESIGN.md §9): ``run`` an instrumented EXP-F1
-    mini sweep and print its time budget (writing the manifest with a
-    ``profile`` block, a collapsed-stack flamegraph input, and a
-    Perfetto-loadable phase trace), ``report`` a manifest's budget,
-    ``flame`` a collapsed-stack file as a terminal flame tree,
-    ``diff`` two manifests' attribution (naming the fingerprint keys
-    that differ first).
+    Read what ``run EXP --profile --telemetry-dir DIR`` wrote (DESIGN.md
+    §9; ``stats DIR`` renders the time budget): ``flame`` a
+    collapsed-stack file as a terminal flame tree, ``diff`` two
+    manifests' attribution, per category and per policy (naming the
+    fingerprint keys that differ first).
 """
 
 from __future__ import annotations
@@ -134,6 +133,13 @@ def _parse_policy_list(spec: str | None) -> tuple[str, ...] | None:
 def _cmd_run(args: argparse.Namespace) -> int:
     names = list(TABLES) + list(FIGURES) if args.experiment == "all" \
         else [args.experiment]
+    unknown = [name for name in names
+               if name not in TABLES and name not in FIGURES]
+    if unknown:
+        known = ", ".join(list(TABLES) + list(FIGURES) + ["all"])
+        print(f"unknown experiment {unknown[0]!r}; known: {known}",
+              file=sys.stderr)
+        return 2
     if args.resume and not args.checkpoint_dir:
         print("--resume requires --checkpoint-dir", file=sys.stderr)
         return 2
@@ -167,19 +173,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         TELEMETRY.configure(enabled=True, events_path=events,
                             manifest_dir=args.telemetry_dir)
     if args.profile:
+        # The profile files cover this invocation and nothing before it.
         from repro.telemetry import TELEMETRY
-        TELEMETRY.configure_timers(enabled=True)
+        TELEMETRY.reset()
+        TELEMETRY.configure_timers(enabled=True, timeline=True,
+                                   sample=True)
     for name in names:
         started = time.time()
-        if name in TABLES:
-            driver = TABLES[name]
-        elif name in FIGURES:
-            driver = FIGURES[name]
-        else:
-            known = ", ".join(list(TABLES) + list(FIGURES) + ["all"])
-            print(f"unknown experiment {name!r}; known: {known}",
-                  file=sys.stderr)
-            return 2
+        driver = TABLES.get(name) or FIGURES[name]
         try:
             data = _call_driver(driver, args)
         except SweepInterrupted as exc:
@@ -208,6 +209,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if report != "no quarantined units":
                 print(report, file=sys.stderr)
         print()
+    if args.profile:
+        _write_profile(Path(args.telemetry_dir))
     if args.metrics_json:
         from repro.telemetry import TELEMETRY
         snap = TELEMETRY.snapshot()
@@ -216,6 +219,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
         path.write_text(json.dumps(snap, indent=2, sort_keys=True))
         print(f"  wrote metrics {path}")
     return 0
+
+
+def _write_profile(directory: Path) -> None:
+    """Write the invocation's collapsed stacks and phase timeline next
+    to its manifests; an unusable directory costs one warning."""
+    from repro.profiling import report as prep
+    from repro.telemetry import TELEMETRY
+    try:
+        folded = prep.write_collapsed(TELEMETRY.snapshot()["samples"],
+                                      directory / "profile.folded")
+        trace = prep.export_chrome_profile(
+            TELEMETRY, directory / "profile_trace.json")
+    except OSError as exc:
+        print(f"warning: profile dir {directory} unusable ({exc}); "
+              f"no flamegraph input or phase trace", file=sys.stderr)
+        return
+    print(f"  wrote {folded} (render with: repro profile flame "
+          f"{folded}) and {trace}")
 
 
 def _make_arrival_model(args: argparse.Namespace):
@@ -445,13 +466,6 @@ def _load_profiled(target: str):
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.profiling import report as prep
 
-    if args.profile_cmd == "report":
-        manifest = _load_profiled(args.manifest)
-        if manifest is None:
-            return 2
-        print(prep.render_budget(manifest.profile))
-        return 0
-
     if args.profile_cmd == "flame":
         try:
             samples = prep.read_collapsed(args.folded)
@@ -461,82 +475,20 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print(prep.render_flame(samples, min_share=args.min_share))
         return 0
 
-    if args.profile_cmd == "diff":
-        from repro.telemetry.manifest import fingerprint_drift
-        a = _load_profiled(args.a)
-        b = _load_profiled(args.b) if a is not None else None
-        if b is None:
-            return 2
-        drift = fingerprint_drift(a.fingerprint, b.fingerprint)
-        if drift:
-            print(f"FINGERPRINT DRIFT: {', '.join(drift)} (the two runs "
-                  f"swept different specs)")
-        print(prep.render_budget_diff(prep.diff_budgets(a.profile,
-                                                        b.profile)))
-        return 0
-
-    # profile run: an instrumented EXP-F1 mini sweep.
-    from repro.experiments.parallel import shutdown_pool
-    from repro.experiments.runner import (bcwc_model, standard_taskset,
-                                          sweep)
-    from repro.telemetry import TELEMETRY
-
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    try:
-        for name in policies:
-            if name != "none":
-                make_policy(name)
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
+    # diff
+    from repro.telemetry.manifest import fingerprint_drift
+    a = _load_profiled(args.a)
+    b = _load_profiled(args.b) if a is not None else None
+    if b is None:
         return 2
-    n = max(1, args.cells)
-    xs = ([0.5] if n == 1
-          else [0.3 + i * (0.8 - 0.3) / (n - 1) for i in range(n)])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    def workload(u: float, seed: int):
-        return (standard_taskset(args.tasks, u, seed),
-                bcwc_model(args.bcwc, seed))
-
-    TELEMETRY.configure(enabled=True, manifest_dir=out)
-    TELEMETRY.configure_timers(enabled=True, timeline=True,
-                               sample=not args.no_sample,
-                               sample_interval_s=args.sample_interval)
-    before = TELEMETRY.snapshot()
-    started = time.perf_counter()
-    try:
-        cells = sweep(xs, workload, policies, n_tasksets=args.seeds,
-                      horizon=args.horizon, workers=args.workers,
-                      workload_id=args.label)
-    finally:
-        if args.workers > 1:
-            shutdown_pool()
-    wall = time.perf_counter() - started
-    delta = TELEMETRY.delta_since(before)
-    block = prep.profile_block(
-        delta, timeline_dropped=TELEMETRY.timeline_dropped)
-    trace = prep.export_chrome_profile(
-        TELEMETRY.timeline_events(), out / "profile_trace.json",
-        origin_ns=TELEMETRY.origin_ns)
-    folded = None
-    if delta["samples"]:
-        folded = prep.write_collapsed(delta["samples"],
-                                      out / "profile.folded")
-    TELEMETRY.configure_timers(enabled=False)
-
-    print(prep.render_budget(block, measured_wall_s=wall))
-    print(f"cells: {len(cells)}  "
-          f"units: {len(xs) * args.seeds}  workers: {args.workers}")
-    print(f"manifest dir:     {out} (profile block in the newest "
-          f"manifest; render with: repro profile report {out})")
-    print(f"chrome trace:     {trace}")
-    if folded is not None:
-        print(f"flamegraph input: {folded} (render with: repro "
-              f"profile flame {folded})")
-    else:
-        print("flamegraph input: no samples collected "
-              "(sweep too short, or --no-sample)")
+    drift = fingerprint_drift(a.fingerprint, b.fingerprint)
+    if drift:
+        print(f"FINGERPRINT DRIFT: {', '.join(drift)} (the two runs "
+              f"swept different specs)")
+    print(prep.render_budget_diff(prep.diff_budgets(a.profile, b.profile)))
+    per_policy = prep.diff_engine_runs(a.profile, b.profile)
+    if per_policy:
+        print(prep.render_engine_run_diff(per_policy))
     return 0
 
 
@@ -790,11 +742,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enable telemetry and dump the final "
                             "counter/histogram snapshot to FILE")
     p_run.add_argument("--profile", action="store_true",
-                       help="enable the phase timers: every run "
-                            "manifest written to --telemetry-dir "
-                            "(required) carries a 'profile' time-budget "
-                            "block (results stay byte-identical; "
-                            "DESIGN.md §9)")
+                       help="profile the run into --telemetry-dir "
+                            "(required): every run manifest carries a "
+                            "'profile' time-budget block ('repro stats "
+                            "DIR'), and profile.folded (stack samples, "
+                            "'repro profile flame') and "
+                            "profile_trace.json (phase timeline for "
+                            "Perfetto) cover the whole run; results "
+                            "stay byte-identical (DESIGN.md §9)")
     p_run.set_defaults(func=_cmd_run)
 
     p_sim = sub.add_parser("simulate", help="one ad-hoc simulation")
@@ -920,54 +875,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prof = sub.add_parser(
         "profile",
-        help="phase profiling: where a sweep's wall time goes "
-             "(time budget, flamegraph, attribution diff)")
+        help="read what 'run EXP --profile' wrote: flamegraph, "
+             "attribution diff ('repro stats DIR' renders the budget)")
     prof_sub = p_prof.add_subparsers(dest="profile_cmd", required=True)
-    p_prun = prof_sub.add_parser(
-        "run",
-        help="run an instrumented EXP-F1 mini sweep: prints the time "
-             "budget, writes a manifest with a profile block, a "
-             "collapsed-stack flamegraph input and a Perfetto-loadable "
-             "phase trace")
-    p_prun.add_argument("--out", default="profile_out", metavar="DIR",
-                        help="output directory (manifest, "
-                             "profile.folded, profile_trace.json)")
-    p_prun.add_argument("--cells", type=int, default=2,
-                        help="utilization cells, spread over "
-                             "[0.3, 0.8] (default 2)")
-    p_prun.add_argument("--seeds", type=int, default=3,
-                        help="task sets per cell (default 3)")
-    p_prun.add_argument("--tasks", type=int, default=6,
-                        help="tasks per generated set (default 6)")
-    p_prun.add_argument("--bcwc", type=float, default=0.5,
-                        help="bc/wc execution ratio (default 0.5)")
-    p_prun.add_argument("--policies", default="none,static,lpSTA",
-                        metavar="LIST",
-                        help="comma-separated policies "
-                             "(default none,static,lpSTA)")
-    p_prun.add_argument("--horizon", type=float, default=2000.0,
-                        help="simulation horizon; long enough that the "
-                             "stack sampler lands a useful number of "
-                             "samples (default 2000)")
-    p_prun.add_argument("--workers", type=int, default=1,
-                        help="parallel workers; >1 exercises the "
-                             "fork-safe profile fold (default 1)")
-    p_prun.add_argument("--label", default="profile",
-                        help="workload id / manifest label")
-    p_prun.add_argument("--no-sample", action="store_true",
-                        help="phase timers only: skip the stack "
-                             "sampler (no flamegraph output)")
-    p_prun.add_argument("--sample-interval", type=float, default=0.001,
-                        dest="sample_interval", metavar="S",
-                        help="stack sampling period in seconds "
-                             "(default 0.001)")
-    p_prun.set_defaults(func=_cmd_profile)
-    p_prep = prof_sub.add_parser(
-        "report", help="render the profile block of a run manifest")
-    p_prep.add_argument("manifest",
-                        help="manifest file, or a directory holding "
-                             "manifest_*.json (newest wins)")
-    p_prep.set_defaults(func=_cmd_profile)
     p_pflame = prof_sub.add_parser(
         "flame", help="render a collapsed-stack file (profile.folded) "
                       "as a terminal flame tree")

@@ -424,6 +424,20 @@ def pool_pids() -> list[int]:
     return pids
 
 
+def _drop_broken_pool(pool: "WorkerPool") -> None:
+    """Shut a broken pool down and SIGKILL the workers it left.
+
+    The executor has already failed their futures and stopped reading
+    their results, so a survivor blocked sending one larger than a pipe
+    buffer (a chunk delta full of stack samples) would never exit, and
+    the interpreter would wait on it at exit.  Its ``terminate()`` does
+    not stop them: a forked worker inherits the sweep's drain handler
+    for SIGTERM.
+    """
+    _kill_pool_workers(pool)
+    pool.shutdown(cancel_futures=True)
+
+
 def _kill_pool_workers(pool: "WorkerPool") -> int:
     """SIGKILL every live worker of *pool* — the watchdog's hammer.
 
@@ -868,7 +882,7 @@ def run_cells(
                     for outcome in outcomes:
                         fold.resolve(*outcome)
                 if crashed:
-                    pool.shutdown(cancel_futures=True)
+                    _drop_broken_pool(pool)
                     _TELEMETRY.inc("resilience.pool_rebuilds")
                     _TELEMETRY.emit("resilience.pool_rebuild",
                                     mode="solo",
@@ -950,7 +964,7 @@ def run_cells(
             # The broken executor is unusable; drop it (a fresh pool
             # forks on the next acquire) and tighten the dispatch
             # shape so repeated breaks converge on the culprit.
-            pool.shutdown(cancel_futures=True)
+            _drop_broken_pool(pool)
             _TELEMETRY.inc("resilience.pool_rebuilds")
             _TELEMETRY.emit("resilience.pool_rebuild", mode=mode,
                             unresolved=len(remaining))

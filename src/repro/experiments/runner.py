@@ -786,6 +786,11 @@ def sweep(
     return cells
 
 
+#: Manifest directories this process found unusable and warned about
+#: once; later sweeps into one skip their manifests silently.
+_UNUSABLE_MANIFEST_DIRS: set[Path] = set()
+
+
 def _write_sweep_manifest(
     *,
     before: dict,
@@ -804,12 +809,13 @@ def _write_sweep_manifest(
     The manifest lands in ``TELEMETRY.manifest_dir`` when configured
     (``repro run --telemetry-dir``), else next to the sweep's
     checkpoints; with neither destination it is skipped, and with an
-    unusable one it is skipped with a warning: the sweep's cells are
-    computed by then, and a side artifact never costs them.  Its numbers
-    are the sweep's *delta* — counters, the ``sweep.*`` spans, per-
-    worker chunk accounting, and with timers on the ``profile`` time
-    budget — so concurrent-in-process sweeps never bleed into each
-    other's manifests.
+    unusable one it is skipped with a warning, once per directory and
+    process: the sweep's cells are computed by then, and a side
+    artifact never costs them.  Its numbers are the sweep's *delta* —
+    counters, the ``sweep.*`` spans, per-worker chunk accounting, and
+    with timers on the ``profile`` time budget — so
+    concurrent-in-process sweeps never bleed into each other's
+    manifests.
     """
     directory = TELEMETRY.manifest_dir or (
         Path(checkpoint_dir) if checkpoint_dir is not None else None)
@@ -870,8 +876,10 @@ def _write_sweep_manifest(
     try:
         path = manifest.write(next_manifest_path(directory, label))
     except OSError as exc:
-        print(f"warning: manifest dir {directory} unusable ({exc}); "
-              f"sweep runs without a manifest", file=sys.stderr)
+        if directory not in _UNUSABLE_MANIFEST_DIRS:
+            _UNUSABLE_MANIFEST_DIRS.add(directory)
+            print(f"warning: manifest dir {directory} unusable ({exc}); "
+                  f"sweep runs without a manifest", file=sys.stderr)
         return None
     TELEMETRY.emit("sweep.manifest", path=str(path))
     return path

@@ -8,9 +8,10 @@ timers and samples) into the artifacts the profiling layer promises:
   cache / ipc / idle / supervision) that **sums to attributed wall
   time by construction**, because each category is built from exact
   phase *self* times and self times telescope (registry docstring).
-* :func:`render_budget` / :func:`render_budget_diff` — ASCII
-  renderings for ``repro profile report`` / ``repro profile diff``
-  and for ``repro stats``.
+* :func:`render_budget` / :func:`render_budget_diff` /
+  :func:`render_engine_run_diff` — ASCII renderings for ``repro
+  stats`` and ``repro profile diff``, with per-policy tables of the
+  ``engine.run.<policy>`` regions.
 * :func:`write_collapsed` / :func:`render_flame` — collapsed-stack
   flamegraph output (the ``frame;frame count`` format every
   flamegraph tool ingests) and a terminal flame tree.
@@ -26,6 +27,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from typing import Mapping
+
+#: Prefix of each engine run's region, ``engine.run.<policy>``.
+ENGINE_RUN_PREFIX = "engine.run."
 
 #: Budget categories, in render order.  ``other`` catches any phase
 #: name no prefix claims, so the budget always accounts for every
@@ -127,6 +131,17 @@ def render_budget(block: Mapping, *,
                 f"  {name:<22} x{rec.get('count', 0):<7} "
                 f"total {rec.get('total_s', 0.0):9.3f}s  "
                 f"self {rec.get('self_s', 0.0):9.3f}s")
+    runs = {name: rec for name, rec in phases.items()
+            if name.startswith(ENGINE_RUN_PREFIX)}
+    engine_s = sum(rec.get("total_s", 0.0) for rec in runs.values())
+    if runs:
+        lines.append("engine time per policy:")
+        for name, rec in sorted(runs.items(),
+                                key=lambda kv: -kv[1].get("total_s", 0.0)):
+            sec = rec.get("total_s", 0.0)
+            share = sec / engine_s if engine_s > 0 else 0.0
+            lines.append(f"  {name:<27} x{rec.get('count', 0):<7} "
+                         f"total {sec:9.3f}s  {share:6.1%}")
     sampling = block.get("sampling")
     if sampling:
         lines.append(f"sampling: {sampling.get('samples', 0)} samples "
@@ -137,34 +152,56 @@ def render_budget(block: Mapping, *,
     return "\n".join(lines)
 
 
-def diff_budgets(a: Mapping, b: Mapping) -> dict:
-    """Per-category attribution deltas between two profile blocks."""
+def _engine_runs(block: Mapping) -> dict[str, float]:
+    """Total seconds of each policy's ``engine.run.<policy>`` region."""
+    return {name[len(ENGINE_RUN_PREFIX):]: float(rec.get("total_s", 0.0))
+            for name, rec in block.get("phases", {}).items()
+            if name.startswith(ENGINE_RUN_PREFIX)}
+
+
+def _deltas(a: Mapping[str, float], b: Mapping[str, float],
+            keys) -> dict:
     out: dict[str, dict] = {}
-    budget_a = a.get("budget", {})
-    budget_b = b.get("budget", {})
-    for category in CATEGORY_ORDER + ("wall_s",):
-        va = (float(a.get("wall_s", 0.0)) if category == "wall_s"
-              else float(budget_a.get(category, 0.0)))
-        vb = (float(b.get("wall_s", 0.0)) if category == "wall_s"
-              else float(budget_b.get(category, 0.0)))
+    for key in keys:
+        va, vb = float(a.get(key, 0.0)), float(b.get(key, 0.0))
         if va == 0.0 and vb == 0.0:
             continue
-        out[category] = {
-            "a": va, "b": vb, "delta": vb - va,
-            "ratio": (vb / va) if va else None,
-        }
+        out[key] = {"a": va, "b": vb, "delta": vb - va,
+                    "ratio": (vb / va) if va else None}
     return out
 
 
-def render_budget_diff(diff: Mapping) -> str:
-    lines = ["profile attribution deltas (a -> b):"]
-    for category, entry in diff.items():
+def diff_budgets(a: Mapping, b: Mapping) -> dict:
+    """Per-category attribution deltas between two profile blocks."""
+    totals_a = {**a.get("budget", {}), "wall_s": a.get("wall_s", 0.0)}
+    totals_b = {**b.get("budget", {}), "wall_s": b.get("wall_s", 0.0)}
+    return _deltas(totals_a, totals_b, CATEGORY_ORDER + ("wall_s",))
+
+
+def diff_engine_runs(a: Mapping, b: Mapping) -> dict:
+    """Per-policy ``engine.run.<policy>`` total deltas between two
+    profile blocks."""
+    runs_a, runs_b = _engine_runs(a), _engine_runs(b)
+    return _deltas(runs_a, runs_b, sorted(runs_a.keys() | runs_b.keys()))
+
+
+def _render_deltas(title: str, diff: Mapping) -> str:
+    lines = [title]
+    for key, entry in diff.items():
         ratio = entry.get("ratio")
         lines.append(
-            f"  {category:<12} {entry['a']:9.3f}s -> {entry['b']:9.3f}s  "
+            f"  {key:<16} {entry['a']:9.3f}s -> {entry['b']:9.3f}s  "
             f"delta {entry['delta']:+9.3f}s"
             + (f"  x{ratio:.2f}" if ratio is not None else ""))
     return "\n".join(lines)
+
+
+def render_budget_diff(diff: Mapping) -> str:
+    return _render_deltas("profile attribution deltas (a -> b):", diff)
+
+
+def render_engine_run_diff(diff: Mapping) -> str:
+    return _render_deltas("engine time per policy (a -> b):", diff)
 
 
 # -- flamegraphs -------------------------------------------------------
@@ -261,10 +298,13 @@ def chrome_profile_trace(timeline, *, origin_ns: int) -> dict:
     return {"traceEvents": events}
 
 
-def export_chrome_profile(timeline, path: str | Path, *,
-                          origin_ns: int) -> Path:
+def export_chrome_profile(registry, path: str | Path) -> Path:
+    """Write *registry*'s phase timeline as a Chrome trace; its
+    ``otherData.timeline_dropped`` counts the events past the cap."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = chrome_profile_trace(timeline, origin_ns=origin_ns)
+    payload = chrome_profile_trace(registry.timeline_events(),
+                                   origin_ns=registry.origin_ns)
+    payload["otherData"] = {"timeline_dropped": registry.timeline_dropped}
     path.write_text(json.dumps(payload, indent=1, sort_keys=True))
     return path

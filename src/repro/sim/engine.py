@@ -306,11 +306,16 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def run(self) -> SimulationResult:
-        """Execute the full simulation and return its result."""
+        """Execute the full simulation and return its result.
+
+        With the timers on, the run is the region ``engine.run.<policy>``
+        (the policy name :func:`~repro.telemetry.decide_label` uses), so
+        the budget splits engine time per policy.
+        """
         tele = _TELEMETRY
         if not tele.timers:
             return self._run()
-        tele.push("engine.run")
+        tele.push(f"engine.run.{self._policy_name()}")
         try:
             return self._run()
         finally:
@@ -377,6 +382,9 @@ class Simulator:
                   misses=len(result.deadline_misses),
                   energy=result.total_energy)
 
+    def _policy_name(self) -> str:
+        return getattr(self.policy, "name", type(self.policy).__name__)
+
     def _reset(self) -> None:
         """The run state both engines share: what the compiled core
         reads and writes, and what stays readable after a run."""
@@ -390,7 +398,7 @@ class Simulator:
         self._release_version = 0
         self._trace = TraceRecorder(enabled=self.record_trace)
         self._result = SimulationResult(
-            policy=getattr(self.policy, "name", type(self.policy).__name__),
+            policy=self._policy_name(),
             horizon=self.horizon,
             task_stats={t.name: TaskStats() for t in tasks},
         )

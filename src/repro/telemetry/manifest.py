@@ -309,21 +309,10 @@ def render_manifest(manifest: RunManifest) -> str:
         if p.get("stream"):
             lines.append(f"    stream {p['stream']}")
     if manifest.profile:
-        prof = manifest.profile
-        budget = prof.get("budget", {})
-        wall = prof.get("wall_s", 0.0) or 0.0
-        lines.append(f"  profile: attributed {wall:.3f}s")
-        for category, sec in sorted(budget.items(),
-                                    key=lambda kv: -kv[1]):
-            if sec <= 0.0:
-                continue
-            share = sec / wall if wall > 0 else 0.0
-            lines.append(f"    {category:<14} {sec:8.3f}s  {share:6.1%}")
-        sampling = prof.get("sampling")
-        if sampling:
-            lines.append(
-                f"    sampling       {sampling.get('samples', 0)} samples"
-                f" / {sampling.get('stacks', 0)} stacks")
+        from repro.profiling.report import render_budget
+        lines.append("  profile:")
+        lines.extend(f"    {line}"
+                     for line in render_budget(manifest.profile).splitlines())
     if manifest.counters:
         lines.append("  counters:")
         for name in sorted(manifest.counters):

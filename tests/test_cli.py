@@ -145,6 +145,16 @@ class TestParser:
         assert exc.value.code == 2
         assert "invalid choice: 'runs'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["profile", "run"],
+                                      ["profile", "report", "tele"]])
+    def test_profile_run_and_report_are_gone(self, capsys, argv):
+        # `run EXP --profile --telemetry-dir DIR` and `stats DIR` do
+        # what they did.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"invalid choice: '{argv[1]}'" in capsys.readouterr().err
+
 
 class TestSimulateExtensions:
     def test_sporadic_arrivals_option(self, capsys):
@@ -183,6 +193,7 @@ class TestRunPolicyAndTelemetry:
         from repro.telemetry import TELEMETRY
         yield
         TELEMETRY.configure(enabled=False)
+        TELEMETRY.configure_timers(enabled=False)
         TELEMETRY.reset()
 
     def test_unknown_policy_fails_before_any_simulation(self, capsys):
@@ -251,21 +262,54 @@ class TestRunPolicyAndTelemetry:
         assert list(tmp_path.iterdir()) == []
 
     def test_profile_writes_budget_into_manifest(self, capsys, tmp_path):
-        from repro.telemetry import TELEMETRY
         from repro.telemetry.manifest import RunManifest
         tele = tmp_path / "tele"
-        try:
-            assert main(["run", "fig1", "--quick", "--policy", "lpSTA",
-                         "--telemetry-dir", str(tele), "--profile"]) == 0
-        finally:
-            TELEMETRY.configure_timers(enabled=False)
+        assert main(["run", "fig1", "--quick", "--policy", "lpSTA",
+                     "--telemetry-dir", str(tele), "--profile"]) == 0
         capsys.readouterr()
         manifest = RunManifest.load(next(tele.glob("manifest_*.json")))
         assert manifest.profile["budget"]["compute"] > 0
         assert "sweep.compute" in manifest.profile["phases"]
         assert manifest.phases["sweep.compute"]["wall_s"] > 0
-        assert main(["profile", "report", str(tele)]) == 0
-        assert "time budget" in capsys.readouterr().out
+        assert main(["stats", str(tele)]) == 0
+        out = capsys.readouterr().out
+        assert "time budget" in out and "top phases by self time:" in out
+        # One engine-time row per policy: the swept one and the no-DVS
+        # baseline every suite runs.
+        table = out.split("engine time per policy:\n")[1].splitlines()
+        rows = [row.split()[0] for row in table
+                if row.split()[0].startswith("engine.run.")]
+        assert sorted(rows) == ["engine.run.lpSTA", "engine.run.none"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_profile_writes_trace_and_flamegraph_input(
+            self, capsys, tmp_path, workers):
+        from repro.experiments.parallel import fork_available, shutdown_pool
+        from repro.telemetry.manifest import RunManifest
+        if workers > 1 and not fork_available():
+            pytest.skip("parallel sweeps need fork")
+        tele = tmp_path / "tele"
+        try:
+            assert main(["run", "fig1", "--quick", "--policy", "lpSTA",
+                         "--workers", str(workers),
+                         "--telemetry-dir", str(tele), "--profile"]) == 0
+        finally:
+            shutdown_pool()
+        capsys.readouterr()
+        manifest = RunManifest.load(next(tele.glob("manifest_*.json")))
+        trace = json.loads((tele / "profile_trace.json").read_text())
+        spans = [event for event in trace["traceEvents"]
+                 if event["ph"] == "X"]
+        assert spans and all(event["pid"] == 1 for event in spans)
+        assert [e["ts"] for e in spans] == sorted(e["ts"] for e in spans)
+        assert "sweep.compute" in {event["name"] for event in spans}
+        assert (trace["otherData"]["timeline_dropped"]
+                == manifest.profile["timeline_dropped"])
+        folded = tele / "profile.folded"
+        assert folded.exists()  # written even when no sample landed
+        assert main(["profile", "flame", str(folded)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(("flame tree", "no samples"))
 
     def test_stats_on_empty_directory_fails(self, capsys, tmp_path):
         assert main(["stats", str(tmp_path)]) == 2
@@ -378,9 +422,9 @@ class TestStatsRenderer:
 
 
 class TestManifestPaths:
-    """``stats``, ``profile report`` and ``profile diff`` resolve a
-    directory to its newest manifest by write time, and report an
-    unreadable manifest in one line with exit status 2."""
+    """``stats`` and ``profile diff`` resolve a directory to its newest
+    manifest by write time, and report an unreadable manifest in one
+    line with exit status 2."""
 
     @staticmethod
     def write(path, label, mtime):
@@ -401,12 +445,11 @@ class TestManifestPaths:
         assert main(["stats", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "run manifest: newer" in out and "older" not in out
+        assert "time budget" in out  # with its profile block
         assert main(["stats", str(tmp_path), "--all"]) == 0
         out = capsys.readouterr().out
         assert out.index("run manifest: older") < out.index(
             "run manifest: newer")
-        assert main(["profile", "report", str(tmp_path)]) == 0
-        assert "time budget" in capsys.readouterr().out
         other = tmp_path / "other"
         other.mkdir()
         self.write(other / "manifest_a_001.json", "older", 10**18)
@@ -418,11 +461,11 @@ class TestManifestPaths:
         from repro.telemetry.manifest import RunManifest
         RunManifest(label="EXP-F1", fingerprint={}).write(
             tmp_path / "manifest_EXP-F1_001.json")
-        assert main(["profile", "report", str(tmp_path)]) == 2
+        assert main(["profile", "diff", str(tmp_path),
+                     str(tmp_path)]) == 2
         [line] = capsys.readouterr().err.splitlines()
         assert "has no profile block" in line
         assert "repro run EXP --profile --telemetry-dir DIR" in line
-        assert "profile run" not in line
 
     def test_unreadable_manifest_exits_2_in_one_line(self, capsys,
                                                      tmp_path):
@@ -434,11 +477,13 @@ class TestManifestPaths:
         no_schema = tmp_path / "no_schema.json"
         no_schema.write_text(json.dumps({"kind": "run-manifest",
                                          "schema": None}))
-        for argv in (["profile", "report", str(missing)],
+        for argv in (["stats", str(missing)],
+                     ["profile", "diff", str(missing), str(missing)],
                      ["profile", "diff", str(foreign), str(foreign)],
                      ["stats", str(foreign)],
                      ["stats", str(listed)],
-                     ["profile", "report", str(no_schema)]):
+                     ["stats", str(no_schema)],
+                     ["profile", "diff", str(no_schema), str(no_schema)]):
             assert main(argv) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
@@ -469,10 +514,6 @@ class TestManifestPaths:
     def test_malformed_block_stats_exits_2(self, capsys, tmp_path):
         for path in self.malformed(tmp_path):
             self.assert_one_line(capsys, ["stats", str(path)])
-
-    def test_malformed_block_profile_report_exits_2(self, capsys, tmp_path):
-        for path in self.malformed(tmp_path):
-            self.assert_one_line(capsys, ["profile", "report", str(path)])
 
     def test_malformed_block_profile_diff_exits_2(self, capsys, tmp_path):
         good = tmp_path / "good" / "manifest_a_001.json"

@@ -37,6 +37,7 @@ from repro.profiling.report import (
     category_of,
     chrome_profile_trace,
     diff_budgets,
+    diff_engine_runs,
     profile_block,
     read_collapsed,
     render_budget,
@@ -259,6 +260,10 @@ class TestBudgetInvariant:
         decided = {name for name in block["phases"]
                    if name.startswith("policy.decide")}
         assert decided == {decide_label(name) for name in POLICIES}
+        # So are engine runs, and no run is left under a bare name.
+        runs = {name for name in block["phases"]
+                if name.startswith("engine.run")}
+        assert runs == {f"engine.run.{name}" for name in POLICIES}
 
     def test_profiled_cells_byte_identical(self):
         bare = fingerprint(run_sweep(1))
@@ -280,7 +285,7 @@ class TestBudgetInvariant:
         def counts(delta):
             return {name: rec["count"]
                     for name, rec in delta["phases"].items()
-                    if name.startswith("policy.decide.")
+                    if name.startswith(("policy.decide.", "engine.run."))
                     or name in ("unit.workload", "slack.exact",
                                 "slack.heuristic")}
 
@@ -290,7 +295,8 @@ class TestBudgetInvariant:
 
 class TestReport:
     def test_category_map(self):
-        assert category_of("engine.run") == "compute"
+        assert category_of("engine.run.lpSTA") == "compute"
+        assert category_of("engine.run.gov(ccEDF)") == "compute"
         assert category_of("unit.workload") == "compute"
         assert category_of("slack.exact") == "slack"
         assert category_of(decide_label("lpSTA")) == "policy"
@@ -305,23 +311,33 @@ class TestReport:
         delta = {"phases": {
             "sweep.compute": {"count": 1, "total_ns": 10**9,
                               "self_ns": 2 * 10**8},
-            "engine.run": {"count": 4, "total_ns": 8 * 10**8,
-                           "self_ns": 8 * 10**8}},
+            "engine.run.lpSTA": {"count": 3, "total_ns": 6 * 10**8,
+                                 "self_ns": 6 * 10**8},
+            "engine.run.none": {"count": 1, "total_ns": 2 * 10**8,
+                                "self_ns": 2 * 10**8}},
             "samples": {}}
         block = profile_block(delta)
         text = render_budget(block, measured_wall_s=1.0)
         assert "compute" in text and "supervision" in text
         assert "attribution drift" in text
+        # One row per policy, largest first, with its engine-time share.
+        table = text.split("engine time per policy:\n")[1].splitlines()
+        assert [row.split()[0] for row in table] == [
+            "engine.run.lpSTA", "engine.run.none"]
+        assert table[0].split()[-1] == "75.0%"
 
     def test_diff_budgets_shapes(self):
-        a = profile_block({"phases": {"engine.run": {
+        a = profile_block({"phases": {"engine.run.lpSTA": {
             "count": 1, "total_ns": 10**9, "self_ns": 10**9}}})
-        b = profile_block({"phases": {"engine.run": {
+        b = profile_block({"phases": {"engine.run.lpSTA": {
             "count": 1, "total_ns": 2 * 10**9, "self_ns": 2 * 10**9}}})
         diff = diff_budgets(a, b)
         assert diff["compute"]["ratio"] == pytest.approx(2.0)
         assert diff["wall_s"]["delta"] == pytest.approx(1.0)
         assert "compute" in render_budget_diff(diff)
+        per_policy = diff_engine_runs(a, b)
+        assert list(per_policy) == ["lpSTA"]
+        assert per_policy["lpSTA"]["delta"] == pytest.approx(1.0)
 
     def test_collapsed_roundtrip(self, tmp_path):
         samples = {"main;cli:run;engine:simulate": 7,
@@ -376,11 +392,13 @@ class TestManifestAndRegistry:
         assert loaded.profile is None
 
     def _blocks(self):
-        block_a = profile_block({"phases": {"engine.run": {
+        block_a = profile_block({"phases": {"engine.run.lpSTA": {
             "count": 2, "total_ns": 10**9, "self_ns": 10**9}}})
         block_b = profile_block({"phases": {
-            "engine.run": {"count": 2, "total_ns": 10**9,
-                           "self_ns": 10**9},
+            "engine.run.lpSTA": {"count": 2, "total_ns": 7 * 10**8,
+                                 "self_ns": 7 * 10**8},
+            "engine.run.gov(DRA)": {"count": 1, "total_ns": 3 * 10**8,
+                                    "self_ns": 3 * 10**8},
             "slack.exact": {"count": 5, "total_ns": 5 * 10**8,
                             "self_ns": 5 * 10**8}}})
         return block_a, block_b
@@ -401,6 +419,12 @@ class TestManifestAndRegistry:
         assert lines[0] == "profile attribution deltas (a -> b):"
         assert any(line.split()[:1] == ["slack"] for line in lines)
         assert "delta    +0.500s" in " ".join(lines)
+        # The per-policy engine deltas follow the category table.
+        table = lines[lines.index("engine time per policy (a -> b):"):]
+        assert [line.split()[0] for line in table[1:]] == [
+            "gov(DRA)", "lpSTA"]
+        assert "delta    +0.300s" in table[1]
+        assert "delta    -0.300s" in table[2]
 
     def test_profile_diff_names_fingerprint_drift(self, tmp_path,
                                                   capsys):

@@ -477,6 +477,55 @@ class TestChaosCrashRecovery:
         assert snap.resilience["quarantine"] == quarantined
         assert snap.quarantined == quarantined
 
+    def test_broken_pool_leaves_no_worker_behind(self):
+        """A worker still busy when its pool breaks is killed with it,
+        even if it ignores SIGTERM (as a forked worker running the
+        sweep's drain handler does) and its result outgrows a pipe
+        buffer: otherwise it blocks forever sending a result nobody
+        reads, and the interpreter waits on it at exit."""
+        from concurrent.futures.process import BrokenProcessPool
+        from multiprocessing.connection import wait
+        from types import SimpleNamespace
+
+        executor = parallel._fork_executor(2)
+        busy = executor.submit(_big_result_ignoring_sigterm, 0.5)
+        crash = executor.submit(_crash_after, 0.1)
+        with pytest.raises(BrokenProcessPool):
+            crash.result(timeout=30)
+        workers = list(executor._processes.values())
+        pool = SimpleNamespace(
+            executor=executor,
+            shutdown=lambda cancel_futures: executor.shutdown(
+                wait=False, cancel_futures=cancel_futures))
+        try:
+            parallel._drop_broken_pool(pool)
+            # A sentinel reads ready once its worker has exited; unlike
+            # is_alive() it does not race the executor's own thread
+            # reaping the worker.
+            exited: set = set()
+            deadline = time.monotonic() + 10
+            while len(exited) < len(workers) and time.monotonic() < deadline:
+                exited.update(wait([w.sentinel for w in workers],
+                                   timeout=deadline - time.monotonic()))
+            assert len(exited) == len(workers)
+        finally:
+            for worker in workers:
+                if worker.is_alive():
+                    worker.kill()
+        with pytest.raises(BrokenProcessPool):
+            busy.result(timeout=1)
+
+
+def _big_result_ignoring_sigterm(delay: float) -> bytes:
+    signal.signal(signal.SIGTERM, lambda signum, frame: None)
+    time.sleep(delay)
+    return b"x" * (1 << 20)
+
+
+def _crash_after(delay: float) -> None:
+    time.sleep(delay)
+    os._exit(137)
+
 
 def _chaos_seed_firing_on_some_units(
         xs, *, probability: float) -> tuple[int, set]:
@@ -592,6 +641,28 @@ class TestDegradedWrites:
                     if line.startswith("warning: manifest dir")]
         assert len(warnings) == 1 and str(blocker) in warnings[0]
         assert blocker.read_text() == ""
+
+    def test_unusable_manifest_dir_warns_once(self, tmp_path, capsys):
+        """Every sweep of one process (``repro run all``) into the same
+        unusable manifest dir keeps its cells; only the first warns."""
+        reference = sweep((0.5,), workload, POLICIES, n_tasksets=2,
+                          horizon=HORIZON)
+        capsys.readouterr()
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        TELEMETRY.reset()
+        TELEMETRY.configure(enabled=True, manifest_dir=blocker)
+        try:
+            runs = [sweep((0.5,), workload, POLICIES, n_tasksets=2,
+                          horizon=HORIZON) for _ in range(2)]
+        finally:
+            TELEMETRY.configure(enabled=False)
+            TELEMETRY.reset()
+        assert [payloads(cells) for cells in runs] == [
+            payloads(reference)] * 2
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning: manifest dir")]
+        assert len(warnings) == 1 and str(blocker) in warnings[0]
 
     @pytest.mark.parametrize(
         "workers", [1, pytest.param(2, marks=needs_fork)])

@@ -261,10 +261,16 @@ class TestParallelMerge:
                     if name.split(".")[0] in ("engine", "policy")}
         phases = {name: rec["count"]
                   for name, rec in snap["phases"].items()
-                  if name.startswith("policy.decide.")
-                  or name in ("engine.run", "unit.workload", "slack.exact",
+                  if name.startswith(("policy.decide.", "engine.run."))
+                  or name in ("unit.workload", "slack.exact",
                               "slack.heuristic")}
         assert counters and phases["unit.workload"] == self.UNITS
+        # One engine.run.<policy> region per run of each policy, the
+        # no-DVS baseline included.
+        assert {name: count for name, count in phases.items()
+                if name.startswith("engine.run.")} == {
+            f"engine.run.{policy}": self.UNITS
+            for policy in ("none", *POLICIES)}
         return counters, phases
 
     def test_parallel_counts_equal_serial(self):
