@@ -551,7 +551,7 @@ def sporadic_sensitivity(
                                   make_policy(name), model,
                                   arrival_model=arrivals,
                                   horizon=EXPERIMENT_HORIZON)
-                misses += len(result.deadline_misses)
+                misses += result.miss_count
                 values[name].append(result.normalized_energy(baseline))
         for name, series in values.items():
             summary = summarize(series)
@@ -640,7 +640,7 @@ def dpm_sensitivity(
                                               critical_speed_floor=True),
                                   model, idle_policy=factory(),
                                   horizon=EXPERIMENT_HORIZON)
-                misses += len(result.deadline_misses)
+                misses += result.miss_count
                 values[name].append(result.normalized_energy(baseline))
                 episodes[name].append(result.sleep_episodes)
         for name, series in values.items():

@@ -101,7 +101,7 @@ class SuiteResult:
         return self._lookup(policy).normalized_energy(self.baseline)
 
     def miss_count(self, policy: str) -> int:
-        return len(self._lookup(policy).deadline_misses)
+        return self._lookup(policy).miss_count
 
     def policy_summaries(self) -> dict[str, PolicySummary]:
         """The per-policy aggregates a sweep folds (and caches).
@@ -116,7 +116,7 @@ class SuiteResult:
             metrics = result.policy_metrics
             summaries[name] = PolicySummary(
                 normalized=result.normalized_energy(self.baseline),
-                misses=len(result.deadline_misses),
+                misses=result.miss_count,
                 switches=result.switch_count,
                 overruns=result.overrun_jobs,
                 released=result.jobs_released,
@@ -857,9 +857,14 @@ def _write_sweep_manifest(
             "unit_timeouts": counters.get("resilience.unit_timeouts", 0),
             "quarantined": counters.get("resilience.quarantined", 0),
             "cache_self_healed": counters.get("cache.self_healed", 0),
+            # A configured event log is opened (or found unusable)
+            # before the sweep's snapshot, so the delta misses its
+            # degradation; the missing sink shows it.
             "degraded_writes": (
                 counters.get("resilience.cache_degraded", 0)
-                + counters.get("resilience.checkpoint_degraded", 0)),
+                + counters.get("resilience.checkpoint_degraded", 0)
+                + int(TELEMETRY.events_path is not None
+                      and TELEMETRY.sink is None)),
             "drain_requests": counters.get(
                 "resilience.drain_requests", 0),
         },

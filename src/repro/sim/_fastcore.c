@@ -9,9 +9,11 @@
  * callback, so stochastic draws, caches and error messages are the
  * interpreted ones by construction.  The per-job records (overrun,
  * deadline-miss, governor and transition-fault notes, DeadlineMiss
- * entries) are written here with CPython's own float formatter, pinned
- * to the engine's f-strings by twin tests; exceptions are raised by
- * repro.sim.fastcore helpers, so their types and messages stay Python's.
+ * entries) and speed_time stay compact in a Records store the result
+ * owns, one fixed-size entry per record; a reader's first access builds
+ * them with CPython's own float formatter, pinned to the engine's
+ * f-strings by twin tests.  Exceptions are raised by repro.sim.fastcore
+ * helpers, so their types and messages stay Python's.
  *
  * Three exceptions keep Python out of the common path: every registry
  * policy's speed decision runs here from the decide spec its bind()
@@ -20,8 +22,9 @@
  * to numpy, into per-task tables (section 13.4); and a job lives in its
  * slot, its Python Job built only when Python code asks for it.  Nothing
  * else builds a Python object per event: speed_time keys are computed
- * exactly in C, and the next-release and job-index dicts Python reads
- * are written only when Python can read them (section 13.1).
+ * exactly in C, the records wait in their store, and the next-release
+ * and job-index dicts Python reads are written only when Python can
+ * read them (section 13.1).
  *
  * CoreEngine exposes the same private attribute surface SimContext
  * reads from Simulator (_now, _active, _next_release, ...), so the
@@ -66,11 +69,8 @@ static PyObject *s_executed, *s_first_dispatch_time, *s_preemption_count,
     *s_completion_time, *s_sleep, *s_wake_time, *s_achieved,
     *s_extra_time, *s_faulted, *s_work, *s_slack_exact,
     *s_slack_heuristic;
-/* the fields of TraceNote and DeadlineMiss, in declaration order, and
- * the note kinds the core writes */
+/* the fields of TraceNote and DeadlineMiss, in declaration order */
 static PyObject *note_fields[3], *miss_fields[4];
-static PyObject *k_overrun, *k_deadline_miss, *k_governor,
-    *k_transition_fault;
 static PyObject *empty_tuple;
 
 static int
@@ -97,10 +97,6 @@ intern_names(void)
     MK(miss_fields[1], "task")
     MK(miss_fields[2], "deadline")
     MK(miss_fields[3], "detected_at")
-    MK(k_overrun, "overrun")
-    MK(k_deadline_miss, "deadline-miss")
-    MK(k_governor, "governor")
-    MK(k_transition_fault, "transition-fault")
 #undef MK
     if ((empty_tuple = PyTuple_New(0)) == NULL)
         return -1;
@@ -617,6 +613,321 @@ static PyTypeObject DemandTableType = {
     .tp_methods = DemandTable_methods,
     .tp_init = (initproc)DemandTable_init,
     .tp_new = PyType_GenericNew,
+};
+
+/* ------------------------------------------------------------------ */
+/* Records: a run's per-job records, compact until read                */
+/* ------------------------------------------------------------------ */
+
+/* The record kinds the core writes.  Each note's detail reads as its
+ * format below: the job name f"{task.name}#{index}" (%U#%ld) when the
+ * kind names a job, then the record's floats (%s; a miss formats one)
+ * as format(x, "g") (code 'g', precision 6) or format(x, ".4f") ('f',
+ * 4): PyOS_double_to_string is what float.__format__ calls.  A miss is
+ * also a DeadlineMiss record. */
+enum { RK_OVERRUN, RK_MISS, RK_GOVERNOR, RK_STUCK, RK_QUANTIZED,
+       RK_KINDS };
+
+static const struct {
+    const char *kind, *text;
+    int names_job;
+    char code;
+    int precision;
+} rk_format[RK_KINDS] = {
+    [RK_OVERRUN] = {"overrun", "%U#%ld: work %s > wcet %s", 1, 'g', 6},
+    [RK_MISS] = {"deadline-miss", "%U#%ld: deadline %s", 1, 'g', 6},
+    [RK_GOVERNOR] = {"governor", "%U#%ld: raised %s -> %s", 1, 'f', 4},
+    [RK_STUCK] = {"transition-fault", "stuck at %s (wanted %s)", 0, 'g',
+                  6},
+    [RK_QUANTIZED] = {"transition-fault", "quantized %s -> %s", 0, 'g', 6},
+};
+
+/* One record.  pos counts the notes Python code had added to the
+ * recorder when the core wrote it: the merge puts exactly those
+ * before it, so both keep their order. */
+typedef struct {
+    double t;           /* the note's time; a miss: detected_at */
+    double a, b;        /* the floats it formats; a miss: a = deadline */
+    long index;         /* the job index, for kinds that name a job */
+    Py_ssize_t pos;
+    int task, kind;
+} Record;
+
+/* The store a compiled run's result owns (DESIGN.md section 13.1): the
+ * records in write order, and speed_time's accumulators, one per
+ * round(speed, 12) key in key-first-seen order.  Nothing here is a
+ * Python object until a reader asks: notes(), misses() and
+ * speed_time() build the values the interpreted engine would have
+ * built during the run. */
+typedef struct {
+    PyObject_HEAD
+    Record *rec;
+    Py_ssize_t n, cap, n_misses;
+    Py_ssize_t py_at_end;   /* Python-added notes when the run ended */
+    double *spd_key, *spd_dur;
+    Py_ssize_t n_spd, cap_spd;
+    PyObject *names;        /* task names, task order */
+    PyObject *note_type, *miss_type;   /* TraceNote, DeadlineMiss */
+} Records;
+
+static PyTypeObject RecordsType;
+static PyObject *rk_kind[RK_KINDS];   /* interned, module-lifetime */
+
+static int
+records_intern_kinds(void)
+{
+    for (int k = 0; k < RK_KINDS; k++)
+        if ((rk_kind[k] = PyUnicode_InternFromString(rk_format[k].kind))
+                == NULL)
+            return -1;
+    return 0;
+}
+
+static Records *
+records_new(PyObject *names, PyObject *note_type, PyObject *miss_type)
+{
+    Records *rs = PyObject_New(Records, &RecordsType);
+    if (rs == NULL)
+        return NULL;
+    rs->n = rs->n_misses = rs->py_at_end = rs->n_spd = 0;
+    rs->cap = 64;
+    rs->cap_spd = 8;
+    rs->rec = PyMem_Malloc((size_t)rs->cap * sizeof(Record));
+    rs->spd_key = PyMem_Malloc((size_t)rs->cap_spd * sizeof(double));
+    rs->spd_dur = PyMem_Malloc((size_t)rs->cap_spd * sizeof(double));
+    Py_INCREF(names);
+    Py_INCREF(note_type);
+    Py_INCREF(miss_type);
+    rs->names = names;
+    rs->note_type = note_type;
+    rs->miss_type = miss_type;
+    if (rs->rec == NULL || rs->spd_key == NULL || rs->spd_dur == NULL) {
+        Py_DECREF(rs);
+        PyErr_NoMemory();
+        return NULL;
+    }
+    return rs;
+}
+
+static void
+Records_dealloc(Records *self)
+{
+    PyMem_Free(self->rec);
+    PyMem_Free(self->spd_key);
+    PyMem_Free(self->spd_dur);
+    Py_XDECREF(self->names);
+    Py_XDECREF(self->note_type);
+    Py_XDECREF(self->miss_type);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static int
+records_add(Records *rs, int kind, double t, Py_ssize_t pos, int task,
+            long index, double a, double b)
+{
+    if (rs->n == rs->cap) {
+        Record *grown = PyMem_Realloc(rs->rec, (size_t)(2 * rs->cap)
+                                      * sizeof(Record));
+        if (grown == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        rs->rec = grown;
+        rs->cap *= 2;
+    }
+    rs->rec[rs->n++] = (Record){t, a, b, index, pos, task, kind};
+    rs->n_misses += kind == RK_MISS;
+    return 0;
+}
+
+/* An instance of the dataclass *type* with its n fields set, as its
+ * generated __init__ leaves it without running it: object.__new__, then
+ * each field in declaration order through object.__setattr__ (what a
+ * frozen dataclass's __init__ calls; on a slotted class it goes
+ * through the slot descriptors).  Steals the references in values,
+ * which may hold NULL after a failed build. */
+static PyObject *
+build_record(PyObject *type, int n, PyObject *const *fields,
+             PyObject **values)
+{
+    PyObject *obj = NULL;
+    int i;
+    for (i = 0; i < n && values[i] != NULL; i++)
+        ;
+    if (i == n)
+        obj = PyBaseObject_Type.tp_new((PyTypeObject *)type, empty_tuple,
+                                       NULL);
+    for (i = 0; obj != NULL && i < n; i++)
+        if (PyObject_GenericSetAttr(obj, fields[i], values[i]) < 0)
+            Py_CLEAR(obj);
+    for (i = 0; i < n; i++)
+        Py_XDECREF(values[i]);
+    return obj;
+}
+
+/* The TraceNote of record r, its detail as the engine's f-string. */
+static PyObject *
+records_note(Records *rs, const Record *r)
+{
+    const char *text = rk_format[r->kind].text;
+    char code = rk_format[r->kind].code;
+    int precision = rk_format[r->kind].precision;
+    char *sa = PyOS_double_to_string(r->a, code, precision, 0, NULL);
+    char *sb = sa == NULL ? NULL
+        : PyOS_double_to_string(r->b, code, precision, 0, NULL);
+    PyObject *detail = NULL;
+    if (sb != NULL)
+        detail = rk_format[r->kind].names_job
+            ? PyUnicode_FromFormat(text,
+                                   PyTuple_GET_ITEM(rs->names, r->task),
+                                   r->index, sa, sb)
+            : PyUnicode_FromFormat(text, sa, sb);
+    PyMem_Free(sa);
+    PyMem_Free(sb);
+    PyObject *kind = rk_kind[r->kind];
+    Py_INCREF(kind);
+    PyObject *values[3] = {PyFloat_FromDouble(r->t), kind, detail};
+    return build_record(rs->note_type, 3, note_fields, values);
+}
+
+/* notes(py_notes) -> list: every note in order, the records' built
+ * fresh and merged with py_notes (what Python code added to the
+ * recorder), each record after the py_notes counted in its pos. */
+static PyObject *
+Records_notes(Records *self, PyObject *py)
+{
+    if (!PyList_Check(py)) {
+        PyErr_SetString(PyExc_TypeError, "notes() takes a list");
+        return NULL;
+    }
+    Py_ssize_t n_py = PyList_GET_SIZE(py), j = 0, k = 0;
+    PyObject *out = PyList_New(self->n + n_py);
+    if (out == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < self->n; i++) {
+        const Record *r = &self->rec[i];
+        for (; j < r->pos && j < n_py; j++) {
+            Py_INCREF(PyList_GET_ITEM(py, j));
+            PyList_SET_ITEM(out, k++, PyList_GET_ITEM(py, j));
+        }
+        PyObject *note = records_note(self, r);
+        if (note == NULL) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyList_SET_ITEM(out, k++, note);
+    }
+    for (; j < n_py; j++) {
+        Py_INCREF(PyList_GET_ITEM(py, j));
+        PyList_SET_ITEM(out, k++, PyList_GET_ITEM(py, j));
+    }
+    return out;
+}
+
+/* misses() -> list of DeadlineMiss, in order. */
+static PyObject *
+Records_misses(Records *self, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *out = PyList_New(self->n_misses);
+    if (out == NULL)
+        return NULL;
+    Py_ssize_t k = 0;
+    for (Py_ssize_t i = 0; i < self->n; i++) {
+        const Record *r = &self->rec[i];
+        if (r->kind != RK_MISS)
+            continue;
+        PyObject *task_name = PyTuple_GET_ITEM(self->names, r->task);
+        Py_INCREF(task_name);
+        PyObject *values[4] = {PyUnicode_FromFormat("%U#%ld", task_name,
+                                                    r->index),
+                               task_name,
+                               PyFloat_FromDouble(r->a),
+                               PyFloat_FromDouble(r->t)};
+        PyObject *miss = build_record(self->miss_type, 4, miss_fields,
+                                      values);
+        if (miss == NULL) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyList_SET_ITEM(out, k++, miss);
+    }
+    return out;
+}
+
+/* speed_time() -> dict, key-first-seen order. */
+static PyObject *
+Records_speed_time(Records *self, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *st = PyDict_New();
+    if (st == NULL)
+        return NULL;
+    for (Py_ssize_t k = 0; k < self->n_spd; k++) {
+        PyObject *key = PyFloat_FromDouble(self->spd_key[k]);
+        PyObject *val = key == NULL ? NULL
+            : PyFloat_FromDouble(self->spd_dur[k]);
+        if (val == NULL || PyDict_SetItem(st, key, val) < 0) {
+            Py_XDECREF(key);
+            Py_XDECREF(val);
+            Py_DECREF(st);
+            return NULL;
+        }
+        Py_DECREF(key);
+        Py_DECREF(val);
+    }
+    return st;
+}
+
+/* speed_columns() -> (keys, durations): speed_time's keys and values as
+ * native doubles in bytes, key-first-seen order. */
+static PyObject *
+Records_speed_columns(Records *self, PyObject *Py_UNUSED(ignored))
+{
+    Py_ssize_t size = self->n_spd * (Py_ssize_t)sizeof(double);
+    return Py_BuildValue("(y#y#)", (const char *)self->spd_key, size,
+                         (const char *)self->spd_dur, size);
+}
+
+static PyObject *
+Records_get_miss_count(Records *self, void *Py_UNUSED(closure))
+{
+    return PyLong_FromSsize_t(self->n_misses);
+}
+
+static PyObject *
+Records_get_note_count(Records *self, void *Py_UNUSED(closure))
+{
+    return PyLong_FromSsize_t(self->n + self->py_at_end);
+}
+
+static PyGetSetDef Records_getset[] = {
+    {"miss_count", (getter)Records_get_miss_count, NULL,
+     "len(misses()), nothing built.", NULL},
+    {"note_count", (getter)Records_get_note_count, NULL,
+     "The notes when the run ended, Python-added ones included.", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyMethodDef Records_methods[] = {
+    {"notes", (PyCFunction)Records_notes, METH_O,
+     "notes(py_notes) -> every note in order, merged with py_notes."},
+    {"misses", (PyCFunction)Records_misses, METH_NOARGS,
+     "The DeadlineMiss records, in order."},
+    {"speed_time", (PyCFunction)Records_speed_time, METH_NOARGS,
+     "The speed_time dict."},
+    {"speed_columns", (PyCFunction)Records_speed_columns, METH_NOARGS,
+     "(keys, durations) of speed_time as native doubles."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject RecordsType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._fastcore.Records",
+    .tp_basicsize = sizeof(Records),
+    .tp_dealloc = (destructor)Records_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "A compiled run's per-job records, built when read.",
+    .tp_methods = Records_methods,
+    .tp_getset = Records_getset,
 };
 
 /* ------------------------------------------------------------------ */
@@ -1141,9 +1452,10 @@ typedef struct {
     /* fastcore helpers: the Job constructor and the error raisers */
     PyObject *h_mk_job, *h_miss, *h_bad_speed, *h_bad_quant,
         *h_no_progress, *h_overexec, *h_neg_exec, *h_trace_run;
-    /* the per-job records: the recorder's note list, the result's miss
-     * list, and their element types (TraceNote, DeadlineMiss) */
-    PyObject *notes, *misses, *note_type, *miss_type;
+    /* the per-job records: the store the result takes over, and the
+     * recorder's note list, where Python code adds its notes */
+    Records *records;
+    PyObject *notes;
 
     PyObject *ctx;          /* set for the duration of run() only */
 
@@ -1236,12 +1548,10 @@ typedef struct {
     long switch_count, sleep_episodes, idle_episodes, dispatches,
         jobs_released, jobs_completed, overruns, transition_faults;
 
-    /* speed_time: one accumulator per round(speed, 12) key, in
-     * key-first-seen order; durations add up in time order, exactly
-     * like the interpreted engine's dict updates.  spd_keyed maps each
-     * key to its index. */
-    double *spd_key, *spd_dur;
-    Py_ssize_t n_spd, cap_spd;
+    /* speed_time: the store's accumulators, one per round(speed, 12)
+     * key in key-first-seen order; durations add up in time order,
+     * exactly like the interpreted engine's dict updates.  spd_keyed
+     * maps each key to its index. */
     DoubleMap spd_keyed;
 } CoreEngine;
 
@@ -1266,8 +1576,7 @@ CoreEngine_dealloc(CoreEngine *self)
     Py_XDECREF(self->h_bad_quant); Py_XDECREF(self->h_no_progress);
     Py_XDECREF(self->h_overexec); Py_XDECREF(self->h_neg_exec);
     Py_XDECREF(self->h_trace_run);
-    Py_XDECREF(self->notes); Py_XDECREF(self->misses);
-    Py_XDECREF(self->note_type); Py_XDECREF(self->miss_type);
+    Py_XDECREF(self->records); Py_XDECREF(self->notes);
     Py_XDECREF(self->ctx);
     Py_XDECREF(self->m_observe_slack); Py_XDECREF(self->m_prof_push);
     Py_XDECREF(self->m_prof_pop); Py_XDECREF(self->decide_label);
@@ -1300,7 +1609,6 @@ CoreEngine_dealloc(CoreEngine *self)
     PyMem_Free(self->st_preempt); PyMem_Free(self->st_missed);
     PyMem_Free(self->st_exec);
     PyMem_Free(self->st_resp); PyMem_Free(self->st_maxresp);
-    PyMem_Free(self->spd_key); PyMem_Free(self->spd_dur);
     PyMem_Free((void *)self->q_levels);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
@@ -1458,18 +1766,26 @@ CoreEngine_init(CoreEngine *self, PyObject *args, PyObject *kwds)
     GETM(h_no_progress) GETM(h_overexec) GETM(h_neg_exec)
     GETM(h_trace_run)
 #undef GETM
-    if (ns_get(ns, "notes", &self->notes) < 0 ||
-        ns_get(ns, "deadline_misses", &self->misses) < 0 ||
-        ns_get(ns, "note_type", &self->note_type) < 0 ||
-        ns_get(ns, "miss_type", &self->miss_type) < 0)
+    PyObject *note_type, *miss_type;
+    if (ns_get(ns, "notes", &self->notes) < 0)
         return -1;
-    if (!PyList_Check(self->notes) || !PyList_Check(self->misses) ||
-        !PyType_Check(self->note_type) || !PyType_Check(self->miss_type)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "notes and deadline_misses must be lists, "
-                        "note_type and miss_type classes");
+    if (ns_get(ns, "note_type", &note_type) < 0)
+        return -1;
+    if (ns_get(ns, "miss_type", &miss_type) < 0) {
+        Py_DECREF(note_type);
         return -1;
     }
+    if (PyList_Check(self->notes) && PyTuple_Check(self->names) &&
+        PyType_Check(note_type) && PyType_Check(miss_type))
+        self->records = records_new(self->names, note_type, miss_type);
+    else
+        PyErr_SetString(PyExc_TypeError,
+                        "notes must be a list, names a tuple, "
+                        "note_type and miss_type classes");
+    Py_DECREF(note_type);
+    Py_DECREF(miss_type);
+    if (self->records == NULL)
+        return -1;
 
     if (ns_get_double(ns, "horizon", &self->horizon) < 0 ||
         ns_get_double(ns, "q_min", &self->q_min) < 0 ||
@@ -1569,17 +1885,11 @@ CoreEngine_init(CoreEngine *self, PyObject *args, PyObject *kwds)
 
     self->cap_active = 16;
     self->active = PyMem_Malloc((size_t)self->cap_active * sizeof(JobSlot));
-    self->cap_spd = 8;
-    self->spd_key = PyMem_Malloc((size_t)self->cap_spd * sizeof(double));
-    self->spd_dur = PyMem_Malloc((size_t)self->cap_spd * sizeof(double));
-    if (self->active == NULL || self->spd_key == NULL ||
-        self->spd_dur == NULL ||
-        dmap_init(&self->spd_keyed, 16) < 0) {
+    if (self->active == NULL || dmap_init(&self->spd_keyed, 16) < 0) {
         PyErr_NoMemory();
         return -1;
     }
     self->n_active = 0;
-    self->n_spd = 0;
     self->now = 0.0;
     self->current_speed = 1.0;
     self->release_version = 0;
@@ -1748,70 +2058,18 @@ ce_pick(CoreEngine *e)
 /* per-job records                                                     */
 /* ------------------------------------------------------------------ */
 
-/* An instance of the dataclass *type* with its n fields set, as its
- * generated __init__ leaves it without running it: object.__new__, then
- * each field in declaration order through object.__setattr__ (what a
- * frozen dataclass's __init__ calls).  Steals the references in
- * values, which may hold NULL after a failed build. */
-static PyObject *
-ce_record(PyObject *type, int n, PyObject *const *fields, PyObject **values)
-{
-    PyObject *obj = NULL;
-    int i;
-    for (i = 0; i < n && values[i] != NULL; i++)
-        ;
-    if (i == n)
-        obj = PyBaseObject_Type.tp_new((PyTypeObject *)type, empty_tuple,
-                                       NULL);
-    for (i = 0; obj != NULL && i < n; i++)
-        if (PyObject_GenericSetAttr(obj, fields[i], values[i]) < 0)
-            Py_CLEAR(obj);
-    for (i = 0; i < n; i++)
-        Py_XDECREF(values[i]);
-    return obj;
-}
-
-/* trace.note(t, kind, detail): a TraceNote appended to the recorder's
- * list, in order with the notes Python code adds (ctx.note).  Steals
- * detail. */
+/* trace.note(...) for a record of kind at time t: appended to the run's
+ * store, after the notes Python code has added so far (ctx.note). */
 static int
-ce_note(CoreEngine *e, double t, PyObject *kind, PyObject *detail)
+ce_note(CoreEngine *e, int kind, double t, Py_ssize_t task, long index,
+        double a, double b)
 {
-    Py_INCREF(kind);
-    PyObject *values[3] = {PyFloat_FromDouble(t), kind, detail};
-    PyObject *note = ce_record(e->note_type, 3, note_fields, values);
-    if (note == NULL)
-        return -1;
-    int rc = PyList_Append(e->notes, note);
-    Py_DECREF(note);
-    return rc;
+    return records_add(e->records, kind, t, PyList_GET_SIZE(e->notes),
+                       (int)task, index, a, b);
 }
 
-/* A note whose detail formats a and b with format(x, "g") (code 'g',
- * precision 6) or format(x, ".4f") ('f', 4): PyOS_double_to_string is
- * what float.__format__ calls.  With task >= 0, text starts with the
- * job name f"{task.name}#{index}" (%U#%ld), then the two floats (%s). */
-static int
-ce_note_floats(CoreEngine *e, double t, PyObject *kind, const char *text,
-               Py_ssize_t task, long index, char code, int precision,
-               double a, double b)
-{
-    char *sa = PyOS_double_to_string(a, code, precision, 0, NULL);
-    char *sb = sa == NULL ? NULL
-        : PyOS_double_to_string(b, code, precision, 0, NULL);
-    PyObject *detail = NULL;
-    if (sb != NULL)
-        detail = task >= 0
-            ? PyUnicode_FromFormat(text, PyTuple_GET_ITEM(e->names, task),
-                                   index, sa, sb)
-            : PyUnicode_FromFormat(text, sa, sb);
-    PyMem_Free(sa);
-    PyMem_Free(sb);
-    return detail == NULL ? -1 : ce_note(e, t, kind, detail);
-}
-
-/* Simulator._register_miss from the slot, no Job built: the
- * DeadlineMiss record, the task's missed count and the note; when
+/* Simulator._register_miss from the slot, no Job built: the miss record
+ * (the DeadlineMiss and the note) and the task's missed count; when
  * misses abort the run, fastcore._miss then raises the
  * DeadlineMissError. */
 static int
@@ -1819,25 +2077,8 @@ ce_miss(CoreEngine *e, JobSlot *s, double detected_at)
 {
     s->missed = 1;
     e->st_missed[s->task]++;
-    PyObject *task_name = PyTuple_GET_ITEM(e->names, s->task);
-    PyObject *name = PyUnicode_FromFormat("%U#%ld", task_name, s->index);
-    if (name == NULL)
-        return -1;
-    Py_INCREF(name);
-    Py_INCREF(task_name);
-    PyObject *values[4] = {name, task_name, PyFloat_FromDouble(s->deadline),
-                           PyFloat_FromDouble(detected_at)};
-    PyObject *miss = ce_record(e->miss_type, 4, miss_fields, values);
-    int rc = miss == NULL ? -1 : PyList_Append(e->misses, miss);
-    Py_XDECREF(miss);
-    char *deadline = rc < 0 ? NULL
-        : PyOS_double_to_string(s->deadline, 'g', 6, 0, NULL);
-    PyObject *detail = deadline == NULL ? NULL
-        : PyUnicode_FromFormat("%U: deadline %s", name, deadline);
-    PyMem_Free(deadline);
-    Py_DECREF(name);
-    if (detail == NULL || ce_note(e, detected_at, k_deadline_miss,
-                                  detail) < 0)
+    if (ce_note(e, RK_MISS, detected_at, s->task, s->index, s->deadline,
+                0.0) < 0)
         return -1;
     if (e->allow_misses)
         return 0;
@@ -2517,8 +2758,8 @@ decide_governor(CoreEngine *e, const JobSlot *s, double *out)
     if (floor > desired + 1e-9) {
         e->gv_interventions++;
         e->gv_max_clamp = py_max(e->gv_max_clamp, floor - desired);
-        if (ce_note_floats(e, e->now, k_governor, "%U#%ld: raised %s -> %s",
-                           s->task, s->index, 'f', 4, desired, floor) < 0)
+        if (ce_note(e, RK_GOVERNOR, e->now, s->task, s->index, desired,
+                    floor) < 0)
             return -1;
         if (e->tele) {
             PyObject *r = PyObject_CallFunction(
@@ -2664,9 +2905,8 @@ ce_process_releases(CoreEngine *e)
              * the job from its task and index, no Job needed */
             if (jwork > wcet + K_TIME_EPS) {
                 e->overruns++;
-                if (ce_note_floats(e, e->now, k_overrun,
-                                   "%U#%ld: work %s > wcet %s", i, index,
-                                   'g', 6, work, wcet) < 0)
+                if (ce_note(e, RK_OVERRUN, e->now, i, index, work,
+                            wcet) < 0)
                     return -1;
             }
             e->jobs_released++;
@@ -2887,34 +3127,35 @@ ce_speed_time_add(CoreEngine *e, double speed, double duration)
     double key;
     if (round12(speed, &key) < 0)
         return -1;
+    Records *rs = e->records;
     Py_ssize_t k = dmap_get(&e->spd_keyed, key);
     if (k < 0) {
-        if (e->n_spd == e->cap_spd) {
-            Py_ssize_t cap = e->cap_spd * 2;
-            double *pk = PyMem_Realloc(e->spd_key,
+        if (rs->n_spd == rs->cap_spd) {
+            Py_ssize_t cap = rs->cap_spd * 2;
+            double *pk = PyMem_Realloc(rs->spd_key,
                                        (size_t)cap * sizeof(double));
             if (pk == NULL) {
                 PyErr_NoMemory();
                 return -1;
             }
-            e->spd_key = pk;
-            double *pd = PyMem_Realloc(e->spd_dur,
+            rs->spd_key = pk;
+            double *pd = PyMem_Realloc(rs->spd_dur,
                                        (size_t)cap * sizeof(double));
             if (pd == NULL) {
                 PyErr_NoMemory();
                 return -1;
             }
-            e->spd_dur = pd;
-            e->cap_spd = cap;
+            rs->spd_dur = pd;
+            rs->cap_spd = cap;
         }
-        k = e->n_spd;
+        k = rs->n_spd;
         if (dmap_put(&e->spd_keyed, key, k) < 0)
             return -1;
-        e->spd_key[k] = key;
-        e->spd_dur[k] = 0.0;
-        e->n_spd++;
+        rs->spd_key[k] = key;
+        rs->spd_dur[k] = 0.0;
+        rs->n_spd++;
     }
-    e->spd_dur[k] += duration;
+    rs->spd_dur[k] += duration;
     return 0;
 }
 
@@ -2972,18 +3213,15 @@ ce_apply_speed(CoreEngine *e, double d, double *out)
         if (is_faulted)
             e->transition_faults++;
         if (fabs(achieved - e->current_speed) <= K_SPEED_EPS) {
-            if (ce_note_floats(e, e->now, k_transition_fault,
-                               "stuck at %s (wanted %s)", -1, 0, 'g', 6,
-                               e->current_speed, speed) < 0 ||
+            if (ce_note(e, RK_STUCK, e->now, -1, 0, e->current_speed,
+                        speed) < 0 ||
                 ce_check_misses(e) < 0)
                 return -1;
             *out = e->current_speed;
             return 0;
         }
         if (fabs(achieved - speed) > K_SPEED_EPS &&
-            ce_note_floats(e, e->now, k_transition_fault,
-                           "quantized %s -> %s", -1, 0, 'g', 6, speed,
-                           achieved) < 0)
+            ce_note(e, RK_QUANTIZED, e->now, -1, 0, speed, achieved) < 0)
             return -1;
         /* quantize(min(1.0, achieved)) */
         double clamped = (achieved < 1.0) ? achieved : 1.0;
@@ -3318,27 +3556,9 @@ ce_flush(CoreEngine *e)
     SETI("transition_faults", e->transition_faults);
 #undef SETF
 #undef SETI
-    /* speed_time: a fresh dict in key-first-seen order */
-    PyObject *st = PyDict_New();
-    if (st == NULL)
-        return -1;
-    for (Py_ssize_t k = 0; k < e->n_spd; k++) {
-        PyObject *key = PyFloat_FromDouble(e->spd_key[k]);
-        PyObject *val = key == NULL ? NULL : PyFloat_FromDouble(e->spd_dur[k]);
-        if (val == NULL || PyDict_SetItem(st, key, val) < 0) {
-            Py_XDECREF(key);
-            Py_XDECREF(val);
-            Py_DECREF(st);
-            return -1;
-        }
-        Py_DECREF(key);
-        Py_DECREF(val);
-    }
-    if (set_named(res, "speed_time", st) < 0) {
-        Py_DECREF(st);
-        return -1;
-    }
-    Py_DECREF(st);
+    /* the records and speed_time stay in the store (fastcore hands it
+     * to the result); every note Python added so far precedes the end */
+    e->records->py_at_end = PyList_GET_SIZE(e->notes);
     for (Py_ssize_t i = 0; i < e->n_tasks; i++) {
         PyObject *ts = PyTuple_GET_ITEM(e->task_stats, i);
 #define TSETI(name, val) do { \
@@ -3608,6 +3828,13 @@ OBJ_GETTER(arrival_model)
 OBJ_GETTER(trace)
 #undef OBJ_GETTER
 
+static PyObject *
+CoreEngine_get_records(CoreEngine *self, void *Py_UNUSED(closure))
+{
+    Py_INCREF(self->records);
+    return (PyObject *)self->records;
+}
+
 /* _next_release / _next_index: the live dicts, brought up to date */
 #define MIRROR_GETTER(field) \
     static PyObject * \
@@ -3638,6 +3865,8 @@ static PyGetSetDef CoreEngine_getset[] = {
     {"arrival_model", (getter)CoreEngine_get_arrival_model, NULL, NULL,
      NULL},
     {"_trace", (getter)CoreEngine_get_trace, NULL, NULL, NULL},
+    {"records", (getter)CoreEngine_get_records, NULL,
+     "The run's Records store.", NULL},
     {"_next_release", (getter)CoreEngine_get_next_release_dict, NULL,
      NULL, NULL},
     {"_next_index", (getter)CoreEngine_get_next_index_dict, NULL, NULL,
@@ -3961,13 +4190,14 @@ static struct PyModuleDef fastcore_module = {
 PyMODINIT_FUNC
 PyInit__fastcore(void)
 {
-    if (intern_names() < 0)
+    if (intern_names() < 0 || records_intern_kinds() < 0)
         return NULL;
     PyObject *m = PyModule_Create(&fastcore_module);
     if (m == NULL)
         return NULL;
     if (PyType_Ready(&CoreEngineType) < 0 ||
         PyType_Ready(&DemandTableType) < 0 ||
+        PyType_Ready(&RecordsType) < 0 ||
         PyModule_AddObjectRef(m, "CoreEngine",
                               (PyObject *)&CoreEngineType) < 0 ||
         PyModule_AddObjectRef(m, "DemandTable",

@@ -299,7 +299,10 @@ class Simulator:
         self._missed_jobs: set[str] = set()
         self._last_running: Job | None = None
         self._result: SimulationResult | None = None
-        self._ctx = SimContext(self)
+        # Built by _reset_loop: the context refers back to the engine,
+        # and a compiled run, which never uses it, then leaves no
+        # reference cycle for the garbage collector.
+        self._ctx: SimContext | None = None
 
     # ------------------------------------------------------------------
     # public API
@@ -341,9 +344,9 @@ class Simulator:
                 self._dispatch(job)
 
             self._final_miss_check()
+            result.notes = self._trace.notes
         result.policy_metrics = dict(self.policy.metrics())
         result.trace = self._trace if self.record_trace else None
-        result.notes = self._trace.notes
         if _TELEMETRY.enabled:
             self._fold_telemetry(result)
         return result
@@ -371,7 +374,7 @@ class Simulator:
         tele.inc("engine.speed_switches", result.switch_count)
         tele.inc("engine.idle_transitions", result.idle_episodes)
         tele.inc("engine.sleep_transitions", result.sleep_episodes)
-        tele.inc("engine.misses", len(result.deadline_misses))
+        tele.inc("engine.misses", result.miss_count)
         tele.inc("engine.overruns", result.overrun_jobs)
         tele.inc("engine.transition_faults", result.transition_faults)
         tele.emit("simulation", policy=result.policy,
@@ -379,7 +382,7 @@ class Simulator:
                   completed=result.jobs_completed,
                   dispatches=result.dispatches,
                   switches=result.switch_count,
-                  misses=len(result.deadline_misses),
+                  misses=result.miss_count,
                   energy=result.total_energy)
 
     def _policy_name(self) -> str:
@@ -419,7 +422,7 @@ class Simulator:
         self._release_heap: list[tuple[Time, str]] = [
             (r, name) for name, r in self._next_release.items()]
         heapify(self._release_heap)
-        self._ctx._map_cache = None
+        self._ctx = SimContext(self)
         #: Timer region of this run's policy decisions.
         self._decide_label = decide_label(self._result.policy)
 

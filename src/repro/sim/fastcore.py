@@ -22,22 +22,26 @@ This module is the seam between the two worlds:
   it declines, the engine falls through to the interpreted loop — the
   two produce byte-identical :class:`SimulationResult`s by contract
   (enforced by ``scripts/identity_gate.py``).
-* **Records and errors** — the C core writes every per-job record
-  itself: overrun, deadline-miss, governor and transition-fault notes
-  (``TraceNote``s appended to the recorder's list) and the
-  ``DeadlineMiss`` entries, formatting floats with CPython's own
-  formatter.  A faulted run makes hundreds of them (EXP-FM1: ~460
-  overrun notes per faulted run, ~300 misses per raw one), so no
-  Python frame runs per record; twin tests pin the text to the
-  interpreted engine's f-strings.  Exceptions stay here: the core
-  calls :func:`_miss` and the other raisers only to raise, so error
-  types and messages are Python's own.  :func:`_mk_job` builds a
-  ``Job`` only when Python code asks for one.  Nothing else costs a
-  Python object per event (DESIGN.md §13.1): ``speed_time`` keys are
-  computed exactly in C, and the simulator's ``_next_release`` and
-  ``_next_index`` dicts are written only where Python can read them
-  (the core's getters, before each hook that gets the context, and at
-  the end of the run, an aborted one included).
+* **Records and errors** — the C core keeps every per-job record in
+  a compact store (``_fastcore.Records``): overrun, deadline-miss,
+  governor and transition-fault notes and the ``DeadlineMiss``
+  entries, one fixed-size entry each, and the ``speed_time``
+  accumulators.  A faulted run makes hundreds of records (EXP-FM1:
+  ~460 overrun notes per faulted run, ~300 misses per raw one), and a
+  sweep reads only their counts, so :func:`run_compiled` hands the
+  store to the result and the recorder, which build the
+  ``TraceNote``s, ``DeadlineMiss``es and the ``speed_time`` dict on
+  their first read, formatting floats with CPython's own formatter;
+  twin tests pin the text to the interpreted engine's f-strings.
+  Exceptions stay here: the core calls :func:`_miss` and the other
+  raisers only to raise, so error types and messages are Python's
+  own.  :func:`_mk_job` builds a ``Job`` only when Python code asks
+  for one.  Nothing else costs a Python object per event (DESIGN.md
+  §13.1): ``speed_time`` keys are computed exactly in C, and the
+  simulator's ``_next_release`` and ``_next_index`` dicts are written
+  only where Python can read them (the core's getters, before each
+  hook that gets the context, and at the end of the run, an aborted
+  one included).
 * **Setup** — :class:`_Suite` holds what every run over one task
   tuple shares (the task columns, and the last demand tables), built
   by the suite's first compiled run; everything else, every
@@ -664,7 +668,7 @@ _PYTHON_DECIDE = dict(
     on_release=None, on_completion=None)
 
 #: The fields no run changes: the Job constructor, the error raisers and
-#: the record types the core writes.
+#: the record types the core's store builds.
 _HELPERS = dict(
     mk_job=_mk_job, miss=_miss, bad_speed=_bad_speed, bad_quant=_bad_quant,
     no_progress=_no_progress, overexec=_overexec, neg_exec=_neg_exec,
@@ -723,8 +727,8 @@ def _build_namespace(sim: "Simulator") -> SimpleNamespace:
         transition=proc.transition,
         transition_outcome=(faults.transition_outcome
                             if faults_transitions else _never),
-        # the per-job records the core writes itself
-        notes=trace._notes, deadline_misses=result.deadline_misses,
+        # where Python code adds its notes (the core counts them)
+        notes=trace._notes,
         # scalars
         horizon=float(sim.horizon),
         q_min=float(q_min), p_alpha=float(p_alpha),
@@ -803,9 +807,15 @@ def run_compiled(sim: "Simulator") -> bool:
             _TELEMETRY.inc("engine.compiled_draws")
         if namespace.decide_kind:
             _TELEMETRY.inc("engine.compiled_decides")
+    finished = False
     try:
         core.run(ctx)
+        finished = True
     finally:
+        # The records stay in the core's store until read; an aborted
+        # run's result.notes stays empty, like the interpreted engine's.
+        sim._trace._records = core.records
+        sim._result._defer(core.records, sim._trace, notes=finished)
         if namespace.decide_kind:
             sim.policy.absorb_decide_state(
                 _DecideState(*core.decide_state()))

@@ -100,8 +100,7 @@ class MulticoreResult:
 
     @property
     def deadline_miss_count(self) -> int:
-        return sum(len(r.deadline_misses) for r in self.per_core
-                   if r is not None)
+        return sum(r.miss_count for r in self.per_core if r is not None)
 
     def normalized_energy(self, baseline: "MulticoreResult") -> float:
         if baseline.total_energy <= 0:

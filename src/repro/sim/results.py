@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import mul
 
 from repro.errors import ConfigurationError
 from repro.sim.tracing import TraceNote, TraceRecorder
@@ -29,7 +30,7 @@ class TaskStats:
         return self.total_response / self.completed
 
 
-@dataclass
+@dataclass(slots=True)
 class DeadlineMiss:
     """Record of one missed deadline (only with ``allow_misses``)."""
 
@@ -39,12 +40,23 @@ class DeadlineMiss:
     detected_at: Time
 
 
+#: The fields :meth:`SimulationResult._defer` leaves to their first read.
+_DEFERRED = frozenset({"deadline_misses", "speed_time", "notes"})
+
+
 @dataclass
 class SimulationResult:
     """Everything a run produced.
 
     Energies decompose exactly: ``total_energy = busy_energy +
     idle_energy + switch_energy + sleep_energy``.
+
+    A compiled run leaves ``deadline_misses``, ``speed_time`` and
+    ``notes`` compact in the core's store (DESIGN.md §13.1): each is
+    built on its first read and kept, and :attr:`miss_count` and
+    :meth:`mean_speed` read the store without building them.  Equality,
+    ``dataclasses.replace``, ``copy`` and pickling read every field, so
+    they see what the interpreted engine would have built.
     """
 
     policy: str
@@ -72,8 +84,12 @@ class SimulationResult:
     trace: TraceRecorder | None = None
     #: Zero-duration annotations (governor interventions, injected
     #: faults, overruns) — captured even when full segment tracing is
-    #: disabled, so large sweeps keep their audit trail.
-    notes: tuple[TraceNote, ...] = ()
+    #: disabled, so large sweeps keep their audit trail.  (A factory,
+    #: not a class default: a deferred field must be missing from the
+    #: instance and the class alike for ``__getattr__`` to build it.)
+    notes: tuple[TraceNote, ...] = field(default_factory=tuple)
+    #: (Not a field.)  After a compiled run, its store and recorder.
+    _deferred = None
 
     @property
     def total_energy(self) -> Energy:
@@ -82,7 +98,50 @@ class SimulationResult:
 
     @property
     def missed(self) -> bool:
-        return bool(self.deadline_misses)
+        return self.miss_count > 0
+
+    @property
+    def miss_count(self) -> int:
+        """``len(deadline_misses)``, without building the records."""
+        deferred = self._deferred
+        if deferred is None or "deadline_misses" in self.__dict__:
+            return len(self.deadline_misses)
+        return deferred[0].miss_count
+
+    def _defer(self, records, trace: TraceRecorder, *, notes: bool) -> None:
+        """Leave a compiled run's records in *records* until read; with
+        *notes*, ``notes`` too: the *trace*'s notes when the run ended."""
+        del self.deadline_misses, self.speed_time
+        if notes:
+            del self.notes
+        self._deferred = (records, trace)
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute missing from the instance: one
+        # of the fields a compiled run deferred (see _defer).
+        deferred = self._deferred
+        if deferred is None or name not in _DEFERRED:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        records, trace = deferred
+        if name == "deadline_misses":
+            value = records.misses()
+        elif name == "speed_time":
+            value = records.speed_time()
+        else:
+            value = tuple(trace._note_list()[:records.note_count])
+        setattr(self, name, value)
+        return value
+
+    def __getstate__(self) -> dict:
+        # Pickle and copy see the fields an interpreted run would hold,
+        # in their order; the store itself is not kept.
+        if self._deferred is None:
+            return self.__dict__
+        state = {f.name: getattr(self, f.name) for f in fields(self)}
+        state.update((key, value) for key, value in self.__dict__.items()
+                     if key != "_deferred")
+        return state
 
     def notes_of_kind(self, kind: str) -> tuple[TraceNote, ...]:
         """The buffered annotations of one kind (e.g. ``"governor"``)."""
@@ -112,7 +171,14 @@ class SimulationResult:
         """Time-weighted average execution speed while busy."""
         if self.busy_time <= 0:
             return 0.0
-        weighted = sum(s * t for s, t in self.speed_time.items())
+        if self._deferred is None or "speed_time" in self.__dict__:
+            weighted = sum(s * t for s, t in self.speed_time.items())
+        else:
+            # The same products summed in the same order, read from the
+            # store without building the dict.
+            keys, durations = self._deferred[0].speed_columns()
+            weighted = sum(map(mul, memoryview(keys).cast("d"),
+                               memoryview(durations).cast("d")))
         return weighted / self.busy_time
 
     def summary(self) -> str:
@@ -127,7 +193,7 @@ class SimulationResult:
             f"switch={self.switch_time:.6g}, sleep={self.sleep_time:.6g}",
             f"  jobs: released={self.jobs_released}, "
             f"completed={self.jobs_completed}, "
-            f"misses={len(self.deadline_misses)}",
+            f"misses={self.miss_count}",
             f"  switches={self.switch_count}, "
             f"mean busy speed={self.mean_speed():.4f}",
         ]

@@ -26,7 +26,7 @@ class SegmentKind(Enum):
     SLEEP = "sleep"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceNote:
     """A zero-duration annotation pinned to one instant of the trace.
 
@@ -73,15 +73,31 @@ class TraceRecorder:
     large sweep must not silently drop them (they surface on
     :attr:`repro.sim.results.SimulationResult.notes` either way).
     Under faults they are many: one full EXP-FM1 writes 92,400 overrun,
-    30,790 deadline-miss and 21,646 governor notes.  The compiled core
-    appends its notes to ``_notes`` directly, so the list is the one
-    record of order.
+    30,790 deadline-miss and 21,646 governor notes.  After a compiled
+    run, ``_notes`` holds only the notes Python code added (``ctx.note``)
+    and ``_records`` the core's own, compact; the first read merges them
+    in write order and keeps the list (DESIGN.md §13.1).
     """
+
+    #: The compiled core's records, until a read builds their notes.
+    _records = None
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._segments: list[Segment] = []
         self._notes: list[TraceNote] = []
+
+    def __getstate__(self) -> dict:
+        self._note_list()
+        return self.__dict__
+
+    def _note_list(self) -> list[TraceNote]:
+        """Every note in order, the compiled core's built on first read."""
+        records = self._records
+        if records is not None:
+            self._notes = records.notes(self._notes)
+            del self._records
+        return self._notes
 
     def __len__(self) -> int:
         return len(self._segments)
@@ -95,14 +111,14 @@ class TraceRecorder:
 
     @property
     def notes(self) -> tuple[TraceNote, ...]:
-        return tuple(self._notes)
+        return tuple(self._note_list())
 
     def note(self, time: Time, kind: str, detail: str) -> None:
         """Record an instantaneous annotation (kept even when disabled)."""
         self._notes.append(TraceNote(time=time, kind=kind, detail=detail))
 
     def notes_of_kind(self, kind: str) -> tuple[TraceNote, ...]:
-        return tuple(n for n in self._notes if n.kind == kind)
+        return tuple(n for n in self._note_list() if n.kind == kind)
 
     def record(self, segment: Segment) -> None:
         """Append a segment (no-op when disabled; merges contiguous twins)."""

@@ -18,9 +18,12 @@ rules and the ``REPRO_COMPILED=0`` short cut.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import gc
 import math
 import os
+import pickle
 import shutil
 import sys
 import sysconfig
@@ -37,14 +40,18 @@ from repro.cpu.profiles import ideal_processor, xscale_processor
 from repro.cpu.speed import SpeedScale
 from repro.errors import DeadlineMissError, PolicyError
 from repro.experiments.config import DEFAULT_POLICIES
-from repro.experiments.runner import bcwc_model, standard_taskset
+from repro.experiments.runner import bcwc_model, run_suite, standard_taskset
 from repro.faults import FaultPlan
 from repro.faults.plan import OverrunFault, TransitionFault
 from repro.policies.base import DvsPolicy
+from repro.policies.governor import SafetyGovernor
 from repro.policies.registry import make_policy
+from repro.policies.slack_sta import LpStaPolicy
 from repro.sim import fastcore
 from repro.sim.engine import Simulator, simulate
+from repro.sim.results import DeadlineMiss
 from repro.sim.scheduler import EDFScheduler
+from repro.sim.tracing import TraceNote
 from repro.tasks.arrivals import (
     BurstyArrival,
     ExponentialGapArrival,
@@ -398,6 +405,123 @@ def test_miss_abort_leaves_identical_records():
     assert "missed its deadline" in message
     assert len(misses) == 1 == sum(s.missed for s in stats.values())
     assert notes[-1].kind == "deadline-miss"
+
+
+# ----------------------------------------------------------------------
+# Deferred records: built when read, never by the sweep's fold
+# ----------------------------------------------------------------------
+
+class _PythonLpSta(LpStaPolicy):
+    """lpSTA subclassed: it, and a governor over it, decide in Python."""
+
+
+def _live_records() -> int:
+    return sum(isinstance(obj, (TraceNote, DeadlineMiss))
+               for obj in gc.get_objects())
+
+
+@needs_compiled
+def test_python_notes_keep_their_order_among_the_cores():
+    """A governor over a Python-deciding policy writes its notes with
+    ``ctx.note`` while the core writes the overrun notes: the compiled
+    run's notes interleave exactly as the interpreted run's."""
+    taskset = standard_taskset(6, 0.65, 7)
+    plan = FaultPlan(seed=7, overrun=OverrunFault(factor=1.3,
+                                                  probability=0.5))
+    results = []
+    for backend in (False, True):
+        before = dict(fastcore.RUN_COUNTS["decided"])
+        with fastcore.forced(backend):
+            results.append(simulate(
+                taskset, ideal_processor(),
+                SafetyGovernor(_PythonLpSta(), margin=1.3),
+                bcwc_model(0.5, 7), horizon=HORIZON, faults=plan,
+                allow_misses=True, record_trace=True))
+        assert fastcore.RUN_COUNTS["decided"] == before
+    interpreted, compiled = results
+    kinds = [note.kind for note in compiled.notes]
+    assert "governor" in kinds and "overrun" in kinds
+    first_governor = kinds.index("governor")
+    assert "overrun" in kinds[first_governor:]  # interleaved, not appended
+    assert list(compiled.notes) == list(interpreted.notes)
+    assert list(compiled.trace.notes) == list(interpreted.trace.notes)
+
+
+@needs_compiled
+def test_suite_fold_builds_no_records():
+    """``policy_summaries`` of a faulted suite, raw and governed, reads
+    only counts: no ``TraceNote`` or ``DeadlineMiss`` is built while
+    the suite's results are alive, and the counts equal the
+    interpreted suite's."""
+    taskset, model = _workload(seed=2002)
+    plan = FaultPlan(seed=2002, overrun=OverrunFault(factor=1.4))
+    summaries = []
+    for backend in (False, True):
+        for governed in (False, True):
+            gc.collect()
+            before = _live_records()
+            with fastcore.forced(backend):
+                suite = run_suite(
+                    taskset, ("ccEDF", "lpSTA"), ideal_processor(), model,
+                    HORIZON, allow_misses=True, faults=plan,
+                    policy_factory=lambda name: make_policy(
+                        name, governed=governed, governor_margin=1.4))
+                summaries.append(suite.policy_summaries())
+            built = _live_records() - before
+            assert (built == 0) == backend
+            assert suite.miss_count("lpSTA") \
+                == summaries[-1]["lpSTA"].misses
+            del suite
+    assert summaries[:2] == summaries[2:]
+    assert summaries[0]["lpSTA"].misses > 0   # the raw suite misses
+
+
+@needs_compiled
+def test_unread_compiled_result_equals_its_twin():
+    """An unread compiled result compares, ``replace``s, copies and
+    pickles as the interpreted one: the pickles are the same bytes, and
+    a deep or unpickled copy carries no store."""
+    kwargs = dict(faults=_fault_plan(), governed=True)
+    interpreted = _run("lpSEH", backend=False, **kwargs)
+    fresh = [_run("lpSEH", backend=True, **kwargs) for _ in range(4)]
+    assert fresh[0] == interpreted
+    assert dataclasses.replace(fresh[1], policy="x") \
+        == dataclasses.replace(interpreted, policy="x")
+    assert pickle.dumps(fresh[2]) == pickle.dumps(interpreted)
+    shallow = copy.copy(fresh[3])
+    assert shallow == interpreted
+    assert shallow.deadline_misses is fresh[3].deadline_misses
+    traced = [_run("lpSEH", backend=backend, record_trace=True, **kwargs)
+              for backend in (False, True, True)]
+    for twin in (copy.deepcopy(traced[1]),
+                 pickle.loads(pickle.dumps(traced[2]))):
+        assert "_deferred" not in vars(twin)
+        assert "_records" not in vars(twin.trace)
+        assert_results_identical(twin, traced[0])
+
+
+@needs_compiled
+@pytest.mark.parametrize("processor", [ideal_processor, xscale_processor])
+def test_mean_speed_same_bits_on_both_engines(processor):
+    """``mean_speed`` of an unread compiled result sums the same products
+    in the same order as the interpreted dict walk, and builds no
+    ``speed_time``."""
+    for policy in ("lpSTA", "ccEDF", "DRA"):
+        interpreted = _run(policy, backend=False, processor=processor())
+        compiled = _run(policy, backend=True, processor=processor())
+        speed = compiled.mean_speed()
+        assert "speed_time" not in vars(compiled)
+        assert speed.hex() == interpreted.mean_speed().hex()
+        assert compiled.speed_time == interpreted.speed_time
+
+
+def test_records_pickle_round_trip():
+    note = TraceNote(time=1.5, kind="overrun", detail="T0#1: work 2 > wcet 1")
+    miss = DeadlineMiss(job="T0#1", task="T0", deadline=3.0,
+                        detected_at=3.25)
+    assert pickle.loads(pickle.dumps(note)) == note
+    assert pickle.loads(pickle.dumps(miss)) == miss
+    assert not hasattr(note, "__dict__") and not hasattr(miss, "__dict__")
 
 
 # ----------------------------------------------------------------------

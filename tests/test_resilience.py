@@ -760,8 +760,9 @@ class TestDegradedWrites:
         assert warnings[0].startswith(f"warning: event log dir {blocker}")
         assert degraded == 1 and sink is None
         assert blocker.read_text() == ""
-        assert [p.name for p in manifests.iterdir()
-                if p.name.startswith("manifest_")]
+        (path,) = manifests.glob("manifest_*.json")
+        manifest = json.loads(path.read_text())
+        assert manifest["resilience"]["degraded_writes"] == 1
         assert not (manifests / "events.jsonl").exists()
 
     def test_corrupt_cache_shard_is_self_healed(self, tmp_path):
