@@ -12,9 +12,7 @@ from repro.analysis.schedulability import (
     edf_utilization_test,
     edf_density_test,
     processor_demand_test,
-    rm_response_time_analysis,
     minimum_constant_speed,
-    ResponseTimeResult,
 )
 from repro.analysis.slack import (
     ActiveJob,
@@ -57,9 +55,7 @@ __all__ = [
     "edf_utilization_test",
     "edf_density_test",
     "processor_demand_test",
-    "rm_response_time_analysis",
     "minimum_constant_speed",
-    "ResponseTimeResult",
     "ActiveJob",
     "SystemState",
     "demand",

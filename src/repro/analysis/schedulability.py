@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,43 +75,6 @@ def processor_demand_test(taskset: TaskSet, *,
         if dbf(taskset, point) > point + 1e-9:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class ResponseTimeResult:
-    """Outcome of a fixed-priority response-time analysis."""
-
-    schedulable: bool
-    response_times: dict[str, float]
-
-
-def rm_response_time_analysis(taskset: TaskSet,
-                              max_iterations: int = 10_000) -> ResponseTimeResult:
-    """Classic response-time analysis under rate-monotonic priorities.
-
-    Included as a substrate baseline: the RM scheduler in
-    :mod:`repro.sim.scheduler` is validated against it.  Priorities are
-    by ascending period (ties by declaration order).
-    """
-    ordered = sorted(taskset, key=lambda t: (t.period, taskset.tasks.index(t)))
-    response: dict[str, float] = {}
-    schedulable = True
-    for i, task in enumerate(ordered):
-        higher = ordered[:i]
-        r = task.wcet
-        for _ in range(max_iterations):
-            interference = sum(
-                math.ceil(r / h.period) * h.wcet for h in higher)
-            r_next = task.wcet + interference
-            if abs(r_next - r) <= 1e-12:
-                break
-            r = r_next
-            if r > task.deadline + 1e-9:
-                break
-        response[task.name] = r
-        if r > task.deadline + 1e-9:
-            schedulable = False
-    return ResponseTimeResult(schedulable=schedulable, response_times=response)
 
 
 #: minimum_constant_speed per task set: six policies bind with it, once

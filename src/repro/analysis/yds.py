@@ -9,9 +9,12 @@ those jobs at ``g``, remove them, collapse the interval, and recurse.
 
 This module provides the optimal *energy* (and the peeled intensity
 steps) as the absolute reference floor for the experiment figures: the
-clairvoyant policy operates per-dispatch and cannot beat it.  Speeds
-are clamped into the processor's attainable range when pricing the
-schedule, so the bound stays meaningful on discrete or floored scales.
+clairvoyant policy operates per-dispatch and cannot beat it.  It is a
+bound on continuous speed scales only: speeds are clamped into the
+processor's ``[min_speed, 1]`` range when pricing the schedule, but on a
+discrete scale rounding an intensity up to the next level costs more
+than mixing the two adjacent levels, so policies can spend less than
+the priced "optimum" there; pricing on one is refused.
 """
 
 from __future__ import annotations
@@ -138,11 +141,15 @@ def yds_optimal_energy(taskset: TaskSet, execution_model: ExecutionModel,
                        processor: Processor, horizon: Time) -> Energy:
     """Energy of the YDS-optimal schedule, priced on *processor*.
 
-    Intensities are clamped into the attainable speed range (quantized
-    up), so on a discrete scale this is the optimal *fluid* schedule
-    priced realistically — still a valid lower-bound reference for the
-    per-dispatch policies on the same processor.
+    Intensities are clamped into the processor's continuous speed range.
+    A processor with a discrete speed scale raises
+    :class:`ConfigurationError`: quantizing each intensity up to a level
+    is not a lower bound there (mixing two adjacent levels is cheaper).
     """
+    if not processor.scale.is_continuous:
+        raise ConfigurationError(
+            f"YDS energy is a lower bound on continuous speed scales "
+            f"only; {processor.name} has {processor.scale.describe()}")
     jobs = jobs_from_taskset(taskset, execution_model, horizon)
     if not jobs:
         return 0.0

@@ -10,7 +10,6 @@ from repro.policies.critical_speed import CriticalSpeedPolicy
 from repro.policies.dra import DraPolicy
 from repro.policies.feedback import FeedbackDvsPolicy
 from repro.policies.governor import SafetyGovernor
-from repro.policies.lpfps_rm import LpfpsRmPolicy
 from repro.policies.slack_sta import LpStaPolicy
 from repro.policies.slack_seh import LpSehPolicy
 from repro.policies.clairvoyant import ClairvoyantPolicy
@@ -39,7 +38,6 @@ __all__ = [
     "DraPolicy",
     "CriticalSpeedPolicy",
     "FeedbackDvsPolicy",
-    "LpfpsRmPolicy",
     "SafetyGovernor",
     "LpStaPolicy",
     "LpSehPolicy",

@@ -45,11 +45,12 @@ class _AlphaEntry:
     actual_done: bool = False
 
     def sort_key(self) -> tuple:
-        # MUST match EDFScheduler.sort_key exactly: the canonical
-        # schedule and the actual dispatch order have to agree on ties,
-        # otherwise the alpha-queue drains a job that is not the one
-        # executing and its budget is silently stolen (a real, observed
-        # deadline-miss bug — see tests/test_policies_reclaiming.py).
+        # MUST match repro.sim.engine.EDF_KEY exactly (pinned by
+        # tests/test_scheduler.py): the canonical schedule and the
+        # actual dispatch order have to agree on ties, otherwise the
+        # alpha-queue drains a job that is not the one executing and
+        # its budget is silently stolen (a real, observed deadline-miss
+        # bug — see tests/test_policies_reclaiming.py).
         return (self.deadline, self.release, self.task_name, self.index)
 
 

@@ -1,7 +1,5 @@
-"""Simulation kernel: schedulers, engine, tracing, results."""
+"""Simulation kernel: the EDF engine, tracing, results."""
 
-from repro.sim.scheduler import Scheduler, EDFScheduler, RMScheduler, FIFOScheduler
-from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.tracing import Segment, SegmentKind, TraceRecorder
 from repro.sim.results import DeadlineMiss, SimulationResult, TaskStats
 from repro.sim.engine import SimContext, Simulator, simulate
@@ -13,13 +11,6 @@ from repro.sim.multicore import (
 )
 
 __all__ = [
-    "Scheduler",
-    "EDFScheduler",
-    "RMScheduler",
-    "FIFOScheduler",
-    "Event",
-    "EventKind",
-    "EventQueue",
     "Segment",
     "SegmentKind",
     "TraceRecorder",

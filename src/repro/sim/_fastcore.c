@@ -1434,8 +1434,8 @@ typedef struct {
     PyObject_HEAD
 
     /* configuration objects (strong refs; surfaced to SimContext) */
-    PyObject *taskset, *processor, *scheduler, *execution_model,
-        *arrival_model, *trace, *result;
+    PyObject *taskset, *processor, *execution_model, *arrival_model,
+        *trace, *result;
     /* the live dicts Python reads (sim._next_release, _next_index):
      * written from next_release/next_index only when Python can read
      * them (ce_sync_mirrors), not per release */
@@ -1559,9 +1559,8 @@ static void
 CoreEngine_dealloc(CoreEngine *self)
 {
     Py_XDECREF(self->taskset); Py_XDECREF(self->processor);
-    Py_XDECREF(self->scheduler); Py_XDECREF(self->execution_model);
-    Py_XDECREF(self->arrival_model); Py_XDECREF(self->trace);
-    Py_XDECREF(self->result);
+    Py_XDECREF(self->execution_model); Py_XDECREF(self->arrival_model);
+    Py_XDECREF(self->trace); Py_XDECREF(self->result);
     Py_XDECREF(self->next_release_dict); Py_XDECREF(self->next_index_dict);
     Py_XDECREF(self->tasks); Py_XDECREF(self->names);
     Py_XDECREF(self->name2idx); Py_XDECREF(self->task_stats);
@@ -1750,7 +1749,7 @@ CoreEngine_init(CoreEngine *self, PyObject *args, PyObject *kwds)
         return -1;
 
 #define GET(field) if (ns_get(ns, #field, &self->field) < 0) return -1;
-    GET(taskset) GET(processor) GET(scheduler) GET(execution_model)
+    GET(taskset) GET(processor) GET(execution_model)
     GET(arrival_model) GET(trace) GET(result)
     GET(tasks) GET(names) GET(name2idx) GET(task_stats)
 #undef GET
@@ -3822,7 +3821,6 @@ CoreEngine_get_release_version(CoreEngine *self, void *Py_UNUSED(closure))
     }
 OBJ_GETTER(taskset)
 OBJ_GETTER(processor)
-OBJ_GETTER(scheduler)
 OBJ_GETTER(execution_model)
 OBJ_GETTER(arrival_model)
 OBJ_GETTER(trace)
@@ -3859,7 +3857,6 @@ static PyGetSetDef CoreEngine_getset[] = {
     {"_active", (getter)CoreEngine_get_active, NULL, NULL, NULL},
     {"taskset", (getter)CoreEngine_get_taskset, NULL, NULL, NULL},
     {"processor", (getter)CoreEngine_get_processor, NULL, NULL, NULL},
-    {"scheduler", (getter)CoreEngine_get_scheduler, NULL, NULL, NULL},
     {"execution_model", (getter)CoreEngine_get_execution_model, NULL,
      NULL, NULL},
     {"arrival_model", (getter)CoreEngine_get_arrival_model, NULL, NULL,

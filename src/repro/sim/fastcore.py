@@ -18,10 +18,10 @@ This module is the seam between the two worlds:
 * **Routing** — :func:`run_compiled` decides per run whether the
   compiled core may take over (extension loaded, not disabled via
   ``REPRO_COMPILED=0`` / :func:`set_compiled_default`, and the run uses
-  the stock ``Simulator``/``EDFScheduler``/``Processor`` triple).  When
-  it declines, the engine falls through to the interpreted loop — the
-  two produce byte-identical :class:`SimulationResult`s by contract
-  (enforced by ``scripts/identity_gate.py``).
+  the stock ``Simulator`` and ``Processor``).  When it declines, the
+  engine falls through to the interpreted loop — the two produce
+  byte-identical :class:`SimulationResult`s by contract (enforced by
+  ``scripts/identity_gate.py``).
 * **Records and errors** — the C core keeps every per-job record in
   a compact store (``_fastcore.Records``): overrun, deadline-miss,
   governor and transition-fault notes and the ``DeadlineMiss``
@@ -81,7 +81,6 @@ from repro.errors import DeadlineMissError, PolicyError, SimulationError
 from repro.faults.injectors import FaultyExecution
 from repro.policies.base import DecideState as _DecideState, DvsPolicy
 from repro.sim.results import DeadlineMiss
-from repro.sim.scheduler import EDFScheduler
 from repro.sim.tracing import TraceNote
 from repro.tasks.arrivals import PeriodicArrival
 from repro.tasks.execution import MIN_RATIO
@@ -464,8 +463,6 @@ def _ineligible_reason(sim: "Simulator") -> str | None:
     """
     if type(sim) is not _engine_types()[0]:
         return f"subclassed simulator {type(sim).__name__}"
-    if type(sim.scheduler) is not EDFScheduler:
-        return f"scheduler {type(sim.scheduler).__name__}"
     if type(sim.processor) is not Processor:
         return f"processor {type(sim.processor).__name__}"
     return None
@@ -710,7 +707,7 @@ def _build_namespace(sim: "Simulator") -> SimpleNamespace:
     return SimpleNamespace(
         **suite.fields, **_HELPERS,
         # shared objects (the core mutates result/trace/dicts in place)
-        taskset=sim.taskset, processor=proc, scheduler=sim.scheduler,
+        taskset=sim.taskset, processor=proc,
         execution_model=model, arrival_model=arrival,
         trace=trace, result=result,
         task_stats=tuple(result.task_stats.values()),

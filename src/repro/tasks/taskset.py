@@ -20,8 +20,7 @@ class TaskSet:
     """An ordered, immutable collection of periodic tasks.
 
     Task names must be unique.  Iteration order is the construction
-    order, which also serves as the deterministic tie-break for
-    schedulers.
+    order.
     """
 
     #: Set on an instance once assert_feasible_edf() passed: the set is

@@ -11,7 +11,6 @@ from repro.policies.base import DvsPolicy
 from repro.policies.none import NoDvsPolicy
 from repro.policies.static_edf import StaticEdfPolicy
 from repro.sim.engine import Simulator, simulate
-from repro.sim.scheduler import RMScheduler
 from repro.sim.tracing import SegmentKind
 from repro.tasks.execution import ConstantExecution, WorstCaseExecution
 from repro.tasks.task import PeriodicTask
@@ -198,18 +197,6 @@ class TestEngineValidation:
                           record_trace=True)
         runs = [s for s in result.trace if s.kind == SegmentKind.RUN]
         assert runs[0].start == pytest.approx(4.0)
-
-    def test_rm_scheduler_integration(self):
-        # Same U=1 pair: EDF fine, RM misses B.
-        ts = TaskSet([PeriodicTask("A", 2.0, 4.0),
-                      PeriodicTask("B", 5.0, 10.0)])
-        edf = simulate(ts, Processor(), NoDvsPolicy(),
-                       WorstCaseExecution(), horizon=20.0)
-        assert not edf.missed
-        rm = simulate(ts, Processor(), NoDvsPolicy(),
-                      WorstCaseExecution(), horizon=20.0,
-                      scheduler=RMScheduler(), allow_misses=True)
-        assert rm.missed
 
     def test_results_reproducible(self, three_task_set, half_model):
         a = simulate(three_task_set, Processor(), NoDvsPolicy(),

@@ -5,7 +5,7 @@ strategy.  When the C extension is present and enabled, every eligible
 run produces a :class:`SimulationResult` **bitwise identical** to the
 interpreted engine's — including fault notes, governor interventions
 and traces; anything the core cannot reproduce exactly (subclassed
-simulators, non-EDF schedulers) falls through to the interpreted loop;
+simulators or processors) falls through to the interpreted loop;
 and a host without a compiler (or ``REPRO_COMPILED=0`` /
 ``--no-compiled``) runs exactly as before with zero new dependencies.
 ``scripts/identity_gate.py`` enforces the same contract on whole sweep
@@ -50,7 +50,6 @@ from repro.policies.slack_sta import LpStaPolicy
 from repro.sim import fastcore
 from repro.sim.engine import Simulator, simulate
 from repro.sim.results import DeadlineMiss
-from repro.sim.scheduler import EDFScheduler
 from repro.sim.tracing import TraceNote
 from repro.tasks.arrivals import (
     BurstyArrival,

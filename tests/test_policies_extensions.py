@@ -1,27 +1,22 @@
-"""Tests for the extension policies: feedback, critical-speed, lpfpsRM."""
+"""Tests for the extension policies: feedback and critical-speed."""
 
 import pytest
 
 from repro.cpu.power import PolynomialPowerModel
 from repro.cpu.processor import Processor
 from repro.cpu.speed import ContinuousScale
-from repro.errors import ConfigurationError, InfeasibleTaskSetError
+from repro.errors import ConfigurationError
 from repro.policies.critical_speed import CriticalSpeedPolicy
 from repro.policies.feedback import FeedbackDvsPolicy
-from repro.policies.lpfps_rm import LpfpsRmPolicy
 from repro.policies.slack_seh import LpSehPolicy
 from repro.policies.slack_sta import LpStaPolicy
-from repro.policies.none import NoDvsPolicy
 from repro.sim.engine import simulate
-from repro.sim.scheduler import RMScheduler
 from repro.tasks.execution import (
     BimodalExecution,
     ConstantExecution,
     UniformExecution,
     WorstCaseExecution,
 )
-from repro.tasks.task import PeriodicTask
-from repro.tasks.taskset import TaskSet
 
 
 class TestFeedback:
@@ -120,45 +115,3 @@ class TestCriticalSpeed:
                            half_model, horizon=100.0)
         assert wrapped.total_energy == pytest.approx(plain.total_energy,
                                                      rel=1e-6)
-
-
-class TestLpfpsRm:
-    @pytest.fixture
-    def rm_taskset(self) -> TaskSet:
-        # Harmonic periods: RM-schedulable at U = 0.75.
-        return TaskSet([PeriodicTask("A", wcet=1.0, period=4.0),
-                        PeriodicTask("B", wcet=2.0, period=8.0)])
-
-    def test_requires_rm_feasibility(self, processor):
-        # EDF-feasible but RM-infeasible set must be rejected at bind.
-        ts = TaskSet([PeriodicTask("A", wcet=2.0, period=4.0),
-                      PeriodicTask("B", wcet=5.0, period=10.0)])
-        with pytest.raises(InfeasibleTaskSetError):
-            LpfpsRmPolicy().bind(ts, processor)
-
-    def test_no_misses_under_rm(self, rm_taskset, processor):
-        result = simulate(rm_taskset, processor, LpfpsRmPolicy(),
-                          UniformExecution(low=0.3, high=1.0, seed=9),
-                          horizon=400.0, scheduler=RMScheduler())
-        assert not result.missed
-
-    def test_saves_energy_vs_no_dvs(self, rm_taskset, processor,
-                                    half_model):
-        baseline = simulate(rm_taskset, processor, NoDvsPolicy(),
-                            half_model, horizon=400.0,
-                            scheduler=RMScheduler())
-        lpfps = simulate(rm_taskset, processor, LpfpsRmPolicy(),
-                         half_model, horizon=400.0,
-                         scheduler=RMScheduler())
-        assert lpfps.total_energy < baseline.total_energy
-        assert not lpfps.missed
-
-    def test_full_speed_with_multiple_ready(self, processor):
-        # Synchronous release: both jobs ready -> full speed first.
-        ts = TaskSet([PeriodicTask("A", wcet=1.0, period=4.0),
-                      PeriodicTask("B", wcet=2.0, period=8.0)])
-        result = simulate(ts, processor, LpfpsRmPolicy(),
-                          WorstCaseExecution(), horizon=8.0,
-                          scheduler=RMScheduler(), record_trace=True)
-        first = result.trace.segments[0]
-        assert first.speed == pytest.approx(1.0)

@@ -1,16 +1,14 @@
 """Tests for repro.analysis.schedulability."""
 
-import time
-
 import numpy as np
 import pytest
 
+from repro.analysis import schedulability
 from repro.analysis.schedulability import (
     edf_density_test,
     edf_utilization_test,
     minimum_constant_speed,
     processor_demand_test,
-    rm_response_time_analysis,
 )
 from repro.cpu.profiles import ideal_processor
 from repro.errors import ConfigurationError
@@ -84,34 +82,6 @@ class TestProcessorDemandTest:
         assert processor_demand_test(ts)
 
 
-class TestRmResponseTime:
-    def test_classic_feasible_set(self):
-        # Liu & Layland style: U = 0.75 with harmonic-ish periods.
-        ts = TaskSet([PeriodicTask("A", 1.0, 4.0),
-                      PeriodicTask("B", 2.0, 8.0)])
-        result = rm_response_time_analysis(ts)
-        assert result.schedulable
-        assert result.response_times["A"] == pytest.approx(1.0)
-        # B: 2 + ceil(r/4)*1 -> r = 3 (one A interference) -> stable 3.
-        assert result.response_times["B"] == pytest.approx(3.0)
-
-    def test_rm_fails_where_edf_succeeds(self):
-        # The classic U=1 pair RM cannot schedule: A(2,4), B(5,10)...
-        # response of B exceeds 10 under RM.
-        ts = TaskSet([PeriodicTask("A", 2.0, 4.0),
-                      PeriodicTask("B", 5.0, 10.0)])
-        result = rm_response_time_analysis(ts)
-        assert not result.schedulable
-        assert edf_utilization_test(ts)
-
-    def test_priority_by_period(self):
-        ts = TaskSet([PeriodicTask("slow", 1.0, 100.0),
-                      PeriodicTask("fast", 1.0, 5.0)])
-        result = rm_response_time_analysis(ts)
-        assert result.response_times["fast"] == pytest.approx(1.0)
-        assert result.response_times["slow"] == pytest.approx(2.0)
-
-
 class TestMinimumConstantSpeed:
     def test_implicit_equals_utilization(self, two_task_set):
         assert minimum_constant_speed(two_task_set) == pytest.approx(0.5)
@@ -155,14 +125,39 @@ class TestMinimumConstantSpeed:
                     break
             assert minimum_constant_speed(ts) == high
 
-    def test_constrained_16_task_unit_binds_fast(self):
-        # Six policies of a suite bind with it; the task set pays once.
+    def test_constrained_16_task_unit_binds_fast(self, monkeypatch):
+        # Six policies of a suite bind with it; the task set pays once:
+        # one vectorized demand test, one bisection of at most 64 steps,
+        # and never the scalar per-speed test.
         ts = generate_taskset(16, 0.85, np.random.default_rng(3),
                               period_choices=EXPERIMENT_PERIOD_CHOICES,
                               deadline_range=(0.6, 0.95))
-        started = time.perf_counter()
+        counts = {"built": 0, "called": 0, "scalar": 0}
+
+        class Counted(schedulability._ScaledDemandTest):
+            def __init__(self, *args, **kwargs):
+                counts["built"] += 1
+                super().__init__(*args, **kwargs)
+
+            def __call__(self, speed):
+                counts["called"] += 1
+                return super().__call__(speed)
+
+        def scalar(name):
+            original = getattr(schedulability, name)
+
+            def counted(*args, **kwargs):
+                counts["scalar"] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(schedulability, "_ScaledDemandTest", Counted)
+        for name in ("_feasible_at", "processor_demand_test"):
+            monkeypatch.setattr(schedulability, name, scalar(name))
         policies = [make_policy(name) for name in ALL_POLICY_NAMES]
         for policy in policies:
             policy.bind(ts, ideal_processor())
-        assert time.perf_counter() - started < 0.1
+        assert counts["built"] == 1
+        assert 1 <= counts["called"] <= 64
+        assert counts["scalar"] == 0
         assert minimum_constant_speed(ts) is minimum_constant_speed(ts)

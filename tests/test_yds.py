@@ -10,7 +10,7 @@ from repro.analysis.yds import (
     yds_optimal_energy,
     yds_schedule,
 )
-from repro.cpu.profiles import ideal_processor
+from repro.cpu.profiles import generic4_processor, ideal_processor
 from repro.errors import ConfigurationError
 from repro.policies.registry import make_policy
 from repro.sim.engine import simulate
@@ -119,3 +119,11 @@ class TestOptimalEnergy:
                                    phase=50.0)])
         assert yds_optimal_energy(ts, WorstCaseExecution(),
                                   ideal_processor(), 10.0) == 0.0
+
+    def test_discrete_scale_rejected(self):
+        # Rounding each intensity up to a level is no lower bound:
+        # policies mixing adjacent levels spend less.
+        ts = TaskSet([PeriodicTask("T", wcet=1.0, period=10.0)])
+        with pytest.raises(ConfigurationError, match="continuous"):
+            yds_optimal_energy(ts, WorstCaseExecution(),
+                               generic4_processor(), 100.0)
